@@ -1,10 +1,10 @@
-"""Roving profile agent: collects demand, rebuilds weights, re-tiers videos.
+"""Roving profile agent: collects demand and rebuilds the global weights.
 
 On each tour the agent visits every proxy, sums their cumulative request
 counters cell by cell, derives the integer weight table from the merged
-profile and pushes it to every proxy and the central server.  It also
-re-ranks videos by total demand and rewrites the catalog's tier buckets,
-which steers future tier-based placement decisions.
+profile and pushes it to every proxy, where it orders reclaim victims.
+The catalog's popularity tiers stay fixed: initial placement is dealt from
+them before the first tour, and a tour never changes them.
 """
 
 from __future__ import annotations
@@ -12,22 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError
-from .model import Catalog, DemandProfile, Tier, TIERS, WeightProfile, retier_by_rank
+from .model import Catalog, DemandProfile, WeightProfile
 from .topology import World, push_weights
 
 
 @dataclass
 class AgentTourReport:
-    """What one tour saw and changed."""
+    """What one tour saw."""
 
     time: float
     total_requests: int
-    tier_changes: int
-    merged: DemandProfile
-    weights: WeightProfile
 
     def audit_row(self) -> str:
-        return f"{self.time:.6f},{self.total_requests},{self.tier_changes}"
+        return f"{self.time:.6f},{self.total_requests}"
 
 
 def merge_profiles(world: World, num_videos: int) -> DemandProfile:
@@ -39,22 +36,10 @@ def merge_profiles(world: World, num_videos: int) -> DemandProfile:
 
 
 def agent_tour(time: float, world: World, catalog: Catalog, profits) -> AgentTourReport:
-    """Run one full tour: merge, re-weight, push, re-tier."""
+    """Run one full tour: merge, re-weight, push."""
     merged = merge_profiles(world, catalog.nov)
-    weights = WeightProfile.derive(merged, profits)
-    push_weights(world, weights)
-    new_tiers = retier_by_rank(merged, catalog.nov)
-    changes = 0
-    for video in catalog.videos:
-        tier = new_tiers[video.video_id]
-        if tier is not video.tier:
-            video.tier = tier
-            changes += 1
-    if changes:
-        catalog.tier_members = {tier: [] for tier in TIERS}
-        for video in catalog.videos:
-            catalog.tier_members[video.tier].append(video.video_id)
-    return AgentTourReport(time, merged.total, changes, merged, weights)
+    push_weights(world, WeightProfile.derive(merged, profits))
+    return AgentTourReport(time, merged.total)
 
 
 def schedule_next_tour(now: float, period: float) -> float:
@@ -65,10 +50,6 @@ def schedule_next_tour(now: float, period: float) -> float:
 
 def append_tour_log(reports: list[AgentTourReport]) -> str:
     """CSV audit trail of tours, one row per visit."""
-    lines = ["time,total_requests,tier_changes"]
+    lines = ["time,total_requests"]
     lines.extend(report.audit_row() for report in reports)
     return "\n".join(lines) + "\n"
-
-
-def tier_population(catalog: Catalog) -> dict[Tier, int]:
-    return {tier: len(catalog.tier_members[tier]) for tier in TIERS}

@@ -26,7 +26,6 @@ class SimConfig:
     sample_period: float = 10.0
     seed: int = 1
     psg_enabled: bool = True
-    agent_window: str = "cumulative"
 
     def validate(self) -> "SimConfig":
         if self.num_proxies < 3:
@@ -56,8 +55,6 @@ class SimConfig:
             raise ConfigError("agent_period must be positive")
         if self.sample_period <= 0:
             raise ConfigError("sample_period must be positive")
-        if self.agent_window != "cumulative":
-            raise ConfigError(f"unsupported agent_window {self.agent_window!r}")
         return self
 
 
@@ -70,37 +67,30 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"not a boolean: {raw!r}")
 
 
-def _parse_value(name: str, kind: type, raw: str):
+#: Scalar parser for each type a SimConfig default can have; a tuple field
+#: parses each comma-separated item by the type of its default's items.
+_PARSERS = {bool: _parse_bool, int: int, float: float}
+
+
+def _parse_value(name: str, default, raw: str):
+    """Parse ``raw`` into the type of the field's ``default``."""
+    if isinstance(default, tuple):
+        parts = [p.strip() for p in raw.split(",")]
+        if len(parts) != len(default):
+            raise ConfigError(f"{name} must have exactly {len(default)} comma-separated values")
+        return tuple(_parse_value(name, item, part) for item, part in zip(default, parts))
     try:
-        if kind is bool:
-            return _parse_bool(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
+        return _PARSERS[type(default)](raw)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-    raise ConfigError(f"unhandled type for {name}")
-
-
-def _parse_tuple(name: str, raw: str, item: type) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{name} must have exactly 3 comma-separated values")
-    return tuple(_parse_value(name, item, p) for p in parts)
-
-
-_TUPLE_ITEM = {"tier_mix": float, "class_mix": float, "profits": int}
 
 
 def load_config(path) -> SimConfig:
     """Read key=value lines; '#' starts a comment, blank lines are skipped."""
     values = {}
-    known = {f.name: f.type for f in fields(SimConfig)}
+    defaults = {f.name: f.default for f in fields(SimConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -110,20 +100,9 @@ def load_config(path) -> SimConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key in _TUPLE_ITEM:
-                values[key] = _parse_tuple(key, raw, _TUPLE_ITEM[key])
-            else:
-                annotation = str(known[key])
-                if "bool" in annotation:
-                    values[key] = _parse_value(key, bool, raw)
-                elif "int" in annotation:
-                    values[key] = _parse_value(key, int, raw)
-                elif "float" in annotation:
-                    values[key] = _parse_value(key, float, raw)
-                else:
-                    values[key] = raw
+            values[key] = _parse_value(key, defaults[key], raw)
     return SimConfig(**values).validate()

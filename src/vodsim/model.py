@@ -1,11 +1,12 @@
 """Video catalog, user classes, popularity tiers and demand accounting.
 
 Everything that drives an allocation decision lives here as plain data with
-pure derivation functions: per-video arrival rates and request
-probabilities, per-(video, class) request counters, the integer video
-weights derived from them, and rank-based popularity tiers.  Weights are
-exact integers (request count times integer class profit) so comparisons
-used for victim ordering are never perturbed by float rounding.
+pure derivation functions: per-video sizes and class rate windows, the
+static id-range popularity tiers that placement deals from,
+per-(video, class) request counters and the integer video weights derived
+from them.  Weights are exact integers (request count times integer class
+profit) so comparisons used for victim ordering are never perturbed by
+float rounding.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ class VideoMeta:
     """One catalog entry.
 
     ``min_bw``/``max_bw`` are indexed by ``UserClass - 1`` and fixed for the
-    life of the catalog; ``arrival_rate`` is this video's share of the total
-    request rate.
+    life of the catalog.
     """
 
     video_id: int
@@ -72,7 +72,6 @@ class VideoMeta:
     tier: Tier
     min_bw: tuple[int, int, int]
     max_bw: tuple[int, int, int]
-    arrival_rate: float
 
     def min_rate(self, user_class: UserClass) -> int:
         return self.min_bw[user_class - 1]
@@ -101,11 +100,7 @@ class Catalog:
 
 
 def initial_tier_table(num_videos: int) -> list[Tier]:
-    """Tier assignment before any demand exists: ascending id order.
-
-    Identical to ranking an all-zero demand profile, so the first agent
-    re-tiering with no traffic reproduces it.
-    """
+    """Tier assignment by ascending id: the ranges the workload draws from."""
     census = tier_census(num_videos)
     quarter = census[Tier.MOST]
     table = [Tier.LEAST] * num_videos
@@ -116,22 +111,9 @@ def initial_tier_table(num_videos: int) -> list[Tier]:
     return table
 
 
-def build_catalog(
-    num_videos: int,
-    total_arrival_rate: float,
-    tier_mix: Sequence[float],
-    size_min: int,
-    size_max: int,
-    rng: random.Random,
-) -> Catalog:
-    """Draw a catalog: sizes and per-class min/max rates come from ``rng``.
-
-    Per-video arrival rates split the total rate evenly inside each tier,
-    so tier-level request shares match ``tier_mix`` exactly.
-    """
+def build_catalog(num_videos: int, size_min: int, size_max: int, rng: random.Random) -> Catalog:
+    """Draw a catalog: sizes and per-class min/max rates come from ``rng``."""
     tiers = initial_tier_table(num_videos)
-    census = tier_census(num_videos)
-    share = dict(zip(TIERS, tier_mix))
     videos = []
     for vid in range(num_videos):
         size = rng.randint(size_min, size_max)
@@ -141,62 +123,36 @@ def build_catalog(
             min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
             mins.append(rng.randint(min_lo, min_hi))
             maxs.append(rng.randint(max_lo, max_hi))
-        tier = tiers[vid]
-        rate = total_arrival_rate * share[tier] / census[tier]
-        videos.append(VideoMeta(vid, size, tier, tuple(mins), tuple(maxs), rate))
+        videos.append(VideoMeta(vid, size, tiers[vid], tuple(mins), tuple(maxs)))
     return Catalog(videos)
 
 
-def request_probability(videos: Sequence[VideoMeta]) -> list[float]:
-    """Per-video probability of receiving the next request."""
-    if not videos:
-        raise ValueError("empty catalog")
-    rates = [video.arrival_rate for video in videos]
-    if min(rates) < 0:
-        raise ValueError("negative arrival rate")
-    total = sum(rates)
-    if total <= 0:
-        raise ValueError("degenerate catalog: all arrival rates are zero")
-    return [rate / total for rate in rates]
-
-
 class DemandProfile:
-    """Cumulative per-(video, class) request counters.
+    """Cumulative per-(video, class) request counters; counters only grow."""
 
-    Counters only grow; per-video totals are maintained alongside so
-    ranking never re-sums the table.
-    """
-
-    __slots__ = ("counts", "totals", "total")
+    __slots__ = ("counts", "total")
 
     def __init__(self, num_videos: int):
         self.counts: list[list[int]] = [[0, 0, 0] for _ in range(num_videos)]
-        self.totals: list[int] = [0] * num_videos
         self.total = 0
 
     @property
     def nov(self) -> int:
-        return len(self.totals)
+        return len(self.counts)
 
     def _check(self, video: int) -> None:
-        if not 0 <= video < len(self.totals):
+        if not 0 <= video < len(self.counts):
             raise ValueError(f"unknown video {video}")
 
     def record(self, video: int, user_class: UserClass) -> None:
-        """Count one request: bumps exactly the (video, class) cell and the
-        video total."""
+        """Count one request: bumps exactly the (video, class) cell."""
         self._check(video)
         self.counts[video][user_class - 1] += 1
-        self.totals[video] += 1
         self.total += 1
 
     def count(self, video: int, user_class: UserClass) -> int:
         self._check(video)
         return self.counts[video][user_class - 1]
-
-    def video_total(self, video: int) -> int:
-        self._check(video)
-        return self.totals[video]
 
     def accumulate(self, other: "DemandProfile") -> None:
         """Cell-wise add another profile into this one."""
@@ -207,25 +163,7 @@ class DemandProfile:
             mine[0] += row[0]
             mine[1] += row[1]
             mine[2] += row[2]
-            self.totals[vid] += other.totals[vid]
         self.total += other.total
-
-    def copy(self) -> "DemandProfile":
-        clone = DemandProfile(self.nov)
-        clone.counts = [row[:] for row in self.counts]
-        clone.totals = self.totals[:]
-        clone.total = self.total
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DemandProfile):
-            return NotImplemented
-        return self.counts == other.counts
-
-
-def compute_weight(counts: DemandProfile, video: int, user_class: UserClass, profit: int) -> int:
-    """Demand weight of a (video, class) cell: request count times profit."""
-    return counts.count(video, user_class) * profit
 
 
 class WeightProfile:
@@ -247,77 +185,3 @@ class WeightProfile:
 
     def weight(self, video: int, user_class: UserClass) -> int:
         return self.weights[video][user_class - 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightProfile):
-            return NotImplemented
-        return self.weights == other.weights
-
-
-def retier_by_rank(counts: DemandProfile, num_videos: int | None = None) -> list[Tier]:
-    """Re-bucket videos by demand rank.
-
-    Videos are ordered by total request count descending (ties: smaller id
-    first); the top quarter becomes most popular, the next quarter
-    secondary, the rest least popular.
-    """
-    if num_videos is None:
-        num_videos = counts.nov
-    if num_videos != counts.nov:
-        raise ValueError("profile size does not match catalog size")
-    census = tier_census(num_videos)
-    totals = counts.totals
-    order = sorted(range(num_videos), key=lambda vid: (-totals[vid], vid))
-    quarter = census[Tier.MOST]
-    table = [Tier.LEAST] * num_videos
-    for vid in order[:quarter]:
-        table[vid] = Tier.MOST
-    for vid in order[quarter:2 * quarter]:
-        table[vid] = Tier.SECONDARY
-    return table
-
-
-CATALOG_HEADER = "# video_id size_mb tier min1 max1 min2 max2 min3 max3 arrival_rate"
-
-
-def dumps_catalog(catalog: Catalog) -> str:
-    """One video per row, space-separated; floats kept at full precision."""
-    lines = [CATALOG_HEADER]
-    for video in catalog.videos:
-        min1, min2, min3 = video.min_bw
-        max1, max2, max3 = video.max_bw
-        lines.append(
-            f"{video.video_id} {video.size_mb} {video.tier.value} "
-            f"{min1} {max1} {min2} {max2} {min3} {max3} {video.arrival_rate!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def loads_catalog(text: str) -> Catalog:
-    videos = []
-    tier_by_name = {tier.value: tier for tier in TIERS}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 10:
-            raise ValueError(f"malformed catalog row: {line!r}")
-        vid, size = int(parts[0]), int(parts[1])
-        tier = tier_by_name[parts[2]]
-        min1, max1, min2, max2, min3, max3 = (int(p) for p in parts[3:9])
-        rate = float(parts[9])
-        videos.append(VideoMeta(vid, size, tier, (min1, min2, min3), (max1, max2, max3), rate))
-    if [video.video_id for video in videos] != list(range(len(videos))):
-        raise ValueError("catalog rows must cover ids 0..n-1 in order")
-    return Catalog(videos)
-
-
-def write_catalog(catalog: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_catalog(catalog))
-
-
-def read_catalog(path) -> Catalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_catalog(fh.read())

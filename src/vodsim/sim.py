@@ -44,9 +44,9 @@ def generate_arrival(
     """Draw the next request: (interarrival, proxy, video, class).
 
     Videos are drawn tier-first against the configured popularity mix,
-    then uniformly inside the tier.  Tier membership here is the static
-    id-range assignment, deliberately independent of any re-tiering the
-    agent performs, so the offered workload does not drift mid-run.
+    then uniformly inside the tier.  Tier membership is the static id-range
+    assignment that placement also deals from, so the offered workload
+    does not drift mid-run.
     """
     dt = rng.expovariate(config.total_arrival_rate)
     proxy_id = rng.randrange(config.num_proxies)
@@ -144,8 +144,7 @@ class Simulation:
         placement_rng = random.Random(root.getrandbits(64))
         self.workload_rng = random.Random(root.getrandbits(64))
         self.catalog = catalog or build_catalog(
-            config.num_videos, config.total_arrival_rate, config.tier_mix,
-            config.video_size_min, config.video_size_max, catalog_rng,
+            config.num_videos, config.video_size_min, config.video_size_max, catalog_rng,
         )
         self.world = build_world(
             config.num_proxies, config.num_videos, config.cache_capacity,

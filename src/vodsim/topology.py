@@ -134,23 +134,11 @@ class ProxyServer:
             del self.cache[victim]
 
 
-class CentralServer:
-    """Origin holding the full catalog; receives the agent's weight table."""
-
-    def __init__(self, num_videos: int):
-        self.num_videos = num_videos
-        self.global_weights = WeightProfile.zeros(num_videos)
-
-    def has(self, video_id: int) -> bool:
-        return 0 <= video_id < self.num_videos
-
-
 class World:
-    """The ring plus the central server."""
+    """The proxy ring; the central server is each proxy's ``PS_CMS`` link."""
 
-    def __init__(self, proxies: list[ProxyServer], cms: CentralServer):
+    def __init__(self, proxies: list[ProxyServer]):
         self.proxies = proxies
-        self.cms = cms
 
     @property
     def num_proxies(self) -> int:
@@ -175,7 +163,7 @@ def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
         ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
         for pid in range(num_proxies)
     ]
-    return World(proxies, CentralServer(num_videos))
+    return World(proxies)
 
 
 def locate(world: World, proxy_id: int, video_id: int) -> Presence:
@@ -316,7 +304,6 @@ def placement_dump(world: World) -> str:
 
 
 def push_weights(world: World, table: WeightProfile) -> None:
-    """Install a freshly derived global weight table everywhere."""
+    """Install a freshly derived global weight table on every proxy."""
     for proxy in world.proxies:
         proxy.global_weights = table
-    world.cms.global_weights = table

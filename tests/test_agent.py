@@ -1,4 +1,4 @@
-"""Profile agent tours: merging, weight pushing and re-tiering."""
+"""Profile agent tours: merging and weight pushing."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import random
 import pytest
 
 from vodsim.config import ConfigError
-from vodsim.model import CLASSES, Tier, UserClass, build_catalog
-from vodsim.agent import agent_tour, append_tour_log, merge_profiles, schedule_next_tour, tier_population
+from vodsim.model import CLASSES, UserClass, build_catalog
+from vodsim.agent import agent_tour, append_tour_log, merge_profiles, schedule_next_tour
 from vodsim.topology import build_world
 
 PROFITS = (3, 2, 1)
@@ -16,7 +16,7 @@ PROFITS = (3, 2, 1)
 
 def setup(num_videos=32, seed=4):
     world = build_world(4, num_videos, 8, 100)
-    catalog = build_catalog(num_videos, 1.0, (0.5, 0.35, 0.15), 700, 2100, random.Random(seed))
+    catalog = build_catalog(num_videos, 700, 2100, random.Random(seed))
     return world, catalog
 
 
@@ -37,27 +37,23 @@ def test_tour_pushes_weights_everywhere():
     world, catalog = setup()
     for _ in range(5):
         world.proxies[1].local_counts.record(7, UserClass.CLASS1)
-    report = agent_tour(10.0, world, catalog, PROFITS)
-    assert report.weights.weight(7, UserClass.CLASS1) == 15
+    agent_tour(10.0, world, catalog, PROFITS)
+    table = world.proxies[0].global_weights
+    assert table.weight(7, UserClass.CLASS1) == 15
     for proxy in world.proxies:
-        assert proxy.global_weights is report.weights
-    assert world.cms.global_weights is report.weights
+        assert proxy.global_weights is table
 
 
-def test_tour_retiers_hot_videos():
+def test_tour_leaves_catalog_untouched():
     world, catalog = setup()
-    hot = 30  # initially least-popular
-    assert catalog.video(hot).tier is Tier.LEAST
+    tiers = [video.tier for video in catalog.videos]
+    members = {tier: ids[:] for tier, ids in catalog.tier_members.items()}
+    hot = 30  # in the least-popular id range
     for _ in range(50):
         world.proxies[0].local_counts.record(hot, UserClass.CLASS2)
-    report = agent_tour(10.0, world, catalog, PROFITS)
-    assert catalog.video(hot).tier is Tier.MOST
-    assert report.tier_changes >= 2
-    census = tier_population(catalog)
-    assert census[Tier.MOST] == 8
-    assert census[Tier.SECONDARY] == 8
-    assert census[Tier.LEAST] == 16
-    assert hot in catalog.tier_members[Tier.MOST]
+    agent_tour(10.0, world, catalog, PROFITS)
+    assert [video.tier for video in catalog.videos] == tiers
+    assert catalog.tier_members == members
 
 
 def test_tour_does_not_reset_counters():
@@ -67,7 +63,8 @@ def test_tour_does_not_reset_counters():
     assert world.proxies[0].local_counts.count(1, UserClass.CLASS1) == 1
     world.proxies[0].local_counts.record(1, UserClass.CLASS1)
     report = agent_tour(20.0, world, catalog, PROFITS)
-    assert report.merged.count(1, UserClass.CLASS1) == 2
+    assert report.total_requests == 2
+    assert world.proxies[0].global_weights.weight(1, UserClass.CLASS1) == 6
 
 
 def test_second_tour_without_new_demand_changes_nothing():
@@ -76,9 +73,12 @@ def test_second_tour_without_new_demand_changes_nothing():
     for _ in range(400):
         world.proxies[rng.randrange(4)].local_counts.record(
             rng.randrange(32), rng.choice(CLASSES))
-    agent_tour(10.0, world, catalog, PROFITS)
-    report = agent_tour(20.0, world, catalog, PROFITS)
-    assert report.tier_changes == 0
+    first = agent_tour(10.0, world, catalog, PROFITS)
+    weights = world.proxies[0].global_weights.weights
+    second = agent_tour(20.0, world, catalog, PROFITS)
+    assert second.total_requests == first.total_requests == 400
+    for proxy in world.proxies:
+        assert proxy.global_weights.weights == weights
 
 
 def test_schedule_next_tour():
@@ -92,6 +92,6 @@ def test_tour_log_format():
     reports = [agent_tour(t, world, catalog, PROFITS) for t in (10.0, 20.0)]
     text = append_tour_log(reports)
     lines = text.splitlines()
-    assert lines[0] == "time,total_requests,tier_changes"
-    assert lines[1].startswith("10.000000,")
+    assert lines[0] == "time,total_requests"
+    assert lines[1] == "10.000000,0"
     assert len(lines) == 3

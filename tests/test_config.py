@@ -38,7 +38,6 @@ def test_defaults_validate():
     ("horizon", 0.0),
     ("agent_period", -1.0),
     ("sample_period", 0.0),
-    ("agent_window", "sliding"),
 ])
 def test_validate_rejects_bad_values(field, value):
     config = dataclasses.replace(SimConfig(), **{field: value})
@@ -75,6 +74,38 @@ cache_capacity = 40
 def test_load_config_unknown_key(tmp_path):
     path = write(tmp_path, "bandwidth = 7\n")
     with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
+
+
+def test_load_config_rejects_dropped_agent_window(tmp_path):
+    path = write(tmp_path, "agent_window = cumulative\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
+
+
+def test_load_config_round_trips_defaults(tmp_path):
+    lines = []
+    for field in dataclasses.fields(SimConfig):
+        value = getattr(SimConfig(), field.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(item) for item in value)
+        lines.append(f"{field.name} = {value}")
+    config = load_config(write(tmp_path, "\n".join(lines) + "\n"))
+    assert config == SimConfig()
+
+    def kinds(value):
+        return tuple(map(type, value)) if isinstance(value, tuple) else type(value)
+
+    for field in dataclasses.fields(SimConfig):
+        assert kinds(getattr(config, field.name)) == kinds(getattr(SimConfig(), field.name))
+
+
+def test_load_config_bad_number(tmp_path):
+    path = write(tmp_path, "seed = 1.5\n")
+    with pytest.raises(ConfigError, match="bad value for seed"):
+        load_config(path)
+    path = write(tmp_path, "profits = 3, 2, x\n")
+    with pytest.raises(ConfigError, match="bad value for profits"):
         load_config(path)
 
 

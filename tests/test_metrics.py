@@ -129,6 +129,18 @@ def test_emit_reports_writes_standard_set(tmp_path):
     assert "CHECK:ledger_bounds=PASS" in summary
 
 
+def test_emit_reports_flags_out_of_bounds_ledger(tmp_path):
+    config = SimConfig(horizon=200.0, seed=2)
+    result = run(config)
+    ledger = result.ledgers[0]
+    ledger.rows.insert(0, LedgerRow(0.0, "allocate", 0, 0, 1, ledger.capacity + 1))
+    emit_reports(result, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "CHECK:ledger_bounds=FAIL" in summary
+    assert "util_avg_" not in summary
+    assert "CHECK:conservation=PASS" in summary
+
+
 def test_emit_reports_empty_cells_for_absent_averages(tmp_path):
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)

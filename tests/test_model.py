@@ -1,4 +1,4 @@
-"""Catalog, demand counters, weights and tier ranking."""
+"""Catalog, demand counters, weights and tier ranges."""
 
 from __future__ import annotations
 
@@ -14,20 +14,13 @@ from vodsim.model import (
     UserClass,
     WeightProfile,
     build_catalog,
-    compute_weight,
-    dumps_catalog,
     initial_tier_table,
-    loads_catalog,
-    request_probability,
-    retier_by_rank,
     tier_census,
 )
 
-TIER_MIX = (0.50, 0.35, 0.15)
 
-
-def make_catalog(num_videos=48, seed=7, rate=1.0):
-    return build_catalog(num_videos, rate, TIER_MIX, 700, 2100, random.Random(seed))
+def make_catalog(num_videos=48, seed=7):
+    return build_catalog(num_videos, 700, 2100, random.Random(seed))
 
 
 def test_tier_census_splits_quarters():
@@ -63,39 +56,11 @@ def test_build_catalog_respects_ranges():
             assert video.min_rate(user_class) < video.max_rate(user_class)
 
 
-def test_build_catalog_rate_shares_match_mix():
-    catalog = make_catalog()
-    by_tier = {tier: 0.0 for tier in Tier}
-    for video in catalog.videos:
-        by_tier[video.tier] += video.arrival_rate
-    assert by_tier[Tier.MOST] == pytest.approx(0.50)
-    assert by_tier[Tier.SECONDARY] == pytest.approx(0.35)
-    assert by_tier[Tier.LEAST] == pytest.approx(0.15)
-    assert sum(by_tier.values()) == pytest.approx(1.0)
-
-
 def test_build_catalog_is_deterministic():
     a = make_catalog(seed=11)
     b = make_catalog(seed=11)
-    assert dumps_catalog(a) == dumps_catalog(b)
-
-
-def test_request_probability_normalizes():
-    catalog = make_catalog()
-    probs = request_probability(catalog.videos)
-    assert len(probs) == catalog.nov
-    assert sum(probs) == pytest.approx(1.0)
-    assert min(probs) > 0
-
-
-def test_request_probability_rejects_degenerate():
-    catalog = make_catalog()
-    for video in catalog.videos:
-        video.arrival_rate = 0.0
-    with pytest.raises(ValueError):
-        request_probability(catalog.videos)
-    with pytest.raises(ValueError):
-        request_probability([])
+    assert a.videos == b.videos
+    assert a.tier_members == b.tier_members
 
 
 def test_demand_profile_counts():
@@ -107,31 +72,29 @@ def test_demand_profile_counts():
     assert profile.count(3, UserClass.CLASS1) == 2
     assert profile.count(3, UserClass.CLASS2) == 0
     assert profile.count(3, UserClass.CLASS3) == 1
-    assert profile.video_total(3) == 3
-    assert profile.video_total(5) == 1
     assert profile.total == 4
     with pytest.raises(ValueError):
         profile.record(8, UserClass.CLASS1)
 
 
-def test_demand_profile_accumulate_and_copy():
+def test_demand_profile_accumulate():
     rng = random.Random(3)
     a = DemandProfile(10)
     b = DemandProfile(10)
     for _ in range(200):
         a.record(rng.randrange(10), rng.choice(CLASSES))
         b.record(rng.randrange(10), rng.choice(CLASSES))
-    snapshot = a.copy()
+    before = [row[:] for row in a.counts]
+    before_total = a.total
     a.accumulate(b)
     for vid in range(10):
         for user_class in CLASSES:
             assert a.count(vid, user_class) == (
-                snapshot.count(vid, user_class) + b.count(vid, user_class)
+                before[vid][user_class - 1] + b.count(vid, user_class)
             )
-    assert a.total == snapshot.total + b.total
-    before = a.count(0, UserClass.CLASS1)
-    snapshot.record(0, UserClass.CLASS1)
-    assert a.count(0, UserClass.CLASS1) == before
+    assert a.total == before_total + b.total
+    with pytest.raises(ValueError):
+        a.accumulate(DemandProfile(11))
 
 
 def test_weights_are_count_times_profit():
@@ -143,63 +106,5 @@ def test_weights_are_count_times_profit():
     table = WeightProfile.derive(profile, profits)
     for vid in range(12):
         for user_class in CLASSES:
-            expected = compute_weight(profile, vid, user_class, profits[user_class - 1])
-            assert expected == profile.count(vid, user_class) * profits[user_class - 1]
+            expected = profile.count(vid, user_class) * profits[user_class - 1]
             assert table.weight(vid, user_class) == expected
-
-
-def test_retier_ranks_by_total_demand():
-    profile = DemandProfile(8)
-    hits = {6: 9, 1: 7, 4: 5, 0: 3, 7: 2, 2: 1}
-    for vid, n in hits.items():
-        for _ in range(n):
-            profile.record(vid, UserClass.CLASS2)
-    table = retier_by_rank(profile)
-    assert table[6] is Tier.MOST
-    assert table[1] is Tier.MOST
-    assert table[4] is Tier.SECONDARY
-    assert table[0] is Tier.SECONDARY
-    assert table[7] is Tier.LEAST
-    assert table[2] is Tier.LEAST
-    assert table[3] is Tier.LEAST
-    assert table[5] is Tier.LEAST
-
-
-def test_retier_breaks_ties_by_lower_id():
-    profile = DemandProfile(8)
-    for vid in range(8):
-        profile.record(vid, UserClass.CLASS1)
-    table = retier_by_rank(profile)
-    assert table == initial_tier_table(8)
-
-
-def test_retier_of_no_demand_matches_initial_tiers():
-    assert retier_by_rank(DemandProfile(480)) == initial_tier_table(480)
-
-
-def test_retier_preserves_census():
-    rng = random.Random(23)
-    profile = DemandProfile(64)
-    for _ in range(3000):
-        profile.record(rng.randrange(64), rng.choice(CLASSES))
-    table = retier_by_rank(profile)
-    census = tier_census(64)
-    for tier in Tier:
-        assert sum(1 for t in table if t is tier) == census[tier]
-
-
-def test_catalog_round_trip():
-    catalog = make_catalog(num_videos=24, seed=5)
-    text = dumps_catalog(catalog)
-    loaded = loads_catalog(text)
-    assert dumps_catalog(loaded) == text
-    for original, parsed in zip(catalog.videos, loaded.videos):
-        assert parsed.arrival_rate == original.arrival_rate
-        assert parsed.tier is original.tier
-        assert parsed.min_bw == original.min_bw
-        assert parsed.max_bw == original.max_bw
-
-
-def test_loads_catalog_rejects_garbage():
-    with pytest.raises(ValueError):
-        loads_catalog("0 700 most 8 24\n")

@@ -9,9 +9,9 @@ import pytest
 
 from vodsim.allocation import Link, LinkKind, replay_used
 from vodsim.config import SimConfig
-from vodsim.metrics import ledger_bytes
+from vodsim.metrics import emit_reports, ledger_bytes
 from vodsim.model import UserClass
-from vodsim.sim import StreamProgress, baseline_no_psg, generate_arrival, run
+from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, generate_arrival, run
 from vodsim.topology import RouteSource
 
 SMALL = SimConfig(horizon=600.0, seed=9)
@@ -107,6 +107,20 @@ def test_same_seed_reproduces_run():
     rows_a = [(r.time, r.op, r.alloc_id, r.amount) for lg in a.ledgers for r in lg.rows]
     rows_b = [(r.time, r.op, r.alloc_id, r.amount) for lg in b.ledgers for r in lg.rows]
     assert rows_a == rows_b
+
+
+def test_run_leaves_passed_catalog_untouched(tmp_path):
+    config = SimConfig(horizon=2000.0)
+    catalog = Simulation(config).catalog
+    members = {tier: ids[:] for tier, ids in catalog.tier_members.items()}
+    first = run(config, catalog)
+    second = run(config, catalog)
+    assert first.counters == second.counters
+    assert catalog.tier_members == members
+    emit_reports(first, tmp_path / "a")
+    emit_reports(second, tmp_path / "b")
+    for path in sorted((tmp_path / "a").iterdir()):
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
 def test_different_seed_changes_run():

@@ -27,7 +27,7 @@ def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
 
 
 def small_catalog(num_videos=48, seed=3):
-    return build_catalog(num_videos, 1.0, (0.5, 0.35, 0.15), 700, 2100, random.Random(seed))
+    return build_catalog(num_videos, 700, 2100, random.Random(seed))
 
 
 def test_ring_neighbors_wrap():
