@@ -60,9 +60,13 @@ class ReclaimPlan:
     total: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerRow:
-    """One append-only accounting record: allocate, reclaim or release."""
+    """One append-only accounting record: allocate, reclaim or release.
+
+    Each row carries its allocation's rate window, so a replay can rebuild
+    the per-class minimum and maximum sums as well as the rates.
+    """
 
     time: float
     op: str
@@ -70,6 +74,8 @@ class LedgerRow:
     video_id: int
     user_class: int
     amount: int
+    min_rate: int
+    max_rate: int
 
 
 @dataclass
@@ -107,7 +113,8 @@ class Link:
 
     def _log(self, time: float, op: str, alloc: Allocation, amount: int) -> None:
         self.ledger.append(
-            LedgerRow(time, op, alloc.alloc_id, alloc.video_id, int(alloc.user_class), amount)
+            LedgerRow(time, op, alloc.alloc_id, alloc.video_id, int(alloc.user_class), amount,
+                      alloc.min_rate, alloc.max_rate)
         )
 
     def plan_reclaim(self, user_class: UserClass, needed: int) -> ReclaimPlan | None:
@@ -202,18 +209,3 @@ class Link:
         if not 0 <= self.used <= self.capacity:
             raise InvariantViolation(f"link {self.label}: used={self.used} out of bounds")
 
-
-def replay_used(rows: list[LedgerRow]) -> dict[int, int]:
-    """Rebuild final per-allocation rates from a ledger; releases drop keys."""
-    rates: dict[int, int] = {}
-    for row in rows:
-        if row.op == "allocate":
-            rates[row.alloc_id] = row.amount
-        elif row.op == "reclaim":
-            rates[row.alloc_id] -= row.amount
-        elif row.op == "release":
-            if rates.pop(row.alloc_id) != row.amount:
-                raise InvariantViolation(f"ledger release mismatch for {row.alloc_id}")
-        else:
-            raise ValueError(f"unknown ledger op {row.op!r}")
-    return rates

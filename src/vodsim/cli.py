@@ -69,18 +69,22 @@ def _cmd_sweep(args) -> int:
     for part in args.scales.split(","):
         part = part.strip()
         if part:
-            scales.append(float(part))
+            try:
+                scales.append(float(part))
+            except ValueError:
+                raise ConfigError(f"bad rate scale {part!r}") from None
     if not scales:
         raise ConfigError("no rate scales given")
     config = _build_config(args)
+    scaled_configs = [
+        dataclasses.replace(config, total_arrival_rate=config.total_arrival_rate * scale).validate()
+        for scale in scales
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["rate_scale,total_arrival_rate,requested,rejected,rejection_ratio,"
              "mean_alloc_per_stream,util_ps_lps,util_ps_rps,util_ps_cms"]
-    for scale in scales:
-        scaled = dataclasses.replace(
-            config, total_arrival_rate=config.total_arrival_rate * scale
-        ).validate()
+    for scale, scaled in zip(scales, scaled_configs):
         result = run(scaled)
         util = time_avg_utilization(result.ledgers, scaled.horizon)
         mean_alloc = mean_alloc_overall(result.ledgers, scaled.horizon)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -28,20 +29,25 @@ class SimConfig:
     psg_enabled: bool = True
 
     def validate(self) -> "SimConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, float) and not math.isfinite(item):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.num_proxies < 3:
             raise ConfigError("need at least 3 proxies to form a ring")
         if self.num_videos <= 0 or self.num_videos % 4:
             raise ConfigError("num_videos must be a positive multiple of 4")
-        if self.link_capacity <= 0:
-            raise ConfigError("link_capacity must be positive")
+        for name in ("link_capacity", "total_arrival_rate", "horizon", "agent_period",
+                     "sample_period"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.cache_capacity <= 0 or self.cache_capacity > self.num_videos:
             raise ConfigError("cache_capacity must be in 1..num_videos")
         if self.cache_capacity % 4:
             raise ConfigError("cache_capacity must be a multiple of 4")
         if not 0 < self.video_size_min <= self.video_size_max:
             raise ConfigError("video size range must satisfy 0 < min <= max")
-        if self.total_arrival_rate <= 0:
-            raise ConfigError("total_arrival_rate must be positive")
         for name, mix in (("tier_mix", self.tier_mix), ("class_mix", self.class_mix)):
             if len(mix) != 3 or min(mix) <= 0 or abs(sum(mix) - 1.0) > 1e-9:
                 raise ConfigError(f"{name} must be three positive shares summing to 1")
@@ -49,12 +55,6 @@ class SimConfig:
             raise ConfigError("profits must be three positive integers")
         if not self.profits[0] >= self.profits[1] >= self.profits[2]:
             raise ConfigError("profits must be non-increasing by class")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.agent_period <= 0:
-            raise ConfigError("agent_period must be positive")
-        if self.sample_period <= 0:
-            raise ConfigError("sample_period must be positive")
         return self
 
 

@@ -1,17 +1,21 @@
-"""Run counters, sampled series, ledger replay and report files.
+"""Run counters, ledger replay, the series derived from it, and report files.
 
-Two independent views of a run coexist here.  Sampled series record what
-the links looked like at fixed wall-clock ticks.  Ledger replay rebuilds
-per-link usage as an exact step function from the append-only accounting
-rows, which gives time-averaged utilization and per-class mean allocations
-without trusting any live counter.  Tests compare the two.
+The link ledgers are the record of a run.  One walker, ``Replay``, passes
+over each ledger once and rebuilds that link's usage as an exact step
+function.  Every reported number derives from what it returns: the sampled
+series are the step function evaluated at the sample ticks, and
+time-averaged utilization, bytes carried and per-class mean allocations
+are its integrals.  No live counter is read.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .allocation import LINK_KINDS, LedgerRow, Link, LinkKind
 from .model import CLASSES, UserClass
@@ -78,46 +82,6 @@ class SeriesPoint:
     avg_max: float | None
 
 
-class MetricsBundle:
-    """Sampled series for all nine (kind, class) pairs plus utilization."""
-
-    def __init__(self):
-        self.samples: dict[tuple[LinkKind, UserClass], list[SeriesPoint]] = {
-            (kind, user_class): [] for kind in LINK_KINDS for user_class in CLASSES
-        }
-        self.utilization: dict[LinkKind, list[tuple[float, float]]] = {
-            kind: [] for kind in LINK_KINDS
-        }
-
-    def take_snapshot(self, time: float, links: list[Link]) -> None:
-        count: dict[tuple[LinkKind, UserClass], int] = {}
-        rate_sum: dict[tuple[LinkKind, UserClass], int] = {}
-        min_sum: dict[tuple[LinkKind, UserClass], int] = {}
-        max_sum: dict[tuple[LinkKind, UserClass], int] = {}
-        used: dict[LinkKind, int] = {kind: 0 for kind in LINK_KINDS}
-        capacity: dict[LinkKind, int] = {kind: 0 for kind in LINK_KINDS}
-        for link in links:
-            used[link.kind] += link.used
-            capacity[link.kind] += link.capacity
-            for alloc in link.allocations.values():
-                key = (link.kind, alloc.user_class)
-                count[key] = count.get(key, 0) + 1
-                rate_sum[key] = rate_sum.get(key, 0) + alloc.rate
-                min_sum[key] = min_sum.get(key, 0) + alloc.min_rate
-                max_sum[key] = max_sum.get(key, 0) + alloc.max_rate
-        for key, series in self.samples.items():
-            n = count.get(key, 0)
-            if n:
-                series.append(SeriesPoint(
-                    time, n, rate_sum[key] / n, min_sum[key] / n, max_sum[key] / n,
-                ))
-            else:
-                series.append(SeriesPoint(time, 0, None, None, None))
-        for kind in LINK_KINDS:
-            if capacity[kind]:
-                self.utilization[kind].append((time, used[kind] / capacity[kind]))
-
-
 @dataclass
 class LinkLedger:
     """A link's accounting trail, detached from the live object."""
@@ -132,53 +96,121 @@ class LinkLedger:
         return cls(link.kind, link.capacity, link.label, link.ledger)
 
 
-def _walk(ledger: LinkLedger, horizon: float):
-    """Yield (dt, used, per_class_rate, per_class_count) step segments."""
-    used = 0
-    rate = {user_class: 0 for user_class in CLASSES}
-    count = {user_class: 0 for user_class in CLASSES}
-    prev = 0.0
-    for row in ledger.rows:
-        time = row.time
-        if time > horizon:
-            time = horizon
-        if time > prev:
-            yield time - prev, used, rate, count
-            prev = time
-        user_class = UserClass(row.user_class)
-        if row.op == "allocate":
-            used += row.amount
-            rate[user_class] += row.amount
-            count[user_class] += 1
-        elif row.op == "reclaim":
-            used -= row.amount
-            rate[user_class] -= row.amount
-        elif row.op == "release":
-            used -= row.amount
-            rate[user_class] -= row.amount
-            count[user_class] -= 1
-        else:
-            raise ValueError(f"unknown ledger op {row.op!r}")
-        if used < 0 or used > ledger.capacity:
-            raise ValueError(f"ledger replay out of bounds on {ledger.label}: {used}")
-    if horizon > prev:
-        yield horizon - prev, used, rate, count
+# A state vector holds a link's used MB/s at index 0, then its live stream
+# counts, rate sums, minimum-rate sums and maximum-rate sums; the entry of
+# class c sits at the offset plus c.  Integrals cover used, counts and rates:
+# used segment by segment, so report digits keep their summation order; the
+# others add each change times the time left to the horizon.
+_COUNT, _RATE, _MIN, _MAX = 0, 3, 6, 9
+_STATE_LEN, _INTEGRATED = 1 + 4 * len(CLASSES), 1 + 2 * len(CLASSES)
+
+
+class Replay:
+    """One walk over each of a set of ledgers, in order, with row times
+    clipped at ``horizon``; the package reads ledger rows nowhere else.
+
+    An unknown op, a reclaim or release of an allocation that is not live,
+    a release of anything but the replayed rate, or usage outside
+    0..capacity raises ValueError.  Afterwards ``integral[kind]`` holds the
+    used, count and rate entries of the summed state vector of that kind's
+    links, integrated from 0 to the horizon, and ``totals`` integrates used
+    MB/s and live streams over every link, in ledger order.  ``live`` holds
+    each ledger's per-allocation rates after its last row.  The state at
+    tick T is every row stamped before T, and ``at_ticks[kind][i]`` is the
+    summed state vector of that kind's links at ``ticks[i]``; ticks ascend
+    to at most ``horizon``.
+    """
+
+    def __init__(self, ledgers: list[LinkLedger], horizon: float, ticks: Sequence[float] = ()):
+        self.capacity = {kind: 0 for kind in LINK_KINDS}
+        self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
+        self.totals = [0.0, 0.0]
+        self.live: list[dict[int, int]] = []
+        self.at_ticks = {kind: [[0] * _STATE_LEN for _ in ticks] for kind in LINK_KINDS}
+        for ledger in ledgers:
+            self.capacity[ledger.kind] += ledger.capacity
+            integral, at_ticks = self.integral[ledger.kind], self.at_ticks[ledger.kind]
+            state = [0] * _STATE_LEN
+            live: dict[int, int] = {}
+            self.live.append(live)
+            prev, tick = 0.0, 0
+            for row in itertools.chain(ledger.rows, (None,)):
+                time = horizon if row is None or row.time > horizon else row.time
+                while tick < len(ticks) and ticks[tick] <= time:
+                    at_ticks[tick] = list(map(operator.add, at_ticks[tick], state))
+                    tick += 1
+                if time > prev:
+                    dt = time - prev
+                    integral[0] += state[0] * dt
+                    self.totals[0] += state[0] * dt
+                    self.totals[1] += len(live) * dt
+                    prev = time
+                if row is None:
+                    break
+                c, amount = row.user_class, row.amount
+                if row.op == "reclaim" and row.alloc_id in live:
+                    live[row.alloc_id] -= amount
+                    amount = -amount
+                else:
+                    if row.op == "allocate":
+                        live[row.alloc_id], sign = amount, 1
+                    elif row.op == "release" and live.pop(row.alloc_id, None) == amount:
+                        sign = -1
+                    else:
+                        raise ValueError(f"bad {row.op!r} of {row.alloc_id} on {ledger.label}")
+                    state[_COUNT + c] += sign
+                    state[_MIN + c] += sign * row.min_rate
+                    state[_MAX + c] += sign * row.max_rate
+                    integral[_COUNT + c] += sign * (horizon - time)
+                    amount *= sign
+                state[_RATE + c] += amount
+                integral[_RATE + c] += amount * (horizon - time)
+                state[0] += amount
+                if not 0 <= state[0] <= ledger.capacity:
+                    raise ValueError(f"ledger replay out of bounds on {ledger.label}: {state[0]}")
+
+
+class MetricsBundle:
+    """Sampled series for all nine (kind, class) pairs plus utilization.
+
+    A running simulation records only its sample ticks; ``evaluate`` then
+    fills the series from the finished ledgers.
+    """
+
+    def __init__(self):
+        self.ticks: list[float] = []
+        self.samples: dict[tuple[LinkKind, UserClass], list[SeriesPoint]] = {
+            (kind, user_class): [] for kind in LINK_KINDS for user_class in CLASSES
+        }
+        self.utilization: dict[LinkKind, list[tuple[float, float]]] = {
+            kind: [] for kind in LINK_KINDS
+        }
+
+    def take_snapshot(self, time: float) -> None:
+        self.ticks.append(time)
+
+    def evaluate(self, ledgers: list[LinkLedger], horizon: float) -> None:
+        """Fill the series with each link kind's ledger state at every tick."""
+        walked = Replay(ledgers, horizon, self.ticks)
+        for (kind, c), series in self.samples.items():
+            series[:] = [
+                SeriesPoint(time, n, s[_RATE + c] / n, s[_MIN + c] / n, s[_MAX + c] / n)
+                if (n := s[_COUNT + c]) else SeriesPoint(time, 0, None, None, None)
+                for time, s in zip(self.ticks, walked.at_ticks[kind])
+            ]
+        for kind, series in self.utilization.items():
+            if walked.capacity[kind]:
+                series[:] = [(time, s[0] / walked.capacity[kind])
+                             for time, s in zip(self.ticks, walked.at_ticks[kind])]
 
 
 def time_avg_utilization(ledgers: list[LinkLedger], horizon: float) -> dict[LinkKind, float]:
     """Exact time-averaged utilization per link kind, replayed from ledgers."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    area = {kind: 0.0 for kind in LINK_KINDS}
-    capacity = {kind: 0 for kind in LINK_KINDS}
-    for ledger in ledgers:
-        capacity[ledger.kind] += ledger.capacity
-        for dt, used, _rate, _count in _walk(ledger, horizon):
-            area[ledger.kind] += used * dt
-    return {
-        kind: area[kind] / (capacity[kind] * horizon)
-        for kind in LINK_KINDS if capacity[kind]
-    }
+    walked = Replay(ledgers, horizon)
+    return {kind: walked.integral[kind][0] / (capacity * horizon)
+            for kind, capacity in walked.capacity.items() if capacity}
 
 
 def mean_alloc_by_class(
@@ -188,55 +220,30 @@ def mean_alloc_by_class(
 
     Pairs that never carried a stream are absent from the result.
     """
-    rate_area: dict[tuple[LinkKind, UserClass], float] = {}
-    count_area: dict[tuple[LinkKind, UserClass], float] = {}
-    for ledger in ledgers:
-        for dt, _used, rate, count in _walk(ledger, horizon):
-            for user_class in CLASSES:
-                key = (ledger.kind, user_class)
-                rate_area[key] = rate_area.get(key, 0.0) + rate[user_class] * dt
-                count_area[key] = count_area.get(key, 0.0) + count[user_class] * dt
-    return {
-        key: rate_area[key] / count_area[key]
-        for key in rate_area if count_area[key] > 0
-    }
+    integral = Replay(ledgers, horizon).integral
+    return {(kind, c): integral[kind][_RATE + c] / integral[kind][_COUNT + c]
+            for kind in LINK_KINDS for c in CLASSES if integral[kind][_COUNT + c] > 0}
 
 
 def mean_alloc_per_class(ledgers: list[LinkLedger], horizon: float) -> dict[UserClass, float]:
     """Time-averaged allocation per live stream of each class, all kinds
 
     pooled.  Classes that never held a stream are absent."""
-    rate_area = {user_class: 0.0 for user_class in CLASSES}
-    count_area = {user_class: 0.0 for user_class in CLASSES}
-    for ledger in ledgers:
-        for dt, _used, rate, count in _walk(ledger, horizon):
-            for user_class in CLASSES:
-                rate_area[user_class] += rate[user_class] * dt
-                count_area[user_class] += count[user_class] * dt
-    return {
-        user_class: rate_area[user_class] / count_area[user_class]
-        for user_class in CLASSES if count_area[user_class] > 0
-    }
+    by_kind = Replay(ledgers, horizon).integral.values()
+    pooled = {c: (sum(i[_RATE + c] for i in by_kind), sum(i[_COUNT + c] for i in by_kind))
+              for c in CLASSES}
+    return {c: rate / count for c, (rate, count) in pooled.items() if count > 0}
 
 
 def mean_alloc_overall(ledgers: list[LinkLedger], horizon: float) -> float:
     """Time-averaged allocation per live stream across every link."""
-    rate_area = 0.0
-    count_area = 0.0
-    for ledger in ledgers:
-        for dt, _used, rate, count in _walk(ledger, horizon):
-            rate_area += sum(rate.values()) * dt
-            count_area += sum(count.values()) * dt
-    return rate_area / count_area if count_area else 0.0
+    used, streams = Replay(ledgers, horizon).totals
+    return used / streams if streams else 0.0
 
 
 def ledger_bytes(ledgers: list[LinkLedger], horizon: float) -> float:
     """Total MB carried by all links, integrated from the ledgers."""
-    total = 0.0
-    for ledger in ledgers:
-        for dt, used, _rate, _count in _walk(ledger, horizon):
-            total += used * dt
-    return total
+    return Replay(ledgers, horizon).totals[0]
 
 
 def _fmt(value) -> str:

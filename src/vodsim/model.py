@@ -27,9 +27,6 @@ class UserClass(IntEnum):
 
 CLASSES: tuple[UserClass, ...] = (UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3)
 
-#: Default per-class profit used to weight demand, highest class first.
-DEFAULT_PROFITS: tuple[int, int, int] = (3, 2, 1)
-
 #: Per-class (min_lo, min_hi, max_lo, max_hi) stream-rate ranges in MB/s.
 #: A video's min/max rate for each class is drawn once from these at
 #: catalog construction and never re-drawn.

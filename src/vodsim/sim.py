@@ -193,6 +193,7 @@ class Simulation:
         self.now = horizon
         self._drain()
         ledgers = [LinkLedger.from_link(link) for link in self.world.all_links()]
+        self.metrics.evaluate(ledgers, horizon)
         return SimResult(
             config=config,
             counters=self.counters,
@@ -261,7 +262,7 @@ class Simulation:
         self._push(schedule_next_tour(self.now, self.config.agent_period), EV_TOUR)
 
     def _on_sample(self) -> None:
-        self.metrics.take_snapshot(self.now, self.world.all_links())
+        self.metrics.take_snapshot(self.now)
         for link in self.world.all_links():
             link.check_conservation()
         self._push(self.now + self.config.sample_period, EV_SAMPLE)

@@ -140,10 +140,6 @@ class World:
     def __init__(self, proxies: list[ProxyServer]):
         self.proxies = proxies
 
-    @property
-    def num_proxies(self) -> int:
-        return len(self.proxies)
-
     def lps_of(self, proxy_id: int) -> ProxyServer:
         """Left ring neighbor of this proxy."""
         return self.proxies[(proxy_id - 1) % len(self.proxies)]

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from oracle import AdmitRequest, ExistingStream, force_link, oracle_admit, random_link_state
-from vodsim.allocation import InvariantViolation, Link, LinkKind, replay_used
+from vodsim.allocation import InvariantViolation, Link, LinkKind
+from vodsim.metrics import LinkLedger, Replay
 from vodsim.model import UserClass
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
@@ -52,20 +53,23 @@ def test_admit_rejects_and_leaves_link_untouched():
 
 
 def test_reclaim_takes_from_lowest_weight_first():
-    link = fresh_link(40)
-    heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50).allocation
-    light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5).allocation
-    assert link.used == 40 and link.free_bandwidth() == 0
-    outcome = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=99)
-    assert outcome is not None
-    assert outcome.allocation.rate == 7
-    assert outcome.plan is not None
-    assert outcome.plan.victims[0][0] == light.alloc_id
-    assert light.rate == 20 - outcome.plan.victims[0][1]
-    assert sum(take for _, take in outcome.plan.victims) == 7
-    victim_ids = [vid for vid, _ in outcome.plan.victims]
-    assert heavy.alloc_id not in victim_ids or victim_ids.index(heavy.alloc_id) > 0
-    assert link.used == 40
+    # the requester's own weight plays no part: a weight-0 request reclaims
+    # from heavier streams exactly as a weight-99 one does
+    for requester_weight in (99, 0):
+        link = fresh_link(40)
+        heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50).allocation
+        light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5).allocation
+        assert link.used == 40 and link.free_bandwidth() == 0
+        outcome = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
+        assert outcome is not None
+        assert outcome.allocation.rate == 7
+        assert outcome.plan is not None
+        assert outcome.plan.victims[0][0] == light.alloc_id
+        assert light.rate == 20 - outcome.plan.victims[0][1]
+        assert sum(take for _, take in outcome.plan.victims) == 7
+        victim_ids = [vid for vid, _ in outcome.plan.victims]
+        assert heavy.alloc_id not in victim_ids or victim_ids.index(heavy.alloc_id) > 0
+        assert link.used == 40
 
 
 def test_reclaim_never_cuts_below_minimum():
@@ -139,7 +143,7 @@ def test_ledger_replay_matches_live_state():
             )
             if outcome is not None:
                 live.append(outcome.allocation.alloc_id)
-        replayed = replay_used(link.ledger)
+        replayed = Replay([LinkLedger.from_link(link)], float(step)).live[0]
         assert replayed == {a: alloc.rate for a, alloc in link.allocations.items()}
         assert sum(replayed.values()) == link.used
         link.check_conservation()

@@ -91,3 +91,20 @@ def test_bad_sweep_scales(tmp_path, capsys):
     code = main(["sweep", "--scales", " , ", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "no rate scales" in capsys.readouterr().err
+
+
+def test_non_finite_horizon_reports_error(tmp_path, capsys):
+    code = main(["run", "--horizon", "nan", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scales", ["abc", "1,-1"])
+def test_bad_sweep_scale_fails_before_any_run(tmp_path, capsys, scales):
+    code = main(["sweep", "--scales", scales, "--horizon", "50", "--out", str(tmp_path / "x")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "scale 1" not in captured.out
+    assert not (tmp_path / "x").exists()

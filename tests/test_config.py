@@ -38,6 +38,18 @@ def test_defaults_validate():
     ("horizon", 0.0),
     ("agent_period", -1.0),
     ("sample_period", 0.0),
+    ("horizon", float("nan")),
+    ("horizon", float("inf")),
+    ("total_arrival_rate", float("nan")),
+    ("total_arrival_rate", float("inf")),
+    ("agent_period", float("nan")),
+    ("agent_period", float("inf")),
+    ("sample_period", float("nan")),
+    ("sample_period", float("inf")),
+    ("tier_mix", (0.5, float("nan"), 0.15)),
+    ("tier_mix", (float("inf"), 0.35, 0.15)),
+    ("class_mix", (0.2, 0.3, float("nan"))),
+    ("class_mix", (0.2, float("inf"), 0.5)),
 ])
 def test_validate_rejects_bad_values(field, value):
     config = dataclasses.replace(SimConfig(), **{field: value})

@@ -1,4 +1,4 @@
-"""Counters, snapshots, ledger replay integrals and report emission."""
+"""Counters, ledger-derived series, ledger replay integrals and report emission."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from vodsim.metrics import (
     Counters,
     LinkLedger,
     MetricsBundle,
+    Replay,
+    SeriesPoint,
     emit_reports,
     ledger_bytes,
     mean_alloc_by_class,
@@ -47,7 +49,8 @@ def test_snapshot_aggregates_by_kind_and_class():
     links[1].admit(0.0, 2, C1, 10, 30, 0)
     links[2].admit(0.0, 3, C2, 6, 18, 0)
     bundle = MetricsBundle()
-    bundle.take_snapshot(5.0, links)
+    bundle.take_snapshot(5.0)
+    bundle.evaluate([LinkLedger.from_link(link) for link in links], horizon=5.0)
     point = bundle.samples[(LinkKind.PS_LPS, C1)][-1]
     assert point.stream_count == 2
     assert point.avg_alloc == pytest.approx(25.0)
@@ -60,14 +63,35 @@ def test_snapshot_aggregates_by_kind_and_class():
     assert time == 5.0
     assert util == pytest.approx(50 / 200)
     assert bundle.utilization[LinkKind.PS_CMS][-1][1] == pytest.approx(18 / 100)
+    assert bundle.utilization[LinkKind.PS_RPS] == []
+
+
+def test_series_tick_excludes_rows_stamped_at_it():
+    # stream 1 lives on [0, 10); stream 2 starts at 10, exactly on a tick
+    rows = [
+        LedgerRow(0.0, "allocate", 1, 7, 1, 4, 2, 6),
+        LedgerRow(10.0, "release", 1, 7, 1, 4, 2, 6),
+        LedgerRow(10.0, "allocate", 2, 8, 1, 3, 3, 9),
+    ]
+    bundle = MetricsBundle()
+    for tick in (0.0, 5.0, 10.0, 15.0):
+        bundle.take_snapshot(tick)
+    bundle.evaluate([LinkLedger(LinkKind.PS_CMS, 10, "tie", rows)], horizon=20.0)
+    assert bundle.samples[(LinkKind.PS_CMS, C1)] == [
+        SeriesPoint(0.0, 0, None, None, None),
+        SeriesPoint(5.0, 1, 4.0, 2.0, 6.0),
+        SeriesPoint(10.0, 1, 4.0, 2.0, 6.0),
+        SeriesPoint(15.0, 1, 3.0, 3.0, 9.0),
+    ]
+    assert bundle.utilization[LinkKind.PS_CMS] == [(0.0, 0.0), (5.0, 0.4), (10.0, 0.4), (15.0, 0.3)]
 
 
 def hand_ledger():
     # capacity 10: rate 4 on [0,10), cut to 2 at t=10, released at t=20
     rows = [
-        LedgerRow(0.0, "allocate", 1, 7, 1, 4),
-        LedgerRow(10.0, "reclaim", 1, 7, 1, 2),
-        LedgerRow(20.0, "release", 1, 7, 1, 2),
+        LedgerRow(0.0, "allocate", 1, 7, 1, 4, 2, 4),
+        LedgerRow(10.0, "reclaim", 1, 7, 1, 2, 2, 4),
+        LedgerRow(20.0, "release", 1, 7, 1, 2, 2, 4),
     ]
     return LinkLedger(LinkKind.PS_CMS, 10, "hand", rows)
 
@@ -93,12 +117,18 @@ def test_mean_alloc_hand_case():
 
 
 def test_replay_rejects_corrupt_ledger():
-    rows = [LedgerRow(0.0, "allocate", 1, 7, 1, 14)]
+    def bad(*rows):
+        return [LinkLedger(LinkKind.PS_CMS, 10, "bad", list(rows))]
+
     with pytest.raises(ValueError):
-        time_avg_utilization([LinkLedger(LinkKind.PS_CMS, 10, "bad", rows)], 10.0)
-    rows = [LedgerRow(0.0, "drop", 1, 7, 1, 4)]
+        time_avg_utilization(bad(LedgerRow(0.0, "allocate", 1, 7, 1, 14, 4, 14)), 10.0)
     with pytest.raises(ValueError):
-        time_avg_utilization([LinkLedger(LinkKind.PS_CMS, 10, "bad", rows)], 10.0)
+        time_avg_utilization(bad(LedgerRow(0.0, "drop", 1, 7, 1, 4, 4, 8)), 10.0)
+    with pytest.raises(ValueError, match="release"):
+        Replay(bad(LedgerRow(0.0, "allocate", 1, 7, 1, 6, 4, 8),
+                   LedgerRow(1.0, "release", 1, 7, 1, 5, 4, 8)), 10.0)
+    with pytest.raises(ValueError):
+        Replay(bad(LedgerRow(0.0, "reclaim", 1, 7, 1, 2, 4, 8)), 10.0)
 
 
 def test_utilization_replay_matches_sampled_series():
@@ -133,7 +163,7 @@ def test_emit_reports_flags_out_of_bounds_ledger(tmp_path):
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)
     ledger = result.ledgers[0]
-    ledger.rows.insert(0, LedgerRow(0.0, "allocate", 0, 0, 1, ledger.capacity + 1))
+    ledger.rows.insert(0, LedgerRow(0.0, "allocate", 0, 0, 1, ledger.capacity + 1, 8, 24))
     emit_reports(result, tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
     assert "CHECK:ledger_bounds=FAIL" in summary

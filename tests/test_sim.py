@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from vodsim.allocation import Link, LinkKind, replay_used
+from vodsim.allocation import LINK_KINDS, Link, LinkKind
 from vodsim.config import SimConfig
-from vodsim.metrics import emit_reports, ledger_bytes
-from vodsim.model import UserClass
+from vodsim.metrics import Replay, SeriesPoint, emit_reports, ledger_bytes
+from vodsim.model import CLASSES, UserClass
 from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, generate_arrival, run
 from vodsim.topology import RouteSource
 
@@ -81,8 +81,7 @@ def test_short_run_identities():
     assert counters.requested > 0
     assert counters.identity_holds()
     assert counters.rejected >= 0
-    for ledger in result.ledgers:
-        assert replay_used(ledger.rows) == {}
+    assert Replay(result.ledgers, SMALL.horizon).live == [{} for _ in result.ledgers]
     for link in result.world.all_links():
         assert link.used == 0
         assert not link.allocations
@@ -185,3 +184,54 @@ def test_samples_cover_run():
         assert len(times) == 60
         assert times[0] == pytest.approx(10.0)
         assert times[-1] == pytest.approx(600.0)
+
+
+def live_snapshot(time, links, samples, utilization):
+    """Aggregate every live allocation on ``links`` per (kind, class).
+
+    A reference read from the live links rather than the ledgers: the
+    ledger-derived series must equal what this records at each tick.
+    """
+    count, rate_sum, min_sum, max_sum = {}, {}, {}, {}
+    used = {kind: 0 for kind in LINK_KINDS}
+    capacity = {kind: 0 for kind in LINK_KINDS}
+    for link in links:
+        used[link.kind] += link.used
+        capacity[link.kind] += link.capacity
+        for alloc in link.allocations.values():
+            key = (link.kind, alloc.user_class)
+            count[key] = count.get(key, 0) + 1
+            rate_sum[key] = rate_sum.get(key, 0) + alloc.rate
+            min_sum[key] = min_sum.get(key, 0) + alloc.min_rate
+            max_sum[key] = max_sum.get(key, 0) + alloc.max_rate
+    for key, series in samples.items():
+        n = count.get(key, 0)
+        if n:
+            series.append(SeriesPoint(
+                time, n, rate_sum[key] / n, min_sum[key] / n, max_sum[key] / n,
+            ))
+        else:
+            series.append(SeriesPoint(time, 0, None, None, None))
+    for kind in LINK_KINDS:
+        if capacity[kind]:
+            utilization[kind].append((time, used[kind] / capacity[kind]))
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(horizon=2000.0),
+    SimConfig(total_arrival_rate=4.0, horizon=1000.0),
+])
+def test_ledger_series_equal_live_aggregation(config, monkeypatch):
+    samples = {(kind, c): [] for kind in LINK_KINDS for c in CLASSES}
+    utilization = {kind: [] for kind in LINK_KINDS}
+    on_sample = Simulation._on_sample
+
+    def sample_live(self):
+        live_snapshot(self.now, self.world.all_links(), samples, utilization)
+        on_sample(self)
+
+    monkeypatch.setattr(Simulation, "_on_sample", sample_live)
+    result = run(config)
+    assert len(utilization[LinkKind.PS_CMS]) == len(result.metrics.ticks) > 0
+    assert result.metrics.samples == samples
+    assert result.metrics.utilization == utilization
