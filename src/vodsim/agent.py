@@ -1,8 +1,9 @@
 """Roving profile agent: collects demand and rebuilds the global weights.
 
-On each tour the agent visits every proxy, sums their cumulative request
-counters cell by cell, derives the integer weight table from the merged
-profile and pushes it to every proxy, where it orders reclaim victims.
+The merged demand profile is kept running: every request is recorded in
+the world's one demand table as well as at its proxy.  A tour is
+instantaneous, so each tour snapshots that table into the integer weight
+table and pushes it to every proxy, where it orders reclaim victims.
 The catalog's popularity tiers stay fixed: initial placement is dealt from
 them before the first tour, and a tour never changes them.
 """
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError
-from .model import Catalog, DemandProfile, WeightProfile
-from .topology import World, push_weights
+from .model import WeightProfile
+from .topology import World
 
 
 @dataclass
@@ -27,19 +28,12 @@ class AgentTourReport:
         return f"{self.time:.6f},{self.total_requests}"
 
 
-def merge_profiles(world: World, num_videos: int) -> DemandProfile:
-    """Cell-wise sum of every proxy's cumulative counters."""
-    merged = DemandProfile(num_videos)
+def agent_tour(time: float, world: World, profits) -> AgentTourReport:
+    """Run one full tour: re-weight the running demand table, push."""
+    table = WeightProfile.derive(world.demand, profits)
     for proxy in world.proxies:
-        merged.accumulate(proxy.local_counts)
-    return merged
-
-
-def agent_tour(time: float, world: World, catalog: Catalog, profits) -> AgentTourReport:
-    """Run one full tour: merge, re-weight, push."""
-    merged = merge_profiles(world, catalog.nov)
-    push_weights(world, WeightProfile.derive(merged, profits))
-    return AgentTourReport(time, merged.total)
+        proxy.global_weights = table
+    return AgentTourReport(time, world.demand.total)
 
 
 def schedule_next_tour(now: float, period: float) -> float:

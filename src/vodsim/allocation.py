@@ -186,7 +186,7 @@ class Link:
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
         self._log(time, "allocate", alloc, rate)
-        return AdmissionOutcome(alloc, at_max and rate == max_rate, plan)
+        return AdmissionOutcome(alloc, at_max, plan)
 
     def release(self, time: float, alloc_id: int) -> Allocation:
         """Tear down an allocation and return it; unknown ids are a bug."""

@@ -133,10 +133,6 @@ class DemandProfile:
         self.counts: list[list[int]] = [[0, 0, 0] for _ in range(num_videos)]
         self.total = 0
 
-    @property
-    def nov(self) -> int:
-        return len(self.counts)
-
     def _check(self, video: int) -> None:
         if not 0 <= video < len(self.counts):
             raise ValueError(f"unknown video {video}")
@@ -150,17 +146,6 @@ class DemandProfile:
     def count(self, video: int, user_class: UserClass) -> int:
         self._check(video)
         return self.counts[video][user_class - 1]
-
-    def accumulate(self, other: "DemandProfile") -> None:
-        """Cell-wise add another profile into this one."""
-        if other.nov != self.nov:
-            raise ValueError("profile size mismatch")
-        for vid, row in enumerate(other.counts):
-            mine = self.counts[vid]
-            mine[0] += row[0]
-            mine[1] += row[1]
-            mine[2] += row[2]
-        self.total += other.total
 
 
 class WeightProfile:

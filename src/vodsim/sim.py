@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .agent import AgentTourReport, agent_tour, schedule_next_tour
 from .allocation import Allocation, Link
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .metrics import Counters, LinkLedger, MetricsBundle
 from .model import Catalog, UserClass, build_catalog
 from .topology import (
@@ -94,10 +94,6 @@ class StreamProgress:
         self.generation = 0
         self.completion_time = now + size_mb / alloc.rate
 
-    @property
-    def video_id(self) -> int:
-        return self.alloc.video_id
-
     def settle(self, now: float) -> None:
         """Bank bytes sent at the current rate up to ``now``."""
         self.bytes_sent += self.current_rate * (now - self.last_change)
@@ -138,6 +134,10 @@ class Simulation:
 
     def __init__(self, config: SimConfig, catalog: Catalog | None = None):
         config.validate()
+        if catalog is not None and catalog.nov != config.num_videos:
+            raise ConfigError(
+                f"catalog has {catalog.nov} videos but num_videos is {config.num_videos}"
+            )
         self.config = config
         root = random.Random(config.seed)
         catalog_rng = random.Random(root.getrandbits(64))
@@ -243,7 +243,7 @@ class Simulation:
         del self.streams[alloc_id]
         stream.settle(self.now)
         stream.link.release(self.now, alloc_id)
-        self.world.proxies[stream.proxy_id].stream_closed(self.now, stream.video_id)
+        self.world.proxies[stream.proxy_id].stream_closed(stream.alloc.video_id)
         counters = self.counters
         if stream.source is RouteSource.LPS:
             counters.served_lps += 1
@@ -257,7 +257,7 @@ class Simulation:
             counters.max_byte_rel_error = rel_error
 
     def _on_tour(self) -> None:
-        report = agent_tour(self.now, self.world, self.catalog, self.config.profits)
+        report = agent_tour(self.now, self.world, self.config.profits)
         self.tour_reports.append(report)
         self._push(schedule_next_tour(self.now, self.config.agent_period), EV_TOUR)
 
@@ -273,7 +273,7 @@ class Simulation:
         for alloc_id, stream in list(self.streams.items()):
             stream.settle(self.now)
             stream.link.release(self.now, alloc_id)
-            self.world.proxies[stream.proxy_id].stream_closed(self.now, stream.video_id)
+            self.world.proxies[stream.proxy_id].stream_closed(stream.alloc.video_id)
             counters.drained += 1
             counters.bytes_drained += stream.bytes_sent
         self.streams.clear()

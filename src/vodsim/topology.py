@@ -7,7 +7,7 @@ the video is cached there; otherwise the router looks at which neighbors
 hold the video and picks a source, preferring whichever neighbor link has
 more free bandwidth and falling back to the central server.
 
-Caches are LRU over request timestamps, but a video with a live inbound
+Caches are LRU, kept in recency order, but a video with a live inbound
 stream is never evicted; when everything cached is live the cache may
 temporarily exceed its capacity and is reconciled as streams complete.
 """
@@ -50,7 +50,6 @@ class RouteDecision:
     allocation: object = None
     link: Link | None = None
     plan: ReclaimPlan | None = None
-    at_max: bool = False
 
 
 class ProxyServer:
@@ -60,7 +59,7 @@ class ProxyServer:
                  num_videos: int, id_source=None):
         self.proxy_id = proxy_id
         self.cache_capacity = cache_capacity
-        self.cache: dict[int, float] = {}
+        self.cache: dict[int, None] = {}  # least recently used first
         self.live_videos: dict[int, int] = {}
         self.local_counts = DemandProfile(num_videos)
         self.global_weights = WeightProfile.zeros(num_videos)
@@ -73,10 +72,10 @@ class ProxyServer:
     def has(self, video_id: int) -> bool:
         return video_id in self.cache
 
-    def touch(self, time: float, video_id: int) -> None:
-        if video_id not in self.cache:
-            raise ValueError(f"proxy {self.proxy_id} does not hold video {video_id}")
-        self.cache[video_id] = time
+    def touch(self, video_id: int) -> None:
+        """Move a cached video to the most recently used end."""
+        del self.cache[video_id]
+        self.cache[video_id] = None
 
     def weight_of(self, video_id: int, user_class: UserClass, profits) -> int:
         """Demand weight as this proxy sees it right now.
@@ -90,7 +89,7 @@ class ProxyServer:
     def stream_opened(self, video_id: int) -> None:
         self.live_videos[video_id] = self.live_videos.get(video_id, 0) + 1
 
-    def stream_closed(self, time: float, video_id: int) -> None:
+    def stream_closed(self, video_id: int) -> None:
         left = self.live_videos.get(video_id, 0) - 1
         if left < 0:
             raise ValueError(f"proxy {self.proxy_id}: no live stream for video {video_id}")
@@ -98,35 +97,36 @@ class ProxyServer:
             self.live_videos[video_id] = left
         else:
             self.live_videos.pop(video_id, None)
-        self.reconcile_cache(time)
+        self.reconcile_cache()
 
     def _idle_lru(self) -> int | None:
-        """Least recently used cached video with no live inbound stream."""
-        best = None
-        for video_id, ts in self.cache.items():
-            if video_id in self.live_videos:
-                continue
-            if best is None or (ts, video_id) < best:
-                best = (ts, video_id)
-        return None if best is None else best[1]
+        """Least recently used cached video with no live inbound stream.
 
-    def insert(self, time: float, video_id: int) -> None:
+        This is the idle entry with the smallest (last use, id): placed
+        entries all share time 0 and are stored in ascending id order, and
+        every later use happens at a strictly later arrival time.
+        """
+        for video_id in self.cache:
+            if video_id not in self.live_videos:
+                return video_id
+        return None
+
+    def insert(self, video_id: int) -> None:
         """Cache a video, evicting at most one idle entry to make room.
 
         When every cached video is live the cache is allowed to run over
         capacity; reconcile_cache() trims it back once streams finish.
         """
         if video_id in self.cache:
-            self.cache[video_id] = time
+            self.touch(video_id)
             return
         if len(self.cache) >= self.cache_capacity:
             victim = self._idle_lru()
             if victim is not None:
                 del self.cache[victim]
-        self.cache[video_id] = time
+        self.cache[video_id] = None
 
-    def reconcile_cache(self, time: float) -> None:
-        del time
+    def reconcile_cache(self) -> None:
         while len(self.cache) > self.cache_capacity:
             victim = self._idle_lru()
             if victim is None:
@@ -137,8 +137,9 @@ class ProxyServer:
 class World:
     """The proxy ring; the central server is each proxy's ``PS_CMS`` link."""
 
-    def __init__(self, proxies: list[ProxyServer]):
+    def __init__(self, proxies: list[ProxyServer], num_videos: int):
         self.proxies = proxies
+        self.demand = DemandProfile(num_videos)  # sum of all local_counts
 
     def lps_of(self, proxy_id: int) -> ProxyServer:
         """Left ring neighbor of this proxy."""
@@ -159,7 +160,7 @@ def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
         ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
         for pid in range(num_proxies)
     ]
-    return World(proxies)
+    return World(proxies, num_videos)
 
 
 def locate(world: World, proxy_id: int, video_id: int) -> Presence:
@@ -215,7 +216,7 @@ def route_remote(
             time, video_id, user_class, min_rate, max_rate, weight
         )
         if outcome is not None:
-            return RouteDecision(source, outcome.allocation, link, outcome.plan, outcome.at_max)
+            return RouteDecision(source, outcome.allocation, link, outcome.plan)
     return RouteDecision(RouteSource.REJECTED)
 
 
@@ -231,14 +232,16 @@ def handle_request(
 ) -> RouteDecision:
     """Process one arrival end to end at its landing proxy.
 
-    The request is counted first (weights must include it), then served
-    from the local cache when present; otherwise it is routed remotely and
-    on success the video is cached here and marked live while streaming in.
+    The request is counted first, at the proxy and in ``world.demand``
+    (weights must include it), then served from the local cache when
+    present; otherwise it is routed remotely and on success the video is
+    cached here and marked live while streaming in.
     """
     proxy = world.proxies[proxy_id]
     proxy.local_counts.record(video_id, user_class)
+    world.demand.record(video_id, user_class)
     if proxy.has(video_id):
-        proxy.touch(time, video_id)
+        proxy.touch(video_id)
         return RouteDecision(RouteSource.LOCAL)
     video = catalog.video(video_id)
     weight = proxy.weight_of(video_id, user_class, profits)
@@ -247,7 +250,7 @@ def handle_request(
         video.min_rate(user_class), video.max_rate(user_class), weight, psg_enabled,
     )
     if decision.source not in (RouteSource.REJECTED, RouteSource.LOCAL):
-        proxy.insert(time, video_id)
+        proxy.insert(video_id)
         proxy.stream_opened(video_id)
     return decision
 
@@ -258,7 +261,7 @@ def seed_initial_placement(world: World, catalog: Catalog, rng: random.Random) -
     Each proxy gets a quarter of its cache from each of the two popular
     tiers and the remainder from the least popular tier.  Tier lists are
     shuffled once and dealt round-robin so replicas spread as evenly as
-    the counts allow.
+    the counts allow; each cache is then stored in ascending id order.
     """
     quota = {
         Tier.MOST: world.proxies[0].cache_capacity // 4,
@@ -285,9 +288,11 @@ def seed_initial_placement(world: World, catalog: Catalog, rng: random.Random) -
                             f"proxy {proxy.proxy_id} cannot fit {tier.value} quota"
                         )
                     continue
-                proxy.cache[video_id] = 0.0
+                proxy.cache[video_id] = None
                 placed += 1
                 skipped = 0
+    for proxy in world.proxies:
+        proxy.cache = dict.fromkeys(sorted(proxy.cache))
 
 
 def placement_dump(world: World) -> str:
@@ -297,9 +302,3 @@ def placement_dump(world: World) -> str:
         ids = " ".join(str(v) for v in sorted(proxy.cache))
         lines.append(f"proxy {proxy.proxy_id}: {ids}")
     return "\n".join(lines) + "\n"
-
-
-def push_weights(world: World, table: WeightProfile) -> None:
-    """Install a freshly derived global weight table on every proxy."""
-    for proxy in world.proxies:
-        proxy.global_weights = table

@@ -1,4 +1,4 @@
-"""Profile agent tours: merging and weight pushing."""
+"""Profile agent tours: weights from the running demand table, pushed everywhere."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import pytest
 
 from vodsim.config import ConfigError
 from vodsim.model import CLASSES, UserClass, build_catalog
-from vodsim.agent import agent_tour, append_tour_log, merge_profiles, schedule_next_tour
-from vodsim.topology import build_world
+from vodsim.agent import agent_tour, append_tour_log, schedule_next_tour
+from vodsim.topology import build_world, handle_request
 
 PROFITS = (3, 2, 1)
 
@@ -20,24 +20,31 @@ def setup(num_videos=32, seed=4):
     return world, catalog
 
 
-def test_merge_sums_cell_wise():
-    world, _catalog = setup()
-    world.proxies[0].local_counts.record(3, UserClass.CLASS1)
-    world.proxies[1].local_counts.record(3, UserClass.CLASS1)
-    world.proxies[2].local_counts.record(3, UserClass.CLASS2)
-    world.proxies[3].local_counts.record(9, UserClass.CLASS3)
-    merged = merge_profiles(world, 32)
-    assert merged.count(3, UserClass.CLASS1) == 2
-    assert merged.count(3, UserClass.CLASS2) == 1
-    assert merged.count(9, UserClass.CLASS3) == 1
-    assert merged.total == 4
+def request(world, catalog, proxy_id, video_id, user_class, times=1):
+    for _ in range(times):
+        handle_request(world, 1.0, proxy_id, video_id, user_class, catalog, PROFITS)
+
+
+def test_tour_weights_sum_demand_over_proxies():
+    world, catalog = setup()
+    request(world, catalog, 0, 3, UserClass.CLASS1)
+    request(world, catalog, 1, 3, UserClass.CLASS1)
+    request(world, catalog, 2, 3, UserClass.CLASS2)
+    request(world, catalog, 3, 9, UserClass.CLASS3)
+    report = agent_tour(10.0, world, PROFITS)
+    assert report.total_requests == 4
+    for proxy in world.proxies:
+        assert proxy.global_weights.weight(3, UserClass.CLASS1) == 2 * 3
+        assert proxy.global_weights.weight(3, UserClass.CLASS2) == 1 * 2
+        assert proxy.global_weights.weight(9, UserClass.CLASS3) == 1 * 1
+        assert proxy.global_weights.weight(9, UserClass.CLASS1) == 0
+    assert world.proxies[0].local_counts.count(3, UserClass.CLASS1) == 1
 
 
 def test_tour_pushes_weights_everywhere():
     world, catalog = setup()
-    for _ in range(5):
-        world.proxies[1].local_counts.record(7, UserClass.CLASS1)
-    agent_tour(10.0, world, catalog, PROFITS)
+    request(world, catalog, 1, 7, UserClass.CLASS1, times=5)
+    agent_tour(10.0, world, PROFITS)
     table = world.proxies[0].global_weights
     assert table.weight(7, UserClass.CLASS1) == 15
     for proxy in world.proxies:
@@ -49,20 +56,20 @@ def test_tour_leaves_catalog_untouched():
     tiers = [video.tier for video in catalog.videos]
     members = {tier: ids[:] for tier, ids in catalog.tier_members.items()}
     hot = 30  # in the least-popular id range
-    for _ in range(50):
-        world.proxies[0].local_counts.record(hot, UserClass.CLASS2)
-    agent_tour(10.0, world, catalog, PROFITS)
+    request(world, catalog, 0, hot, UserClass.CLASS2, times=50)
+    agent_tour(10.0, world, PROFITS)
     assert [video.tier for video in catalog.videos] == tiers
     assert catalog.tier_members == members
 
 
 def test_tour_does_not_reset_counters():
     world, catalog = setup()
-    world.proxies[0].local_counts.record(1, UserClass.CLASS1)
-    agent_tour(10.0, world, catalog, PROFITS)
+    request(world, catalog, 0, 1, UserClass.CLASS1)
+    agent_tour(10.0, world, PROFITS)
     assert world.proxies[0].local_counts.count(1, UserClass.CLASS1) == 1
-    world.proxies[0].local_counts.record(1, UserClass.CLASS1)
-    report = agent_tour(20.0, world, catalog, PROFITS)
+    assert world.demand.count(1, UserClass.CLASS1) == 1
+    request(world, catalog, 0, 1, UserClass.CLASS1)
+    report = agent_tour(20.0, world, PROFITS)
     assert report.total_requests == 2
     assert world.proxies[0].global_weights.weight(1, UserClass.CLASS1) == 6
 
@@ -71,11 +78,10 @@ def test_second_tour_without_new_demand_changes_nothing():
     world, catalog = setup()
     rng = random.Random(6)
     for _ in range(400):
-        world.proxies[rng.randrange(4)].local_counts.record(
-            rng.randrange(32), rng.choice(CLASSES))
-    first = agent_tour(10.0, world, catalog, PROFITS)
+        request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
+    first = agent_tour(10.0, world, PROFITS)
     weights = world.proxies[0].global_weights.weights
-    second = agent_tour(20.0, world, catalog, PROFITS)
+    second = agent_tour(20.0, world, PROFITS)
     assert second.total_requests == first.total_requests == 400
     for proxy in world.proxies:
         assert proxy.global_weights.weights == weights
@@ -88,8 +94,8 @@ def test_schedule_next_tour():
 
 
 def test_tour_log_format():
-    world, catalog = setup()
-    reports = [agent_tour(t, world, catalog, PROFITS) for t in (10.0, 20.0)]
+    world, _catalog = setup()
+    reports = [agent_tour(t, world, PROFITS) for t in (10.0, 20.0)]
     text = append_tour_log(reports)
     lines = text.splitlines()
     assert lines[0] == "time,total_requests"

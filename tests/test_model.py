@@ -77,26 +77,6 @@ def test_demand_profile_counts():
         profile.record(8, UserClass.CLASS1)
 
 
-def test_demand_profile_accumulate():
-    rng = random.Random(3)
-    a = DemandProfile(10)
-    b = DemandProfile(10)
-    for _ in range(200):
-        a.record(rng.randrange(10), rng.choice(CLASSES))
-        b.record(rng.randrange(10), rng.choice(CLASSES))
-    before = [row[:] for row in a.counts]
-    before_total = a.total
-    a.accumulate(b)
-    for vid in range(10):
-        for user_class in CLASSES:
-            assert a.count(vid, user_class) == (
-                before[vid][user_class - 1] + b.count(vid, user_class)
-            )
-    assert a.total == before_total + b.total
-    with pytest.raises(ValueError):
-        a.accumulate(DemandProfile(11))
-
-
 def test_weights_are_count_times_profit():
     rng = random.Random(17)
     profile = DemandProfile(12)

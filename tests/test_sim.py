@@ -8,9 +8,9 @@ import random
 import pytest
 
 from vodsim.allocation import LINK_KINDS, Link, LinkKind
-from vodsim.config import SimConfig
+from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import Replay, SeriesPoint, emit_reports, ledger_bytes
-from vodsim.model import CLASSES, UserClass
+from vodsim.model import CLASSES, UserClass, build_catalog
 from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, generate_arrival, run
 from vodsim.topology import RouteSource
 
@@ -120,6 +120,25 @@ def test_run_leaves_passed_catalog_untouched(tmp_path):
     emit_reports(second, tmp_path / "b")
     for path in sorted((tmp_path / "a").iterdir()):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("num_videos", [240, 960])
+def test_mismatched_catalog_rejected_up_front(num_videos):
+    catalog = build_catalog(num_videos, 2400, 4800, random.Random(2))
+    with pytest.raises(ConfigError, match="num_videos"):
+        Simulation(SimConfig(horizon=2000.0), catalog)
+
+
+def test_demand_table_is_sum_of_proxy_counts():
+    result = run(SMALL)
+    proxies = result.world.proxies
+    expected = [
+        [sum(proxy.local_counts.counts[vid][cls] for proxy in proxies) for cls in range(3)]
+        for vid in range(SMALL.num_videos)
+    ]
+    assert result.world.demand.counts == expected
+    assert result.world.demand.total == result.counters.requested
+    assert result.tour_reports[-1].total_requests <= result.counters.requested
 
 
 def test_different_seed_changes_run():

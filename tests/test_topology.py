@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,9 +41,9 @@ def test_ring_neighbors_wrap():
 
 def test_locate_reports_presence():
     world = small_world()
-    world.proxies[5].cache[7] = 0.0
+    world.proxies[5].cache[7] = None
     assert locate(world, 0, 7) is Presence.LPS_ONLY
-    world.proxies[1].cache[7] = 0.0
+    world.proxies[1].cache[7] = None
     assert locate(world, 0, 7) is Presence.BOTH
     del world.proxies[5].cache[7]
     assert locate(world, 0, 7) is Presence.RPS_ONLY
@@ -52,8 +53,8 @@ def test_locate_reports_presence():
 
 def test_route_prefers_freer_neighbor():
     world = small_world()
-    world.proxies[5].cache[7] = 0.0
-    world.proxies[1].cache[7] = 0.0
+    world.proxies[5].cache[7] = None
+    world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
     proxy.links[LinkKind.PS_RPS].admit(0.0, 9, UserClass.CLASS1, 8, 30, 0)
     decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
@@ -64,15 +65,15 @@ def test_route_prefers_freer_neighbor():
 
 def test_route_tie_goes_right():
     world = small_world()
-    world.proxies[5].cache[7] = 0.0
-    world.proxies[1].cache[7] = 0.0
+    world.proxies[5].cache[7] = None
+    world.proxies[1].cache[7] = None
     decision = route_remote(world, 0.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
     assert decision.source is RouteSource.RPS
 
 
 def test_route_single_holder_used_even_if_busier():
     world = small_world()
-    world.proxies[1].cache[7] = 0.0
+    world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
     proxy.links[LinkKind.PS_RPS].admit(0.0, 9, UserClass.CLASS1, 8, 29, 0)
     decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
@@ -81,8 +82,8 @@ def test_route_single_holder_used_even_if_busier():
 
 def test_route_falls_back_to_central_not_other_neighbor():
     world = small_world(capacity=40)
-    world.proxies[5].cache[7] = 0.0
-    world.proxies[1].cache[7] = 0.0
+    world.proxies[5].cache[7] = None
+    world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
     # saturate the right link with class-1 minimums: nothing reclaimable
     for vid in range(5):
@@ -104,8 +105,8 @@ def test_route_falls_back_to_central_not_other_neighbor():
 
 def test_route_without_sharing_goes_central():
     world = small_world()
-    world.proxies[5].cache[7] = 0.0
-    world.proxies[1].cache[7] = 0.0
+    world.proxies[5].cache[7] = None
+    world.proxies[1].cache[7] = None
     decision = route_remote(world, 0.0, 0, 7, UserClass.CLASS1, 8, 24, 0, psg_enabled=False)
     assert decision.source is RouteSource.CMS
 
@@ -123,11 +124,13 @@ def test_handle_request_local_hit_touches_lru():
     world = small_world()
     catalog = small_catalog()
     proxy = world.proxies[2]
-    proxy.cache[5] = 1.0
+    proxy.insert(5)
+    proxy.insert(6)
     decision = handle_request(world, 9.0, 2, 5, UserClass.CLASS1, catalog, PROFITS)
     assert decision.source is RouteSource.LOCAL
-    assert proxy.cache[5] == 9.0
+    assert list(proxy.cache) == [6, 5]
     assert proxy.local_counts.count(5, UserClass.CLASS1) == 1
+    assert world.demand.count(5, UserClass.CLASS1) == 1
 
 
 def test_handle_request_caches_on_success():
@@ -155,9 +158,9 @@ def test_handle_request_rejection_does_not_cache():
 def test_lru_evicts_idle_least_recent():
     world = small_world(cache=4)
     proxy = world.proxies[0]
-    for vid, ts in ((1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)):
-        proxy.insert(ts, vid)
-    proxy.insert(5.0, 9)
+    for vid in (1, 2, 3, 4):
+        proxy.insert(vid)
+    proxy.insert(9)
     assert not proxy.has(1)
     assert sorted(proxy.cache) == [2, 3, 4, 9]
 
@@ -165,10 +168,10 @@ def test_lru_evicts_idle_least_recent():
 def test_lru_skips_live_videos():
     world = small_world(cache=4)
     proxy = world.proxies[0]
-    for vid, ts in ((1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)):
-        proxy.insert(ts, vid)
+    for vid in (1, 2, 3, 4):
+        proxy.insert(vid)
     proxy.stream_opened(1)
-    proxy.insert(5.0, 9)
+    proxy.insert(9)
     assert proxy.has(1)
     assert not proxy.has(2)
 
@@ -177,12 +180,12 @@ def test_cache_overshoots_when_all_live_then_reconciles():
     world = small_world(cache=2)
     proxy = world.proxies[0]
     for vid in (1, 2):
-        proxy.insert(float(vid), vid)
+        proxy.insert(vid)
         proxy.stream_opened(vid)
-    proxy.insert(3.0, 3)
+    proxy.insert(3)
     proxy.stream_opened(3)
     assert len(proxy.cache) == 3
-    proxy.stream_closed(4.0, 1)
+    proxy.stream_closed(1)
     assert len(proxy.cache) == 2
     assert not proxy.has(1)
 
@@ -190,7 +193,65 @@ def test_cache_overshoots_when_all_live_then_reconciles():
 def test_stream_closed_underflow_raises():
     world = small_world()
     with pytest.raises(ValueError):
-        world.proxies[0].stream_closed(0.0, 5)
+        world.proxies[0].stream_closed(5)
+
+
+def test_lru_victim_is_smallest_idle_last_use_then_id():
+    """Random cache traffic on a placed proxy against a timestamp reference.
+
+    The reference keeps each entry's last use (placed entries at 0.0) and
+    evicts the idle entry with the smallest (last use, id), as an explicit
+    timestamp LRU would.
+    """
+    world = small_world(num_proxies=3, num_videos=96, cache=32)
+    seed_initial_placement(world, small_catalog(num_videos=96), random.Random(5))
+    proxy = world.proxies[0]
+    last_use = dict.fromkeys(proxy.cache, 0.0)
+    live = Counter()
+    rng = random.Random(17)
+    evictions = ties = 0
+
+    def evict_one():
+        nonlocal ties
+        idle = sorted((last_use[vid], vid) for vid in last_use if not live[vid])
+        if not idle:
+            return False
+        ties += len(idle) > 1 and idle[0][0] == idle[1][0]
+        del last_use[idle[0][1]]
+        return True
+
+    for step in range(1, 3000):
+        now = float(step)
+        before = set(proxy.cache)
+        op = rng.random()
+        if op < 0.45:
+            vid = rng.randrange(96)
+            proxy.insert(vid)
+            if vid not in last_use and len(last_use) >= proxy.cache_capacity:
+                evict_one()
+            last_use[vid] = now
+        elif op < 0.7:
+            vid = rng.choice(sorted(last_use))
+            proxy.touch(vid)
+            last_use[vid] = now
+        elif op < 0.85:
+            vid = rng.choice(sorted(last_use))
+            proxy.stream_opened(vid)
+            live[vid] += 1
+        elif live:
+            vid = rng.choice(sorted(live))
+            proxy.stream_closed(vid)
+            live[vid] -= 1
+            if not live[vid]:
+                del live[vid]
+            while len(last_use) > proxy.cache_capacity and evict_one():
+                pass
+        victims = before - set(proxy.cache)
+        assert victims == before - set(last_use), f"step {step}"
+        assert set(proxy.cache) == set(last_use)
+        evictions += len(victims)
+    assert evictions > 100
+    assert ties > 15
 
 
 def test_weight_prefers_fresher_view():
@@ -238,4 +299,4 @@ def test_request_counting_covers_all_classes():
         handle_request(world, rng.random() * 100, rng.randrange(6),
                        rng.randrange(48), rng.choice(CLASSES), catalog, PROFITS)
     total = sum(proxy.local_counts.total for proxy in world.proxies)
-    assert total == 300
+    assert total == 300 == world.demand.total
