@@ -5,7 +5,9 @@ is all-or-nothing: try the stream's class maximum, then its minimum, then
 try to cover the minimum by reclaiming excess (allocated minus minimum)
 from already-admitted streams of the same class, taking from the lowest
 demand weight upward.  If even that cannot cover the minimum the request
-is rejected and the link is left untouched.
+is rejected and the link is left untouched.  A link keeps each class's
+total excess running next to its used bandwidth, so a request that free
+bandwidth plus that excess cannot cover is rejected without a scan.
 
 Every mutation appends a ledger row, so a link's utilization over time can
 be replayed exactly from its ledger without trusting the live counters.
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import UserClass
+from .model import CLASSES, UserClass
 
 
 class LinkKind(Enum):
@@ -106,6 +108,8 @@ class Link:
         self.id_source = id_source if id_source is not None else itertools.count(1)
         self.allocations: dict[int, Allocation] = {}
         self.used = 0
+        # excess[c]: sum of rate - min_rate over live allocations of class c
+        self.excess = [0] * (len(CLASSES) + 1)
         self.ledger: list[LedgerRow] = []
 
     def free_bandwidth(self) -> int:
@@ -123,14 +127,17 @@ class Link:
         Free bandwidth counts first; any remainder must come from excess
         (rate above minimum) held by same-class allocations, visited in
         ascending weight order (ties: video id, then allocation id).
-        Returns None when the need cannot be covered.
+        Returns None when the need cannot be covered, which the class's
+        running excess tells before any allocation is visited.
         """
         if needed < 0:
             raise ValueError("needed must be non-negative")
         remaining = needed - self.free_bandwidth()
-        plan = ReclaimPlan()
         if remaining <= 0:
-            return plan
+            return ReclaimPlan()
+        if remaining > self.excess[user_class]:
+            return None
+        plan = ReclaimPlan()
         victims = sorted(
             (a for a in self.allocations.values()
              if a.user_class == user_class and a.rate > a.min_rate),
@@ -143,7 +150,8 @@ class Link:
             remaining -= take
             if remaining == 0:
                 return plan
-        return None
+        raise InvariantViolation(f"link {self.label}: class {int(user_class)} excess "
+                                 f"{self.excess[user_class]} exceeds its allocations")
 
     def _apply_reclaim(self, time: float, plan: ReclaimPlan) -> None:
         for alloc_id, take in plan.victims:
@@ -152,6 +160,7 @@ class Link:
                 raise InvariantViolation("reclaim would push a stream below its minimum")
             alloc.rate -= take
             self.used -= take
+            self.excess[alloc.user_class] -= take
             self._log(time, "reclaim", alloc, take)
 
     def admit(
@@ -181,6 +190,7 @@ class Link:
                            rate, min_rate, max_rate, weight)
         self.allocations[alloc.alloc_id] = alloc
         self.used += rate
+        self.excess[user_class] += rate - min_rate
         if self.used > self.capacity:
             raise InvariantViolation(
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
@@ -194,17 +204,27 @@ class Link:
         if alloc is None:
             raise InvariantViolation(f"release of unknown allocation {alloc_id}")
         self.used -= alloc.rate
+        self.excess[alloc.user_class] -= alloc.rate - alloc.min_rate
         if self.used < 0:
             raise InvariantViolation(f"link {self.label} used went negative")
         self._log(time, "release", alloc, alloc.rate)
         return alloc
 
     def check_conservation(self) -> None:
-        """Assert the incremental counter equals the sum of live rates."""
-        total = sum(a.rate for a in self.allocations.values())
+        """Assert the running counters equal a recount of the live allocations:
+        ``used`` their rates, ``excess`` their per-class rate above minimum."""
+        total = 0
+        excess = [0] * len(self.excess)
+        for alloc in self.allocations.values():
+            total += alloc.rate
+            excess[alloc.user_class] += alloc.rate - alloc.min_rate
         if total != self.used:
             raise InvariantViolation(
                 f"link {self.label}: used={self.used} but allocations sum to {total}"
+            )
+        if excess != self.excess:
+            raise InvariantViolation(
+                f"link {self.label}: excess={self.excess} but allocations give {excess}"
             )
         if not 0 <= self.used <= self.capacity:
             raise InvariantViolation(f"link {self.label}: used={self.used} out of bounds")

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, SimConfig, load_config
-from .metrics import emit_reports, mean_alloc_overall, time_avg_utilization
+from .metrics import Replay, emit_reports
 from .sim import baseline_no_psg, run
 
 
@@ -86,8 +86,8 @@ def _cmd_sweep(args) -> int:
              "mean_alloc_per_stream,util_ps_lps,util_ps_rps,util_ps_cms"]
     for scale, scaled in zip(scales, scaled_configs):
         result = run(scaled)
-        util = time_avg_utilization(result.ledgers, scaled.horizon)
-        mean_alloc = mean_alloc_overall(result.ledgers, scaled.horizon)
+        walked = Replay(result.ledgers, scaled.horizon)
+        util, mean_alloc = walked.utilization(), walked.mean_alloc()
         counters = result.counters
         utils = ",".join(_fmt(value) for value in util.values())
         lines.append(

@@ -122,6 +122,7 @@ class Replay:
     """
 
     def __init__(self, ledgers: list[LinkLedger], horizon: float, ticks: Sequence[float] = ()):
+        self.horizon = horizon
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
         self.totals = [0.0, 0.0]
@@ -169,6 +170,16 @@ class Replay:
                 if not 0 <= state[0] <= ledger.capacity:
                     raise ValueError(f"ledger replay out of bounds on {ledger.label}: {state[0]}")
 
+    def utilization(self) -> dict[LinkKind, float]:
+        """Time-averaged utilization of each kind that has links."""
+        return {kind: self.integral[kind][0] / (capacity * self.horizon)
+                for kind, capacity in self.capacity.items() if capacity}
+
+    def mean_alloc(self) -> float:
+        """Time-averaged allocation per live stream across every link."""
+        used, streams = self.totals
+        return used / streams if streams else 0.0
+
 
 class MetricsBundle:
     """Sampled series for all nine (kind, class) pairs plus utilization.
@@ -208,9 +219,7 @@ def time_avg_utilization(ledgers: list[LinkLedger], horizon: float) -> dict[Link
     """Exact time-averaged utilization per link kind, replayed from ledgers."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    walked = Replay(ledgers, horizon)
-    return {kind: walked.integral[kind][0] / (capacity * horizon)
-            for kind, capacity in walked.capacity.items() if capacity}
+    return Replay(ledgers, horizon).utilization()
 
 
 def mean_alloc_by_class(
@@ -237,8 +246,7 @@ def mean_alloc_per_class(ledgers: list[LinkLedger], horizon: float) -> dict[User
 
 def mean_alloc_overall(ledgers: list[LinkLedger], horizon: float) -> float:
     """Time-averaged allocation per live stream across every link."""
-    used, streams = Replay(ledgers, horizon).totals
-    return used / streams if streams else 0.0
+    return Replay(ledgers, horizon).mean_alloc()
 
 
 def ledger_bytes(ledgers: list[LinkLedger], horizon: float) -> float:

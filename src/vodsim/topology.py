@@ -10,6 +10,14 @@ more free bandwidth and falling back to the central server.
 Caches are LRU, kept in recency order, but a video with a live inbound
 stream is never evicted; when everything cached is live the cache may
 temporarily exceed its capacity and is reconciled as streams complete.
+Every live video is cached (``stream_opened`` enforces it), so a cache
+holds ``len(cache) - len(live_videos)`` idle entries and an LRU lookup
+with none returns at once.  When a close leaves its video the only idle
+entry of an over-capacity cache, that video is the least recently used
+idle entry and is evicted directly; any other close falls back to
+``reconcile_cache``.  In a run an over-capacity cache has no idle entry
+between requests, so every close that idles its video there takes the
+direct path.
 """
 
 from __future__ import annotations
@@ -87,6 +95,8 @@ class ProxyServer:
         return max(self.global_weights.weight(video_id, user_class), local)
 
     def stream_opened(self, video_id: int) -> None:
+        if video_id not in self.cache:
+            raise ValueError(f"proxy {self.proxy_id}: stream opened for uncached video {video_id}")
         self.live_videos[video_id] = self.live_videos.get(video_id, 0) + 1
 
     def stream_closed(self, video_id: int) -> None:
@@ -96,7 +106,11 @@ class ProxyServer:
         if left:
             self.live_videos[video_id] = left
         else:
-            self.live_videos.pop(video_id, None)
+            del self.live_videos[video_id]
+            if (len(self.cache) > self.cache_capacity
+                    and len(self.cache) - len(self.live_videos) == 1):
+                del self.cache[video_id]  # the only idle entry
+                return
         self.reconcile_cache()
 
     def _idle_lru(self) -> int | None:
@@ -106,6 +120,8 @@ class ProxyServer:
         entries all share time 0 and are stored in ascending id order, and
         every later use happens at a strictly later arrival time.
         """
+        if len(self.cache) == len(self.live_videos):
+            return None  # every cached video is live
         for video_id in self.cache:
             if video_id not in self.live_videos:
                 return video_id
@@ -196,11 +212,11 @@ def route_remote(
     everything goes straight to the central server.
     """
     proxy = world.proxies[proxy_id]
+    # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS
+    lps_link, rps_link, cms_link = proxy.links.values()
     attempts: list[tuple[RouteSource, Link]] = []
     if psg_enabled:
         presence = locate(world, proxy_id, video_id)
-        lps_link = proxy.links[LinkKind.PS_LPS]
-        rps_link = proxy.links[LinkKind.PS_RPS]
         if presence is Presence.BOTH:
             if lps_link.free_bandwidth() > rps_link.free_bandwidth():
                 attempts.append((RouteSource.LPS, lps_link))
@@ -210,7 +226,7 @@ def route_remote(
             attempts.append((RouteSource.LPS, lps_link))
         elif presence is Presence.RPS_ONLY:
             attempts.append((RouteSource.RPS, rps_link))
-    attempts.append((RouteSource.CMS, proxy.links[LinkKind.PS_CMS]))
+    attempts.append((RouteSource.CMS, cms_link))
     for source, link in attempts:
         outcome: AdmissionOutcome | None = link.admit(
             time, video_id, user_class, min_rate, max_rate, weight

@@ -58,15 +58,21 @@ def oracle_admit(
 
 
 def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
-    """Build a link already carrying the given allocations, no history."""
+    """Build a link already carrying the given allocations, no history.
+
+    The running counters are set here and then audited by the link's own
+    conservation check, so a forced state they disagree with fails at once.
+    """
     link = Link(LinkKind.PS_CMS, capacity, "forced")
     for s in existing:
         link.allocations[s.alloc_id] = Allocation(
             s.alloc_id, s.video_id, s.user_class, s.rate, s.min_rate, s.max_rate, s.weight
         )
         link.used += s.rate
+        link.excess[s.user_class] += s.rate - s.min_rate
     if link.used > capacity:
         raise ValueError("forced state exceeds capacity")
+    link.check_conservation()
     return link
 
 

@@ -9,7 +9,7 @@ import pytest
 from oracle import AdmitRequest, ExistingStream, force_link, oracle_admit, random_link_state
 from vodsim.allocation import InvariantViolation, Link, LinkKind
 from vodsim.metrics import LinkLedger, Replay
-from vodsim.model import UserClass
+from vodsim.model import BW_RANGES, CLASSES, UserClass
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
 
@@ -180,3 +180,66 @@ def test_engine_matches_oracle_on_random_states():
             got = sorted(outcome.plan.victims) if outcome.plan else []
             assert got == sorted(victims)
             link.check_conservation()
+
+
+def test_plan_reclaim_rejects_exactly_when_excess_is_short():
+    # the C3 random link states, each asked for the request's minimum and
+    # its maximum; the pool is summed here from the drawn streams
+    rng = random.Random(20240814)
+    rejected = reclaimed = 0
+    for case in range(10000):
+        capacity, existing, request = random_link_state(rng, base_id=1_000_000)
+        link = force_link(capacity, existing)
+        c = request.user_class
+        pool = sum(s.rate - s.min_rate for s in existing if s.user_class == c)
+        assert link.excess[c] == pool
+        for needed in (request.min_rate, request.max_rate):
+            short = needed - link.free_bandwidth() > pool
+            plan = link.plan_reclaim(c, needed)
+            assert (plan is None) == short, f"case {case}, needed {needed}"
+            if plan is not None:
+                assert plan.total == max(0, needed - link.free_bandwidth())
+                reclaimed += bool(plan.victims)
+            rejected += short
+    assert rejected > 1000 and reclaimed > 1000
+
+
+def test_excess_tracks_admit_reclaim_and_release():
+    rng = random.Random(31)
+    link = fresh_link(90)
+    live = []
+    reclaims = 0
+    for step in range(2500):
+        if live and rng.random() < 0.35:
+            link.release(float(step), live.pop(rng.randrange(len(live))))
+        else:
+            user_class = rng.choice(CLASSES)
+            min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
+            outcome = link.admit(float(step), rng.randrange(40), user_class,
+                                 rng.randint(min_lo, min_hi), rng.randint(max_lo, max_hi),
+                                 weight=rng.randrange(10))
+            if outcome is not None:
+                live.append(outcome.allocation.alloc_id)
+                reclaims += bool(outcome.plan and outcome.plan.victims)
+        recount = {c: sum(a.rate - a.min_rate for a in link.allocations.values()
+                          if a.user_class == c) for c in CLASSES}
+        assert {c: link.excess[c] for c in CLASSES} == recount, f"step {step}"
+    assert reclaims > 100
+
+
+def test_conservation_check_catches_stale_excess():
+    link = fresh_link(60)
+    link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=0)
+    link.check_conservation()
+    for c in CLASSES:
+        for delta in (1, -1):
+            link.excess[c] += delta
+            with pytest.raises(InvariantViolation):
+                link.check_conservation()
+            link.excess[c] -= delta
+    link.check_conservation()
+    # an excess larger than the streams can give is caught by the planner too
+    link.excess[C3] += 30
+    with pytest.raises(InvariantViolation):
+        link.plan_reclaim(C3, 40)

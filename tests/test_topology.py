@@ -196,20 +196,35 @@ def test_stream_closed_underflow_raises():
         world.proxies[0].stream_closed(5)
 
 
-def test_lru_victim_is_smallest_idle_last_use_then_id():
+def test_stream_opened_on_uncached_video_raises():
+    world = small_world(cache=4)
+    proxy = world.proxies[0]
+    proxy.insert(1)
+    with pytest.raises(ValueError):
+        proxy.stream_opened(2)
+    assert proxy.live_videos == {}
+    proxy.stream_opened(1)
+    assert proxy.live_videos == {1: 1}
+
+
+def drive_lru_against_reference(cache, steps, mix, seed=17):
     """Random cache traffic on a placed proxy against a timestamp reference.
 
     The reference keeps each entry's last use (placed entries at 0.0) and
     evicts the idle entry with the smallest (last use, id), as an explicit
-    timestamp LRU would.
+    timestamp LRU would.  ``mix`` holds the cumulative probabilities of an
+    insert, a touch and a stream open; the rest are stream closes.  Returns
+    the evictions, the evictions that broke a tie among equal last uses,
+    and the over-capacity closes with one and with several idle entries.
     """
-    world = small_world(num_proxies=3, num_videos=96, cache=32)
+    world = small_world(num_proxies=3, num_videos=96, cache=cache)
     seed_initial_placement(world, small_catalog(num_videos=96), random.Random(5))
     proxy = world.proxies[0]
     last_use = dict.fromkeys(proxy.cache, 0.0)
     live = Counter()
-    rng = random.Random(17)
+    rng = random.Random(seed)
     evictions = ties = 0
+    crowded_closes = Counter()
 
     def evict_one():
         nonlocal ties
@@ -220,21 +235,21 @@ def test_lru_victim_is_smallest_idle_last_use_then_id():
         del last_use[idle[0][1]]
         return True
 
-    for step in range(1, 3000):
+    for step in range(1, steps):
         now = float(step)
         before = set(proxy.cache)
         op = rng.random()
-        if op < 0.45:
+        if op < mix[0]:
             vid = rng.randrange(96)
             proxy.insert(vid)
             if vid not in last_use and len(last_use) >= proxy.cache_capacity:
                 evict_one()
             last_use[vid] = now
-        elif op < 0.7:
+        elif op < mix[1]:
             vid = rng.choice(sorted(last_use))
             proxy.touch(vid)
             last_use[vid] = now
-        elif op < 0.85:
+        elif op < mix[2]:
             vid = rng.choice(sorted(last_use))
             proxy.stream_opened(vid)
             live[vid] += 1
@@ -244,14 +259,31 @@ def test_lru_victim_is_smallest_idle_last_use_then_id():
             live[vid] -= 1
             if not live[vid]:
                 del live[vid]
+            if len(last_use) > proxy.cache_capacity:
+                idle = sum(not live[v] for v in last_use)
+                crowded_closes[min(idle, 2)] += 1
             while len(last_use) > proxy.cache_capacity and evict_one():
                 pass
         victims = before - set(proxy.cache)
         assert victims == before - set(last_use), f"step {step}"
         assert set(proxy.cache) == set(last_use)
+        assert set(proxy.live_videos) <= set(proxy.cache)
         evictions += len(victims)
+    return evictions, ties, crowded_closes
+
+
+def test_lru_victim_is_smallest_idle_last_use_then_id():
+    evictions, ties, _ = drive_lru_against_reference(32, 3000, (0.45, 0.7, 0.85))
     assert evictions > 100
     assert ties > 15
+
+
+def test_over_capacity_close_evicts_like_reference():
+    # mostly opens and inserts, so the cache runs over capacity, sometimes
+    # with an inserted video still idle when a stream closes
+    _, _, crowded_closes = drive_lru_against_reference(8, 6000, (0.3, 0.4, 0.7))
+    assert crowded_closes[1] > 200
+    assert crowded_closes[2] > 20
 
 
 def test_weight_prefers_fresher_view():
