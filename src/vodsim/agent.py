@@ -1,9 +1,11 @@
-"""Roving profile agent: collects demand and rebuilds the global weights.
+"""Roving profile agent: collects demand and refreshes the global weights.
 
 The merged demand profile is kept running: every request is recorded in
-the world's one demand table as well as at its proxy.  A tour is
-instantaneous, so each tour snapshots that table into the integer weight
-table and pushes it to every proxy, where it orders reclaim victims.
+the world's one demand table as well as at its proxy, and its cell is
+marked dirty.  A tour is instantaneous: it rewrites only the dirty cells
+of the one weight table every proxy holds, where it orders reclaim
+victims.  No other count changed since its cell was last written, so
+after each tour the table equals a full rebuild from the demand table.
 The catalog's popularity tiers stay fixed: initial placement is dealt from
 them before the first tour, and a tour never changes them.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError
-from .model import WeightProfile
 from .topology import World
 
 
@@ -29,10 +30,9 @@ class AgentTourReport:
 
 
 def agent_tour(time: float, world: World, profits) -> AgentTourReport:
-    """Run one full tour: re-weight the running demand table, push."""
-    table = WeightProfile.derive(world.demand, profits)
-    for proxy in world.proxies:
-        proxy.global_weights = table
+    """Run one full tour: re-weight the cells requested since the last one."""
+    world.weights.refresh(world.demand, profits, world.dirty)
+    world.dirty.clear()
     return AgentTourReport(time, world.demand.total)
 
 

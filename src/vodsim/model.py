@@ -7,6 +7,12 @@ per-(video, class) request counters and the integer video weights derived
 from them.  Weights are exact integers (request count times integer class
 profit) so comparisons used for victim ordering are never perturbed by
 float rounding.
+
+Both tables are flat: ``cell_index`` puts (video, class) at cell
+``3 * video + class - 1`` of one ``list[int]``, so cell ``i`` is of class
+``i % 3 + 1``.  A video id of -1 or a class of 0 would wrap to another
+video's cells, so ``topology.handle_request`` checks both before it
+touches any cell.
 """
 
 from __future__ import annotations
@@ -90,11 +96,6 @@ class Catalog:
     def nov(self) -> int:
         return len(self.videos)
 
-    def video(self, video_id: int) -> VideoMeta:
-        if not 0 <= video_id < len(self.videos):
-            raise ValueError(f"unknown video {video_id}")
-        return self.videos[video_id]
-
 
 def initial_tier_table(num_videos: int) -> list[Tier]:
     """Tier assignment by ascending id: the ranges the workload draws from."""
@@ -124,46 +125,31 @@ def build_catalog(num_videos: int, size_min: int, size_max: int, rng: random.Ran
     return Catalog(videos)
 
 
+def cell_index(video: int, user_class: UserClass) -> int:
+    """Flat index of the (video, class) cell in every demand and weight table."""
+    return 3 * video + user_class - 1
+
+
 class DemandProfile:
     """Cumulative per-(video, class) request counters; counters only grow."""
 
     __slots__ = ("counts", "total")
 
     def __init__(self, num_videos: int):
-        self.counts: list[list[int]] = [[0, 0, 0] for _ in range(num_videos)]
+        self.counts = [0] * (3 * num_videos)
         self.total = 0
-
-    def _check(self, video: int) -> None:
-        if not 0 <= video < len(self.counts):
-            raise ValueError(f"unknown video {video}")
-
-    def record(self, video: int, user_class: UserClass) -> None:
-        """Count one request: bumps exactly the (video, class) cell."""
-        self._check(video)
-        self.counts[video][user_class - 1] += 1
-        self.total += 1
-
-    def count(self, video: int, user_class: UserClass) -> int:
-        self._check(video)
-        return self.counts[video][user_class - 1]
 
 
 class WeightProfile:
-    """Integer weight table, one cell per (video, class)."""
+    """Integer weight table, one flat cell per (video, class)."""
 
     __slots__ = ("weights",)
 
-    def __init__(self, weights: list[list[int]]):
+    def __init__(self, weights: list[int]):
         self.weights = weights
 
-    @classmethod
-    def zeros(cls, num_videos: int) -> "WeightProfile":
-        return cls([[0, 0, 0] for _ in range(num_videos)])
-
-    @classmethod
-    def derive(cls, counts: DemandProfile, profits: Sequence[int]) -> "WeightProfile":
-        p1, p2, p3 = profits
-        return cls([[row[0] * p1, row[1] * p2, row[2] * p3] for row in counts.counts])
-
-    def weight(self, video: int, user_class: UserClass) -> int:
-        return self.weights[video][user_class - 1]
+    def refresh(self, demand: DemandProfile, profits: Sequence[int], cells) -> None:
+        """Rewrite ``cells`` as request count times class profit."""
+        counts, weights = demand.counts, self.weights
+        for cell in cells:
+            weights[cell] = counts[cell] * profits[cell % 3]

@@ -1,12 +1,19 @@
 """Discrete-event simulation driving the ring, the agent and the metrics.
 
-The event loop is a binary heap keyed by (time, sequence number), so ties
-break in insertion order and every run is a pure function of its seed and
-configuration.  Four event kinds exist: request arrivals, stream
-completions, agent tours and metric samples.  Completions are cancelled
-lazily: each live stream carries a generation counter, bumped whenever a
-reclaim changes its rate, and stale completion events are dropped when
-popped.
+Events are keyed by (time, sequence number), the number drawn when the
+event is scheduled, so ties break in scheduling order and every run is a
+pure function of its seed and configuration.  Four event kinds exist:
+request arrivals, stream completions, agent tours and metric samples.
+Completions are cancelled lazily: each live stream carries a generation
+counter, bumped whenever a reclaim changes its rate, and stale completion
+events are dropped when popped.
+
+The one scheduled arrival (each arrival schedules the next) waits in the
+``pending`` slot with the key it would have had in the binary heap that
+holds every other event.  The loop takes the slot when its key is below
+the heap's smallest and pops the heap otherwise; keys are unique, so
+events are handled in exactly the order of one heap of all events.
+Each arrival goes into the digest as one packed record.
 
 Stream progress is integrated exactly: every rate change settles the bytes
 sent so far at the old rate before the new rate takes effect, so the sum
@@ -20,6 +27,7 @@ import hashlib
 import heapq
 import itertools
 import random
+import struct
 from dataclasses import dataclass, field
 
 from .agent import AgentTourReport, agent_tour, schedule_next_tour
@@ -35,7 +43,10 @@ from .topology import (
     seed_initial_placement,
 )
 
-EV_ARRIVAL, EV_COMPLETION, EV_TOUR, EV_SAMPLE = range(4)
+EV_COMPLETION, EV_TOUR, EV_SAMPLE = range(3)
+CLASS1, CLASS2, CLASS3 = UserClass
+# One arrival record of the digest: exact float64 time, proxy, video, class.
+ARRIVAL_RECORD = struct.Struct("<dIIB")
 
 
 def generate_arrival(
@@ -50,21 +61,24 @@ def generate_arrival(
     """
     dt = rng.expovariate(config.total_arrival_rate)
     proxy_id = rng.randrange(config.num_proxies)
-    quarter = config.num_videos // 4
+    num_videos = config.num_videos
+    quarter = num_videos // 4
+    most, secondary, _least = config.tier_mix
     draw = rng.random()
-    if draw < config.tier_mix[0]:
+    if draw < most:
         video_id = rng.randrange(quarter)
-    elif draw < config.tier_mix[0] + config.tier_mix[1]:
+    elif draw < most + secondary:
         video_id = quarter + rng.randrange(quarter)
     else:
-        video_id = 2 * quarter + rng.randrange(config.num_videos - 2 * quarter)
+        video_id = 2 * quarter + rng.randrange(num_videos - 2 * quarter)
+    class1, class2, _class3 = config.class_mix
     draw = rng.random()
-    if draw < config.class_mix[0]:
-        user_class = UserClass.CLASS1
-    elif draw < config.class_mix[0] + config.class_mix[1]:
-        user_class = UserClass.CLASS2
+    if draw < class1:
+        user_class = CLASS1
+    elif draw < class1 + class2:
+        user_class = CLASS2
     else:
-        user_class = UserClass.CLASS3
+        user_class = CLASS3
     return dt, proxy_id, video_id, user_class
 
 
@@ -153,6 +167,7 @@ class Simulation:
         seed_initial_placement(self.world, self.catalog, placement_rng)
         self.now = 0.0
         self.heap: list[tuple[float, int, int, object]] = []
+        self.pending: tuple[float, int, int, int, UserClass] | None = None
         self.seq = itertools.count()
         self.streams: dict[int, StreamProgress] = {}
         self.counters = Counters()
@@ -165,7 +180,7 @@ class Simulation:
 
     def _schedule_arrival(self) -> None:
         dt, proxy_id, video_id, user_class = generate_arrival(self.workload_rng, self.config)
-        self._push(self.now + dt, EV_ARRIVAL, (proxy_id, video_id, user_class))
+        self.pending = (self.now + dt, next(self.seq), proxy_id, video_id, user_class)
 
     def _push_completion(self, stream: StreamProgress) -> None:
         self._push(stream.completion_time, EV_COMPLETION,
@@ -177,16 +192,21 @@ class Simulation:
         self._push(config.agent_period, EV_TOUR)
         self._push(config.sample_period, EV_SAMPLE)
         horizon = config.horizon
-        while self.heap:
-            time, _, kind, payload = heapq.heappop(self.heap)
+        heap = self.heap
+        while True:
+            pending = self.pending
+            # the heap always holds the next tour and the next sample
+            event = pending if pending < heap[0] else heapq.heappop(heap)
+            time = event[0]
             if time > horizon:
                 break
             self.now = time
-            if kind == EV_ARRIVAL:
-                self._on_arrival(payload)
-            elif kind == EV_COMPLETION:
-                self._on_completion(payload)
-            elif kind == EV_TOUR:
+            if event is pending:
+                _, _, proxy_id, video_id, user_class = pending
+                self._on_arrival(proxy_id, video_id, user_class)
+            elif event[2] == EV_COMPLETION:
+                self._on_completion(event[3])
+            elif event[2] == EV_TOUR:
                 self._on_tour()
             else:
                 self._on_sample()
@@ -205,14 +225,11 @@ class Simulation:
             arrival_digest=self.arrival_hash.hexdigest(),
         )
 
-    def _on_arrival(self, payload) -> None:
-        proxy_id, video_id, user_class = payload
+    def _on_arrival(self, proxy_id: int, video_id: int, user_class: UserClass) -> None:
         counters = self.counters
         counters.requested += 1
         counters.requested_by_class[user_class] += 1
-        self.arrival_hash.update(
-            f"{self.now!r},{proxy_id},{video_id},{int(user_class)}\n".encode()
-        )
+        self.arrival_hash.update(ARRIVAL_RECORD.pack(self.now, proxy_id, video_id, user_class))
         decision = handle_request(
             self.world, self.now, proxy_id, video_id, user_class,
             self.catalog, self.config.profits, self.config.psg_enabled,
@@ -224,7 +241,7 @@ class Simulation:
         else:
             stream = StreamProgress(
                 decision.allocation, decision.link, proxy_id, decision.source,
-                self.catalog.video(video_id).size_mb, self.now,
+                self.catalog.videos[video_id].size_mb, self.now,
             )
             self.streams[stream.alloc.alloc_id] = stream
             if decision.plan is not None:

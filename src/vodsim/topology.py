@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .allocation import AdmissionOutcome, Link, LinkKind, ReclaimPlan
-from .model import Catalog, DemandProfile, Tier, TIERS, UserClass, WeightProfile
+from .model import Catalog, DemandProfile, Tier, TIERS, UserClass, WeightProfile, cell_index
 
 
 class RouteSource(Enum):
@@ -60,17 +60,22 @@ class RouteDecision:
     plan: ReclaimPlan | None = None
 
 
+# Shared by every local hit and every rejection; never mutated.
+LOCAL_HIT = RouteDecision(RouteSource.LOCAL)
+REJECTION = RouteDecision(RouteSource.REJECTED)
+
+
 class ProxyServer:
     """One ring node: an LRU cache plus three inbound links it streams over."""
 
     def __init__(self, proxy_id: int, cache_capacity: int, link_capacity: int,
-                 num_videos: int, id_source=None):
+                 num_videos: int, global_weights: WeightProfile, id_source=None):
         self.proxy_id = proxy_id
         self.cache_capacity = cache_capacity
         self.cache: dict[int, None] = {}  # least recently used first
         self.live_videos: dict[int, int] = {}
         self.local_counts = DemandProfile(num_videos)
-        self.global_weights = WeightProfile.zeros(num_videos)
+        self.global_weights = global_weights  # the world's one table
         label = f"p{proxy_id}"
         self.links: dict[LinkKind, Link] = {
             kind: Link(kind, link_capacity, f"{label}-{kind.value}", id_source)
@@ -89,10 +94,12 @@ class ProxyServer:
         """Demand weight as this proxy sees it right now.
 
         The agent's last global table can lag local traffic, so take the
-        larger of the global weight and the locally counted one.
+        larger of the global weight and the locally counted one.  The caller
+        checks the video and the class.
         """
-        local = self.local_counts.count(video_id, user_class) * profits[user_class - 1]
-        return max(self.global_weights.weight(video_id, user_class), local)
+        cell = cell_index(video_id, user_class)
+        local = self.local_counts.counts[cell] * profits[user_class - 1]
+        return max(self.global_weights.weights[cell], local)
 
     def stream_opened(self, video_id: int) -> None:
         if video_id not in self.cache:
@@ -151,11 +158,18 @@ class ProxyServer:
 
 
 class World:
-    """The proxy ring; the central server is each proxy's ``PS_CMS`` link."""
+    """The proxy ring; the central server is each proxy's ``PS_CMS`` link.
 
-    def __init__(self, proxies: list[ProxyServer], num_videos: int):
+    Every proxy holds ``weights`` as ``global_weights``; ``dirty`` holds the
+    cells requested since the last agent tour.
+    """
+
+    def __init__(self, proxies: list[ProxyServer], num_videos: int, weights: WeightProfile):
         self.proxies = proxies
+        self.num_videos = num_videos
         self.demand = DemandProfile(num_videos)  # sum of all local_counts
+        self.weights = weights
+        self.dirty: set[int] = set()
 
     def lps_of(self, proxy_id: int) -> ProxyServer:
         """Left ring neighbor of this proxy."""
@@ -172,11 +186,12 @@ class World:
 def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
                 link_capacity: int) -> World:
     id_source = itertools.count(1)
+    weights = WeightProfile([0] * (3 * num_videos))
     proxies = [
-        ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
+        ProxyServer(pid, cache_capacity, link_capacity, num_videos, weights, id_source)
         for pid in range(num_proxies)
     ]
-    return World(proxies, num_videos)
+    return World(proxies, num_videos, weights)
 
 
 def locate(world: World, proxy_id: int, video_id: int) -> Presence:
@@ -233,7 +248,7 @@ def route_remote(
         )
         if outcome is not None:
             return RouteDecision(source, outcome.allocation, link, outcome.plan)
-    return RouteDecision(RouteSource.REJECTED)
+    return REJECTION
 
 
 def handle_request(
@@ -248,24 +263,34 @@ def handle_request(
 ) -> RouteDecision:
     """Process one arrival end to end at its landing proxy.
 
-    The request is counted first, at the proxy and in ``world.demand``
-    (weights must include it), then served from the local cache when
-    present; otherwise it is routed remotely and on success the video is
-    cached here and marked live while streaming in.
+    The proxy, video and class are checked before any counter moves.  The
+    request is then counted, at the proxy and in ``world.demand`` (weights must include
+    it), and its cell is marked for the next tour.  It is served from the
+    local cache when present; otherwise it is routed remotely and on
+    success the video is cached here and marked live while streaming in.
     """
+    if not (0 <= proxy_id < len(world.proxies) and 0 <= video_id < world.num_videos
+            and 1 <= user_class <= 3):
+        raise ValueError(f"unknown request: proxy {proxy_id}, video {video_id}, "
+                         f"class {user_class}")
+    cell = cell_index(video_id, user_class)
     proxy = world.proxies[proxy_id]
-    proxy.local_counts.record(video_id, user_class)
-    world.demand.record(video_id, user_class)
-    if proxy.has(video_id):
+    local, demand = proxy.local_counts, world.demand
+    local.counts[cell] += 1
+    local.total += 1
+    demand.counts[cell] += 1
+    demand.total += 1
+    world.dirty.add(cell)
+    if video_id in proxy.cache:
         proxy.touch(video_id)
-        return RouteDecision(RouteSource.LOCAL)
-    video = catalog.video(video_id)
+        return LOCAL_HIT
+    video = catalog.videos[video_id]
     weight = proxy.weight_of(video_id, user_class, profits)
     decision = route_remote(
         world, time, proxy_id, video_id, user_class,
         video.min_rate(user_class), video.max_rate(user_class), weight, psg_enabled,
     )
-    if decision.source not in (RouteSource.REJECTED, RouteSource.LOCAL):
+    if decision.source is not RouteSource.REJECTED:
         proxy.insert(video_id)
         proxy.stream_opened(video_id)
     return decision

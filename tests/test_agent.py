@@ -1,4 +1,4 @@
-"""Profile agent tours: weights from the running demand table, pushed everywhere."""
+"""Profile agent tours: weights from the running demand table, in one table all proxies share."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from vodsim.config import ConfigError
-from vodsim.model import CLASSES, UserClass, build_catalog
+from vodsim import sim
+from vodsim.config import ConfigError, SimConfig
+from vodsim.model import CLASSES, UserClass, build_catalog, cell_index
 from vodsim.agent import agent_tour, append_tour_log, schedule_next_tour
 from vodsim.topology import build_world, handle_request
 
@@ -34,11 +35,11 @@ def test_tour_weights_sum_demand_over_proxies():
     report = agent_tour(10.0, world, PROFITS)
     assert report.total_requests == 4
     for proxy in world.proxies:
-        assert proxy.global_weights.weight(3, UserClass.CLASS1) == 2 * 3
-        assert proxy.global_weights.weight(3, UserClass.CLASS2) == 1 * 2
-        assert proxy.global_weights.weight(9, UserClass.CLASS3) == 1 * 1
-        assert proxy.global_weights.weight(9, UserClass.CLASS1) == 0
-    assert world.proxies[0].local_counts.count(3, UserClass.CLASS1) == 1
+        assert proxy.global_weights.weights[cell_index(3, UserClass.CLASS1)] == 2 * 3
+        assert proxy.global_weights.weights[cell_index(3, UserClass.CLASS2)] == 1 * 2
+        assert proxy.global_weights.weights[cell_index(9, UserClass.CLASS3)] == 1 * 1
+        assert proxy.global_weights.weights[cell_index(9, UserClass.CLASS1)] == 0
+    assert world.proxies[0].local_counts.counts[cell_index(3, UserClass.CLASS1)] == 1
 
 
 def test_tour_pushes_weights_everywhere():
@@ -46,7 +47,7 @@ def test_tour_pushes_weights_everywhere():
     request(world, catalog, 1, 7, UserClass.CLASS1, times=5)
     agent_tour(10.0, world, PROFITS)
     table = world.proxies[0].global_weights
-    assert table.weight(7, UserClass.CLASS1) == 15
+    assert table.weights[cell_index(7, UserClass.CLASS1)] == 15
     for proxy in world.proxies:
         assert proxy.global_weights is table
 
@@ -66,12 +67,12 @@ def test_tour_does_not_reset_counters():
     world, catalog = setup()
     request(world, catalog, 0, 1, UserClass.CLASS1)
     agent_tour(10.0, world, PROFITS)
-    assert world.proxies[0].local_counts.count(1, UserClass.CLASS1) == 1
-    assert world.demand.count(1, UserClass.CLASS1) == 1
+    assert world.proxies[0].local_counts.counts[cell_index(1, UserClass.CLASS1)] == 1
+    assert world.demand.counts[cell_index(1, UserClass.CLASS1)] == 1
     request(world, catalog, 0, 1, UserClass.CLASS1)
     report = agent_tour(20.0, world, PROFITS)
     assert report.total_requests == 2
-    assert world.proxies[0].global_weights.weight(1, UserClass.CLASS1) == 6
+    assert world.proxies[0].global_weights.weights[cell_index(1, UserClass.CLASS1)] == 6
 
 
 def test_second_tour_without_new_demand_changes_nothing():
@@ -80,11 +81,42 @@ def test_second_tour_without_new_demand_changes_nothing():
     for _ in range(400):
         request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
     first = agent_tour(10.0, world, PROFITS)
-    weights = world.proxies[0].global_weights.weights
+    weights = world.proxies[0].global_weights.weights[:]
     second = agent_tour(20.0, world, PROFITS)
     assert second.total_requests == first.total_requests == 400
     for proxy in world.proxies:
         assert proxy.global_weights.weights == weights
+
+
+def test_incremental_tours_equal_full_rebuild(monkeypatch):
+    # a tour rewrites only the cells marked since the last one; after every
+    # tour the shared table must still equal count x profit in every cell
+    config = SimConfig(num_proxies=5, total_arrival_rate=2.0, horizon=2500.0, seed=3)
+    profits = config.profits
+    real_tour = sim.agent_tour
+    previous = [0] * (3 * config.num_videos)
+    changed_per_tour = []
+
+    def checked_tour(time, world, tour_profits):
+        counts = world.demand.counts
+        changed = {cell for cell, count in enumerate(counts) if count != previous[cell]}
+        assert world.dirty == changed
+        report = real_tour(time, world, tour_profits)
+        assert not world.dirty
+        for vid in range(config.num_videos):
+            for user_class in CLASSES:
+                cell = cell_index(vid, user_class)
+                expected = world.demand.counts[cell] * profits[user_class - 1]
+                assert world.weights.weights[cell] == expected
+        assert all(proxy.global_weights is world.weights for proxy in world.proxies)
+        changed_per_tour.append(len(changed))
+        previous[:] = world.demand.counts
+        return report
+
+    monkeypatch.setattr(sim, "agent_tour", checked_tour)
+    result = sim.run(config)
+    assert len(changed_per_tour) == len(result.tour_reports) == 25
+    assert min(changed_per_tour) > 0
 
 
 def test_schedule_next_tour():

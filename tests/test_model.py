@@ -14,6 +14,7 @@ from vodsim.model import (
     UserClass,
     WeightProfile,
     build_catalog,
+    cell_index,
     initial_tier_table,
     tier_census,
 )
@@ -64,27 +65,27 @@ def test_build_catalog_is_deterministic():
 
 
 def test_demand_profile_counts():
+    # one flat cell per (video, class), all zero at the start; a cell's
+    # class is its index mod 3, plus one
     profile = DemandProfile(8)
-    profile.record(3, UserClass.CLASS1)
-    profile.record(3, UserClass.CLASS1)
-    profile.record(3, UserClass.CLASS3)
-    profile.record(5, UserClass.CLASS2)
-    assert profile.count(3, UserClass.CLASS1) == 2
-    assert profile.count(3, UserClass.CLASS2) == 0
-    assert profile.count(3, UserClass.CLASS3) == 1
-    assert profile.total == 4
-    with pytest.raises(ValueError):
-        profile.record(8, UserClass.CLASS1)
+    assert profile.counts == [0] * 24
+    assert profile.total == 0
+    cells = [cell_index(vid, user_class) for vid in range(8) for user_class in CLASSES]
+    assert cells == list(range(24))
+    for vid in range(8):
+        for user_class in CLASSES:
+            assert cell_index(vid, user_class) % 3 + 1 == user_class
 
 
 def test_weights_are_count_times_profit():
     rng = random.Random(17)
     profile = DemandProfile(12)
     for _ in range(500):
-        profile.record(rng.randrange(12), rng.choice(CLASSES))
+        profile.counts[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
     profits = (3, 2, 1)
-    table = WeightProfile.derive(profile, profits)
+    table = WeightProfile([0] * 36)
+    table.refresh(profile, profits, range(len(profile.counts)))
     for vid in range(12):
         for user_class in CLASSES:
-            expected = profile.count(vid, user_class) * profits[user_class - 1]
-            assert table.weight(vid, user_class) == expected
+            cell = cell_index(vid, user_class)
+            assert table.weights[cell] == profile.counts[cell] * profits[user_class - 1]

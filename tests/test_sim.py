@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from vodsim.allocation import LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import Replay, SeriesPoint, emit_reports, ledger_bytes
+from vodsim import sim
 from vodsim.model import CLASSES, UserClass, build_catalog
 from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, generate_arrival, run
 from vodsim.topology import RouteSource
@@ -133,8 +136,8 @@ def test_demand_table_is_sum_of_proxy_counts():
     result = run(SMALL)
     proxies = result.world.proxies
     expected = [
-        [sum(proxy.local_counts.counts[vid][cls] for proxy in proxies) for cls in range(3)]
-        for vid in range(SMALL.num_videos)
+        sum(proxy.local_counts.counts[cell] for proxy in proxies)
+        for cell in range(3 * SMALL.num_videos)
     ]
     assert result.world.demand.counts == expected
     assert result.world.demand.total == result.counters.requested
@@ -154,6 +157,73 @@ def test_paired_runs_share_arrivals():
     assert without.counters.served_lps == 0
     assert without.counters.served_rps == 0
     assert with_psg.counters.requested == without.counters.requested
+
+
+@pytest.mark.parametrize("dt", [2.5, 10.0])
+def test_pending_arrival_keeps_all_heap_order(dt, monkeypatch):
+    # arrivals land exactly on sample and tour ticks; ties must go to the
+    # earlier-scheduled event, as one heap of all events would order them
+    real_arrival = sim.generate_arrival
+    monkeypatch.setattr(
+        sim, "generate_arrival", lambda rng, config: (dt,) + real_arrival(rng, config)[1:]
+    )
+    kinds = {sim.EV_COMPLETION: "completion", sim.EV_TOUR: "tour", sim.EV_SAMPLE: "sample"}
+    scheduled, handled = [], []  # the n-th event scheduled draws sequence number n
+    push, schedule_arrival = Simulation._push, Simulation._schedule_arrival
+
+    def logged_push(self, time, kind, payload=None):
+        scheduled.append((time, len(scheduled), kinds[kind]))
+        push(self, time, kind, payload)
+
+    def logged_schedule_arrival(self):
+        schedule_arrival(self)
+        assert self.pending[1] == len(scheduled)
+        scheduled.append((self.pending[0], len(scheduled), "arrival"))
+
+    monkeypatch.setattr(Simulation, "_push", logged_push)
+    monkeypatch.setattr(Simulation, "_schedule_arrival", logged_schedule_arrival)
+    for name, kind in (("_on_arrival", "arrival"), ("_on_completion", "completion"),
+                       ("_on_tour", "tour"), ("_on_sample", "sample")):
+        def logged(self, *args, _handler=getattr(Simulation, name), _kind=kind):
+            handled.append((self.now, _kind))
+            return _handler(self, *args)
+        monkeypatch.setattr(Simulation, name, logged)
+    config = dataclasses.replace(SMALL, horizon=400.0)
+    run(config)
+    expected = [(time, kind) for time, _seq, kind in sorted(scheduled) if time <= config.horizon]
+    assert handled == expected
+    ties = [
+        (a, b) for a, b in zip(handled, handled[1:]) if a[0] == b[0] and "arrival" in (a[1], b[1])
+    ]
+    assert len(ties) >= 40  # an arrival lands on each of the 40 sample ticks
+
+
+@pytest.fixture(scope="module")
+def small_digest():
+    return run(SMALL).arrival_digest
+
+
+# Each replaces one field of a pending (time, seq, proxy, video, class) entry.
+PERTURBATIONS = {
+    "time_ulp": lambda e: (math.nextafter(e[0], math.inf),) + e[1:],
+    "proxy": lambda e: e[:2] + ((e[2] + 1) % SMALL.num_proxies,) + e[3:],
+    "video": lambda e: e[:3] + ((e[3] + 1) % SMALL.num_videos,) + e[4:],
+    "class": lambda e: e[:4] + (UserClass(e[4] % 3 + 1),),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PERTURBATIONS))
+def test_arrival_digest_sees_every_field(field, small_digest, monkeypatch):
+    schedule_arrival = Simulation._schedule_arrival
+    calls = itertools.count()
+
+    def perturbed(self):
+        schedule_arrival(self)
+        if next(calls) == 10:
+            self.pending = PERTURBATIONS[field](self.pending)
+
+    monkeypatch.setattr(Simulation, "_schedule_arrival", perturbed)
+    assert run(SMALL).arrival_digest != small_digest
 
 
 def test_no_psg_never_touches_neighbor_links():

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from vodsim.allocation import LinkKind
-from vodsim.model import CLASSES, Tier, UserClass, build_catalog
+from vodsim.model import CLASSES, Tier, UserClass, build_catalog, cell_index
 from vodsim.topology import (
     Presence,
     RouteSource,
@@ -129,8 +129,8 @@ def test_handle_request_local_hit_touches_lru():
     decision = handle_request(world, 9.0, 2, 5, UserClass.CLASS1, catalog, PROFITS)
     assert decision.source is RouteSource.LOCAL
     assert list(proxy.cache) == [6, 5]
-    assert proxy.local_counts.count(5, UserClass.CLASS1) == 1
-    assert world.demand.count(5, UserClass.CLASS1) == 1
+    assert proxy.local_counts.counts[cell_index(5, UserClass.CLASS1)] == 1
+    assert world.demand.counts[cell_index(5, UserClass.CLASS1)] == 1
 
 
 def test_handle_request_caches_on_success():
@@ -152,7 +152,32 @@ def test_handle_request_rejection_does_not_cache():
     decision = handle_request(world, 1.0, 0, 7, UserClass.CLASS1, catalog, PROFITS)
     assert decision.source is RouteSource.REJECTED
     assert not proxy.has(7)
-    assert proxy.local_counts.count(7, UserClass.CLASS1) == 1
+    assert proxy.local_counts.counts[cell_index(7, UserClass.CLASS1)] == 1
+
+
+@pytest.mark.parametrize(
+    "proxy_id, video_id, user_class",
+    [(0, -1, 1), (0, 48, 1), (0, 5, 0), (0, 5, 4), (-1, 5, 1), (6, 5, 1)],
+    ids=["video-1", "video48", "class0", "class4", "proxy-1", "proxy6"],
+)
+def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, user_class):
+    # the tables are flat, so an unchecked video -1 or class 0 would
+    # silently bump a cell of another video, and proxy -1 would count at
+    # the last proxy
+    world = small_world(num_videos=48)
+    catalog = small_catalog(num_videos=48)
+    handle_request(world, 1.0, 0, 47, UserClass.CLASS3, catalog, PROFITS)
+
+    def state():
+        return (
+            [(proxy.local_counts.counts[:], proxy.local_counts.total) for proxy in world.proxies],
+            world.demand.counts[:], world.demand.total, set(world.dirty),
+        )
+
+    before = state()
+    with pytest.raises(ValueError, match="unknown request"):
+        handle_request(world, 2.0, proxy_id, video_id, user_class, catalog, PROFITS)
+    assert state() == before
 
 
 def test_lru_evicts_idle_least_recent():
@@ -289,10 +314,10 @@ def test_over_capacity_close_evicts_like_reference():
 def test_weight_prefers_fresher_view():
     world = small_world()
     proxy = world.proxies[0]
-    for _ in range(4):
-        proxy.local_counts.record(7, UserClass.CLASS1)
+    cell = cell_index(7, UserClass.CLASS1)
+    proxy.local_counts.counts[cell] = 4
     assert proxy.weight_of(7, UserClass.CLASS1, PROFITS) == 12
-    proxy.global_weights.weights[7][0] = 30
+    proxy.global_weights.weights[cell] = 30
     assert proxy.weight_of(7, UserClass.CLASS1, PROFITS) == 30
 
 
@@ -305,7 +330,7 @@ def test_initial_placement_quota_and_replication():
         assert len(proxy.cache) == 16
         by_tier = {tier: 0 for tier in Tier}
         for vid in proxy.cache:
-            by_tier[catalog.video(vid).tier] += 1
+            by_tier[catalog.videos[vid].tier] += 1
         assert by_tier[Tier.MOST] == 4
         assert by_tier[Tier.SECONDARY] == 4
         assert by_tier[Tier.LEAST] == 8
