@@ -6,7 +6,7 @@ from .allocation import Allocation, Link, LinkKind, ReclaimPlan
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Counters, MetricsBundle, emit_reports, time_avg_utilization
 from .model import Catalog, DemandProfile, Tier, UserClass, VideoMeta, WeightProfile
-from .sim import SimResult, Simulation, baseline_no_psg, generate_arrival, run
+from .sim import SimResult, Simulation, baseline_no_psg, draw_arrivals, run
 from .topology import ProxyServer, RouteDecision, RouteSource, World, build_world
 
 __version__ = "0.1.0"
@@ -34,8 +34,8 @@ __all__ = [
     "World",
     "baseline_no_psg",
     "build_world",
+    "draw_arrivals",
     "emit_reports",
-    "generate_arrival",
     "load_config",
     "run",
     "time_avg_utilization",

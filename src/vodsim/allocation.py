@@ -80,16 +80,6 @@ class LedgerRow:
     max_rate: int
 
 
-@dataclass
-class AdmissionOutcome:
-    """What admit() did: the new allocation, whether it got its maximum,
-    and the reclaim plan it applied (None when no reclamation happened)."""
-
-    allocation: Allocation
-    at_max: bool
-    plan: ReclaimPlan | None
-
-
 class Link:
     """A directed link with fixed integer capacity in MB/s.
 
@@ -132,7 +122,7 @@ class Link:
         """
         if needed < 0:
             raise ValueError("needed must be non-negative")
-        remaining = needed - self.free_bandwidth()
+        remaining = needed - (self.capacity - self.used)
         if remaining <= 0:
             return ReclaimPlan()
         if remaining > self.excess[user_class]:
@@ -171,21 +161,25 @@ class Link:
         min_rate: int,
         max_rate: int,
         weight: int,
-    ) -> AdmissionOutcome | None:
-        """Admit a stream or reject it, leaving the link untouched on reject."""
+    ) -> tuple[Allocation, ReclaimPlan | None] | None:
+        """Admit a stream or reject it, leaving the link untouched on reject.
+
+        Returns the new allocation and the reclaim plan it applied (None
+        when free bandwidth covered it), or None on rejection.
+        """
         if not 0 < min_rate <= max_rate:
             raise ValueError(f"bad rate bounds ({min_rate}, {max_rate})")
-        free = self.free_bandwidth()
+        free = self.capacity - self.used
         if free >= max_rate:
-            rate, at_max, plan = max_rate, True, None
+            rate, plan = max_rate, None
         elif free >= min_rate:
-            rate, at_max, plan = min_rate, False, None
+            rate, plan = min_rate, None
         else:
             plan = self.plan_reclaim(user_class, min_rate)
             if plan is None:
                 return None
             self._apply_reclaim(time, plan)
-            rate, at_max = min_rate, min_rate == max_rate
+            rate = min_rate
         alloc = Allocation(next(self.id_source), video_id, user_class,
                            rate, min_rate, max_rate, weight)
         self.allocations[alloc.alloc_id] = alloc
@@ -196,7 +190,7 @@ class Link:
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
         self._log(time, "allocate", alloc, rate)
-        return AdmissionOutcome(alloc, at_max, plan)
+        return alloc, plan
 
     def release(self, time: float, alloc_id: int) -> Allocation:
         """Tear down an allocation and return it; unknown ids are a bug."""

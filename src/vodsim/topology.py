@@ -3,9 +3,11 @@
 Proxies sit on a ring; each proxy owns three inbound links it serves
 streams over: from its left neighbor, from its right neighbor, and from
 the central server.  A request lands at a proxy and is served locally when
-the video is cached there; otherwise the router looks at which neighbors
-hold the video and picks a source, preferring whichever neighbor link has
-more free bandwidth and falling back to the central server.
+the video is cached there.  On a miss the router reads the two neighbors'
+caches and tries at most one neighbor link: the one neighbor holding the
+video, or, when both do, the one whose link has strictly more free
+bandwidth (ties go right).  If that link rejects, or no neighbor holds the
+video, the central server is the only other source.
 
 Caches are LRU, kept in recency order, but a video with a live inbound
 stream is never evicted; when everything cached is live the cache may
@@ -27,7 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .allocation import AdmissionOutcome, Link, LinkKind, ReclaimPlan
+from .allocation import Link, LinkKind, ReclaimPlan
 from .model import Catalog, DemandProfile, Tier, TIERS, UserClass, WeightProfile, cell_index
 
 
@@ -41,16 +43,11 @@ class RouteSource(Enum):
     REJECTED = "rejected"
 
 
-class Presence(Enum):
-    """Which of the two ring neighbors hold the requested video."""
-
-    LPS_ONLY = "lps_only"
-    RPS_ONLY = "rps_only"
-    BOTH = "both"
-    NEITHER = "neither"
+# Read through the class, an Enum member costs ~0.1 us on Python 3.11.
+LOCAL, LPS, RPS, CMS, REJECTED = RouteSource
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteDecision:
     """Outcome of one request at one proxy."""
 
@@ -61,8 +58,8 @@ class RouteDecision:
 
 
 # Shared by every local hit and every rejection; never mutated.
-LOCAL_HIT = RouteDecision(RouteSource.LOCAL)
-REJECTION = RouteDecision(RouteSource.REJECTED)
+LOCAL_HIT = RouteDecision(LOCAL)
+REJECTION = RouteDecision(REJECTED)
 
 
 class ProxyServer:
@@ -81,9 +78,6 @@ class ProxyServer:
             kind: Link(kind, link_capacity, f"{label}-{kind.value}", id_source)
             for kind in LinkKind
         }
-
-    def has(self, video_id: int) -> bool:
-        return video_id in self.cache
 
     def touch(self, video_id: int) -> None:
         """Move a cached video to the most recently used end."""
@@ -171,14 +165,6 @@ class World:
         self.weights = weights
         self.dirty: set[int] = set()
 
-    def lps_of(self, proxy_id: int) -> ProxyServer:
-        """Left ring neighbor of this proxy."""
-        return self.proxies[(proxy_id - 1) % len(self.proxies)]
-
-    def rps_of(self, proxy_id: int) -> ProxyServer:
-        """Right ring neighbor of this proxy."""
-        return self.proxies[(proxy_id + 1) % len(self.proxies)]
-
     def all_links(self) -> list[Link]:
         return [link for proxy in self.proxies for link in proxy.links.values()]
 
@@ -192,19 +178,6 @@ def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
         for pid in range(num_proxies)
     ]
     return World(proxies, num_videos, weights)
-
-
-def locate(world: World, proxy_id: int, video_id: int) -> Presence:
-    """Check the two ring neighbors of a proxy for a video."""
-    at_lps = world.lps_of(proxy_id).has(video_id)
-    at_rps = world.rps_of(proxy_id).has(video_id)
-    if at_lps and at_rps:
-        return Presence.BOTH
-    if at_lps:
-        return Presence.LPS_ONLY
-    if at_rps:
-        return Presence.RPS_ONLY
-    return Presence.NEITHER
 
 
 def route_remote(
@@ -226,29 +199,23 @@ def route_remote(
     rejects, the central server is the only fallback.  Without sharing
     everything goes straight to the central server.
     """
-    proxy = world.proxies[proxy_id]
+    proxies = world.proxies
     # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS
-    lps_link, rps_link, cms_link = proxy.links.values()
-    attempts: list[tuple[RouteSource, Link]] = []
+    lps_link, rps_link, cms_link = proxies[proxy_id].links.values()
     if psg_enabled:
-        presence = locate(world, proxy_id, video_id)
-        if presence is Presence.BOTH:
-            if lps_link.free_bandwidth() > rps_link.free_bandwidth():
-                attempts.append((RouteSource.LPS, lps_link))
-            else:
-                attempts.append((RouteSource.RPS, rps_link))
-        elif presence is Presence.LPS_ONLY:
-            attempts.append((RouteSource.LPS, lps_link))
-        elif presence is Presence.RPS_ONLY:
-            attempts.append((RouteSource.RPS, rps_link))
-    attempts.append((RouteSource.CMS, cms_link))
-    for source, link in attempts:
-        outcome: AdmissionOutcome | None = link.admit(
-            time, video_id, user_class, min_rate, max_rate, weight
-        )
-        if outcome is not None:
-            return RouteDecision(source, outcome.allocation, link, outcome.plan)
-    return REJECTION
+        at_lps = video_id in proxies[proxy_id - 1].cache  # proxy 0's left is the last
+        at_rps = video_id in proxies[(proxy_id + 1) % len(proxies)].cache
+        if at_lps and at_rps:
+            at_lps = lps_link.free_bandwidth() > rps_link.free_bandwidth()
+        if at_lps or at_rps:
+            source, link = (LPS, lps_link) if at_lps else (RPS, rps_link)
+            admitted = link.admit(time, video_id, user_class, min_rate, max_rate, weight)
+            if admitted is not None:
+                return RouteDecision(source, admitted[0], link, admitted[1])
+    admitted = cms_link.admit(time, video_id, user_class, min_rate, max_rate, weight)
+    if admitted is None:
+        return REJECTION
+    return RouteDecision(CMS, admitted[0], cms_link, admitted[1])
 
 
 def handle_request(
@@ -290,7 +257,7 @@ def handle_request(
         world, time, proxy_id, video_id, user_class,
         video.min_rate(user_class), video.max_rate(user_class), weight, psg_enabled,
     )
-    if decision.source is not RouteSource.REJECTED:
+    if decision.source is not REJECTED:
         proxy.insert(video_id)
         proxy.stream_opened(video_id)
     return decision
@@ -303,37 +270,30 @@ def seed_initial_placement(world: World, catalog: Catalog, rng: random.Random) -
     tiers and the remainder from the least popular tier.  Tier lists are
     shuffled once and dealt round-robin so replicas spread as evenly as
     the counts allow; each cache is then stored in ascending id order.
+
+    Proxy ``k`` takes the ``quota`` entries of the cyclic pool that start
+    at ``k * quota``.  They are always distinct and new to its cache:
+    tiers are disjoint id ranges, so no tier deals an id another tier
+    already dealt, and a quota is at most its tier's size, so no slice
+    wraps onto its own start.  ``SimConfig.validate()`` ensures that for
+    every run; a direct caller with a larger quota gets ``ValueError``.
     """
-    quota = {
-        Tier.MOST: world.proxies[0].cache_capacity // 4,
-        Tier.SECONDARY: world.proxies[0].cache_capacity // 4,
-    }
-    quota[Tier.LEAST] = world.proxies[0].cache_capacity - sum(quota.values())
+    capacity = world.proxies[0].cache_capacity
+    quota = {Tier.MOST: capacity // 4, Tier.SECONDARY: capacity // 4}
+    quota[Tier.LEAST] = capacity - 2 * (capacity // 4)
+    dealt: list[list[int]] = [[] for _ in world.proxies]
     for tier in TIERS:
         pool = catalog.tier_members[tier][:]
         rng.shuffle(pool)
         per_proxy = quota[tier]
         if per_proxy > len(pool):
             raise ValueError(f"cache quota {per_proxy} exceeds {tier.value} tier size {len(pool)}")
-        idx = 0
-        for proxy in world.proxies:
-            placed = 0
-            skipped = 0
-            while placed < per_proxy:
-                video_id = pool[idx % len(pool)]
-                idx += 1
-                if video_id in proxy.cache:
-                    skipped += 1
-                    if skipped > len(pool):
-                        raise ValueError(
-                            f"proxy {proxy.proxy_id} cannot fit {tier.value} quota"
-                        )
-                    continue
-                proxy.cache[video_id] = None
-                placed += 1
-                skipped = 0
-    for proxy in world.proxies:
-        proxy.cache = dict.fromkeys(sorted(proxy.cache))
+        ring = pool + pool
+        for k, videos in enumerate(dealt):
+            start = k * per_proxy % len(pool)
+            videos.extend(ring[start:start + per_proxy])
+    for proxy, videos in zip(world.proxies, dealt):
+        proxy.cache = dict.fromkeys(sorted(videos))
 
 
 def placement_dump(world: World) -> str:

@@ -22,9 +22,9 @@ def test_admit_prefers_maximum():
     link = fresh_link(100)
     outcome = link.admit(0.0, video_id=1, user_class=C1, min_rate=8, max_rate=24, weight=0)
     assert outcome is not None
-    assert outcome.allocation.rate == 24
-    assert outcome.at_max
-    assert outcome.plan is None
+    alloc, plan = outcome
+    assert alloc.rate == alloc.max_rate == 24
+    assert plan is None
     assert link.free_bandwidth() == 76
 
 
@@ -33,9 +33,10 @@ def test_admit_degrades_to_minimum():
     link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     outcome = link.admit(1.0, 2, C1, min_rate=5, max_rate=20, weight=0)
     assert outcome is not None
-    assert outcome.allocation.rate == 5
-    assert not outcome.at_max
-    assert outcome.plan is None
+    alloc, plan = outcome
+    assert alloc.rate == 5
+    assert alloc.rate != alloc.max_rate
+    assert plan is None
     assert link.used == 29
 
 
@@ -57,25 +58,26 @@ def test_reclaim_takes_from_lowest_weight_first():
     # from heavier streams exactly as a weight-99 one does
     for requester_weight in (99, 0):
         link = fresh_link(40)
-        heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50).allocation
-        light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5).allocation
+        heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50)[0]
+        light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5)[0]
         assert link.used == 40 and link.free_bandwidth() == 0
         outcome = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
         assert outcome is not None
-        assert outcome.allocation.rate == 7
-        assert outcome.plan is not None
-        assert outcome.plan.victims[0][0] == light.alloc_id
-        assert light.rate == 20 - outcome.plan.victims[0][1]
-        assert sum(take for _, take in outcome.plan.victims) == 7
-        victim_ids = [vid for vid, _ in outcome.plan.victims]
+        alloc, plan = outcome
+        assert alloc.rate == 7
+        assert plan is not None
+        assert plan.victims[0][0] == light.alloc_id
+        assert light.rate == 20 - plan.victims[0][1]
+        assert sum(take for _, take in plan.victims) == 7
+        victim_ids = [vid for vid, _ in plan.victims]
         assert heavy.alloc_id not in victim_ids or victim_ids.index(heavy.alloc_id) > 0
         assert link.used == 40
 
 
 def test_reclaim_never_cuts_below_minimum():
     link = fresh_link(24)
-    a = link.admit(0.0, 1, C3, min_rate=4, max_rate=12, weight=1).allocation
-    b = link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=2).allocation
+    a = link.admit(0.0, 1, C3, min_rate=4, max_rate=12, weight=1)[0]
+    b = link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=2)[0]
     outcome = link.admit(1.0, 3, C3, min_rate=6, max_rate=14, weight=0)
     assert outcome is not None
     assert a.rate >= a.min_rate
@@ -92,7 +94,7 @@ def test_reclaim_ignores_other_classes():
 
 def test_reclaim_all_or_nothing():
     link = fresh_link(20)
-    victim = link.admit(0.0, 1, C3, min_rate=4, max_rate=17, weight=0).allocation
+    victim = link.admit(0.0, 1, C3, min_rate=4, max_rate=17, weight=0)[0]
     assert victim.rate == 17
     outcome = link.admit(1.0, 2, C3, min_rate=17, max_rate=17, weight=9)
     assert outcome is None
@@ -110,19 +112,19 @@ def test_plan_reclaim_empty_when_free_covers():
 
 def test_release_returns_bandwidth():
     link = fresh_link(40)
-    outcome = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    alloc, _plan = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     assert link.free_bandwidth() == 16
-    link.release(2.0, outcome.allocation.alloc_id)
+    link.release(2.0, alloc.alloc_id)
     assert link.free_bandwidth() == 40
     with pytest.raises(InvariantViolation):
-        link.release(3.0, outcome.allocation.alloc_id)
+        link.release(3.0, alloc.alloc_id)
 
 
 def test_conservation_check_catches_tampering():
     link = fresh_link(40)
-    outcome = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    alloc, _plan = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     link.check_conservation()
-    outcome.allocation.rate += 1
+    alloc.rate += 1
     with pytest.raises(InvariantViolation):
         link.check_conservation()
 
@@ -142,7 +144,7 @@ def test_ledger_replay_matches_live_state():
                 weight=rng.randrange(10),
             )
             if outcome is not None:
-                live.append(outcome.allocation.alloc_id)
+                live.append(outcome[0].alloc_id)
         replayed = Replay([LinkLedger.from_link(link)], float(step)).live[0]
         assert replayed == {a: alloc.rate for a, alloc in link.allocations.items()}
         assert sum(replayed.values()) == link.used
@@ -176,8 +178,9 @@ def test_engine_matches_oracle_on_random_states():
         else:
             rate, victims = expected
             assert outcome is not None
-            assert outcome.allocation.rate == rate
-            got = sorted(outcome.plan.victims) if outcome.plan else []
+            alloc, plan = outcome
+            assert alloc.rate == rate
+            got = sorted(plan.victims) if plan else []
             assert got == sorted(victims)
             link.check_conservation()
 
@@ -219,8 +222,9 @@ def test_excess_tracks_admit_reclaim_and_release():
                                  rng.randint(min_lo, min_hi), rng.randint(max_lo, max_hi),
                                  weight=rng.randrange(10))
             if outcome is not None:
-                live.append(outcome.allocation.alloc_id)
-                reclaims += bool(outcome.plan and outcome.plan.victims)
+                alloc, plan = outcome
+                live.append(alloc.alloc_id)
+                reclaims += bool(plan and plan.victims)
         recount = {c: sum(a.rate - a.min_rate for a in link.allocations.values()
                           if a.user_class == c) for c in CLASSES}
         assert {c: link.excess[c] for c in CLASSES} == recount, f"step {step}"

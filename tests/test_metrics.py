@@ -226,7 +226,7 @@ def test_walk_handles_random_traffic():
             outcome = link.admit(now, rng.randrange(9), rng.choice((C1, C2, C3)),
                                  rng.randint(4, 8), rng.randint(12, 25), rng.randrange(6))
             if outcome is not None:
-                live.append(outcome.allocation.alloc_id)
+                live.append(outcome[0].alloc_id)
     for alloc_id in live:
         link.release(now + 1.0, alloc_id)
     horizon = now + 2.0

@@ -14,41 +14,130 @@ from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import Replay, SeriesPoint, emit_reports, ledger_bytes
 from vodsim import sim
 from vodsim.model import CLASSES, UserClass, build_catalog
-from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, generate_arrival, run
+from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, draw_arrivals, run
 from vodsim.topology import RouteSource
 
 SMALL = SimConfig(horizon=600.0, seed=9)
 
 
-def test_generate_arrival_is_deterministic():
+def test_draw_arrivals_is_deterministic():
     config = SimConfig()
-    a = [generate_arrival(random.Random(5), config) for _ in range(50)]
-    b = [generate_arrival(random.Random(5), config) for _ in range(50)]
-    assert a == b
+    assert draw_arrivals(random.Random(5), config, 50) == draw_arrivals(random.Random(5), config, 50)
 
 
-def test_generate_arrival_fields_in_range():
+def test_draw_arrivals_fields_in_range():
     config = SimConfig()
-    rng = random.Random(12)
-    for _ in range(2000):
-        dt, proxy_id, video_id, user_class = generate_arrival(rng, config)
+    for dt, proxy_id, video_id, user_class in draw_arrivals(random.Random(12), config, 2000):
         assert dt >= 0.0
         assert 0 <= proxy_id < config.num_proxies
         assert 0 <= video_id < config.num_videos
-        assert user_class in (UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3)
+        assert type(user_class) is UserClass
 
 
-def test_generate_arrival_mean_interarrival():
+def test_draw_arrivals_mean_interarrival():
     config = dataclasses.replace(SimConfig(), total_arrival_rate=4.0)
-    rng = random.Random(31)
-    draws = [generate_arrival(rng, config)[0] for _ in range(20000)]
+    draws = [arrival[0] for arrival in draw_arrivals(random.Random(31), config, 20000)]
     assert sum(draws) / len(draws) == pytest.approx(0.25, rel=0.05)
+
+
+def test_draw_arrivals_rejects_unvalidated_config():
+    # an empty proxy or tier range would never end its redraw loop
+    with pytest.raises(ConfigError, match="3 proxies"):
+        draw_arrivals(random.Random(1), SimConfig(num_proxies=2), 10)
+
+
+def generate_arrival(rng, config):
+    """One request drawn with the ``random.Random`` methods themselves.
+
+    The one-at-a-time draw ``draw_arrivals`` replaced, kept as its
+    reference: a block must hold exactly these requests.
+    """
+    dt = rng.expovariate(config.total_arrival_rate)
+    proxy_id = rng.randrange(config.num_proxies)
+    num_videos = config.num_videos
+    quarter = num_videos // 4
+    most, secondary, _least = config.tier_mix
+    draw = rng.random()
+    if draw < most:
+        video_id = rng.randrange(quarter)
+    elif draw < most + secondary:
+        video_id = quarter + rng.randrange(quarter)
+    else:
+        video_id = 2 * quarter + rng.randrange(num_videos - 2 * quarter)
+    class1, class2, _class3 = config.class_mix
+    draw = rng.random()
+    if draw < class1:
+        user_class = UserClass.CLASS1
+    elif draw < class1 + class2:
+        user_class = UserClass.CLASS2
+    else:
+        user_class = UserClass.CLASS3
+    return dt, proxy_id, video_id, user_class
+
+
+# The benchmark workloads (perfbench/harness.py), then tier sizes of 1, a
+# power of two and neither; ring sizes 3, 4 and 7 cover a proxy draw that
+# never, often and sometimes redraws.
+EXACT_CONFIGS = {
+    "default": SimConfig(),
+    "saturated_x4": SimConfig(total_arrival_rate=4.0, horizon=10000.0),
+    "overload_x16": SimConfig(total_arrival_rate=16.0, horizon=5000.0),
+    "large_catalog": SimConfig(num_proxies=12, num_videos=4800, cache_capacity=1600,
+                               agent_period=50.0, total_arrival_rate=1.0, horizon=5000.0),
+    "tier_size_1": SimConfig(num_proxies=3, num_videos=4, cache_capacity=4),
+    "tier_size_8": SimConfig(num_proxies=4, num_videos=32, cache_capacity=8),
+    "tier_size_12": SimConfig(num_proxies=7, num_videos=48, cache_capacity=8,
+                              total_arrival_rate=2.5, tier_mix=(0.2, 0.3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CONFIGS))
+def test_draw_arrivals_makes_the_reference_draws(name):
+    # fails if the interpreter's expovariate or randrange draw differently
+    config = EXACT_CONFIGS[name].validate()
+    for seed in (0, 1, 7, 31):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert draw_arrivals(rng, config, 1500) == [
+            generate_arrival(reference, config) for _ in range(1500)
+        ]
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_arrival_block_size_changes_nothing(block, monkeypatch):
+    config = dataclasses.replace(SMALL, total_arrival_rate=4.0, horizon=300.0)
+    default = run(config)
+    monkeypatch.setattr(sim, "ARRIVAL_BLOCK", block)
+    blocked = run(config)
+    assert blocked.arrival_digest == default.arrival_digest
+    assert blocked.counters == default.counters
+
+
+def test_link_capacity_below_every_class_minimum(tmp_path):
+    # a legal degenerate config: 3 MB/s is below every class minimum (4 MB/s
+    # or more), so every link rejects every stream
+    config = dataclasses.replace(SMALL, link_capacity=3, horizon=300.0).validate()
+    result = run(config)
+    counters = result.counters
+    assert counters.remote_requests > 0
+    assert counters.rejected == counters.remote_requests
+    assert counters.served_remote == counters.drained == 0
+    assert counters.identity_holds()
+    assert all(ledger.rows == [] for ledger in result.ledgers)
+    emit_reports(result, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in summary if line.startswith("CHECK:")] == [
+        "CHECK:conservation=PASS", "CHECK:ledger_bounds=PASS",
+    ]
+    util = [line.split("=") for line in summary if line.startswith("util_avg_")]
+    assert [name for name, _ in util] == [f"util_avg_{kind.value}" for kind in LINK_KINDS]
+    assert all(float(value) == 0.0 for _, value in util)
 
 
 def make_stream(rate=10, size=100, now=0.0):
     link = Link(LinkKind.PS_CMS, 300, "t")
-    outcome = link.admit(now, 1, UserClass.CLASS1, rate, rate, weight=0)
-    return link, StreamProgress(outcome.allocation, link, 0, RouteSource.CMS, size, now)
+    alloc, _plan = link.admit(now, 1, UserClass.CLASS1, rate, rate, weight=0)
+    return link, StreamProgress(alloc, link, 0, RouteSource.CMS, size, now)
 
 
 def test_stream_progress_integrates_bytes():
@@ -163,9 +252,10 @@ def test_paired_runs_share_arrivals():
 def test_pending_arrival_keeps_all_heap_order(dt, monkeypatch):
     # arrivals land exactly on sample and tour ticks; ties must go to the
     # earlier-scheduled event, as one heap of all events would order them
-    real_arrival = sim.generate_arrival
+    real_draw = sim.draw_arrivals
     monkeypatch.setattr(
-        sim, "generate_arrival", lambda rng, config: (dt,) + real_arrival(rng, config)[1:]
+        sim, "draw_arrivals",
+        lambda rng, config, n: [(dt,) + arrival[1:] for arrival in real_draw(rng, config, n)],
     )
     kinds = {sim.EV_COMPLETION: "completion", sim.EV_TOUR: "tour", sim.EV_SAMPLE: "sample"}
     scheduled, handled = [], []  # the n-th event scheduled draws sequence number n

@@ -10,11 +10,9 @@ import pytest
 from vodsim.allocation import LinkKind
 from vodsim.model import CLASSES, Tier, UserClass, build_catalog, cell_index
 from vodsim.topology import (
-    Presence,
     RouteSource,
     build_world,
     handle_request,
-    locate,
     placement_dump,
     route_remote,
     seed_initial_placement,
@@ -31,24 +29,88 @@ def small_catalog(num_videos=48, seed=3):
     return build_catalog(num_videos, 700, 2100, random.Random(seed))
 
 
+SOURCE_LINK = {
+    RouteSource.LPS: LinkKind.PS_LPS,
+    RouteSource.RPS: LinkKind.PS_RPS,
+    RouteSource.CMS: LinkKind.PS_CMS,
+}
+
+
 def test_ring_neighbors_wrap():
-    world = small_world(num_proxies=4)
-    assert world.lps_of(0).proxy_id == 3
-    assert world.rps_of(0).proxy_id == 1
-    assert world.lps_of(3).proxy_id == 2
-    assert world.rps_of(3).proxy_id == 0
+    for num_proxies in (3, 4):
+        last = num_proxies - 1
+        # (proxy holding video 7, requesting proxy, expected source)
+        cases = [(last, 0, RouteSource.LPS), (0, last, RouteSource.RPS),
+                 (1, 0, RouteSource.RPS), (0, 1, RouteSource.LPS)]
+        if num_proxies == 4:
+            cases += [(2, 0, RouteSource.CMS), (0, 2, RouteSource.CMS)]
+        for holder, requester, source in cases:
+            world = small_world(num_proxies=num_proxies)
+            world.proxies[holder].cache[7] = None
+            decision = route_remote(world, 0.0, requester, 7, UserClass.CLASS2, 6, 18, 0)
+            assert decision.source is source, (num_proxies, holder, requester)
+            assert decision.link is world.proxies[requester].links[SOURCE_LINK[source]]
 
 
-def test_locate_reports_presence():
+def hold_at_neighbors(world, holders):
+    """Cache video 7 at proxy 0's left (the last proxy) and/or right neighbor."""
+    if holders in ("both", "lps_only"):
+        world.proxies[-1].cache[7] = None
+    if holders in ("both", "rps_only"):
+        world.proxies[1].cache[7] = None
+
+
+# Source by which neighbors of proxy 0 hold the video, for the left link's
+# free bandwidth greater than, equal to and less than the right link's.
+FREE_CASES = ("lps_freer", "equal", "rps_freer")
+ROUTE_TABLE = {
+    "both": (RouteSource.LPS, RouteSource.RPS, RouteSource.RPS),
+    "lps_only": (RouteSource.LPS,) * 3,
+    "rps_only": (RouteSource.RPS,) * 3,
+    "neither": (RouteSource.CMS,) * 3,
+}
+
+
+@pytest.mark.parametrize("free", FREE_CASES)
+@pytest.mark.parametrize("holders", sorted(ROUTE_TABLE))
+def test_route_remote_table(holders, free):
     world = small_world()
-    world.proxies[5].cache[7] = None
-    assert locate(world, 0, 7) is Presence.LPS_ONLY
-    world.proxies[1].cache[7] = None
-    assert locate(world, 0, 7) is Presence.BOTH
-    del world.proxies[5].cache[7]
-    assert locate(world, 0, 7) is Presence.RPS_ONLY
-    del world.proxies[1].cache[7]
-    assert locate(world, 0, 7) is Presence.NEITHER
+    hold_at_neighbors(world, holders)
+    proxy = world.proxies[0]
+    loaded = {"lps_freer": [LinkKind.PS_RPS], "equal": [LinkKind.PS_LPS, LinkKind.PS_RPS],
+              "rps_freer": [LinkKind.PS_LPS]}[free]
+    for kind in loaded:
+        assert proxy.links[kind].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
+    expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
+    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    assert decision.source is expected
+    assert decision.link is proxy.links[SOURCE_LINK[expected]]
+    assert decision.allocation.rate == 18
+    assert decision.plan is None
+
+
+@pytest.mark.parametrize("holders", ["both", "lps_only", "rps_only"])
+def test_full_chosen_neighbor_falls_back_to_central(holders):
+    world = small_world(capacity=40)
+    hold_at_neighbors(world, holders)
+    proxy = world.proxies[0]
+    lps, rps = proxy.links[LinkKind.PS_LPS], proxy.links[LinkKind.PS_RPS]
+    chosen, other = (rps, lps) if holders == "rps_only" else (lps, rps)
+    # the chosen link keeps 4 MB/s free and holds no class-2 excess
+    for vid in range(4):
+        assert chosen.admit(0.0, 20 + vid, UserClass.CLASS2, 8, 8, 0)
+    assert chosen.admit(0.0, 30, UserClass.CLASS3, 4, 4, 0)
+    if holders == "both":
+        # less free than the chosen link, so not chosen, but 34 MB/s of
+        # class-2 excess to reclaim from
+        assert other.admit(0.0, 31, UserClass.CLASS2, 6, 40, 0)
+    assert other.plan_reclaim(UserClass.CLASS2, 6) is not None  # other could admit
+    rows = {kind: len(proxy.links[kind].ledger) for kind in LinkKind}
+    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    assert decision.source is RouteSource.CMS
+    assert decision.link is proxy.links[LinkKind.PS_CMS]
+    for kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
+        assert len(proxy.links[kind].ledger) == rows[kind]
 
 
 def test_route_prefers_freer_neighbor():
@@ -109,6 +171,14 @@ def test_route_without_sharing_goes_central():
     world.proxies[1].cache[7] = None
     decision = route_remote(world, 0.0, 0, 7, UserClass.CLASS1, 8, 24, 0, psg_enabled=False)
     assert decision.source is RouteSource.CMS
+    # with the central link full the miss is rejected, not served by a neighbor
+    proxy = world.proxies[0]
+    cms = proxy.links[LinkKind.PS_CMS]
+    while cms.admit(1.0, 9, UserClass.CLASS2, 6, 6, 0):
+        pass
+    decision = route_remote(world, 2.0, 0, 7, UserClass.CLASS2, 6, 18, 0, psg_enabled=False)
+    assert decision.source is RouteSource.REJECTED
+    assert proxy.links[LinkKind.PS_LPS].ledger == proxy.links[LinkKind.PS_RPS].ledger == []
 
 
 def test_route_rejects_when_central_full():
@@ -137,10 +207,10 @@ def test_handle_request_caches_on_success():
     world = small_world()
     catalog = small_catalog()
     proxy = world.proxies[0]
-    assert not proxy.has(7)
+    assert 7 not in proxy.cache
     decision = handle_request(world, 3.0, 0, 7, UserClass.CLASS2, catalog, PROFITS)
     assert decision.source is RouteSource.CMS
-    assert proxy.has(7)
+    assert 7 in proxy.cache
     assert proxy.live_videos[7] == 1
 
 
@@ -151,7 +221,7 @@ def test_handle_request_rejection_does_not_cache():
     proxy.links[LinkKind.PS_CMS].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
     decision = handle_request(world, 1.0, 0, 7, UserClass.CLASS1, catalog, PROFITS)
     assert decision.source is RouteSource.REJECTED
-    assert not proxy.has(7)
+    assert 7 not in proxy.cache
     assert proxy.local_counts.counts[cell_index(7, UserClass.CLASS1)] == 1
 
 
@@ -186,7 +256,7 @@ def test_lru_evicts_idle_least_recent():
     for vid in (1, 2, 3, 4):
         proxy.insert(vid)
     proxy.insert(9)
-    assert not proxy.has(1)
+    assert 1 not in proxy.cache
     assert sorted(proxy.cache) == [2, 3, 4, 9]
 
 
@@ -197,8 +267,8 @@ def test_lru_skips_live_videos():
         proxy.insert(vid)
     proxy.stream_opened(1)
     proxy.insert(9)
-    assert proxy.has(1)
-    assert not proxy.has(2)
+    assert 1 in proxy.cache
+    assert 2 not in proxy.cache
 
 
 def test_cache_overshoots_when_all_live_then_reconciles():
@@ -212,7 +282,7 @@ def test_cache_overshoots_when_all_live_then_reconciles():
     assert len(proxy.cache) == 3
     proxy.stream_closed(1)
     assert len(proxy.cache) == 2
-    assert not proxy.has(1)
+    assert 1 not in proxy.cache
 
 
 def test_stream_closed_underflow_raises():
@@ -357,3 +427,61 @@ def test_request_counting_covers_all_classes():
                        rng.randrange(48), rng.choice(CLASSES), catalog, PROFITS)
     total = sum(proxy.local_counts.total for proxy in world.proxies)
     assert total == 300 == world.demand.total
+
+
+def place_with_skip_loop(world, catalog, rng):
+    """The placement loop ``seed_initial_placement`` replaced, kept as its
+    reference: it skipped a pick its proxy already held and raised when a
+    whole pool's worth of picks in a row were skipped."""
+    quota = {
+        Tier.MOST: world.proxies[0].cache_capacity // 4,
+        Tier.SECONDARY: world.proxies[0].cache_capacity // 4,
+    }
+    quota[Tier.LEAST] = world.proxies[0].cache_capacity - sum(quota.values())
+    for tier in (Tier.MOST, Tier.SECONDARY, Tier.LEAST):
+        pool = catalog.tier_members[tier][:]
+        rng.shuffle(pool)
+        per_proxy = quota[tier]
+        if per_proxy > len(pool):
+            raise ValueError(f"cache quota {per_proxy} exceeds {tier.value} tier size {len(pool)}")
+        idx = 0
+        for proxy in world.proxies:
+            placed = 0
+            skipped = 0
+            while placed < per_proxy:
+                video_id = pool[idx % len(pool)]
+                idx += 1
+                if video_id in proxy.cache:
+                    skipped += 1
+                    if skipped > len(pool):
+                        raise ValueError(f"proxy {proxy.proxy_id} cannot fit {tier.value} quota")
+                    continue
+                proxy.cache[video_id] = None
+                placed += 1
+                skipped = 0
+    for proxy in world.proxies:
+        proxy.cache = dict.fromkeys(sorted(proxy.cache))
+
+
+def test_placement_slices_equal_skip_loop():
+    placements = 0
+    for num_videos in (4, 8, 12, 20, 32, 48, 100, 480):
+        caches = range(4, num_videos + 1, 4)
+        if num_videos == 480:
+            caches = (4, 40, 160, 236, 476, 480)
+        for seed in (1, 5, 9):
+            catalog = small_catalog(num_videos=num_videos, seed=seed)
+            for num_proxies in (3, 4, 7):
+                for cache in caches:
+                    ours = small_world(num_proxies, num_videos, cache)
+                    reference = small_world(num_proxies, num_videos, cache)
+                    seed_initial_placement(ours, catalog, random.Random(seed))
+                    place_with_skip_loop(reference, catalog, random.Random(seed))
+                    assert placement_dump(ours) == placement_dump(reference), (
+                        num_videos, cache, num_proxies, seed)
+                    assert list(ours.proxies[0].cache) == sorted(ours.proxies[0].cache)
+                    placements += 1
+    assert placements > 500
+    # a cache quota larger than its tier: 16 slots over a 12-video catalog
+    with pytest.raises(ValueError, match="exceeds most tier size 3"):
+        seed_initial_placement(small_world(3, 12, 16), small_catalog(12), random.Random(1))
