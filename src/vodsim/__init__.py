@@ -5,7 +5,7 @@ multimedia server."""
 from .allocation import Allocation, Link, LinkKind, ReclaimPlan
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Counters, MetricsBundle, emit_reports, time_avg_utilization
-from .model import Catalog, DemandProfile, Tier, UserClass, VideoMeta, WeightProfile
+from .model import Catalog, UserClass, VideoMeta
 from .sim import SimResult, Simulation, baseline_no_psg, draw_arrivals, run
 from .topology import ProxyServer, RouteDecision, RouteSource, World, build_world
 
@@ -16,7 +16,6 @@ __all__ = [
     "Catalog",
     "ConfigError",
     "Counters",
-    "DemandProfile",
     "Link",
     "LinkKind",
     "MetricsBundle",
@@ -27,10 +26,8 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Simulation",
-    "Tier",
     "UserClass",
     "VideoMeta",
-    "WeightProfile",
     "World",
     "baseline_no_psg",
     "build_world",

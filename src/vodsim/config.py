@@ -10,6 +10,12 @@ class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
 
 
+def _same_type(value, default) -> bool:
+    """Whether ``value`` may stand in for ``default``: the same type, or an
+    int where the default is a float.  A bool is never taken for an int."""
+    return type(value) is type(default) or (type(value) is int and type(default) is float)
+
+
 @dataclass
 class SimConfig:
     num_proxies: int = 6
@@ -31,7 +37,12 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            for item in value if isinstance(value, tuple) else (value,):
+            pairs = [(value, f.default)]
+            if isinstance(value, tuple):
+                pairs.extend(zip(value, f.default))
+            for item, default in pairs:
+                if not _same_type(item, default):
+                    raise ConfigError(f"{f.name}: {item!r} is not {type(default).__name__}")
                 if isinstance(item, float) and not math.isfinite(item):
                     raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.num_proxies < 3:

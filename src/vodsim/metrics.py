@@ -244,11 +244,6 @@ def mean_alloc_per_class(ledgers: list[LinkLedger], horizon: float) -> dict[User
     return {c: rate / count for c, (rate, count) in pooled.items() if count > 0}
 
 
-def mean_alloc_overall(ledgers: list[LinkLedger], horizon: float) -> float:
-    """Time-averaged allocation per live stream across every link."""
-    return Replay(ledgers, horizon).mean_alloc()
-
-
 def ledger_bytes(ledgers: list[LinkLedger], horizon: float) -> float:
     """Total MB carried by all links, integrated from the ledgers."""
     return Replay(ledgers, horizon).totals[0]

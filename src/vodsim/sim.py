@@ -38,11 +38,11 @@ import struct
 from dataclasses import dataclass, field
 from math import log
 
-from .agent import AgentTourReport, agent_tour, schedule_next_tour
+from .agent import agent_tour
 from .allocation import Allocation, Link
 from .config import ConfigError, SimConfig
 from .metrics import Counters, LinkLedger, MetricsBundle
-from .model import Catalog, UserClass, build_catalog
+from .model import Catalog, UserClass, build_catalog, tier_ranges
 from .topology import (
     LOCAL,
     LPS,
@@ -70,9 +70,9 @@ def draw_arrivals(
     """Draw the next ``n`` requests, each (interarrival, proxy, video, class).
 
     Videos are drawn tier-first against the configured popularity mix,
-    then uniformly inside the tier.  Tier membership is the static id-range
-    assignment that placement also deals from, so the offered workload
-    does not drift mid-run.
+    then uniformly inside the tier.  The tiers are the static id ranges of
+    ``tier_ranges``, which placement also deals from, so the offered
+    workload does not drift mid-run.
 
     Per request this makes the calls ``rng.expovariate(rate)``,
     ``rng.randrange(num_proxies)``, ``rng.random()``,
@@ -85,12 +85,10 @@ def draw_arrivals(
     random_, getrandbits = rng.random, rng.getrandbits
     rate, num_proxies = config.total_arrival_rate, config.num_proxies
     proxy_bits = num_proxies.bit_length()
-    quarter = config.num_videos // 4
-    least = config.num_videos - 2 * quarter
     # per tier: (first id, size, bits per draw)
-    most_tier = (0, quarter, quarter.bit_length())
-    secondary_tier = (quarter, quarter, quarter.bit_length())
-    least_tier = (2 * quarter, least, least.bit_length())
+    most_tier, secondary_tier, least_tier = (
+        (first, size, size.bit_length()) for first, size in tier_ranges(config.num_videos)
+    )
     most, secondary, _least = config.tier_mix
     most_or_secondary = most + secondary
     class1, class2, _class3 = config.class_mix
@@ -168,9 +166,7 @@ class SimResult:
     counters: Counters
     metrics: MetricsBundle
     ledgers: list[LinkLedger]
-    tour_reports: list[AgentTourReport] = field(repr=False, default_factory=list)
     world: World | None = field(repr=False, default=None)
-    catalog: Catalog | None = field(repr=False, default=None)
     arrival_digest: str = ""
 
 
@@ -195,7 +191,7 @@ class Simulation:
             config.num_proxies, config.num_videos, config.cache_capacity,
             config.link_capacity,
         )
-        seed_initial_placement(self.world, self.catalog, placement_rng)
+        seed_initial_placement(self.world, placement_rng)
         self.now = 0.0
         self.heap: list[tuple[float, int, int, object]] = []
         self.pending: tuple[float, int, int, int, UserClass] | None = None
@@ -204,7 +200,6 @@ class Simulation:
         self.streams: dict[int, StreamProgress] = {}
         self.counters = Counters()
         self.metrics = MetricsBundle()
-        self.tour_reports: list[AgentTourReport] = []
         self.arrival_hash = hashlib.sha256()
 
     def _push(self, time: float, kind: int, payload: object = None) -> None:
@@ -254,9 +249,7 @@ class Simulation:
             counters=self.counters,
             metrics=self.metrics,
             ledgers=ledgers,
-            tour_reports=self.tour_reports,
             world=self.world,
-            catalog=self.catalog,
             arrival_digest=self.arrival_hash.hexdigest(),
         )
 
@@ -309,9 +302,8 @@ class Simulation:
             counters.max_byte_rel_error = rel_error
 
     def _on_tour(self) -> None:
-        report = agent_tour(self.now, self.world, self.config.profits)
-        self.tour_reports.append(report)
-        self._push(schedule_next_tour(self.now, self.config.agent_period), EV_TOUR)
+        agent_tour(self.now, self.world, self.config.profits)
+        self._push(self.now + self.config.agent_period, EV_TOUR)
 
     def _on_sample(self) -> None:
         self.metrics.take_snapshot(self.now)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .allocation import Link, LinkKind, ReclaimPlan
-from .model import Catalog, DemandProfile, Tier, TIERS, UserClass, WeightProfile, cell_index
+from .model import Catalog, UserClass, cell_index, tier_ranges
 
 
 class RouteSource(Enum):
@@ -66,12 +66,12 @@ class ProxyServer:
     """One ring node: an LRU cache plus three inbound links it streams over."""
 
     def __init__(self, proxy_id: int, cache_capacity: int, link_capacity: int,
-                 num_videos: int, global_weights: WeightProfile, id_source=None):
+                 num_videos: int, global_weights: list[int], id_source=None):
         self.proxy_id = proxy_id
         self.cache_capacity = cache_capacity
         self.cache: dict[int, None] = {}  # least recently used first
         self.live_videos: dict[int, int] = {}
-        self.local_counts = DemandProfile(num_videos)
+        self.local_counts = [0] * (3 * num_videos)  # by cell_index
         self.global_weights = global_weights  # the world's one table
         label = f"p{proxy_id}"
         self.links: dict[LinkKind, Link] = {
@@ -92,8 +92,8 @@ class ProxyServer:
         checks the video and the class.
         """
         cell = cell_index(video_id, user_class)
-        local = self.local_counts.counts[cell] * profits[user_class - 1]
-        return max(self.global_weights.weights[cell], local)
+        local = self.local_counts[cell] * profits[user_class - 1]
+        return max(self.global_weights[cell], local)
 
     def stream_opened(self, video_id: int) -> None:
         if video_id not in self.cache:
@@ -158,10 +158,10 @@ class World:
     cells requested since the last agent tour.
     """
 
-    def __init__(self, proxies: list[ProxyServer], num_videos: int, weights: WeightProfile):
+    def __init__(self, proxies: list[ProxyServer], num_videos: int, weights: list[int]):
         self.proxies = proxies
         self.num_videos = num_videos
-        self.demand = DemandProfile(num_videos)  # sum of all local_counts
+        self.demand = [0] * (3 * num_videos)  # sum of all local_counts
         self.weights = weights
         self.dirty: set[int] = set()
 
@@ -172,7 +172,7 @@ class World:
 def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
                 link_capacity: int) -> World:
     id_source = itertools.count(1)
-    weights = WeightProfile([0] * (3 * num_videos))
+    weights = [0] * (3 * num_videos)
     proxies = [
         ProxyServer(pid, cache_capacity, link_capacity, num_videos, weights, id_source)
         for pid in range(num_proxies)
@@ -242,11 +242,8 @@ def handle_request(
                          f"class {user_class}")
     cell = cell_index(video_id, user_class)
     proxy = world.proxies[proxy_id]
-    local, demand = proxy.local_counts, world.demand
-    local.counts[cell] += 1
-    local.total += 1
-    demand.counts[cell] += 1
-    demand.total += 1
+    proxy.local_counts[cell] += 1
+    world.demand[cell] += 1
     world.dirty.add(cell)
     if video_id in proxy.cache:
         proxy.touch(video_id)
@@ -263,11 +260,12 @@ def handle_request(
     return decision
 
 
-def seed_initial_placement(world: World, catalog: Catalog, rng: random.Random) -> None:
+def seed_initial_placement(world: World, rng: random.Random) -> None:
     """Deal videos across proxy caches before the run starts.
 
     Each proxy gets a quarter of its cache from each of the two popular
-    tiers and the remainder from the least popular tier.  Tier lists are
+    tiers and the remainder from the least popular tier: the sizes
+    ``tier_ranges`` gives for the cache capacity.  Each tier's ids are
     shuffled once and dealt round-robin so replicas spread as evenly as
     the counts allow; each cache is then stored in ascending id order.
 
@@ -279,27 +277,16 @@ def seed_initial_placement(world: World, catalog: Catalog, rng: random.Random) -
     every run; a direct caller with a larger quota gets ``ValueError``.
     """
     capacity = world.proxies[0].cache_capacity
-    quota = {Tier.MOST: capacity // 4, Tier.SECONDARY: capacity // 4}
-    quota[Tier.LEAST] = capacity - 2 * (capacity // 4)
     dealt: list[list[int]] = [[] for _ in world.proxies]
-    for tier in TIERS:
-        pool = catalog.tier_members[tier][:]
+    for (first, size), (_, per_proxy) in zip(tier_ranges(world.num_videos),
+                                              tier_ranges(capacity)):
+        pool = list(range(first, first + size))
         rng.shuffle(pool)
-        per_proxy = quota[tier]
-        if per_proxy > len(pool):
-            raise ValueError(f"cache quota {per_proxy} exceeds {tier.value} tier size {len(pool)}")
+        if per_proxy > size:
+            raise ValueError(f"cache quota {per_proxy} exceeds tier size {size}")
         ring = pool + pool
         for k, videos in enumerate(dealt):
-            start = k * per_proxy % len(pool)
+            start = k * per_proxy % size
             videos.extend(ring[start:start + per_proxy])
     for proxy, videos in zip(world.proxies, dealt):
         proxy.cache = dict.fromkeys(sorted(videos))
-
-
-def placement_dump(world: World) -> str:
-    """One line per proxy: sorted cached video ids, space separated."""
-    lines = []
-    for proxy in world.proxies:
-        ids = " ".join(str(v) for v in sorted(proxy.cache))
-        lines.append(f"proxy {proxy.proxy_id}: {ids}")
-    return "\n".join(lines) + "\n"

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from vodsim import sim
-from vodsim.config import ConfigError, SimConfig
+from vodsim.config import SimConfig
 from vodsim.model import CLASSES, UserClass, build_catalog, cell_index
-from vodsim.agent import agent_tour, append_tour_log, schedule_next_tour
+from vodsim.agent import agent_tour
 from vodsim.topology import build_world, handle_request
 
 PROFITS = (3, 2, 1)
@@ -32,14 +30,14 @@ def test_tour_weights_sum_demand_over_proxies():
     request(world, catalog, 1, 3, UserClass.CLASS1)
     request(world, catalog, 2, 3, UserClass.CLASS2)
     request(world, catalog, 3, 9, UserClass.CLASS3)
-    report = agent_tour(10.0, world, PROFITS)
-    assert report.total_requests == 4
+    agent_tour(10.0, world, PROFITS)
+    assert sum(world.demand) == 4
     for proxy in world.proxies:
-        assert proxy.global_weights.weights[cell_index(3, UserClass.CLASS1)] == 2 * 3
-        assert proxy.global_weights.weights[cell_index(3, UserClass.CLASS2)] == 1 * 2
-        assert proxy.global_weights.weights[cell_index(9, UserClass.CLASS3)] == 1 * 1
-        assert proxy.global_weights.weights[cell_index(9, UserClass.CLASS1)] == 0
-    assert world.proxies[0].local_counts.counts[cell_index(3, UserClass.CLASS1)] == 1
+        assert proxy.global_weights[cell_index(3, UserClass.CLASS1)] == 2 * 3
+        assert proxy.global_weights[cell_index(3, UserClass.CLASS2)] == 1 * 2
+        assert proxy.global_weights[cell_index(9, UserClass.CLASS3)] == 1 * 1
+        assert proxy.global_weights[cell_index(9, UserClass.CLASS1)] == 0
+    assert world.proxies[0].local_counts[cell_index(3, UserClass.CLASS1)] == 1
 
 
 def test_tour_pushes_weights_everywhere():
@@ -47,32 +45,30 @@ def test_tour_pushes_weights_everywhere():
     request(world, catalog, 1, 7, UserClass.CLASS1, times=5)
     agent_tour(10.0, world, PROFITS)
     table = world.proxies[0].global_weights
-    assert table.weights[cell_index(7, UserClass.CLASS1)] == 15
+    assert table[cell_index(7, UserClass.CLASS1)] == 15
     for proxy in world.proxies:
         assert proxy.global_weights is table
 
 
 def test_tour_leaves_catalog_untouched():
     world, catalog = setup()
-    tiers = [video.tier for video in catalog.videos]
-    members = {tier: ids[:] for tier, ids in catalog.tier_members.items()}
+    videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos]
     hot = 30  # in the least-popular id range
     request(world, catalog, 0, hot, UserClass.CLASS2, times=50)
     agent_tour(10.0, world, PROFITS)
-    assert [video.tier for video in catalog.videos] == tiers
-    assert catalog.tier_members == members
+    assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos] == videos
 
 
 def test_tour_does_not_reset_counters():
     world, catalog = setup()
     request(world, catalog, 0, 1, UserClass.CLASS1)
     agent_tour(10.0, world, PROFITS)
-    assert world.proxies[0].local_counts.counts[cell_index(1, UserClass.CLASS1)] == 1
-    assert world.demand.counts[cell_index(1, UserClass.CLASS1)] == 1
+    assert world.proxies[0].local_counts[cell_index(1, UserClass.CLASS1)] == 1
+    assert world.demand[cell_index(1, UserClass.CLASS1)] == 1
     request(world, catalog, 0, 1, UserClass.CLASS1)
-    report = agent_tour(20.0, world, PROFITS)
-    assert report.total_requests == 2
-    assert world.proxies[0].global_weights.weights[cell_index(1, UserClass.CLASS1)] == 6
+    agent_tour(20.0, world, PROFITS)
+    assert sum(world.demand) == 2
+    assert world.proxies[0].global_weights[cell_index(1, UserClass.CLASS1)] == 6
 
 
 def test_second_tour_without_new_demand_changes_nothing():
@@ -80,12 +76,13 @@ def test_second_tour_without_new_demand_changes_nothing():
     rng = random.Random(6)
     for _ in range(400):
         request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
-    first = agent_tour(10.0, world, PROFITS)
-    weights = world.proxies[0].global_weights.weights[:]
-    second = agent_tour(20.0, world, PROFITS)
-    assert second.total_requests == first.total_requests == 400
+    agent_tour(10.0, world, PROFITS)
+    demand, weights = world.demand[:], world.proxies[0].global_weights[:]
+    agent_tour(20.0, world, PROFITS)
+    assert sum(demand) == 400
+    assert world.demand == demand
     for proxy in world.proxies:
-        assert proxy.global_weights.weights == weights
+        assert proxy.global_weights == weights
 
 
 def test_incremental_tours_equal_full_rebuild(monkeypatch):
@@ -98,38 +95,21 @@ def test_incremental_tours_equal_full_rebuild(monkeypatch):
     changed_per_tour = []
 
     def checked_tour(time, world, tour_profits):
-        counts = world.demand.counts
+        counts = world.demand
         changed = {cell for cell, count in enumerate(counts) if count != previous[cell]}
         assert world.dirty == changed
-        report = real_tour(time, world, tour_profits)
+        real_tour(time, world, tour_profits)
         assert not world.dirty
         for vid in range(config.num_videos):
             for user_class in CLASSES:
                 cell = cell_index(vid, user_class)
-                expected = world.demand.counts[cell] * profits[user_class - 1]
-                assert world.weights.weights[cell] == expected
+                expected = world.demand[cell] * profits[user_class - 1]
+                assert world.weights[cell] == expected
         assert all(proxy.global_weights is world.weights for proxy in world.proxies)
         changed_per_tour.append(len(changed))
-        previous[:] = world.demand.counts
-        return report
+        previous[:] = world.demand
 
     monkeypatch.setattr(sim, "agent_tour", checked_tour)
-    result = sim.run(config)
-    assert len(changed_per_tour) == len(result.tour_reports) == 25
+    sim.run(config)
+    assert len(changed_per_tour) == 25
     assert min(changed_per_tour) > 0
-
-
-def test_schedule_next_tour():
-    assert schedule_next_tour(40.0, 100.0) == 140.0
-    with pytest.raises(ConfigError):
-        schedule_next_tour(40.0, 0.0)
-
-
-def test_tour_log_format():
-    world, _catalog = setup()
-    reports = [agent_tour(t, world, PROFITS) for t in (10.0, 20.0)]
-    text = append_tour_log(reports)
-    lines = text.splitlines()
-    assert lines[0] == "time,total_requests"
-    assert lines[1] == "10.000000,0"
-    assert len(lines) == 3

@@ -50,11 +50,28 @@ def test_defaults_validate():
     ("tier_mix", (float("inf"), 0.35, 0.15)),
     ("class_mix", (0.2, 0.3, float("nan"))),
     ("class_mix", (0.2, float("inf"), 0.5)),
+    # each value's type must be its default's; an int may stand for a float
+    ("profits", (3.5, 2, 1)),
+    ("profits", (3, 2, True)),
+    ("link_capacity", 300.5),
+    ("psg_enabled", "no"),
+    ("psg_enabled", 1),
+    ("num_videos", 480.0),
+    ("cache_capacity", 160.0),
+    ("num_proxies", 6.0),
+    ("seed", True),
+    ("tier_mix", [0.5, 0.35, 0.15]),
+    ("class_mix", (0.2, 0.3, "0.5")),
 ])
 def test_validate_rejects_bad_values(field, value):
     config = dataclasses.replace(SimConfig(), **{field: value})
     with pytest.raises(ConfigError):
         config.validate()
+
+
+def test_validate_takes_int_for_float():
+    config = SimConfig(total_arrival_rate=4, horizon=2000, tier_mix=(0.5, 0.25, 0.25)).validate()
+    assert config.total_arrival_rate == 4.0
 
 
 def write(tmp_path, text):

@@ -17,7 +17,6 @@ from vodsim.metrics import (
     emit_reports,
     ledger_bytes,
     mean_alloc_by_class,
-    mean_alloc_overall,
     mean_alloc_per_class,
     time_avg_utilization,
 )
@@ -113,7 +112,7 @@ def test_mean_alloc_hand_case():
     assert (LinkKind.PS_CMS, C2) not in means
     per_class = mean_alloc_per_class([hand_ledger()], horizon=40.0)
     assert per_class[C1] == pytest.approx(3.0)
-    assert mean_alloc_overall([hand_ledger()], horizon=40.0) == pytest.approx(3.0)
+    assert Replay([hand_ledger()], horizon=40.0).mean_alloc() == pytest.approx(3.0)
 
 
 def test_replay_rejects_corrupt_ledger():

@@ -1,4 +1,4 @@
-"""Catalog, demand counters, weights and tier ranges."""
+"""Catalog, tier ranges, and the flat demand and weight table layout."""
 
 from __future__ import annotations
 
@@ -6,43 +6,35 @@ import random
 
 import pytest
 
+from vodsim.agent import agent_tour
+from vodsim.config import ConfigError, SimConfig
 from vodsim.model import (
     BW_RANGES,
     CLASSES,
-    DemandProfile,
-    Tier,
-    UserClass,
-    WeightProfile,
     build_catalog,
     cell_index,
-    initial_tier_table,
-    tier_census,
+    tier_ranges,
 )
+from vodsim.topology import build_world
 
 
 def make_catalog(num_videos=48, seed=7):
     return build_catalog(num_videos, 700, 2100, random.Random(seed))
 
 
-def test_tier_census_splits_quarters():
-    census = tier_census(480)
-    assert census[Tier.MOST] == 120
-    assert census[Tier.SECONDARY] == 120
-    assert census[Tier.LEAST] == 240
-    assert sum(census.values()) == 480
+@pytest.mark.parametrize("n", [4, 8, 480, 4800])
+def test_tier_ranges_are_quarter_quarter_half(n):
+    ranges = tier_ranges(n)
+    ids = [vid for first, size in ranges for vid in range(first, first + size)]
+    assert ids == list(range(n))  # contiguous, in order, covering every id
+    assert [size for _first, size in ranges] == [n // 4, n // 4, n // 2]
 
 
 @pytest.mark.parametrize("bad", [0, -4, 30, 481])
 def test_tier_census_rejects_bad_sizes(bad):
-    with pytest.raises(ValueError):
-        tier_census(bad)
-
-
-def test_initial_tiers_are_contiguous_ranges():
-    table = initial_tier_table(16)
-    assert table[:4] == [Tier.MOST] * 4
-    assert table[4:8] == [Tier.SECONDARY] * 4
-    assert table[8:] == [Tier.LEAST] * 8
+    # tier_ranges needs a positive multiple of 4; validate() turns other sizes away
+    with pytest.raises(ConfigError):
+        SimConfig(num_videos=bad).validate()
 
 
 def test_build_catalog_respects_ranges():
@@ -61,15 +53,14 @@ def test_build_catalog_is_deterministic():
     a = make_catalog(seed=11)
     b = make_catalog(seed=11)
     assert a.videos == b.videos
-    assert a.tier_members == b.tier_members
 
 
 def test_demand_profile_counts():
     # one flat cell per (video, class), all zero at the start; a cell's
     # class is its index mod 3, plus one
-    profile = DemandProfile(8)
-    assert profile.counts == [0] * 24
-    assert profile.total == 0
+    world = build_world(3, 8, 4, 100)
+    assert world.demand == [0] * 24
+    assert all(proxy.local_counts == [0] * 24 for proxy in world.proxies)
     cells = [cell_index(vid, user_class) for vid in range(8) for user_class in CLASSES]
     assert cells == list(range(24))
     for vid in range(8):
@@ -79,13 +70,13 @@ def test_demand_profile_counts():
 
 def test_weights_are_count_times_profit():
     rng = random.Random(17)
-    profile = DemandProfile(12)
+    world = build_world(3, 12, 4, 100)
     for _ in range(500):
-        profile.counts[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
+        world.demand[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
     profits = (3, 2, 1)
-    table = WeightProfile([0] * 36)
-    table.refresh(profile, profits, range(len(profile.counts)))
+    world.dirty.update(range(len(world.demand)))
+    agent_tour(1.0, world, profits)
     for vid in range(12):
         for user_class in CLASSES:
             cell = cell_index(vid, user_class)
-            assert table.weights[cell] == profile.counts[cell] * profits[user_class - 1]
+            assert world.weights[cell] == world.demand[cell] * profits[user_class - 1]

@@ -203,11 +203,11 @@ def test_same_seed_reproduces_run():
 def test_run_leaves_passed_catalog_untouched(tmp_path):
     config = SimConfig(horizon=2000.0)
     catalog = Simulation(config).catalog
-    members = {tier: ids[:] for tier, ids in catalog.tier_members.items()}
+    videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos]
     first = run(config, catalog)
     second = run(config, catalog)
     assert first.counters == second.counters
-    assert catalog.tier_members == members
+    assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos] == videos
     emit_reports(first, tmp_path / "a")
     emit_reports(second, tmp_path / "b")
     for path in sorted((tmp_path / "a").iterdir()):
@@ -225,12 +225,11 @@ def test_demand_table_is_sum_of_proxy_counts():
     result = run(SMALL)
     proxies = result.world.proxies
     expected = [
-        sum(proxy.local_counts.counts[cell] for proxy in proxies)
+        sum(proxy.local_counts[cell] for proxy in proxies)
         for cell in range(3 * SMALL.num_videos)
     ]
-    assert result.world.demand.counts == expected
-    assert result.world.demand.total == result.counters.requested
-    assert result.tour_reports[-1].total_requests <= result.counters.requested
+    assert result.world.demand == expected
+    assert sum(result.world.demand) == result.counters.requested
 
 
 def test_different_seed_changes_run():
@@ -346,13 +345,20 @@ def test_drain_accounts_for_live_streams():
     assert at_horizon == counters.drained
 
 
-def test_tours_run_on_schedule():
+def test_tours_run_on_schedule(monkeypatch):
+    tours = []  # (time, requests counted so far) per tour
+    real_tour = sim.agent_tour
+
+    def recording_tour(time, world, profits):
+        tours.append((time, sum(world.demand)))
+        real_tour(time, world, profits)
+
+    monkeypatch.setattr(sim, "agent_tour", recording_tour)
     result = run(SMALL)
-    assert [report.time for report in result.tour_reports] == [
-        pytest.approx(100.0 * k) for k in range(1, 7)
-    ]
-    totals = [report.total_requests for report in result.tour_reports]
+    assert [time for time, _ in tours] == [pytest.approx(100.0 * k) for k in range(1, 7)]
+    totals = [total for _, total in tours]
     assert totals == sorted(totals)
+    assert totals[-1] <= result.counters.requested
 
 
 def test_samples_cover_run():

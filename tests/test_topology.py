@@ -8,12 +8,11 @@ from collections import Counter
 import pytest
 
 from vodsim.allocation import LinkKind
-from vodsim.model import CLASSES, Tier, UserClass, build_catalog, cell_index
+from vodsim.model import CLASSES, UserClass, build_catalog, cell_index, tier_ranges
 from vodsim.topology import (
     RouteSource,
     build_world,
     handle_request,
-    placement_dump,
     route_remote,
     seed_initial_placement,
 )
@@ -27,6 +26,10 @@ def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
 
 def small_catalog(num_videos=48, seed=3):
     return build_catalog(num_videos, 700, 2100, random.Random(seed))
+
+
+def caches(world):
+    return [list(proxy.cache) for proxy in world.proxies]
 
 
 SOURCE_LINK = {
@@ -199,8 +202,8 @@ def test_handle_request_local_hit_touches_lru():
     decision = handle_request(world, 9.0, 2, 5, UserClass.CLASS1, catalog, PROFITS)
     assert decision.source is RouteSource.LOCAL
     assert list(proxy.cache) == [6, 5]
-    assert proxy.local_counts.counts[cell_index(5, UserClass.CLASS1)] == 1
-    assert world.demand.counts[cell_index(5, UserClass.CLASS1)] == 1
+    assert proxy.local_counts[cell_index(5, UserClass.CLASS1)] == 1
+    assert world.demand[cell_index(5, UserClass.CLASS1)] == 1
 
 
 def test_handle_request_caches_on_success():
@@ -222,7 +225,7 @@ def test_handle_request_rejection_does_not_cache():
     decision = handle_request(world, 1.0, 0, 7, UserClass.CLASS1, catalog, PROFITS)
     assert decision.source is RouteSource.REJECTED
     assert 7 not in proxy.cache
-    assert proxy.local_counts.counts[cell_index(7, UserClass.CLASS1)] == 1
+    assert proxy.local_counts[cell_index(7, UserClass.CLASS1)] == 1
 
 
 @pytest.mark.parametrize(
@@ -240,8 +243,8 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
 
     def state():
         return (
-            [(proxy.local_counts.counts[:], proxy.local_counts.total) for proxy in world.proxies],
-            world.demand.counts[:], world.demand.total, set(world.dirty),
+            [proxy.local_counts[:] for proxy in world.proxies],
+            world.demand[:], set(world.dirty),
         )
 
     before = state()
@@ -313,7 +316,7 @@ def drive_lru_against_reference(cache, steps, mix, seed=17):
     and the over-capacity closes with one and with several idle entries.
     """
     world = small_world(num_proxies=3, num_videos=96, cache=cache)
-    seed_initial_placement(world, small_catalog(num_videos=96), random.Random(5))
+    seed_initial_placement(world, random.Random(5))
     proxy = world.proxies[0]
     last_use = dict.fromkeys(proxy.cache, 0.0)
     live = Counter()
@@ -385,25 +388,21 @@ def test_weight_prefers_fresher_view():
     world = small_world()
     proxy = world.proxies[0]
     cell = cell_index(7, UserClass.CLASS1)
-    proxy.local_counts.counts[cell] = 4
+    proxy.local_counts[cell] = 4
     assert proxy.weight_of(7, UserClass.CLASS1, PROFITS) == 12
-    proxy.global_weights.weights[cell] = 30
+    proxy.global_weights[cell] = 30
     assert proxy.weight_of(7, UserClass.CLASS1, PROFITS) == 30
 
 
 def test_initial_placement_quota_and_replication():
     world = small_world(num_proxies=6, num_videos=48, cache=16)
-    catalog = small_catalog(num_videos=48)
-    seed_initial_placement(world, catalog, random.Random(5))
+    seed_initial_placement(world, random.Random(5))
     copies = {vid: 0 for vid in range(48)}
     for proxy in world.proxies:
         assert len(proxy.cache) == 16
-        by_tier = {tier: 0 for tier in Tier}
-        for vid in proxy.cache:
-            by_tier[catalog.videos[vid].tier] += 1
-        assert by_tier[Tier.MOST] == 4
-        assert by_tier[Tier.SECONDARY] == 4
-        assert by_tier[Tier.LEAST] == 8
+        by_tier = [sum(first <= vid < first + size for vid in proxy.cache)
+                   for first, size in tier_ranges(48)]
+        assert by_tier == [4, 4, 8]
         for vid in proxy.cache:
             copies[vid] += 1
     assert all(n == 2 for n in copies.values())
@@ -412,10 +411,9 @@ def test_initial_placement_quota_and_replication():
 def test_initial_placement_deterministic():
     world_a = small_world(cache=16)
     world_b = small_world(cache=16)
-    catalog = small_catalog()
-    seed_initial_placement(world_a, catalog, random.Random(5))
-    seed_initial_placement(world_b, catalog, random.Random(5))
-    assert placement_dump(world_a) == placement_dump(world_b)
+    seed_initial_placement(world_a, random.Random(5))
+    seed_initial_placement(world_b, random.Random(5))
+    assert caches(world_a) == caches(world_b)
 
 
 def test_request_counting_covers_all_classes():
@@ -425,25 +423,20 @@ def test_request_counting_covers_all_classes():
     for _ in range(300):
         handle_request(world, rng.random() * 100, rng.randrange(6),
                        rng.randrange(48), rng.choice(CLASSES), catalog, PROFITS)
-    total = sum(proxy.local_counts.total for proxy in world.proxies)
-    assert total == 300 == world.demand.total
+    assert sum(sum(proxy.local_counts) for proxy in world.proxies) == 300
+    assert sum(world.demand) == 300
 
 
-def place_with_skip_loop(world, catalog, rng):
+def place_with_skip_loop(world, rng):
     """The placement loop ``seed_initial_placement`` replaced, kept as its
     reference: it skipped a pick its proxy already held and raised when a
     whole pool's worth of picks in a row were skipped."""
-    quota = {
-        Tier.MOST: world.proxies[0].cache_capacity // 4,
-        Tier.SECONDARY: world.proxies[0].cache_capacity // 4,
-    }
-    quota[Tier.LEAST] = world.proxies[0].cache_capacity - sum(quota.values())
-    for tier in (Tier.MOST, Tier.SECONDARY, Tier.LEAST):
-        pool = catalog.tier_members[tier][:]
+    quotas = tier_ranges(world.proxies[0].cache_capacity)
+    for (first, size), (_, per_proxy) in zip(tier_ranges(world.num_videos), quotas):
+        pool = list(range(first, first + size))
         rng.shuffle(pool)
-        per_proxy = quota[tier]
         if per_proxy > len(pool):
-            raise ValueError(f"cache quota {per_proxy} exceeds {tier.value} tier size {len(pool)}")
+            raise ValueError(f"cache quota {per_proxy} exceeds tier size {len(pool)}")
         idx = 0
         for proxy in world.proxies:
             placed = 0
@@ -454,7 +447,7 @@ def place_with_skip_loop(world, catalog, rng):
                 if video_id in proxy.cache:
                     skipped += 1
                     if skipped > len(pool):
-                        raise ValueError(f"proxy {proxy.proxy_id} cannot fit {tier.value} quota")
+                        raise ValueError(f"proxy {proxy.proxy_id} cannot fit its tier quota")
                     continue
                 proxy.cache[video_id] = None
                 placed += 1
@@ -466,22 +459,21 @@ def place_with_skip_loop(world, catalog, rng):
 def test_placement_slices_equal_skip_loop():
     placements = 0
     for num_videos in (4, 8, 12, 20, 32, 48, 100, 480):
-        caches = range(4, num_videos + 1, 4)
+        cache_sizes = range(4, num_videos + 1, 4)
         if num_videos == 480:
-            caches = (4, 40, 160, 236, 476, 480)
+            cache_sizes = (4, 40, 160, 236, 476, 480)
         for seed in (1, 5, 9):
-            catalog = small_catalog(num_videos=num_videos, seed=seed)
             for num_proxies in (3, 4, 7):
-                for cache in caches:
+                for cache in cache_sizes:
                     ours = small_world(num_proxies, num_videos, cache)
                     reference = small_world(num_proxies, num_videos, cache)
-                    seed_initial_placement(ours, catalog, random.Random(seed))
-                    place_with_skip_loop(reference, catalog, random.Random(seed))
-                    assert placement_dump(ours) == placement_dump(reference), (
+                    seed_initial_placement(ours, random.Random(seed))
+                    place_with_skip_loop(reference, random.Random(seed))
+                    assert caches(ours) == caches(reference), (
                         num_videos, cache, num_proxies, seed)
                     assert list(ours.proxies[0].cache) == sorted(ours.proxies[0].cache)
                     placements += 1
     assert placements > 500
     # a cache quota larger than its tier: 16 slots over a 12-video catalog
-    with pytest.raises(ValueError, match="exceeds most tier size 3"):
-        seed_initial_placement(small_world(3, 12, 16), small_catalog(12), random.Random(1))
+    with pytest.raises(ValueError, match="exceeds tier size 3"):
+        seed_initial_placement(small_world(3, 12, 16), random.Random(1))
