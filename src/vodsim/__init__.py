@@ -2,10 +2,10 @@
 video-on-demand system built from a ring of proxy servers and a central
 multimedia server."""
 
-from .allocation import Allocation, Link, LinkKind, ReclaimPlan
+from .allocation import Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Counters, MetricsBundle, emit_reports, time_avg_utilization
-from .model import Catalog, UserClass, VideoMeta
+from .model import UserClass, VideoMeta
 from .sim import SimResult, Simulation, baseline_no_psg, draw_arrivals, run
 from .topology import ProxyServer, RouteDecision, RouteSource, World, build_world
 
@@ -13,14 +13,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "Catalog",
     "ConfigError",
     "Counters",
     "Link",
     "LinkKind",
     "MetricsBundle",
     "ProxyServer",
-    "ReclaimPlan",
     "RouteDecision",
     "RouteSource",
     "SimConfig",

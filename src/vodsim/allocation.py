@@ -9,14 +9,15 @@ is rejected and the link is left untouched.  A link keeps each class's
 total excess running next to its used bandwidth, so a request that free
 bandwidth plus that excess cannot cover is rejected without a scan.
 
-Every mutation appends a ledger row, so a link's utilization over time can
-be replayed exactly from its ledger without trusting the live counters.
+Every mutation appends a row to the link's ``rows``, its ledger, so a
+link's utilization over time can be replayed exactly from the link without
+trusting the live counters.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import CLASSES, UserClass
@@ -48,18 +49,6 @@ class Allocation:
     min_rate: int
     max_rate: int
     weight: int
-
-
-@dataclass
-class ReclaimPlan:
-    """Rates to strip from existing allocations, lowest weight first.
-
-    ``victims`` holds (alloc_id, amount) pairs; ``total`` is their sum.
-    An empty plan is valid: it means free bandwidth alone covers the need.
-    """
-
-    victims: list[tuple[int, int]] = field(default_factory=list)
-    total: int = 0
 
 
 @dataclass(slots=True)
@@ -100,51 +89,51 @@ class Link:
         self.used = 0
         # excess[c]: sum of rate - min_rate over live allocations of class c
         self.excess = [0] * (len(CLASSES) + 1)
-        self.ledger: list[LedgerRow] = []
+        self.rows: list[LedgerRow] = []  # the ledger
 
     def free_bandwidth(self) -> int:
         return self.capacity - self.used
 
     def _log(self, time: float, op: str, alloc: Allocation, amount: int) -> None:
-        self.ledger.append(
+        self.rows.append(
             LedgerRow(time, op, alloc.alloc_id, alloc.video_id, int(alloc.user_class), amount,
                       alloc.min_rate, alloc.max_rate)
         )
 
-    def plan_reclaim(self, user_class: UserClass, needed: int) -> ReclaimPlan | None:
+    def plan_reclaim(self, user_class: UserClass, needed: int) -> list[tuple[int, int]] | None:
         """Plan how to cover ``needed`` MB/s for a new stream of this class.
 
         Free bandwidth counts first; any remainder must come from excess
         (rate above minimum) held by same-class allocations, visited in
         ascending weight order (ties: video id, then allocation id).
-        Returns None when the need cannot be covered, which the class's
-        running excess tells before any allocation is visited.
+        Returns the (alloc_id, take) victims, empty when free bandwidth
+        alone covers the need, or None when the need cannot be covered,
+        which the class's running excess tells before any allocation is
+        visited.
         """
         if needed < 0:
             raise ValueError("needed must be non-negative")
         remaining = needed - (self.capacity - self.used)
         if remaining <= 0:
-            return ReclaimPlan()
+            return []
         if remaining > self.excess[user_class]:
             return None
-        plan = ReclaimPlan()
-        victims = sorted(
+        victims = []
+        for alloc in sorted(
             (a for a in self.allocations.values()
              if a.user_class == user_class and a.rate > a.min_rate),
             key=lambda a: (a.weight, a.video_id, a.alloc_id),
-        )
-        for alloc in victims:
+        ):
             take = min(alloc.rate - alloc.min_rate, remaining)
-            plan.victims.append((alloc.alloc_id, take))
-            plan.total += take
+            victims.append((alloc.alloc_id, take))
             remaining -= take
             if remaining == 0:
-                return plan
+                return victims
         raise InvariantViolation(f"link {self.label}: class {int(user_class)} excess "
                                  f"{self.excess[user_class]} exceeds its allocations")
 
-    def _apply_reclaim(self, time: float, plan: ReclaimPlan) -> None:
-        for alloc_id, take in plan.victims:
+    def _apply_reclaim(self, time: float, victims: list[tuple[int, int]]) -> None:
+        for alloc_id, take in victims:
             alloc = self.allocations[alloc_id]
             if take <= 0 or alloc.rate - take < alloc.min_rate:
                 raise InvariantViolation("reclaim would push a stream below its minimum")
@@ -161,24 +150,25 @@ class Link:
         min_rate: int,
         max_rate: int,
         weight: int,
-    ) -> tuple[Allocation, ReclaimPlan | None] | None:
+    ) -> tuple[Allocation, list[tuple[int, int]]] | None:
         """Admit a stream or reject it, leaving the link untouched on reject.
 
-        Returns the new allocation and the reclaim plan it applied (None
-        when free bandwidth covered it), or None on rejection.
+        Returns the new allocation and the (alloc_id, take) victims its
+        reclaim cut (empty when free bandwidth covered it), or None on
+        rejection.
         """
         if not 0 < min_rate <= max_rate:
             raise ValueError(f"bad rate bounds ({min_rate}, {max_rate})")
         free = self.capacity - self.used
         if free >= max_rate:
-            rate, plan = max_rate, None
+            rate, victims = max_rate, []
         elif free >= min_rate:
-            rate, plan = min_rate, None
+            rate, victims = min_rate, []
         else:
-            plan = self.plan_reclaim(user_class, min_rate)
-            if plan is None:
+            victims = self.plan_reclaim(user_class, min_rate)
+            if victims is None:
                 return None
-            self._apply_reclaim(time, plan)
+            self._apply_reclaim(time, victims)
             rate = min_rate
         alloc = Allocation(next(self.id_source), video_id, user_class,
                            rate, min_rate, max_rate, weight)
@@ -190,7 +180,7 @@ class Link:
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
         self._log(time, "allocate", alloc, rate)
-        return alloc, plan
+        return alloc, victims
 
     def release(self, time: float, alloc_id: int) -> Allocation:
         """Tear down an allocation and return it; unknown ids are a bug."""

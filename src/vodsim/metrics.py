@@ -1,11 +1,11 @@
 """Run counters, ledger replay, the series derived from it, and report files.
 
-The link ledgers are the record of a run.  One walker, ``Replay``, passes
-over each ledger once and rebuilds that link's usage as an exact step
-function.  Every reported number derives from what it returns: the sampled
-series are the step function evaluated at the sample ticks, and
-time-averaged utilization, bytes carried and per-class mean allocations
-are its integrals.  No live counter is read.
+The link ledgers (each link's ``rows``) are the record of a run.  One
+walker, ``Replay``, passes over each link's rows once and rebuilds its
+usage as an exact step function.  Every reported number derives from
+what it returns: the sampled series are the step function evaluated at
+the sample ticks, and time-averaged utilization, bytes carried and
+per-class mean allocations are its integrals.  No live counter is read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .allocation import LINK_KINDS, LedgerRow, Link, LinkKind
+from .allocation import LINK_KINDS, Link, LinkKind
 from .model import CLASSES, UserClass
 
 
@@ -82,20 +82,6 @@ class SeriesPoint:
     avg_max: float | None
 
 
-@dataclass
-class LinkLedger:
-    """A link's accounting trail, detached from the live object."""
-
-    kind: LinkKind
-    capacity: int
-    label: str
-    rows: list[LedgerRow]
-
-    @classmethod
-    def from_link(cls, link: Link) -> "LinkLedger":
-        return cls(link.kind, link.capacity, link.label, link.ledger)
-
-
 # A state vector holds a link's used MB/s at index 0, then its live stream
 # counts, rate sums, minimum-rate sums and maximum-rate sums; the entry of
 # class c sits at the offset plus c.  Integrals cover used, counts and rates:
@@ -106,8 +92,8 @@ _STATE_LEN, _INTEGRATED = 1 + 4 * len(CLASSES), 1 + 2 * len(CLASSES)
 
 
 class Replay:
-    """One walk over each of a set of ledgers, in order, with row times
-    clipped at ``horizon``; the package reads ledger rows nowhere else.
+    """One walk over the rows of each of a set of links, in order, with row
+    times clipped at ``horizon``; the package reads ledger rows nowhere else.
 
     An unknown op, a reclaim or release of an allocation that is not live,
     a release of anything but the replayed rate, or usage outside
@@ -121,7 +107,7 @@ class Replay:
     to at most ``horizon``.
     """
 
-    def __init__(self, ledgers: list[LinkLedger], horizon: float, ticks: Sequence[float] = ()):
+    def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
         self.horizon = horizon
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
@@ -180,6 +166,23 @@ class Replay:
         used, streams = self.totals
         return used / streams if streams else 0.0
 
+    def mean_alloc_by_class(self) -> dict[tuple[LinkKind, UserClass], float]:
+        """Time-averaged allocation per live stream, split by kind and class.
+
+        Pairs that never carried a stream are absent from the result.
+        """
+        integral = self.integral
+        return {(kind, c): integral[kind][_RATE + c] / integral[kind][_COUNT + c]
+                for kind in LINK_KINDS for c in CLASSES if integral[kind][_COUNT + c] > 0}
+
+    def mean_alloc_per_class(self) -> dict[UserClass, float]:
+        """Time-averaged allocation per live stream of each class, all kinds
+        pooled.  Classes that never held a stream are absent."""
+        by_kind = self.integral.values()
+        pooled = {c: (sum(i[_RATE + c] for i in by_kind), sum(i[_COUNT + c] for i in by_kind))
+                  for c in CLASSES}
+        return {c: rate / count for c, (rate, count) in pooled.items() if count > 0}
+
 
 class MetricsBundle:
     """Sampled series for all nine (kind, class) pairs plus utilization.
@@ -200,7 +203,7 @@ class MetricsBundle:
     def take_snapshot(self, time: float) -> None:
         self.ticks.append(time)
 
-    def evaluate(self, ledgers: list[LinkLedger], horizon: float) -> None:
+    def evaluate(self, ledgers: list[Link], horizon: float) -> None:
         """Fill the series with each link kind's ledger state at every tick."""
         walked = Replay(ledgers, horizon, self.ticks)
         for (kind, c), series in self.samples.items():
@@ -215,38 +218,11 @@ class MetricsBundle:
                              for time, s in zip(self.ticks, walked.at_ticks[kind])]
 
 
-def time_avg_utilization(ledgers: list[LinkLedger], horizon: float) -> dict[LinkKind, float]:
+def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[LinkKind, float]:
     """Exact time-averaged utilization per link kind, replayed from ledgers."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     return Replay(ledgers, horizon).utilization()
-
-
-def mean_alloc_by_class(
-    ledgers: list[LinkLedger], horizon: float
-) -> dict[tuple[LinkKind, UserClass], float]:
-    """Time-averaged allocation per live stream, split by kind and class.
-
-    Pairs that never carried a stream are absent from the result.
-    """
-    integral = Replay(ledgers, horizon).integral
-    return {(kind, c): integral[kind][_RATE + c] / integral[kind][_COUNT + c]
-            for kind in LINK_KINDS for c in CLASSES if integral[kind][_COUNT + c] > 0}
-
-
-def mean_alloc_per_class(ledgers: list[LinkLedger], horizon: float) -> dict[UserClass, float]:
-    """Time-averaged allocation per live stream of each class, all kinds
-
-    pooled.  Classes that never held a stream are absent."""
-    by_kind = Replay(ledgers, horizon).integral.values()
-    pooled = {c: (sum(i[_RATE + c] for i in by_kind), sum(i[_COUNT + c] for i in by_kind))
-              for c in CLASSES}
-    return {c: rate / count for c, (rate, count) in pooled.items() if count > 0}
-
-
-def ledger_bytes(ledgers: list[LinkLedger], horizon: float) -> float:
-    """Total MB carried by all links, integrated from the ledgers."""
-    return Replay(ledgers, horizon).totals[0]
 
 
 def _fmt(value) -> str:

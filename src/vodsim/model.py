@@ -52,39 +52,22 @@ def tier_ranges(num_videos: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass
 class VideoMeta:
-    """One catalog entry.
+    """One catalog entry; a catalog is a ``list[VideoMeta]`` indexed by video id.
 
     ``min_bw``/``max_bw`` are indexed by ``UserClass - 1`` and fixed for the
     life of the catalog.
     """
 
-    video_id: int
     size_mb: int
     min_bw: tuple[int, int, int]
     max_bw: tuple[int, int, int]
 
-    def min_rate(self, user_class: UserClass) -> int:
-        return self.min_bw[user_class - 1]
 
-    def max_rate(self, user_class: UserClass) -> int:
-        return self.max_bw[user_class - 1]
-
-
-class Catalog:
-    """Immutable-by-convention list of videos, indexed by video id."""
-
-    def __init__(self, videos: list[VideoMeta]):
-        self.videos = videos
-
-    @property
-    def nov(self) -> int:
-        return len(self.videos)
-
-
-def build_catalog(num_videos: int, size_min: int, size_max: int, rng: random.Random) -> Catalog:
+def build_catalog(num_videos: int, size_min: int, size_max: int,
+                  rng: random.Random) -> list[VideoMeta]:
     """Draw a catalog: sizes and per-class min/max rates come from ``rng``."""
     videos = []
-    for vid in range(num_videos):
+    for _ in range(num_videos):
         size = rng.randint(size_min, size_max)
         mins = []
         maxs = []
@@ -92,8 +75,8 @@ def build_catalog(num_videos: int, size_min: int, size_max: int, rng: random.Ran
             min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
             mins.append(rng.randint(min_lo, min_hi))
             maxs.append(rng.randint(max_lo, max_hi))
-        videos.append(VideoMeta(vid, size, tuple(mins), tuple(maxs)))
-    return Catalog(videos)
+        videos.append(VideoMeta(size, tuple(mins), tuple(maxs)))
+    return videos
 
 
 def cell_index(video: int, user_class: UserClass) -> int:

@@ -5,7 +5,7 @@ event is scheduled, so ties break in scheduling order and every run is a
 pure function of its seed and configuration.  Four event kinds exist:
 request arrivals, stream completions, agent tours and metric samples.
 Completions are cancelled lazily: each live stream carries a generation
-counter, bumped whenever a reclaim changes its rate, and stale completion
+counter, bumped whenever a reclaim cuts its rate, and stale completion
 events are dropped when popped.
 
 The one scheduled arrival (each arrival schedules the next) waits in the
@@ -22,9 +22,11 @@ field would, so a block holds exactly the requests one-at-a-time drawing
 gives, whatever the block size; the requests drawn past the horizon are
 never used.
 
-Stream progress is integrated exactly: every rate change settles the bytes
+Stream progress is integrated exactly: every reclaim settles the bytes
 sent so far at the old rate before the new rate takes effect, so the sum
 of per-stream bytes matches an independent replay of the link ledgers.
+A caller's catalog is checked up front: sizes and rate windows must be
+positive integers, or bytes and link capacity would not add up exactly.
 """
 
 from __future__ import annotations
@@ -39,16 +41,13 @@ from dataclasses import dataclass, field
 from math import log
 
 from .agent import agent_tour
-from .allocation import Allocation, Link
+from .allocation import Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig
-from .metrics import Counters, LinkLedger, MetricsBundle
-from .model import Catalog, UserClass, build_catalog, tier_ranges
+from .metrics import Counters, MetricsBundle
+from .model import UserClass, VideoMeta, build_catalog, tier_ranges
 from .topology import (
     LOCAL,
-    LPS,
     REJECTED,
-    RPS,
-    RouteSource,
     World,
     build_world,
     handle_request,
@@ -60,6 +59,7 @@ EV_COMPLETION, EV_TOUR, EV_SAMPLE = range(3)
 # request, and 1,024 raised saturated_x4's peak RSS by ~0.3 MB.
 ARRIVAL_BLOCK = 256
 CLASS1, CLASS2, CLASS3 = UserClass
+PS_LPS, PS_RPS = LinkKind.PS_LPS, LinkKind.PS_RPS
 # One arrival record of the digest: exact float64 time, proxy, video, class.
 ARRIVAL_RECORD = struct.Struct("<dIIB")
 
@@ -112,50 +112,37 @@ def draw_arrivals(
 
 
 class StreamProgress:
-    """Byte-exact progress of one admitted stream.
-
-    ``current_rate`` mirrors the allocation's rate as of the last settle;
-    the allocation itself may already have been cut by a reclaim, so the
-    mirror is what past bytes are integrated with.
-    """
+    """Byte-exact progress of one admitted stream at its allocation's rate."""
 
     __slots__ = (
-        "alloc", "link", "proxy_id", "source", "size_mb",
-        "bytes_sent", "last_change", "current_rate", "generation", "completion_time",
+        "alloc", "link", "proxy_id", "size_mb",
+        "bytes_sent", "last_change", "generation", "completion_time",
     )
 
     def __init__(self, alloc: Allocation, link: Link, proxy_id: int,
-                 source: RouteSource, size_mb: int, now: float):
+                 size_mb: int, now: float):
         self.alloc = alloc
         self.link = link
         self.proxy_id = proxy_id
-        self.source = source
         self.size_mb = size_mb
         self.bytes_sent = 0.0
         self.last_change = now
-        self.current_rate = alloc.rate
         self.generation = 0
         self.completion_time = now + size_mb / alloc.rate
 
     def settle(self, now: float) -> None:
-        """Bank bytes sent at the current rate up to ``now``."""
-        self.bytes_sent += self.current_rate * (now - self.last_change)
+        """Bank bytes sent at the allocation's rate up to ``now``."""
+        self.bytes_sent += self.alloc.rate * (now - self.last_change)
         self.last_change = now
 
-    def on_rate_change(self, now: float) -> bool:
-        """Absorb a rate change already applied to the allocation.
-
-        Returns True when the completion time moved and the stream needs a
-        fresh completion event.
-        """
-        if self.alloc.rate == self.current_rate:
-            return False
-        self.settle(now)
-        self.current_rate = self.alloc.rate
-        remaining = self.size_mb - self.bytes_sent
-        self.completion_time = now + remaining / self.current_rate
+    def reclaimed(self, now: float, take: int) -> None:
+        """Absorb a cut of ``take`` MB/s already applied to the allocation:
+        bank the bytes sent at the old rate, move the completion time and
+        bump the generation, so the stream needs a fresh completion event."""
+        self.bytes_sent += (self.alloc.rate + take) * (now - self.last_change)
+        self.last_change = now
+        self.completion_time = now + (self.size_mb - self.bytes_sent) / self.alloc.rate
         self.generation += 1
-        return True
 
 
 @dataclass
@@ -165,7 +152,7 @@ class SimResult:
     config: SimConfig
     counters: Counters
     metrics: MetricsBundle
-    ledgers: list[LinkLedger]
+    ledgers: list[Link]  # every link, in world.all_links() order
     world: World | None = field(repr=False, default=None)
     arrival_digest: str = ""
 
@@ -173,12 +160,10 @@ class SimResult:
 class Simulation:
     """One configured run.  Build it, call run(), read the result."""
 
-    def __init__(self, config: SimConfig, catalog: Catalog | None = None):
+    def __init__(self, config: SimConfig, catalog: list[VideoMeta] | None = None):
         config.validate()
-        if catalog is not None and catalog.nov != config.num_videos:
-            raise ConfigError(
-                f"catalog has {catalog.nov} videos but num_videos is {config.num_videos}"
-            )
+        if catalog is not None:
+            _check_catalog(catalog, config.num_videos)
         self.config = config
         root = random.Random(config.seed)
         catalog_rng = random.Random(root.getrandbits(64))
@@ -242,7 +227,7 @@ class Simulation:
                 self._on_sample()
         self.now = horizon
         self._drain()
-        ledgers = [LinkLedger.from_link(link) for link in self.world.all_links()]
+        ledgers = self.world.all_links()
         self.metrics.evaluate(ledgers, horizon)
         return SimResult(
             config=config,
@@ -268,15 +253,14 @@ class Simulation:
             counters.rejected += 1
         else:
             stream = StreamProgress(
-                decision.allocation, decision.link, proxy_id, decision.source,
-                self.catalog.videos[video_id].size_mb, self.now,
+                decision.allocation, decision.link, proxy_id,
+                self.catalog[video_id].size_mb, self.now,
             )
             self.streams[stream.alloc.alloc_id] = stream
-            if decision.plan is not None:
-                for victim_id, _take in decision.plan.victims:
-                    victim = self.streams[victim_id]
-                    if victim.on_rate_change(self.now):
-                        self._push_completion(victim)
+            for victim_id, take in decision.victims:
+                victim = self.streams[victim_id]
+                victim.reclaimed(self.now, take)
+                self._push_completion(victim)
             self._push_completion(stream)
         self._schedule_arrival()
 
@@ -290,9 +274,10 @@ class Simulation:
         stream.link.release(self.now, alloc_id)
         self.world.proxies[stream.proxy_id].stream_closed(stream.alloc.video_id)
         counters = self.counters
-        if stream.source is LPS:
+        kind = stream.link.kind
+        if kind is PS_LPS:
             counters.served_lps += 1
-        elif stream.source is RPS:
+        elif kind is PS_RPS:
             counters.served_rps += 1
         else:
             counters.served_cms += 1
@@ -323,7 +308,22 @@ class Simulation:
         self.streams.clear()
 
 
-def run(config: SimConfig, catalog: Catalog | None = None) -> SimResult:
+def _check_catalog(catalog: list[VideoMeta], num_videos: int) -> None:
+    """Raise ConfigError unless ``catalog`` holds ``num_videos`` entries, each
+    a positive int size and three int rate windows with ``0 < min <= max``."""
+    if len(catalog) != num_videos:
+        raise ConfigError(f"catalog has {len(catalog)} videos but num_videos is {num_videos}")
+    for video_id, video in enumerate(catalog):
+        values = (video.size_mb, *video.min_bw, *video.max_bw)
+        if not (len(video.min_bw) == len(video.max_bw) == 3
+                and all(type(value) is int for value in values) and video.size_mb > 0
+                and all(0 < lo <= hi for lo, hi in zip(video.min_bw, video.max_bw))):
+            raise ConfigError(f"catalog video {video_id}: size {video.size_mb!r} and rate "
+                              f"windows {video.min_bw!r}..{video.max_bw!r} are not positive "
+                              f"ints with min <= max")
+
+
+def run(config: SimConfig, catalog: list[VideoMeta] | None = None) -> SimResult:
     return Simulation(config, catalog).run()
 
 

@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .allocation import Link, LinkKind, ReclaimPlan
-from .model import Catalog, UserClass, cell_index, tier_ranges
+from .allocation import Link, LinkKind
+from .model import UserClass, VideoMeta, cell_index, tier_ranges
 
 
 class RouteSource(Enum):
@@ -54,7 +54,7 @@ class RouteDecision:
     source: RouteSource
     allocation: object = None
     link: Link | None = None
-    plan: ReclaimPlan | None = None
+    victims: list[tuple[int, int]] | None = None  # (alloc_id, take) reclaimed
 
 
 # Shared by every local hit and every rejection; never mutated.
@@ -224,7 +224,7 @@ def handle_request(
     proxy_id: int,
     video_id: int,
     user_class: UserClass,
-    catalog: Catalog,
+    catalog: list[VideoMeta],
     profits,
     psg_enabled: bool = True,
 ) -> RouteDecision:
@@ -248,11 +248,11 @@ def handle_request(
     if video_id in proxy.cache:
         proxy.touch(video_id)
         return LOCAL_HIT
-    video = catalog.videos[video_id]
+    video = catalog[video_id]
     weight = proxy.weight_of(video_id, user_class, profits)
     decision = route_remote(
         world, time, proxy_id, video_id, user_class,
-        video.min_rate(user_class), video.max_rate(user_class), weight, psg_enabled,
+        video.min_bw[user_class - 1], video.max_bw[user_class - 1], weight, psg_enabled,
     )
     if decision.source is not REJECTED:
         proxy.insert(video_id)

@@ -52,11 +52,11 @@ def test_tour_pushes_weights_everywhere():
 
 def test_tour_leaves_catalog_untouched():
     world, catalog = setup()
-    videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos]
+    videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     hot = 30  # in the least-popular id range
     request(world, catalog, 0, hot, UserClass.CLASS2, times=50)
     agent_tour(10.0, world, PROFITS)
-    assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos] == videos
+    assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
 
 
 def test_tour_does_not_reset_counters():

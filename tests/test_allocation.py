@@ -8,7 +8,7 @@ import pytest
 
 from oracle import AdmitRequest, ExistingStream, force_link, oracle_admit, random_link_state
 from vodsim.allocation import InvariantViolation, Link, LinkKind
-from vodsim.metrics import LinkLedger, Replay
+from vodsim.metrics import Replay
 from vodsim.model import BW_RANGES, CLASSES, UserClass
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
@@ -22,9 +22,9 @@ def test_admit_prefers_maximum():
     link = fresh_link(100)
     outcome = link.admit(0.0, video_id=1, user_class=C1, min_rate=8, max_rate=24, weight=0)
     assert outcome is not None
-    alloc, plan = outcome
+    alloc, victims = outcome
     assert alloc.rate == alloc.max_rate == 24
-    assert plan is None
+    assert victims == []
     assert link.free_bandwidth() == 76
 
 
@@ -33,10 +33,10 @@ def test_admit_degrades_to_minimum():
     link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     outcome = link.admit(1.0, 2, C1, min_rate=5, max_rate=20, weight=0)
     assert outcome is not None
-    alloc, plan = outcome
+    alloc, victims = outcome
     assert alloc.rate == 5
     assert alloc.rate != alloc.max_rate
-    assert plan is None
+    assert victims == []
     assert link.used == 29
 
 
@@ -45,12 +45,12 @@ def test_admit_rejects_and_leaves_link_untouched():
     link.admit(0.0, 1, C1, min_rate=10, max_rate=18, weight=0)
     before_used = link.used
     before_rates = {a: alloc.rate for a, alloc in link.allocations.items()}
-    before_rows = len(link.ledger)
+    before_rows = len(link.rows)
     outcome = link.admit(1.0, 2, C2, min_rate=5, max_rate=9, weight=0)
     assert outcome is None
     assert link.used == before_used
     assert {a: alloc.rate for a, alloc in link.allocations.items()} == before_rates
-    assert len(link.ledger) == before_rows
+    assert len(link.rows) == before_rows
 
 
 def test_reclaim_takes_from_lowest_weight_first():
@@ -63,13 +63,12 @@ def test_reclaim_takes_from_lowest_weight_first():
         assert link.used == 40 and link.free_bandwidth() == 0
         outcome = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
         assert outcome is not None
-        alloc, plan = outcome
+        alloc, victims = outcome
         assert alloc.rate == 7
-        assert plan is not None
-        assert plan.victims[0][0] == light.alloc_id
-        assert light.rate == 20 - plan.victims[0][1]
-        assert sum(take for _, take in plan.victims) == 7
-        victim_ids = [vid for vid, _ in plan.victims]
+        assert victims[0][0] == light.alloc_id
+        assert light.rate == 20 - victims[0][1]
+        assert sum(take for _, take in victims) == 7
+        victim_ids = [vid for vid, _ in victims]
         assert heavy.alloc_id not in victim_ids or victim_ids.index(heavy.alloc_id) > 0
         assert link.used == 40
 
@@ -105,14 +104,23 @@ def test_reclaim_all_or_nothing():
 def test_plan_reclaim_empty_when_free_covers():
     link = fresh_link(50)
     link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    plan = link.plan_reclaim(C1, 10)
-    assert plan is not None
-    assert plan.victims == [] and plan.total == 0
+    assert link.plan_reclaim(C1, 10) == []
+
+
+def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
+    # a victim's stream is settled at rate + take and always rescheduled,
+    # which is right only because every applied take is positive
+    link = fresh_link(40)
+    alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    for take in (0, -1, 17):
+        with pytest.raises(InvariantViolation):
+            link._apply_reclaim(1.0, [(alloc.alloc_id, take)])
+    assert alloc.rate == 24 and link.rows[-1].op == "allocate"
 
 
 def test_release_returns_bandwidth():
     link = fresh_link(40)
-    alloc, _plan = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     assert link.free_bandwidth() == 16
     link.release(2.0, alloc.alloc_id)
     assert link.free_bandwidth() == 40
@@ -122,7 +130,7 @@ def test_release_returns_bandwidth():
 
 def test_conservation_check_catches_tampering():
     link = fresh_link(40)
-    alloc, _plan = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     link.check_conservation()
     alloc.rate += 1
     with pytest.raises(InvariantViolation):
@@ -145,7 +153,7 @@ def test_ledger_replay_matches_live_state():
             )
             if outcome is not None:
                 live.append(outcome[0].alloc_id)
-        replayed = Replay([LinkLedger.from_link(link)], float(step)).live[0]
+        replayed = Replay([link], float(step)).live[0]
         assert replayed == {a: alloc.rate for a, alloc in link.allocations.items()}
         assert sum(replayed.values()) == link.used
         link.check_conservation()
@@ -178,10 +186,9 @@ def test_engine_matches_oracle_on_random_states():
         else:
             rate, victims = expected
             assert outcome is not None
-            alloc, plan = outcome
+            alloc, got = outcome
             assert alloc.rate == rate
-            got = sorted(plan.victims) if plan else []
-            assert got == sorted(victims)
+            assert sorted(got) == sorted(victims)
             link.check_conservation()
 
 
@@ -198,11 +205,11 @@ def test_plan_reclaim_rejects_exactly_when_excess_is_short():
         assert link.excess[c] == pool
         for needed in (request.min_rate, request.max_rate):
             short = needed - link.free_bandwidth() > pool
-            plan = link.plan_reclaim(c, needed)
-            assert (plan is None) == short, f"case {case}, needed {needed}"
-            if plan is not None:
-                assert plan.total == max(0, needed - link.free_bandwidth())
-                reclaimed += bool(plan.victims)
+            victims = link.plan_reclaim(c, needed)
+            assert (victims is None) == short, f"case {case}, needed {needed}"
+            if victims is not None:
+                assert sum(take for _, take in victims) == max(0, needed - link.free_bandwidth())
+                reclaimed += bool(victims)
             rejected += short
     assert rejected > 1000 and reclaimed > 1000
 
@@ -222,9 +229,9 @@ def test_excess_tracks_admit_reclaim_and_release():
                                  rng.randint(min_lo, min_hi), rng.randint(max_lo, max_hi),
                                  weight=rng.randrange(10))
             if outcome is not None:
-                alloc, plan = outcome
+                alloc, victims = outcome
                 live.append(alloc.alloc_id)
-                reclaims += bool(plan and plan.victims)
+                reclaims += bool(victims)
         recount = {c: sum(a.rate - a.min_rate for a in link.allocations.values()
                           if a.user_class == c) for c in CLASSES}
         assert {c: link.excess[c] for c in CLASSES} == recount, f"step {step}"

@@ -10,20 +10,23 @@ from vodsim.allocation import LedgerRow, Link, LinkKind
 from vodsim.config import SimConfig
 from vodsim.metrics import (
     Counters,
-    LinkLedger,
     MetricsBundle,
     Replay,
     SeriesPoint,
     emit_reports,
-    ledger_bytes,
-    mean_alloc_by_class,
-    mean_alloc_per_class,
     time_avg_utilization,
 )
 from vodsim.model import UserClass
 from vodsim.sim import run
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
+
+
+def ledger_link(label, rows, capacity=10):
+    """A PS_CMS link whose ledger is the hand-written ``rows``."""
+    link = Link(LinkKind.PS_CMS, capacity, label)
+    link.rows.extend(rows)
+    return link
 
 
 def test_counters_identity_and_ratios():
@@ -49,7 +52,7 @@ def test_snapshot_aggregates_by_kind_and_class():
     links[2].admit(0.0, 3, C2, 6, 18, 0)
     bundle = MetricsBundle()
     bundle.take_snapshot(5.0)
-    bundle.evaluate([LinkLedger.from_link(link) for link in links], horizon=5.0)
+    bundle.evaluate(links, horizon=5.0)
     point = bundle.samples[(LinkKind.PS_LPS, C1)][-1]
     assert point.stream_count == 2
     assert point.avg_alloc == pytest.approx(25.0)
@@ -75,7 +78,7 @@ def test_series_tick_excludes_rows_stamped_at_it():
     bundle = MetricsBundle()
     for tick in (0.0, 5.0, 10.0, 15.0):
         bundle.take_snapshot(tick)
-    bundle.evaluate([LinkLedger(LinkKind.PS_CMS, 10, "tie", rows)], horizon=20.0)
+    bundle.evaluate([ledger_link("tie", rows)], horizon=20.0)
     assert bundle.samples[(LinkKind.PS_CMS, C1)] == [
         SeriesPoint(0.0, 0, None, None, None),
         SeriesPoint(5.0, 1, 4.0, 2.0, 6.0),
@@ -92,7 +95,7 @@ def hand_ledger():
         LedgerRow(10.0, "reclaim", 1, 7, 1, 2, 2, 4),
         LedgerRow(20.0, "release", 1, 7, 1, 2, 2, 4),
     ]
-    return LinkLedger(LinkKind.PS_CMS, 10, "hand", rows)
+    return ledger_link("hand", rows)
 
 
 def test_time_avg_utilization_hand_case():
@@ -102,22 +105,22 @@ def test_time_avg_utilization_hand_case():
 
 
 def test_ledger_bytes_hand_case():
-    assert ledger_bytes([hand_ledger()], horizon=40.0) == pytest.approx(60.0)
+    assert Replay([hand_ledger()], horizon=40.0).totals[0] == pytest.approx(60.0)
 
 
 def test_mean_alloc_hand_case():
-    means = mean_alloc_by_class([hand_ledger()], horizon=40.0)
+    walked = Replay([hand_ledger()], horizon=40.0)
+    means = walked.mean_alloc_by_class()
     # stream lives 20s at rates 4 then 2 -> time-avg 3 per live stream
     assert means[(LinkKind.PS_CMS, C1)] == pytest.approx(3.0)
     assert (LinkKind.PS_CMS, C2) not in means
-    per_class = mean_alloc_per_class([hand_ledger()], horizon=40.0)
-    assert per_class[C1] == pytest.approx(3.0)
-    assert Replay([hand_ledger()], horizon=40.0).mean_alloc() == pytest.approx(3.0)
+    assert walked.mean_alloc_per_class() == {C1: pytest.approx(3.0)}
+    assert walked.mean_alloc() == pytest.approx(3.0)
 
 
 def test_replay_rejects_corrupt_ledger():
     def bad(*rows):
-        return [LinkLedger(LinkKind.PS_CMS, 10, "bad", list(rows))]
+        return [ledger_link("bad", rows)]
 
     with pytest.raises(ValueError):
         time_avg_utilization(bad(LedgerRow(0.0, "allocate", 1, 7, 1, 14, 4, 14)), 10.0)
@@ -229,7 +232,6 @@ def test_walk_handles_random_traffic():
     for alloc_id in live:
         link.release(now + 1.0, alloc_id)
     horizon = now + 2.0
-    ledger = LinkLedger.from_link(link)
-    util = time_avg_utilization([ledger], horizon)[LinkKind.PS_RPS]
+    util = time_avg_utilization([link], horizon)[LinkKind.PS_RPS]
     assert 0.0 <= util <= 1.0
-    assert ledger_bytes([ledger], horizon) == pytest.approx(util * 80 * horizon)
+    assert Replay([link], horizon).totals[0] == pytest.approx(util * 80 * horizon)

@@ -1,4 +1,4 @@
-"""Catalog, tier ranges, and the flat demand and weight table layout."""
+"""The catalog, tier ranges, and the flat demand and weight table layout."""
 
 from __future__ import annotations
 
@@ -39,20 +39,21 @@ def test_tier_census_rejects_bad_sizes(bad):
 
 def test_build_catalog_respects_ranges():
     catalog = make_catalog()
-    assert catalog.nov == 48
-    for video in catalog.videos:
+    assert len(catalog) == 48
+    for video in catalog:
         assert 700 <= video.size_mb <= 2100
         for user_class in CLASSES:
             min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
-            assert min_lo <= video.min_rate(user_class) <= min_hi
-            assert max_lo <= video.max_rate(user_class) <= max_hi
-            assert video.min_rate(user_class) < video.max_rate(user_class)
+            min_rate, max_rate = video.min_bw[user_class - 1], video.max_bw[user_class - 1]
+            assert min_lo <= min_rate <= min_hi
+            assert max_lo <= max_rate <= max_hi
+            assert min_rate < max_rate
 
 
 def test_build_catalog_is_deterministic():
     a = make_catalog(seed=11)
     b = make_catalog(seed=11)
-    assert a.videos == b.videos
+    assert a == b
 
 
 def test_demand_profile_counts():

@@ -11,11 +11,10 @@ import pytest
 
 from vodsim.allocation import LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
-from vodsim.metrics import Replay, SeriesPoint, emit_reports, ledger_bytes
+from vodsim.metrics import Replay, SeriesPoint, emit_reports
 from vodsim import sim
 from vodsim.model import CLASSES, UserClass, build_catalog
 from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, draw_arrivals, run
-from vodsim.topology import RouteSource
 
 SMALL = SimConfig(horizon=600.0, seed=9)
 
@@ -136,8 +135,8 @@ def test_link_capacity_below_every_class_minimum(tmp_path):
 
 def make_stream(rate=10, size=100, now=0.0):
     link = Link(LinkKind.PS_CMS, 300, "t")
-    alloc, _plan = link.admit(now, 1, UserClass.CLASS1, rate, rate, weight=0)
-    return link, StreamProgress(alloc, link, 0, RouteSource.CMS, size, now)
+    alloc, _victims = link.admit(now, 1, UserClass.CLASS1, rate, rate, weight=0)
+    return link, StreamProgress(alloc, link, 0, size, now)
 
 
 def test_stream_progress_integrates_bytes():
@@ -151,20 +150,14 @@ def test_stream_progress_integrates_bytes():
 
 def test_stream_progress_rate_change_reschedules():
     _link, stream = make_stream(rate=10, size=100)
-    stream.settle(4.0)
-    stream.alloc.rate = 5  # as a reclaim would do
-    assert stream.on_rate_change(4.0)
+    stream.settle(1.0)
+    stream.alloc.rate = 5  # as a reclaim of 5 MB/s would do
+    stream.reclaimed(4.0, 5)
+    assert stream.bytes_sent == pytest.approx(40.0)
     assert stream.generation == 1
-    assert stream.current_rate == 5
     assert stream.completion_time == pytest.approx(4.0 + 60.0 / 5)
     stream.settle(stream.completion_time)
     assert stream.bytes_sent == pytest.approx(100.0)
-
-
-def test_stream_progress_noop_rate_change():
-    _link, stream = make_stream()
-    assert not stream.on_rate_change(2.0)
-    assert stream.generation == 0
 
 
 def test_short_run_identities():
@@ -185,7 +178,7 @@ def test_short_run_identities():
 def test_byte_conservation_short_run():
     result = run(SMALL)
     stream_side = result.counters.bytes_total
-    ledger_side = ledger_bytes(result.ledgers, SMALL.horizon)
+    ledger_side = Replay(result.ledgers, SMALL.horizon).totals[0]
     assert ledger_side == pytest.approx(stream_side, rel=1e-9)
     assert result.counters.max_byte_rel_error < 1e-9
 
@@ -203,11 +196,11 @@ def test_same_seed_reproduces_run():
 def test_run_leaves_passed_catalog_untouched(tmp_path):
     config = SimConfig(horizon=2000.0)
     catalog = Simulation(config).catalog
-    videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos]
+    videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     first = run(config, catalog)
     second = run(config, catalog)
     assert first.counters == second.counters
-    assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog.videos] == videos
+    assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
     emit_reports(first, tmp_path / "a")
     emit_reports(second, tmp_path / "b")
     for path in sorted((tmp_path / "a").iterdir()):
@@ -219,6 +212,48 @@ def test_mismatched_catalog_rejected_up_front(num_videos):
     catalog = build_catalog(num_videos, 2400, 4800, random.Random(2))
     with pytest.raises(ConfigError, match="num_videos"):
         Simulation(SimConfig(horizon=2000.0), catalog)
+
+
+@pytest.mark.parametrize("changes", [
+    {"size_mb": 0},
+    {"size_mb": -5},
+    {"size_mb": 3000.0},
+    {"size_mb": True},
+    {"min_bw": (0, 6, 4)},
+    {"min_bw": (8, 30, 4)},  # class 2 minimum above any class 2 maximum
+    {"max_bw": (24.5, 18, 12)},
+    {"min_bw": (8, 6)},
+], ids=["size_zero", "size_negative", "size_float", "size_bool", "min_zero",
+        "min_above_max", "max_float", "two_windows"])
+def test_bad_catalog_entry_rejected_up_front(changes):
+    config = SimConfig(horizon=300.0, total_arrival_rate=4.0)
+    catalog = [dataclasses.replace(video, **changes)
+               for video in Simulation(config).catalog]
+    with pytest.raises(ConfigError, match="catalog video 0"):
+        Simulation(config, catalog)
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(horizon=2000.0),
+    SimConfig(total_arrival_rate=4.0, horizon=1000.0),
+])
+def test_served_counters_equal_release_rows_per_link_kind(config):
+    result = run(config)
+    horizon, counters = config.horizon, result.counters
+    released = {kind: 0 for kind in LINK_KINDS}
+    drained = 0
+    for link in result.ledgers:
+        for row in link.rows:
+            if row.op == "release":
+                if row.time < horizon:
+                    released[link.kind] += 1
+                else:
+                    drained += 1
+    assert [counters.served_lps, counters.served_rps, counters.served_cms] == [
+        released[kind] for kind in LINK_KINDS
+    ]
+    assert counters.drained == drained > 0
+    assert min(released.values()) > 0
 
 
 def test_demand_table_is_sum_of_proxy_counts():

@@ -89,7 +89,7 @@ def test_route_remote_table(holders, free):
     assert decision.source is expected
     assert decision.link is proxy.links[SOURCE_LINK[expected]]
     assert decision.allocation.rate == 18
-    assert decision.plan is None
+    assert decision.victims == []
 
 
 @pytest.mark.parametrize("holders", ["both", "lps_only", "rps_only"])
@@ -108,12 +108,12 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
         # class-2 excess to reclaim from
         assert other.admit(0.0, 31, UserClass.CLASS2, 6, 40, 0)
     assert other.plan_reclaim(UserClass.CLASS2, 6) is not None  # other could admit
-    rows = {kind: len(proxy.links[kind].ledger) for kind in LinkKind}
+    rows = {kind: len(proxy.links[kind].rows) for kind in LinkKind}
     decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[LinkKind.PS_CMS]
     for kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
-        assert len(proxy.links[kind].ledger) == rows[kind]
+        assert len(proxy.links[kind].rows) == rows[kind]
 
 
 def test_route_prefers_freer_neighbor():
@@ -181,7 +181,7 @@ def test_route_without_sharing_goes_central():
         pass
     decision = route_remote(world, 2.0, 0, 7, UserClass.CLASS2, 6, 18, 0, psg_enabled=False)
     assert decision.source is RouteSource.REJECTED
-    assert proxy.links[LinkKind.PS_LPS].ledger == proxy.links[LinkKind.PS_RPS].ledger == []
+    assert proxy.links[LinkKind.PS_LPS].rows == proxy.links[LinkKind.PS_RPS].rows == []
 
 
 def test_route_rejects_when_central_full():
