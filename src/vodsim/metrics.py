@@ -10,8 +10,10 @@ per-class mean allocations are its integrals.  No live counter is read.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,7 +70,7 @@ class Counters:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SeriesPoint:
     """One sample of one (link kind, class) population.
 
@@ -105,35 +107,44 @@ class Replay:
     tick T is every row stamped before T, and ``at_ticks[kind][i]`` is the
     summed state vector of that kind's links at ``ticks[i]``; ticks ascend
     to at most ``horizon``.
+
+    The walk costs rows plus ticks, not links times ticks: each row adds its
+    change to its kind's step vector of the first tick after it (found by
+    ``bisect_right`` only when a row reaches the next tick; rows after the
+    last tick share one more step), and ``at_ticks[kind]`` is the prefix
+    sum of that kind's steps.  A ledger keeps only its running used MB/s.
     """
 
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
         self.horizon = horizon
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
-        self.totals = [0.0, 0.0]
         self.live: list[dict[int, int]] = []
-        self.at_ticks = {kind: [[0] * _STATE_LEN for _ in ticks] for kind in LINK_KINDS}
+        steps = {kind: [[0] * _STATE_LEN for _ in range(len(ticks) + 1)] for kind in LINK_KINDS}
+        first_tick = ticks[0] if ticks else math.inf
+        used_area = streams_area = 0.0
         for ledger in ledgers:
             self.capacity[ledger.kind] += ledger.capacity
-            integral, at_ticks = self.integral[ledger.kind], self.at_ticks[ledger.kind]
-            state = [0] * _STATE_LEN
+            integral, kind_steps = self.integral[ledger.kind], steps[ledger.kind]
+            area = integral[0]
             live: dict[int, int] = {}
             self.live.append(live)
-            prev, tick = 0.0, 0
+            used, prev = 0, 0.0
+            step, next_tick = kind_steps[0], first_tick
             for row in itertools.chain(ledger.rows, (None,)):
                 time = horizon if row is None or row.time > horizon else row.time
-                while tick < len(ticks) and ticks[tick] <= time:
-                    at_ticks[tick] = list(map(operator.add, at_ticks[tick], state))
-                    tick += 1
                 if time > prev:
                     dt = time - prev
-                    integral[0] += state[0] * dt
-                    self.totals[0] += state[0] * dt
-                    self.totals[1] += len(live) * dt
+                    area += used * dt
+                    used_area += used * dt
+                    streams_area += len(live) * dt
                     prev = time
                 if row is None:
                     break
+                if time >= next_tick:
+                    tick = bisect.bisect_right(ticks, time)
+                    step = kind_steps[tick]
+                    next_tick = ticks[tick] if tick < len(ticks) else math.inf
                 c, amount = row.user_class, row.amount
                 if row.op == "reclaim" and row.alloc_id in live:
                     live[row.alloc_id] -= amount
@@ -145,16 +156,22 @@ class Replay:
                         sign = -1
                     else:
                         raise ValueError(f"bad {row.op!r} of {row.alloc_id} on {ledger.label}")
-                    state[_COUNT + c] += sign
-                    state[_MIN + c] += sign * row.min_rate
-                    state[_MAX + c] += sign * row.max_rate
+                    step[_COUNT + c] += sign
+                    step[_MIN + c] += sign * row.min_rate
+                    step[_MAX + c] += sign * row.max_rate
                     integral[_COUNT + c] += sign * (horizon - time)
                     amount *= sign
-                state[_RATE + c] += amount
+                step[_RATE + c] += amount
                 integral[_RATE + c] += amount * (horizon - time)
-                state[0] += amount
-                if not 0 <= state[0] <= ledger.capacity:
-                    raise ValueError(f"ledger replay out of bounds on {ledger.label}: {state[0]}")
+                step[0] += amount
+                used += amount
+                if not 0 <= used <= ledger.capacity:
+                    raise ValueError(f"ledger replay out of bounds on {ledger.label}: {used}")
+            integral[0] = area
+        self.totals = [used_area, streams_area]
+        self.at_ticks = {kind: list(itertools.accumulate(
+            kind_steps[:-1], lambda a, b: list(map(operator.add, a, b))))
+            for kind, kind_steps in steps.items()}
 
     def utilization(self) -> dict[LinkKind, float]:
         """Time-averaged utilization of each kind that has links."""

@@ -81,7 +81,11 @@ def draw_arrivals(
     and for ``randrange(size)`` drawing ``size.bit_length()`` bits until
     the value is below ``size``.
     """
-    config.validate()  # an empty proxy or tier range would redraw forever
+    # Simulation validates the whole config once; an empty proxy or tier
+    # range would make a redraw loop below spin forever, so it is refused here
+    if config.num_proxies < 3 or config.num_videos < 4:
+        raise ConfigError(f"cannot draw requests for {config.num_proxies} proxies and "
+                          f"{config.num_videos} videos: need at least 3 proxies and 4 videos")
     random_, getrandbits = rng.random, rng.getrandbits
     rate, num_proxies = config.total_arrival_rate, config.num_proxies
     proxy_bits = num_proxies.bit_length()
@@ -177,6 +181,7 @@ class Simulation:
             config.link_capacity,
         )
         seed_initial_placement(self.world, placement_rng)
+        self.links = self.world.all_links()
         self.now = 0.0
         self.heap: list[tuple[float, int, int, object]] = []
         self.pending: tuple[float, int, int, int, UserClass] | None = None
@@ -227,13 +232,12 @@ class Simulation:
                 self._on_sample()
         self.now = horizon
         self._drain()
-        ledgers = self.world.all_links()
-        self.metrics.evaluate(ledgers, horizon)
+        self.metrics.evaluate(self.links, horizon)
         return SimResult(
             config=config,
             counters=self.counters,
             metrics=self.metrics,
-            ledgers=ledgers,
+            ledgers=self.links,
             world=self.world,
             arrival_digest=self.arrival_hash.hexdigest(),
         )
@@ -292,7 +296,7 @@ class Simulation:
 
     def _on_sample(self) -> None:
         self.metrics.take_snapshot(self.now)
-        for link in self.world.all_links():
+        for link in self.links:
             link.check_conservation()
         self._push(self.now + self.config.sample_period, EV_SAMPLE)
 

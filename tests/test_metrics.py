@@ -6,9 +6,15 @@ import random
 
 import pytest
 
-from vodsim.allocation import LedgerRow, Link, LinkKind
+from vodsim.allocation import LINK_KINDS, LedgerRow, Link, LinkKind
 from vodsim.config import SimConfig
 from vodsim.metrics import (
+    _COUNT,
+    _INTEGRATED,
+    _MAX,
+    _MIN,
+    _RATE,
+    _STATE_LEN,
     Counters,
     MetricsBundle,
     Replay,
@@ -86,6 +92,93 @@ def test_series_tick_excludes_rows_stamped_at_it():
         SeriesPoint(15.0, 1, 3.0, 3.0, 9.0),
     ]
     assert bundle.utilization[LinkKind.PS_CMS] == [(0.0, 0.0), (5.0, 0.4), (10.0, 0.4), (15.0, 0.3)]
+
+
+def replay_by_brute_force(links, horizon, ticks):
+    """``Replay``'s outputs, each tick's state summed afresh from every row
+    stamped before it.  The float integrals add the same terms in the same
+    order as the walk, so they must match it exactly."""
+    capacity = {kind: 0 for kind in LINK_KINDS}
+    integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
+    at_ticks = {kind: [[0] * _STATE_LEN for _ in ticks] for kind in LINK_KINDS}
+    totals = [0.0, 0.0]
+    lives = []
+    for link in links:
+        capacity[link.kind] += link.capacity
+        changes, live = [], {}
+        for row in link.rows:
+            c, time = row.user_class, min(row.time, horizon)
+            sign = {"allocate": 1, "reclaim": 0, "release": -1}[row.op]
+            rate = -row.amount if row.op == "reclaim" else sign * row.amount
+            change = [0] * _STATE_LEN
+            change[0] = change[_RATE + c] = rate
+            change[_COUNT + c] = sign
+            change[_MIN + c], change[_MAX + c] = sign * row.min_rate, sign * row.max_rate
+            changes.append((row.time, change))
+            integral[link.kind][_COUNT + c] += sign * (horizon - time)
+            integral[link.kind][_RATE + c] += rate * (horizon - time)
+            if row.op == "allocate":
+                live[row.alloc_id] = row.amount
+            elif row.op == "reclaim":
+                live[row.alloc_id] -= row.amount
+            else:
+                del live[row.alloc_id]
+        lives.append(live)
+        for i, tick in enumerate(ticks):
+            for time, change in changes:
+                if time < tick:
+                    at_ticks[link.kind][i] = [a + b for a, b in zip(at_ticks[link.kind][i], change)]
+        ends = [min(time, horizon) for time, _ in changes] + [horizon]
+        for k, end in enumerate(ends):
+            before = [sum(entry) for entry in zip([0] * _STATE_LEN, *(ch for _, ch in changes[:k]))]
+            dt = end - (ends[k - 1] if k else 0.0)
+            integral[link.kind][0] += before[0] * dt
+            totals[0] += before[0] * dt
+            totals[1] += sum(before[_COUNT + c] for c in (C1, C2, C3)) * dt
+    return capacity, integral, totals, lives, at_ticks
+
+
+def random_links(seed, horizon):
+    """Links of every kind driven through ``admit``/``release`` at times on a
+    grid of 0.5 that runs past ``horizon``, plus one link with no rows."""
+    rng = random.Random(seed)
+    kinds = (LinkKind.PS_LPS, LinkKind.PS_CMS, LinkKind.PS_RPS, LinkKind.PS_LPS,
+             LinkKind.PS_CMS)
+    links = [Link(kind, 40, f"fuzz{i}") for i, kind in enumerate(kinds)]
+    for link in links:
+        live, now = [], 0.0
+        while now <= horizon + 3.0:
+            if live and rng.random() < 0.4:
+                link.release(now, live.pop(rng.randrange(len(live))))
+            else:
+                admitted = link.admit(now, rng.randrange(9), rng.choice((C1, C2, C3)),
+                                      rng.randint(4, 8), rng.randint(10, 20), rng.randrange(6))
+                if admitted is not None:
+                    live.append(admitted[0].alloc_id)
+            now += rng.choice((0.0, 0.5, 1.0))
+    return links + [Link(LinkKind.PS_RPS, 25, "empty")]
+
+
+@pytest.mark.parametrize("seed", [4, 19])
+@pytest.mark.parametrize("ticks", [
+    [],
+    [0.0, 1.5, 4.0, 7.5, 12.0, 19.5],
+    [2.0 * i for i in range(1, 11)],  # the last tick is the horizon
+], ids=["no_ticks", "uneven", "to_horizon"])
+def test_replay_equals_brute_force(seed, ticks):
+    horizon = 20.0
+    links = random_links(seed, horizon)
+    rows = [row for link in links for row in link.rows]
+    assert {"allocate", "reclaim", "release"} <= {row.op for row in rows}
+    assert any(row.time > horizon for row in rows)
+    assert not ticks or any(row.time in ticks for row in rows)
+    walked = Replay(links, horizon, ticks)
+    capacity, integral, totals, lives, at_ticks = replay_by_brute_force(links, horizon, ticks)
+    assert walked.capacity == capacity
+    assert walked.integral == integral
+    assert walked.totals == totals
+    assert walked.live == lives
+    assert walked.at_ticks == at_ticks
 
 
 def hand_ledger():

@@ -45,6 +45,23 @@ def test_draw_arrivals_rejects_unvalidated_config():
         draw_arrivals(random.Random(1), SimConfig(num_proxies=2), 10)
 
 
+@pytest.mark.parametrize("changes", [{"num_proxies": 0}, {"num_videos": 0}, {"num_videos": 2}])
+def test_draw_arrivals_refuses_an_empty_range(changes):
+    # unvalidated: with no proxies, or a tier of 0 videos, a redraw loop
+    # would never end
+    with pytest.raises(ConfigError, match="need at least 3 proxies and 4 videos"):
+        draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes), 10)
+
+
+def test_run_validates_its_config_once(monkeypatch):
+    calls = []
+    validate = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate", lambda self: calls.append(self) or validate(self))
+    result = run(SMALL)
+    assert result.counters.requested > 2 * sim.ARRIVAL_BLOCK  # several draw_arrivals blocks
+    assert calls == [SMALL]
+
+
 def generate_arrival(rng, config):
     """One request drawn with the ``random.Random`` methods themselves.
 
