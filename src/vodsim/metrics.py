@@ -111,8 +111,9 @@ class Replay:
     The walk costs rows plus ticks, not links times ticks: each row adds its
     change to its kind's step vector of the first tick after it (found by
     ``bisect_right`` only when a row reaches the next tick; rows after the
-    last tick share one more step), and ``at_ticks[kind]`` is the prefix
-    sum of that kind's steps.  A ledger keeps only its running used MB/s.
+    last tick share one more step, which is dropped), and
+    ``at_ticks[kind]`` is that kind's step list, prefix-summed in place.
+    A ledger keeps only its running used MB/s.
     """
 
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
@@ -169,9 +170,11 @@ class Replay:
                     raise ValueError(f"ledger replay out of bounds on {ledger.label}: {used}")
             integral[0] = area
         self.totals = [used_area, streams_area]
-        self.at_ticks = {kind: list(itertools.accumulate(
-            kind_steps[:-1], lambda a, b: list(map(operator.add, a, b))))
-            for kind, kind_steps in steps.items()}
+        for kind_steps in steps.values():
+            kind_steps.pop()  # the rows after the last tick
+            for prev, cur in itertools.pairwise(kind_steps):
+                cur[:] = map(operator.add, prev, cur)
+        self.at_ticks = steps
 
     def utilization(self) -> dict[LinkKind, float]:
         """Time-averaged utilization of each kind that has links."""

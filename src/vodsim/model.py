@@ -16,6 +16,7 @@ cell.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -63,19 +64,52 @@ class VideoMeta:
     max_bw: tuple[int, int, int]
 
 
+def draw_spec(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """``(low, width, bits)`` for each ``(low, width)`` range, in order.
+
+    The contract of every bounded draw: a value uniform on
+    ``[low, low + width)`` is ``low + r``, where ``r`` is the first
+    ``rng.getrandbits(bits)`` below ``width`` and ``bits`` is
+    ``width.bit_length()``.  This is what CPython's
+    ``rng.randrange(low, low + width)`` does, call for call, so the value
+    and the generator's state afterwards are the same.  Callers write the
+    ``while`` loop inline, because a call per draw doubles its cost.  A
+    width below 1 would never end that loop and raises ValueError.
+    """
+    spec = []
+    for low, width in ranges:
+        if width < 1:
+            raise ValueError(f"cannot draw from the empty range [{low}, {low + width})")
+        spec.append((low, width, width.bit_length()))
+    return spec
+
+
 def build_catalog(num_videos: int, size_min: int, size_max: int,
                   rng: random.Random) -> list[VideoMeta]:
-    """Draw a catalog: sizes and per-class min/max rates come from ``rng``."""
+    """Draw a catalog: sizes and per-class min/max rates come from ``rng``.
+
+    Per video, seven draws under ``draw_spec``'s contract, in this order:
+    the size from ``size_min..size_max``, then the minimum and the maximum
+    rate of class 1, 2 and 3 from their ``BW_RANGES``.  Each makes the
+    calls ``rng.randint`` over the same bounds would, so a seed gives the
+    catalog it gave when this drew through ``randint``.
+    """
+    bounds = [(size_min, size_max)]
+    for user_class in CLASSES:
+        min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
+        bounds += [(min_lo, min_hi), (max_lo, max_hi)]
+    spec = draw_spec((lo, hi - lo + 1) for lo, hi in bounds)
+    getrandbits = rng.getrandbits
     videos = []
     for _ in range(num_videos):
-        size = rng.randint(size_min, size_max)
-        mins = []
-        maxs = []
-        for user_class in CLASSES:
-            min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
-            mins.append(rng.randint(min_lo, min_hi))
-            maxs.append(rng.randint(max_lo, max_hi))
-        videos.append(VideoMeta(size, tuple(mins), tuple(maxs)))
+        drawn = []
+        for low, width, bits in spec:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            drawn.append(low + r)
+        size, min1, max1, min2, max2, min3, max3 = drawn
+        videos.append(VideoMeta(size, (min1, min2, min3), (max1, max2, max3)))
     return videos
 
 

@@ -44,7 +44,7 @@ from .agent import agent_tour
 from .allocation import Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig
 from .metrics import Counters, MetricsBundle
-from .model import UserClass, VideoMeta, build_catalog, tier_ranges
+from .model import UserClass, VideoMeta, build_catalog, draw_spec, tier_ranges
 from .topology import (
     LOCAL,
     REJECTED,
@@ -78,8 +78,7 @@ def draw_arrivals(
     ``rng.randrange(num_proxies)``, ``rng.random()``,
     ``rng.randrange(tier size)`` and ``rng.random()`` make, in that order,
     written out as CPython writes them: ``-log(1.0 - random()) / rate``,
-    and for ``randrange(size)`` drawing ``size.bit_length()`` bits until
-    the value is below ``size``.
+    and each ``randrange`` under ``model.draw_spec``'s contract.
     """
     # Simulation validates the whole config once; an empty proxy or tier
     # range would make a redraw loop below spin forever, so it is refused here
@@ -87,12 +86,10 @@ def draw_arrivals(
         raise ConfigError(f"cannot draw requests for {config.num_proxies} proxies and "
                           f"{config.num_videos} videos: need at least 3 proxies and 4 videos")
     random_, getrandbits = rng.random, rng.getrandbits
-    rate, num_proxies = config.total_arrival_rate, config.num_proxies
-    proxy_bits = num_proxies.bit_length()
-    # per tier: (first id, size, bits per draw)
-    most_tier, secondary_tier, least_tier = (
-        (first, size, size.bit_length()) for first, size in tier_ranges(config.num_videos)
-    )
+    rate = config.total_arrival_rate
+    # (first id, size, bits per draw) of the proxy ids and of each tier
+    [(_, num_proxies, proxy_bits)] = draw_spec([(0, config.num_proxies)])
+    most_tier, secondary_tier, least_tier = draw_spec(tier_ranges(config.num_videos))
     most, secondary, _least = config.tier_mix
     most_or_secondary = most + secondary
     class1, class2, _class3 = config.class_mix

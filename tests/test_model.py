@@ -11,8 +11,10 @@ from vodsim.config import ConfigError, SimConfig
 from vodsim.model import (
     BW_RANGES,
     CLASSES,
+    VideoMeta,
     build_catalog,
     cell_index,
+    draw_spec,
     tier_ranges,
 )
 from vodsim.topology import build_world
@@ -54,6 +56,41 @@ def test_build_catalog_is_deterministic():
     a = make_catalog(seed=11)
     b = make_catalog(seed=11)
     assert a == b
+
+
+def randint_catalog(num_videos, size_min, size_max, rng):
+    """The catalog drawn with ``rng.randint`` itself, in build_catalog's
+    order: the size, then the minimum and maximum rate of each class."""
+    videos = []
+    for _ in range(num_videos):
+        size = rng.randint(size_min, size_max)
+        mins, maxs = [], []
+        for user_class in CLASSES:
+            min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
+            mins.append(rng.randint(min_lo, min_hi))
+            maxs.append(rng.randint(max_lo, max_hi))
+        videos.append(VideoMeta(size, tuple(mins), tuple(maxs)))
+    return videos
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("size_min, size_max", [(2400, 4800), (7, 8), (1, 1), (1, 2**40)])
+def test_build_catalog_draws_as_randint(seed, size_min, size_max):
+    # (1, 1) has width 1 and still spends one getrandbits(1) per draw;
+    # (1, 2**40) takes the multi-word getrandbits path
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    catalog = build_catalog(200, size_min, size_max, rng)
+    assert catalog == randint_catalog(200, size_min, size_max, reference_rng)
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_draw_spec_refuses_an_empty_range(width):
+    # the redraw loop would never end on an empty range
+    with pytest.raises(ValueError, match="empty range"):
+        draw_spec([(5, 2), (10, width)])
+    with pytest.raises(ValueError, match="empty range"):
+        build_catalog(4, 10, 10 + width - 1, random.Random(0))
 
 
 def test_demand_profile_counts():

@@ -224,6 +224,19 @@ def test_run_leaves_passed_catalog_untouched(tmp_path):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
+def test_catalog_draw_shifts_no_other_stream(tmp_path):
+    # the catalog has its own generator: drawing it or passing the same
+    # catalog in gives the same placement, arrivals and reports
+    passed = run(SMALL, Simulation(SMALL).catalog)
+    drawn = run(SMALL)
+    assert passed.arrival_digest == drawn.arrival_digest
+    assert passed.counters == drawn.counters
+    emit_reports(passed, tmp_path / "passed")
+    paths = emit_reports(drawn, tmp_path / "drawn")
+    for path in paths:
+        assert path.read_bytes() == (tmp_path / "passed" / path.name).read_bytes()
+
+
 @pytest.mark.parametrize("num_videos", [240, 960])
 def test_mismatched_catalog_rejected_up_front(num_videos):
     catalog = build_catalog(num_videos, 2400, 4800, random.Random(2))
