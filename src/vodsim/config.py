@@ -10,10 +10,20 @@ class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
 
 
-def _same_type(value, default) -> bool:
-    """Whether ``value`` may stand in for ``default``: the same type, or an
-    int where the default is a float.  A bool is never taken for an int."""
-    return type(value) is type(default) or (type(value) is int and type(default) is float)
+def _checked(name: str, value, default):
+    """``value`` as a value of ``default``'s type: the same type, or an int
+    where the default is a float, which becomes that float.  A bool is
+    never taken for an int, and a float must be finite."""
+    if not (type(value) is type(default) or (type(value) is int and type(default) is float)):
+        raise ConfigError(f"{name}: {value!r} is not {type(default).__name__}")
+    if type(default) is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is out of float range") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass
@@ -35,16 +45,16 @@ class SimConfig:
     psg_enabled: bool = True
 
     def validate(self) -> "SimConfig":
+        """Check every field and return self.  An int given for a float
+        (tuple items too) is stored as that float, so equal configs run
+        and report alike."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            pairs = [(value, f.default)]
+            value = _checked(f.name, getattr(self, f.name), f.default)
             if isinstance(value, tuple):
-                pairs.extend(zip(value, f.default))
-            for item, default in pairs:
-                if not _same_type(item, default):
-                    raise ConfigError(f"{f.name}: {item!r} is not {type(default).__name__}")
-                if isinstance(item, float) and not math.isfinite(item):
-                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                # items past the default's length stay for the length checks below
+                value = (*(_checked(f.name, item, default)
+                           for item, default in zip(value, f.default)), *value[len(f.default):])
+            setattr(self, f.name, value)
         if self.num_proxies < 3:
             raise ConfigError("need at least 3 proxies to form a ring")
         if self.num_videos <= 0 or self.num_videos % 4:

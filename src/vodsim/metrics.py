@@ -6,12 +6,13 @@ usage as an exact step function.  Every reported number derives from
 what it returns: the sampled series are the step function evaluated at
 the sample ticks, and time-averaged utilization, bytes carried and
 per-class mean allocations are its integrals.  No live counter is read.
+A running simulation records only its sample ticks; ``emit_reports``
+makes the one walk that writes every series, at report time.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 import math
 import operator
@@ -68,20 +69,6 @@ class Counters:
         return self.requested == (
             self.local_hits + self.served_remote + self.rejected + self.drained
         )
-
-
-@dataclass(slots=True)
-class SeriesPoint:
-    """One sample of one (link kind, class) population.
-
-    Averages are None when no stream of that class was live on that kind.
-    """
-
-    time: float
-    stream_count: int
-    avg_alloc: float | None
-    avg_min: float | None
-    avg_max: float | None
 
 
 # A state vector holds a link's used MB/s at index 0, then its live stream
@@ -205,37 +192,14 @@ class Replay:
 
 
 class MetricsBundle:
-    """Sampled series for all nine (kind, class) pairs plus utilization.
-
-    A running simulation records only its sample ticks; ``evaluate`` then
-    fills the series from the finished ledgers.
-    """
+    """The sample ticks of a running simulation, in order.  The series at
+    those ticks are derived from the ledgers at report time."""
 
     def __init__(self):
         self.ticks: list[float] = []
-        self.samples: dict[tuple[LinkKind, UserClass], list[SeriesPoint]] = {
-            (kind, user_class): [] for kind in LINK_KINDS for user_class in CLASSES
-        }
-        self.utilization: dict[LinkKind, list[tuple[float, float]]] = {
-            kind: [] for kind in LINK_KINDS
-        }
 
     def take_snapshot(self, time: float) -> None:
         self.ticks.append(time)
-
-    def evaluate(self, ledgers: list[Link], horizon: float) -> None:
-        """Fill the series with each link kind's ledger state at every tick."""
-        walked = Replay(ledgers, horizon, self.ticks)
-        for (kind, c), series in self.samples.items():
-            series[:] = [
-                SeriesPoint(time, n, s[_RATE + c] / n, s[_MIN + c] / n, s[_MAX + c] / n)
-                if (n := s[_COUNT + c]) else SeriesPoint(time, 0, None, None, None)
-                for time, s in zip(self.ticks, walked.at_ticks[kind])
-            ]
-        for kind, series in self.utilization.items():
-            if walked.capacity[kind]:
-                series[:] = [(time, s[0] / walked.capacity[kind])
-                             for time, s in zip(self.ticks, walked.at_ticks[kind])]
 
 
 def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[LinkKind, float]:
@@ -246,19 +210,7 @@ def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[LinkKind, 
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 _COUNTER_ROWS = (
@@ -270,53 +222,63 @@ _COUNTER_ROWS = (
 def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     """Write the standard report set for a finished run.
 
-    ``result`` is a finished run (its counters, metrics, ledgers and config
-    are read); ``baseline`` optionally supplies a sharing-disabled run of
-    the same seed for side-by-side rejection numbers.  Returns the paths
-    written: nine allocation series, three utilization series,
+    ``result`` is a finished run (its counters, sample ticks, ledgers and
+    config are read); ``baseline`` optionally supplies a sharing-disabled
+    run of the same seed for side-by-side rejection numbers.  Returns the
+    paths written: nine allocation series, three utilization series,
     rejections.csv and summary.txt.
+
+    One ``Replay`` of the ledgers at the sample ticks gives every series
+    and ``util_avg_*``.  If the walk finds a corrupt ledger, the twelve
+    series files hold only their header, the summary has no ``util_avg_*``
+    lines and it reports ``CHECK:ledger_bounds=FAIL``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for (kind, user_class), series in result.metrics.samples.items():
-        path = out / f"alloc_{kind.value}_class{int(user_class)}.csv"
-        _write_csv(
-            path,
-            ["time", "streams", "avg_alloc", "avg_min", "avg_max"],
-            ((p.time, p.stream_count, p.avg_alloc, p.avg_min, p.avg_max) for p in series),
-        )
-        paths.append(path)
-    for kind, series in result.metrics.utilization.items():
-        path = out / f"util_{kind.value}.csv"
-        _write_csv(path, ["time", "utilization"], series)
+
+    def write(name: str, lines: list[str]) -> None:
+        path = out / name
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
         paths.append(path)
 
-    path = out / "rejections.csv"
-    counters = result.counters
-    if baseline is not None:
-        header = ["metric", "with_psg", "without_psg"]
-        other = baseline.counters
-        rows = [(name, getattr(counters, name), getattr(other, name))
-                for name in _COUNTER_ROWS]
-    else:
-        header = ["metric", "value"]
-        rows = [(name, getattr(counters, name)) for name in _COUNTER_ROWS]
-    _write_csv(path, header, rows)
-    paths.append(path)
-
-    path = out / "summary.txt"
+    config, counters, ticks = result.config, result.counters, result.metrics.ticks
     try:
-        util = time_avg_utilization(result.ledgers, result.config.horizon)
+        walked = Replay(result.ledgers, config.horizon, ticks)
+        at_ticks, capacity, util = walked.at_ticks, walked.capacity, walked.utilization()
         bounds = "PASS"
     except ValueError:
-        util = {}
+        at_ticks, capacity, util = dict.fromkeys(LINK_KINDS, ()), {}, {}
         bounds = "FAIL"
+    for kind in LINK_KINDS:
+        for c in CLASSES:
+            count, rate, low, high = _COUNT + c, _RATE + c, _MIN + c, _MAX + c
+            write(f"alloc_{kind.value}_class{int(c)}.csv", [
+                "time,streams,avg_alloc,avg_min,avg_max",
+                *(f"{t:.6f},{n},{s[rate] / n:.6f},{s[low] / n:.6f},{s[high] / n:.6f}"
+                  if (n := s[count]) else f"{t:.6f},0,,,"
+                  for t, s in zip(ticks, at_ticks[kind])),
+            ])
+    for kind in LINK_KINDS:
+        kind_capacity = capacity.get(kind)
+        write(f"util_{kind.value}.csv", [
+            "time,utilization",
+            *(f"{t:.6f},{s[0] / kind_capacity:.6f}"
+              for t, s in zip(ticks, at_ticks[kind] if kind_capacity else ())),
+        ])
+
+    runs = [counters] if baseline is None else [counters, baseline.counters]
+    write("rejections.csv", [
+        "metric,value" if baseline is None else "metric,with_psg,without_psg",
+        *(",".join([name, *(_fmt(getattr(run, name)) for run in runs)]) for name in _COUNTER_ROWS),
+    ])
+
     lines = [
-        f"seed={result.config.seed}",
-        f"horizon={_fmt(result.config.horizon)}",
-        f"total_arrival_rate={_fmt(result.config.total_arrival_rate)}",
-        f"psg_enabled={result.config.psg_enabled}",
+        f"seed={config.seed}",
+        f"horizon={_fmt(config.horizon)}",
+        f"total_arrival_rate={_fmt(config.total_arrival_rate)}",
+        f"psg_enabled={config.psg_enabled}",
     ]
     lines.extend(f"{name}={_fmt(getattr(counters, name))}" for name in _COUNTER_ROWS)
     lines.append(f"bytes_completed={_fmt(counters.bytes_completed)}")
@@ -329,7 +291,5 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     conservation = "PASS" if counters.identity_holds() else "FAIL"
     lines.append(f"CHECK:conservation={conservation}")
     lines.append(f"CHECK:ledger_bounds={bounds}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    paths.append(path)
+    write("summary.txt", lines)
     return paths

@@ -6,7 +6,10 @@ pure function of its seed and configuration.  Four event kinds exist:
 request arrivals, stream completions, agent tours and metric samples.
 Completions are cancelled lazily: each live stream carries a generation
 counter, bumped whenever a reclaim cuts its rate, and stale completion
-events are dropped when popped.
+events are dropped when popped.  A metric sample records its tick and
+audits every link's capacity conservation; ``run`` replays no ledger, so
+the sampled series exist only once ``metrics.emit_reports`` walks the
+ledgers at those ticks.
 
 The one scheduled arrival (each arrival schedules the next) waits in the
 ``pending`` slot with the key it would have had in the binary heap that
@@ -152,7 +155,7 @@ class SimResult:
 
     config: SimConfig
     counters: Counters
-    metrics: MetricsBundle
+    metrics: MetricsBundle  # the sample ticks
     ledgers: list[Link]  # every link, in world.all_links() order
     world: World | None = field(repr=False, default=None)
     arrival_digest: str = ""
@@ -229,7 +232,6 @@ class Simulation:
                 self._on_sample()
         self.now = horizon
         self._drain()
-        self.metrics.evaluate(self.links, horizon)
         return SimResult(
             config=config,
             counters=self.counters,

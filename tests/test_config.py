@@ -62,6 +62,8 @@ def test_defaults_validate():
     ("seed", True),
     ("tier_mix", [0.5, 0.35, 0.15]),
     ("class_mix", (0.2, 0.3, "0.5")),
+    # an int stands for a float only inside the float range
+    pytest.param("horizon", 10 ** 400, id="horizon-huge-int"),
 ])
 def test_validate_rejects_bad_values(field, value):
     config = dataclasses.replace(SimConfig(), **{field: value})
@@ -72,6 +74,9 @@ def test_validate_rejects_bad_values(field, value):
 def test_validate_takes_int_for_float():
     config = SimConfig(total_arrival_rate=4, horizon=2000, tier_mix=(0.5, 0.25, 0.25)).validate()
     assert config.total_arrival_rate == 4.0
+    # stored as the float it stands for, so equal configs format alike
+    assert type(config.total_arrival_rate) is float and type(config.horizon) is float
+    assert config.profits == (3, 2, 1) and type(config.profits[0]) is int
 
 
 def write(tmp_path, text):

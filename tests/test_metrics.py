@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from vodsim import metrics
 from vodsim.allocation import LINK_KINDS, LedgerRow, Link, LinkKind
 from vodsim.config import SimConfig
 from vodsim.metrics import (
@@ -18,12 +19,11 @@ from vodsim.metrics import (
     Counters,
     MetricsBundle,
     Replay,
-    SeriesPoint,
     emit_reports,
     time_avg_utilization,
 )
 from vodsim.model import UserClass
-from vodsim.sim import run
+from vodsim.sim import SimResult, run
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
 
@@ -50,48 +50,57 @@ def test_rejection_ratio_no_remote():
     assert Counters(requested=5, local_hits=5).rejection_ratio == 0.0
 
 
-def test_snapshot_aggregates_by_kind_and_class():
+def hand_reports(tmp_path, links, horizon, ticks):
+    """The report lines, by file name, of a run whose ledgers are ``links``
+    and whose samples fell at ``ticks``."""
+    bundle = MetricsBundle()
+    for tick in ticks:
+        bundle.take_snapshot(tick)
+    result = SimResult(SimConfig(horizon=horizon).validate(), Counters(), bundle, links)
+    return {path.name: path.read_text().splitlines() for path in emit_reports(result, tmp_path)}
+
+
+ALLOC_HEADER = "time,streams,avg_alloc,avg_min,avg_max"
+
+
+def test_snapshot_aggregates_by_kind_and_class(tmp_path):
     links = [Link(LinkKind.PS_LPS, 100, "a"), Link(LinkKind.PS_LPS, 100, "b"),
              Link(LinkKind.PS_CMS, 100, "c")]
     links[0].admit(0.0, 1, C1, 10, 20, 0)
     links[1].admit(0.0, 2, C1, 10, 30, 0)
     links[2].admit(0.0, 3, C2, 6, 18, 0)
-    bundle = MetricsBundle()
-    bundle.take_snapshot(5.0)
-    bundle.evaluate(links, horizon=5.0)
-    point = bundle.samples[(LinkKind.PS_LPS, C1)][-1]
-    assert point.stream_count == 2
-    assert point.avg_alloc == pytest.approx(25.0)
-    assert point.avg_min == pytest.approx(10.0)
-    assert point.avg_max == pytest.approx(25.0)
-    empty = bundle.samples[(LinkKind.PS_LPS, C3)][-1]
-    assert empty.stream_count == 0
-    assert empty.avg_alloc is None
-    time, util = bundle.utilization[LinkKind.PS_LPS][-1]
-    assert time == 5.0
-    assert util == pytest.approx(50 / 200)
-    assert bundle.utilization[LinkKind.PS_CMS][-1][1] == pytest.approx(18 / 100)
-    assert bundle.utilization[LinkKind.PS_RPS] == []
+    reports = hand_reports(tmp_path, links, horizon=5.0, ticks=[5.0])
+    assert reports["alloc_ps_lps_class1.csv"] == [
+        ALLOC_HEADER, "5.000000,2,25.000000,10.000000,25.000000"]
+    assert reports["alloc_ps_cms_class2.csv"] == [
+        ALLOC_HEADER, "5.000000,1,18.000000,6.000000,18.000000"]
+    assert reports["alloc_ps_lps_class3.csv"] == [ALLOC_HEADER, "5.000000,0,,,"]
+    assert reports["alloc_ps_rps_class1.csv"] == [ALLOC_HEADER, "5.000000,0,,,"]
+    assert reports["util_ps_lps.csv"] == ["time,utilization", "5.000000,0.250000"]
+    assert reports["util_ps_cms.csv"] == ["time,utilization", "5.000000,0.180000"]
+    assert reports["util_ps_rps.csv"] == ["time,utilization"]
 
 
-def test_series_tick_excludes_rows_stamped_at_it():
+def test_series_tick_excludes_rows_stamped_at_it(tmp_path):
     # stream 1 lives on [0, 10); stream 2 starts at 10, exactly on a tick
     rows = [
         LedgerRow(0.0, "allocate", 1, 7, 1, 4, 2, 6),
         LedgerRow(10.0, "release", 1, 7, 1, 4, 2, 6),
         LedgerRow(10.0, "allocate", 2, 8, 1, 3, 3, 9),
     ]
-    bundle = MetricsBundle()
-    for tick in (0.0, 5.0, 10.0, 15.0):
-        bundle.take_snapshot(tick)
-    bundle.evaluate([ledger_link("tie", rows)], horizon=20.0)
-    assert bundle.samples[(LinkKind.PS_CMS, C1)] == [
-        SeriesPoint(0.0, 0, None, None, None),
-        SeriesPoint(5.0, 1, 4.0, 2.0, 6.0),
-        SeriesPoint(10.0, 1, 4.0, 2.0, 6.0),
-        SeriesPoint(15.0, 1, 3.0, 3.0, 9.0),
+    reports = hand_reports(tmp_path, [ledger_link("tie", rows)], horizon=20.0,
+                           ticks=[0.0, 5.0, 10.0, 15.0])
+    assert reports["alloc_ps_cms_class1.csv"] == [
+        ALLOC_HEADER,
+        "0.000000,0,,,",
+        "5.000000,1,4.000000,2.000000,6.000000",
+        "10.000000,1,4.000000,2.000000,6.000000",
+        "15.000000,1,3.000000,3.000000,9.000000",
     ]
-    assert bundle.utilization[LinkKind.PS_CMS] == [(0.0, 0.0), (5.0, 0.4), (10.0, 0.4), (15.0, 0.3)]
+    assert reports["util_ps_cms.csv"] == [
+        "time,utilization", "0.000000,0.000000", "5.000000,0.400000",
+        "10.000000,0.400000", "15.000000,0.300000",
+    ]
 
 
 def replay_by_brute_force(links, horizon, ticks):
@@ -230,8 +239,9 @@ def test_utilization_replay_matches_sampled_series():
     config = SimConfig(horizon=400.0, seed=21)
     result = run(config)
     replayed = time_avg_utilization(result.ledgers, config.horizon)
-    for kind, series in result.metrics.utilization.items():
-        sampled = sum(u for _, u in series) / len(series)
+    walked = Replay(result.ledgers, config.horizon, result.metrics.ticks)
+    for kind, states in walked.at_ticks.items():
+        sampled = sum(state[0] for state in states) / (len(states) * walked.capacity[kind])
         assert replayed[kind] == pytest.approx(sampled, abs=0.05)
 
 
@@ -259,11 +269,30 @@ def test_emit_reports_flags_out_of_bounds_ledger(tmp_path):
     result = run(config)
     ledger = result.ledgers[0]
     ledger.rows.insert(0, LedgerRow(0.0, "allocate", 0, 0, 1, ledger.capacity + 1, 8, 24))
-    emit_reports(result, tmp_path)
+    paths = emit_reports(result, tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
     assert "CHECK:ledger_bounds=FAIL" in summary
     assert "util_avg_" not in summary
     assert "CHECK:conservation=PASS" in summary
+    series = [path for path in paths if path.name.startswith(("alloc_", "util_"))]
+    assert len(series) == 12
+    for path in series:
+        assert path.read_text() in (ALLOC_HEADER + "\n", "time,utilization\n")
+
+
+def test_one_replay_per_report(tmp_path, monkeypatch):
+    walks = []
+
+    class CountingReplay(Replay):
+        def __init__(self, *args, **kwargs):
+            walks.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "Replay", CountingReplay)
+    result = run(SimConfig(horizon=200.0, seed=2))
+    assert len(walks) == 0
+    emit_reports(result, tmp_path)
+    assert len(walks) == 1
 
 
 def test_emit_reports_empty_cells_for_absent_averages(tmp_path):
@@ -295,6 +324,17 @@ def test_emit_reports_deterministic_bytes(tmp_path):
     config = SimConfig(horizon=200.0, seed=2)
     paths_a = emit_reports(run(config), tmp_path / "a")
     paths_b = emit_reports(run(config), tmp_path / "b")
+    for pa, pb in zip(paths_a, paths_b):
+        assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_int_and_float_configs_write_identical_reports(tmp_path):
+    as_ints = SimConfig(horizon=200, sample_period=10, seed=2)
+    as_floats = SimConfig(horizon=200.0, sample_period=10.0, seed=2)
+    assert as_ints == as_floats
+    paths_a = emit_reports(run(as_ints), tmp_path / "a")
+    paths_b = emit_reports(run(as_floats), tmp_path / "b")
+    assert [path.name for path in paths_a] == [path.name for path in paths_b]
     for pa, pb in zip(paths_a, paths_b):
         assert pa.read_bytes() == pb.read_bytes()
 

@@ -11,7 +11,7 @@ import pytest
 
 from vodsim.allocation import LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
-from vodsim.metrics import Replay, SeriesPoint, emit_reports
+from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
 from vodsim import sim
 from vodsim.model import CLASSES, UserClass, build_catalog
 from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, draw_arrivals, run
@@ -428,43 +428,34 @@ def test_tours_run_on_schedule(monkeypatch):
 
 def test_samples_cover_run():
     result = run(SMALL)
-    series = result.metrics.utilization
+    ticks = result.metrics.ticks
+    assert len(ticks) == 60
+    assert ticks[0] == pytest.approx(10.0)
+    assert ticks[-1] == pytest.approx(600.0)
+    walked = Replay(result.ledgers, SMALL.horizon, ticks)
     for kind in LinkKind:
-        times = [t for t, _ in series[kind]]
-        assert len(times) == 60
-        assert times[0] == pytest.approx(10.0)
-        assert times[-1] == pytest.approx(600.0)
+        assert len(walked.at_ticks[kind]) == 60
 
 
-def live_snapshot(time, links, samples, utilization):
-    """Aggregate every live allocation on ``links`` per (kind, class).
+def live_snapshot(links):
+    """Each link kind's state vector summed over the live links: used MB/s,
+    then per class the live stream count and the rate, minimum-rate and
+    maximum-rate sums.
 
     A reference read from the live links rather than the ledgers: the
-    ledger-derived series must equal what this records at each tick.
+    ledger walk's state at each tick must equal what this records there.
     """
-    count, rate_sum, min_sum, max_sum = {}, {}, {}, {}
-    used = {kind: 0 for kind in LINK_KINDS}
-    capacity = {kind: 0 for kind in LINK_KINDS}
+    state = {kind: [0] * _STATE_LEN for kind in LINK_KINDS}
     for link in links:
-        used[link.kind] += link.used
-        capacity[link.kind] += link.capacity
+        kind_state = state[link.kind]
+        kind_state[0] += link.used
         for alloc in link.allocations.values():
-            key = (link.kind, alloc.user_class)
-            count[key] = count.get(key, 0) + 1
-            rate_sum[key] = rate_sum.get(key, 0) + alloc.rate
-            min_sum[key] = min_sum.get(key, 0) + alloc.min_rate
-            max_sum[key] = max_sum.get(key, 0) + alloc.max_rate
-    for key, series in samples.items():
-        n = count.get(key, 0)
-        if n:
-            series.append(SeriesPoint(
-                time, n, rate_sum[key] / n, min_sum[key] / n, max_sum[key] / n,
-            ))
-        else:
-            series.append(SeriesPoint(time, 0, None, None, None))
-    for kind in LINK_KINDS:
-        if capacity[kind]:
-            utilization[kind].append((time, used[kind] / capacity[kind]))
+            c = alloc.user_class
+            kind_state[_COUNT + c] += 1
+            kind_state[_RATE + c] += alloc.rate
+            kind_state[_MIN + c] += alloc.min_rate
+            kind_state[_MAX + c] += alloc.max_rate
+    return state
 
 
 @pytest.mark.parametrize("config", [
@@ -472,16 +463,18 @@ def live_snapshot(time, links, samples, utilization):
     SimConfig(total_arrival_rate=4.0, horizon=1000.0),
 ])
 def test_ledger_series_equal_live_aggregation(config, monkeypatch):
-    samples = {(kind, c): [] for kind in LINK_KINDS for c in CLASSES}
-    utilization = {kind: [] for kind in LINK_KINDS}
+    times, live = [], {kind: [] for kind in LINK_KINDS}
     on_sample = Simulation._on_sample
 
     def sample_live(self):
-        live_snapshot(self.now, self.world.all_links(), samples, utilization)
+        times.append(self.now)
+        for kind, state in live_snapshot(self.world.all_links()).items():
+            live[kind].append(state)
         on_sample(self)
 
     monkeypatch.setattr(Simulation, "_on_sample", sample_live)
     result = run(config)
-    assert len(utilization[LinkKind.PS_CMS]) == len(result.metrics.ticks) > 0
-    assert result.metrics.samples == samples
-    assert result.metrics.utilization == utilization
+    assert times == result.metrics.ticks and len(times) > 0
+    walked = Replay(result.ledgers, config.horizon, result.metrics.ticks)
+    assert walked.at_ticks == live
+    assert any(state[_COUNT + c] for states in live.values() for state in states for c in CLASSES)
