@@ -12,6 +12,11 @@ bandwidth plus that excess cannot cover is rejected without a scan.
 Every mutation appends a row to the link's ``rows``, its ledger, so a
 link's utilization over time can be replayed exactly from the link without
 trusting the live counters.
+
+An allocation is the one record of its live stream.  It banks the bytes
+it has carried: a reclaim adds the bytes sent at the old rate before it
+cuts the rate, and a release adds the last segment, so a stream's bytes
+are exact however often its rate changes.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ class InvariantViolation(RuntimeError):
     """Raised when link accounting would go out of bounds; indicates a bug."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
-    """One admitted stream's share of a link, in whole MB/s."""
+    """One admitted stream's share of a link, in whole MB/s, and the MB it
+    has carried: ``sent`` counts the bytes up to ``since``, the time of its
+    last rate change, and ``rate`` has held since then."""
 
     alloc_id: int
     video_id: int
@@ -49,6 +56,8 @@ class Allocation:
     min_rate: int
     max_rate: int
     weight: int
+    sent: float = 0.0
+    since: float = 0.0
 
 
 @dataclass(slots=True)
@@ -137,6 +146,8 @@ class Link:
             alloc = self.allocations[alloc_id]
             if take <= 0 or alloc.rate - take < alloc.min_rate:
                 raise InvariantViolation("reclaim would push a stream below its minimum")
+            alloc.sent += alloc.rate * (time - alloc.since)
+            alloc.since = time
             alloc.rate -= take
             self.used -= take
             self.excess[alloc.user_class] -= take
@@ -171,7 +182,7 @@ class Link:
             self._apply_reclaim(time, victims)
             rate = min_rate
         alloc = Allocation(next(self.id_source), video_id, user_class,
-                           rate, min_rate, max_rate, weight)
+                           rate, min_rate, max_rate, weight, since=time)
         self.allocations[alloc.alloc_id] = alloc
         self.used += rate
         self.excess[user_class] += rate - min_rate
@@ -183,10 +194,13 @@ class Link:
         return alloc, victims
 
     def release(self, time: float, alloc_id: int) -> Allocation:
-        """Tear down an allocation and return it; unknown ids are a bug."""
+        """Tear down an allocation and return it with its bytes banked up
+        to ``time``; unknown ids are a bug."""
         alloc = self.allocations.pop(alloc_id, None)
         if alloc is None:
             raise InvariantViolation(f"release of unknown allocation {alloc_id}")
+        alloc.sent += alloc.rate * (time - alloc.since)
+        alloc.since = time
         self.used -= alloc.rate
         self.excess[alloc.user_class] -= alloc.rate - alloc.min_rate
         if self.used < 0:

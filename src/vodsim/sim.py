@@ -4,9 +4,10 @@ Events are keyed by (time, sequence number), the number drawn when the
 event is scheduled, so ties break in scheduling order and every run is a
 pure function of its seed and configuration.  Four event kinds exist:
 request arrivals, stream completions, agent tours and metric samples.
-Completions are cancelled lazily: each live stream carries a generation
-counter, bumped whenever a reclaim cuts its rate, and stale completion
-events are dropped when popped.  A metric sample records its tick and
+A live stream is its link's ``Allocation``; nothing else records it.
+Completions are cancelled lazily: a completion event carries the rate it
+was scheduled at, and a popped event whose allocation has another rate
+now is stale and dropped.  A metric sample records its tick and
 audits every link's capacity conservation; ``run`` replays no ledger, so
 the sampled series exist only once ``metrics.emit_reports`` walks the
 ledgers at those ticks.
@@ -25,9 +26,10 @@ field would, so a block holds exactly the requests one-at-a-time drawing
 gives, whatever the block size; the requests drawn past the horizon are
 never used.
 
-Stream progress is integrated exactly: every reclaim settles the bytes
-sent so far at the old rate before the new rate takes effect, so the sum
-of per-stream bytes matches an independent replay of the link ledgers.
+Stream progress is integrated exactly: the link banks a stream's bytes
+wherever its rate changes (at each reclaim, at the old rate, and at
+release), so the sum of per-stream bytes matches an independent replay
+of the link ledgers.
 A caller's catalog is checked up front: sizes and rate windows must be
 positive integers, or bytes and link capacity would not add up exactly.
 """
@@ -115,40 +117,6 @@ def draw_arrivals(
     return arrivals
 
 
-class StreamProgress:
-    """Byte-exact progress of one admitted stream at its allocation's rate."""
-
-    __slots__ = (
-        "alloc", "link", "proxy_id", "size_mb",
-        "bytes_sent", "last_change", "generation", "completion_time",
-    )
-
-    def __init__(self, alloc: Allocation, link: Link, proxy_id: int,
-                 size_mb: int, now: float):
-        self.alloc = alloc
-        self.link = link
-        self.proxy_id = proxy_id
-        self.size_mb = size_mb
-        self.bytes_sent = 0.0
-        self.last_change = now
-        self.generation = 0
-        self.completion_time = now + size_mb / alloc.rate
-
-    def settle(self, now: float) -> None:
-        """Bank bytes sent at the allocation's rate up to ``now``."""
-        self.bytes_sent += self.alloc.rate * (now - self.last_change)
-        self.last_change = now
-
-    def reclaimed(self, now: float, take: int) -> None:
-        """Absorb a cut of ``take`` MB/s already applied to the allocation:
-        bank the bytes sent at the old rate, move the completion time and
-        bump the generation, so the stream needs a fresh completion event."""
-        self.bytes_sent += (self.alloc.rate + take) * (now - self.last_change)
-        self.last_change = now
-        self.completion_time = now + (self.size_mb - self.bytes_sent) / self.alloc.rate
-        self.generation += 1
-
-
 @dataclass
 class SimResult:
     """Everything a finished run leaves behind."""
@@ -187,7 +155,6 @@ class Simulation:
         self.pending: tuple[float, int, int, int, UserClass] | None = None
         self.arrivals: list[tuple[float, int, int, UserClass]] = []  # next one last
         self.seq = itertools.count()
-        self.streams: dict[int, StreamProgress] = {}
         self.counters = Counters()
         self.metrics = MetricsBundle()
         self.arrival_hash = hashlib.sha256()
@@ -202,9 +169,10 @@ class Simulation:
         dt, proxy_id, video_id, user_class = self.arrivals.pop()
         self.pending = (self.now + dt, next(self.seq), proxy_id, video_id, user_class)
 
-    def _push_completion(self, stream: StreamProgress) -> None:
-        self._push(stream.completion_time, EV_COMPLETION,
-                   (stream.alloc.alloc_id, stream.generation))
+    def _push_completion(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
+        size_mb = self.catalog[alloc.video_id].size_mb
+        self._push(self.now + (size_mb - alloc.sent) / alloc.rate, EV_COMPLETION,
+                   (alloc, link, proxy_id, alloc.rate))
 
     def run(self) -> SimResult:
         config = self.config
@@ -231,6 +199,9 @@ class Simulation:
             else:
                 self._on_sample()
         self.now = horizon
+        # the events past the horizon never run, and their completion
+        # payloads would keep the drained allocations alive through reporting
+        heap.clear()
         self._drain()
         return SimResult(
             config=config,
@@ -255,39 +226,38 @@ class Simulation:
         elif decision.source is REJECTED:
             counters.rejected += 1
         else:
-            stream = StreamProgress(
-                decision.allocation, decision.link, proxy_id,
-                self.catalog[video_id].size_mb, self.now,
-            )
-            self.streams[stream.alloc.alloc_id] = stream
-            for victim_id, take in decision.victims:
-                victim = self.streams[victim_id]
-                victim.reclaimed(self.now, take)
-                self._push_completion(victim)
-            self._push_completion(stream)
+            # a link belongs to one proxy, so its victims stream to this proxy too
+            link = decision.link
+            for victim_id, _take in decision.victims:
+                self._push_completion(link.allocations[victim_id], link, proxy_id)
+            self._push_completion(decision.allocation, link, proxy_id)
         self._schedule_arrival()
 
     def _on_completion(self, payload) -> None:
-        alloc_id, generation = payload
-        stream = self.streams.get(alloc_id)
-        if stream is None or stream.generation != generation:
+        alloc, link, proxy_id, rate = payload
+        # Every reclaim lowers the rate (a take is always positive), so an
+        # event scheduled before a cut never carries the current rate, and
+        # the one current event per live allocation is the only match.
+        if alloc.rate != rate:
             return
-        del self.streams[alloc_id]
-        stream.settle(self.now)
-        stream.link.release(self.now, alloc_id)
-        self.world.proxies[stream.proxy_id].stream_closed(stream.alloc.video_id)
+        self._close(alloc, link, proxy_id)
         counters = self.counters
-        kind = stream.link.kind
+        kind = link.kind
         if kind is PS_LPS:
             counters.served_lps += 1
         elif kind is PS_RPS:
             counters.served_rps += 1
         else:
             counters.served_cms += 1
-        counters.bytes_completed += stream.bytes_sent
-        rel_error = abs(stream.bytes_sent - stream.size_mb) / stream.size_mb
+        counters.bytes_completed += alloc.sent
+        size_mb = self.catalog[alloc.video_id].size_mb
+        rel_error = abs(alloc.sent - size_mb) / size_mb
         if rel_error > counters.max_byte_rel_error:
             counters.max_byte_rel_error = rel_error
+
+    def _close(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
+        link.release(self.now, alloc.alloc_id)
+        self.world.proxies[proxy_id].stream_closed(alloc.video_id)
 
     def _on_tour(self) -> None:
         agent_tour(self.now, self.world, self.config.profits)
@@ -300,15 +270,19 @@ class Simulation:
         self._push(self.now + self.config.sample_period, EV_SAMPLE)
 
     def _drain(self) -> None:
-        """Close out streams still live at the horizon."""
+        """Close out streams still live at the horizon, in admission order
+        (ascending allocation id) across all links, which fixes the order of
+        the ``bytes_drained`` float sum and of the release rows."""
         counters = self.counters
-        for alloc_id, stream in list(self.streams.items()):
-            stream.settle(self.now)
-            stream.link.release(self.now, alloc_id)
-            self.world.proxies[stream.proxy_id].stream_closed(stream.alloc.video_id)
+        live = sorted(
+            ((alloc, link, proxy.proxy_id) for proxy in self.world.proxies
+             for link in proxy.links.values() for alloc in link.allocations.values()),
+            key=lambda entry: entry[0].alloc_id,
+        )
+        for alloc, link, proxy_id in live:
+            self._close(alloc, link, proxy_id)
             counters.drained += 1
-            counters.bytes_drained += stream.bytes_sent
-        self.streams.clear()
+            counters.bytes_drained += alloc.sent
 
 
 def _check_catalog(catalog: list[VideoMeta], num_videos: int) -> None:

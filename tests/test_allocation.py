@@ -108,8 +108,9 @@ def test_plan_reclaim_empty_when_free_covers():
 
 
 def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
-    # a victim's stream is settled at rate + take and always rescheduled,
-    # which is right only because every applied take is positive
+    # the simulator drops a completion event as stale when its allocation's
+    # rate differs from the rate it was scheduled at, which is right only
+    # because every applied take is positive: each cut changes the rate
     link = fresh_link(40)
     alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     for take in (0, -1, 17):

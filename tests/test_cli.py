@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from vodsim.cli import main
@@ -108,3 +110,29 @@ def test_bad_sweep_scale_fails_before_any_run(tmp_path, capsys, scales):
     assert "error:" in captured.err
     assert "scale 1" not in captured.out
     assert not (tmp_path / "x").exists()
+
+
+# Reference SHA-256 of the report directories of ``compare`` (with its
+# sharing-off baseline and its drain) and ``sweep``, which the benchmark's
+# report digests do not cover.  Each hashes every file in name order as
+# "name\nlength\n" then its bytes.  A change to any report byte of either
+# command changes its digest.
+GOLDEN = {
+    "compare": (["compare", "--seed", "1", "--horizon", "500"],
+                "a1a52c5866dd603455ee9f56ab88b12e1afc90528c622835df54fd388f70007d"),
+    "sweep": (["sweep", "--seed", "1", "--scales", "0.25,1", "--horizon", "500"],
+              "f462c5c127226a7a951393e054908ff79089fa7fc61a131eccacc5c6a01dc44e"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_reports_match_golden_digest(command, tmp_path):
+    argv, expected = GOLDEN[command]
+    out = tmp_path / command
+    assert main([*argv, "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\n{len(data)}\n".encode())
+        digest.update(data)
+    assert digest.hexdigest() == expected

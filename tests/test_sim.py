@@ -13,8 +13,8 @@ from vodsim.allocation import LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
 from vodsim import sim
-from vodsim.model import CLASSES, UserClass, build_catalog
-from vodsim.sim import Simulation, StreamProgress, baseline_no_psg, draw_arrivals, run
+from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog
+from vodsim.sim import Simulation, baseline_no_psg, draw_arrivals, run
 
 SMALL = SimConfig(horizon=600.0, seed=9)
 
@@ -150,31 +150,52 @@ def test_link_capacity_below_every_class_minimum(tmp_path):
     assert all(float(value) == 0.0 for _, value in util)
 
 
-def make_stream(rate=10, size=100, now=0.0):
-    link = Link(LinkKind.PS_CMS, 300, "t")
-    alloc, _victims = link.admit(now, 1, UserClass.CLASS1, rate, rate, weight=0)
-    return link, StreamProgress(alloc, link, 0, size, now)
+def make_stream(capacity=300):
+    """A 10 MB/s stream of a 100 MB video admitted at t=0 on a hand link, and
+    a simulation whose catalog makes every video 100 MB with a 5..10 MB/s
+    window."""
+    catalog = [VideoMeta(100, (5, 5, 5), (10, 10, 10))] * SMALL.num_videos
+    simulation = Simulation(SMALL, catalog)
+    link = Link(LinkKind.PS_CMS, capacity, "t")
+    alloc, _victims = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
+    return simulation, link, alloc
 
 
-def test_stream_progress_integrates_bytes():
-    _link, stream = make_stream(rate=10, size=100)
-    assert stream.completion_time == 10.0
-    stream.settle(4.0)
-    assert stream.bytes_sent == pytest.approx(40.0)
-    stream.settle(10.0)
-    assert stream.bytes_sent == pytest.approx(100.0)
+def completion(simulation, alloc, link):
+    """The (time, payload) of the completion event scheduled for ``alloc`` now."""
+    simulation.heap.clear()
+    simulation._push_completion(alloc, link, 0)
+    [(time, _seq, kind, payload)] = simulation.heap
+    assert kind == sim.EV_COMPLETION
+    return time, payload
 
 
-def test_stream_progress_rate_change_reschedules():
-    _link, stream = make_stream(rate=10, size=100)
-    stream.settle(1.0)
-    stream.alloc.rate = 5  # as a reclaim of 5 MB/s would do
-    stream.reclaimed(4.0, 5)
-    assert stream.bytes_sent == pytest.approx(40.0)
-    assert stream.generation == 1
-    assert stream.completion_time == pytest.approx(4.0 + 60.0 / 5)
-    stream.settle(stream.completion_time)
-    assert stream.bytes_sent == pytest.approx(100.0)
+def test_allocation_integrates_bytes():
+    simulation, link, alloc = make_stream()
+    assert (alloc.rate, alloc.sent, alloc.since) == (10, 0.0, 0.0)
+    assert completion(simulation, alloc, link)[0] == 10.0
+    # the same stream twice: one released early at t=4, one at completion
+    early, _victims = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
+    assert link.release(4.0, early.alloc_id) is early
+    assert (early.sent, early.since) == (40.0, 4.0)
+    assert link.release(10.0, alloc.alloc_id) is alloc
+    assert (alloc.sent, alloc.since) == (100.0, 10.0)
+
+
+def test_reclaim_banks_bytes_and_reschedules():
+    simulation, link, alloc = make_stream(capacity=12)
+    _, stale = completion(simulation, alloc, link)
+    _new, victims = link.admit(4.0, 2, UserClass.CLASS1, 7, 7, weight=1)
+    assert victims == [(alloc.alloc_id, 5)] and alloc.rate == 5
+    assert (alloc.sent, alloc.since) == (40.0, 4.0)
+    simulation.now = 4.0
+    assert completion(simulation, alloc, link)[0] == 4.0 + 60.0 / 5
+    # the event scheduled at the old rate is stale: popping it closes nothing
+    simulation.now = 10.0
+    simulation._on_completion(stale)
+    assert alloc.alloc_id in link.allocations and link.rows[-1].op == "allocate"
+    link.release(4.0 + 60.0 / 5, alloc.alloc_id)
+    assert alloc.sent == 100.0
 
 
 def test_short_run_identities():
@@ -408,6 +429,24 @@ def test_drain_accounts_for_live_streams():
         if row.op == "release" and row.time == config.horizon
     )
     assert at_horizon == counters.drained
+
+
+def test_drain_closes_in_admission_order(monkeypatch):
+    released = []  # (time, link, alloc_id) per release
+    release = Link.release
+
+    def logged_release(self, time, alloc_id):
+        released.append((time, self, alloc_id))
+        return release(self, time, alloc_id)
+
+    monkeypatch.setattr(Link, "release", logged_release)
+    config = dataclasses.replace(SMALL, horizon=50.0)
+    result = run(config)
+    drained = [(link, alloc_id) for time, link, alloc_id in released if time == config.horizon]
+    assert len(drained) == result.counters.drained
+    assert len({link for link, _ in drained}) > 1
+    ids = [alloc_id for _, alloc_id in drained]
+    assert ids == sorted(ids)
 
 
 def test_tours_run_on_schedule(monkeypatch):
