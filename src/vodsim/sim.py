@@ -130,7 +130,7 @@ class SimResult:
 
 
 class Simulation:
-    """One configured run.  Build it, call run(), read the result."""
+    """One configured run.  Build it, call run() once, read the result."""
 
     def __init__(self, config: SimConfig, catalog: list[VideoMeta] | None = None):
         config.validate()
@@ -175,6 +175,10 @@ class Simulation:
                    (alloc, link, proxy_id, alloc.rate))
 
     def run(self) -> SimResult:
+        # pending holds an arrival from the first run on; a second run would
+        # push a tour and a sample behind the clock
+        if self.pending is not None:
+            raise RuntimeError("Simulation.run() was already called; build a new Simulation")
         config = self.config
         self._schedule_arrival()
         self._push(config.agent_period, EV_TOUR)

@@ -9,17 +9,15 @@ video, or, when both do, the one whose link has strictly more free
 bandwidth (ties go right).  If that link rejects, or no neighbor holds the
 video, the central server is the only other source.
 
-Caches are LRU, kept in recency order, but a video with a live inbound
-stream is never evicted; when everything cached is live the cache may
-temporarily exceed its capacity and is reconciled as streams complete.
-Every live video is cached (``stream_opened`` enforces it), so a cache
-holds ``len(cache) - len(live_videos)`` idle entries and an LRU lookup
-with none returns at once.  When a close leaves its video the only idle
-entry of an over-capacity cache, that video is the least recently used
-idle entry and is evicted directly; any other close falls back to
-``reconcile_cache``.  In a run an over-capacity cache has no idle entry
-between requests, so every close that idles its video there takes the
-direct path.
+Caches are LRU, kept in recency order, and a video with a live inbound
+stream is never evicted.  A cached video is always a local hit, so a
+proxy holds at most one live stream per video: ``insert`` caches a video
+and marks it live in one step, and ``live_videos`` is a subset of the
+cache.  At capacity ``insert`` evicts the least recently used idle entry;
+when every cached video is live the cache grows past capacity instead.
+An over-capacity cache therefore has no idle entry but the one a closing
+stream leaves, and ``stream_closed`` evicts that video whenever the cache
+is over capacity.
 """
 
 from __future__ import annotations
@@ -66,13 +64,12 @@ class ProxyServer:
     """One ring node: an LRU cache plus three inbound links it streams over."""
 
     def __init__(self, proxy_id: int, cache_capacity: int, link_capacity: int,
-                 num_videos: int, global_weights: list[int], id_source=None):
+                 num_videos: int, id_source=None):
         self.proxy_id = proxy_id
         self.cache_capacity = cache_capacity
         self.cache: dict[int, None] = {}  # least recently used first
-        self.live_videos: dict[int, int] = {}
+        self.live_videos: set[int] = set()
         self.local_counts = [0] * (3 * num_videos)  # by cell_index
-        self.global_weights = global_weights  # the world's one table
         label = f"p{proxy_id}"
         self.links: dict[LinkKind, Link] = {
             kind: Link(kind, link_capacity, f"{label}-{kind.value}", id_source)
@@ -84,35 +81,13 @@ class ProxyServer:
         del self.cache[video_id]
         self.cache[video_id] = None
 
-    def weight_of(self, video_id: int, user_class: UserClass, profits) -> int:
-        """Demand weight as this proxy sees it right now.
-
-        The agent's last global table can lag local traffic, so take the
-        larger of the global weight and the locally counted one.  The caller
-        checks the video and the class.
-        """
-        cell = cell_index(video_id, user_class)
-        local = self.local_counts[cell] * profits[user_class - 1]
-        return max(self.global_weights[cell], local)
-
-    def stream_opened(self, video_id: int) -> None:
-        if video_id not in self.cache:
-            raise ValueError(f"proxy {self.proxy_id}: stream opened for uncached video {video_id}")
-        self.live_videos[video_id] = self.live_videos.get(video_id, 0) + 1
-
     def stream_closed(self, video_id: int) -> None:
-        left = self.live_videos.get(video_id, 0) - 1
-        if left < 0:
+        """End the live stream of a video; over capacity, evict the video."""
+        if video_id not in self.live_videos:
             raise ValueError(f"proxy {self.proxy_id}: no live stream for video {video_id}")
-        if left:
-            self.live_videos[video_id] = left
-        else:
-            del self.live_videos[video_id]
-            if (len(self.cache) > self.cache_capacity
-                    and len(self.cache) - len(self.live_videos) == 1):
-                del self.cache[video_id]  # the only idle entry
-                return
-        self.reconcile_cache()
+        self.live_videos.remove(video_id)
+        if len(self.cache) > self.cache_capacity:
+            del self.cache[video_id]  # the only idle entry
 
     def _idle_lru(self) -> int | None:
         """Least recently used cached video with no live inbound stream.
@@ -129,33 +104,26 @@ class ProxyServer:
         return None
 
     def insert(self, video_id: int) -> None:
-        """Cache a video, evicting at most one idle entry to make room.
+        """Cache an uncached video and mark it live: its stream is opening.
 
-        When every cached video is live the cache is allowed to run over
-        capacity; reconcile_cache() trims it back once streams finish.
+        At capacity the least recently used idle entry is evicted; when
+        every cached video is live the cache grows past capacity instead.
         """
         if video_id in self.cache:
-            self.touch(video_id)
-            return
+            raise ValueError(f"proxy {self.proxy_id}: video {video_id} is already cached")
         if len(self.cache) >= self.cache_capacity:
             victim = self._idle_lru()
             if victim is not None:
                 del self.cache[victim]
         self.cache[video_id] = None
-
-    def reconcile_cache(self) -> None:
-        while len(self.cache) > self.cache_capacity:
-            victim = self._idle_lru()
-            if victim is None:
-                return
-            del self.cache[victim]
+        self.live_videos.add(video_id)
 
 
 class World:
     """The proxy ring; the central server is each proxy's ``PS_CMS`` link.
 
-    Every proxy holds ``weights`` as ``global_weights``; ``dirty`` holds the
-    cells requested since the last agent tour.
+    ``weights`` is the one weight table the agent rewrites and admission
+    reads; ``dirty`` holds the cells requested since the last agent tour.
     """
 
     def __init__(self, proxies: list[ProxyServer], num_videos: int, weights: list[int]):
@@ -172,50 +140,11 @@ class World:
 def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
                 link_capacity: int) -> World:
     id_source = itertools.count(1)
-    weights = [0] * (3 * num_videos)
     proxies = [
-        ProxyServer(pid, cache_capacity, link_capacity, num_videos, weights, id_source)
+        ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
         for pid in range(num_proxies)
     ]
-    return World(proxies, num_videos, weights)
-
-
-def route_remote(
-    world: World,
-    time: float,
-    proxy_id: int,
-    video_id: int,
-    user_class: UserClass,
-    min_rate: int,
-    max_rate: int,
-    weight: int,
-    psg_enabled: bool = True,
-) -> RouteDecision:
-    """Pick a source for a cache miss and try to admit the stream.
-
-    With proxy sharing enabled, a neighbor holding the video is tried
-    first; when both hold it the one whose link here has strictly more
-    free bandwidth wins (ties go right).  If the chosen neighbor's link
-    rejects, the central server is the only fallback.  Without sharing
-    everything goes straight to the central server.
-    """
-    proxies = world.proxies
-    # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS
-    lps_link, rps_link, cms_link = proxies[proxy_id].links.values()
-    if psg_enabled:
-        at_lps = video_id in proxies[proxy_id - 1].cache  # proxy 0's left is the last
-        at_rps = video_id in proxies[(proxy_id + 1) % len(proxies)].cache
-        if at_lps and at_rps:
-            at_lps = lps_link.free_bandwidth() > rps_link.free_bandwidth()
-        if at_lps or at_rps:
-            source, link = (LPS, lps_link) if at_lps else (RPS, rps_link)
-            admitted = link.admit(time, video_id, user_class, min_rate, max_rate, weight)
-            if admitted is not None:
-                return RouteDecision(source, admitted[0], link, admitted[1])
-    admitted = cms_link.admit(time, video_id, user_class, min_rate, max_rate, weight)
-    if admitted is None:
-        return REJECTION
-    return RouteDecision(CMS, admitted[0], cms_link, admitted[1])
+    return World(proxies, num_videos, [0] * (3 * num_videos))
 
 
 def handle_request(
@@ -231,33 +160,48 @@ def handle_request(
     """Process one arrival end to end at its landing proxy.
 
     The proxy, video and class are checked before any counter moves.  The
-    request is then counted, at the proxy and in ``world.demand`` (weights must include
-    it), and its cell is marked for the next tour.  It is served from the
-    local cache when present; otherwise it is routed remotely and on
-    success the video is cached here and marked live while streaming in.
+    request is then counted, at the proxy and in ``world.demand`` (weights
+    must include it), and its cell is marked for the next tour.  It is
+    served from the local cache when present.  A miss is routed as the
+    module docstring says (with sharing off, straight to the central
+    link) and weighed by the larger of the agent's last table and this
+    proxy's own count times the class profit, since the table can lag
+    local traffic.  An admitted video is cached here and marked live.
     """
-    if not (0 <= proxy_id < len(world.proxies) and 0 <= video_id < world.num_videos
+    proxies = world.proxies
+    if not (0 <= proxy_id < len(proxies) and 0 <= video_id < world.num_videos
             and 1 <= user_class <= 3):
         raise ValueError(f"unknown request: proxy {proxy_id}, video {video_id}, "
                          f"class {user_class}")
     cell = cell_index(video_id, user_class)
-    proxy = world.proxies[proxy_id]
+    proxy = proxies[proxy_id]
     proxy.local_counts[cell] += 1
     world.demand[cell] += 1
     world.dirty.add(cell)
     if video_id in proxy.cache:
         proxy.touch(video_id)
         return LOCAL_HIT
+    weight = max(world.weights[cell], proxy.local_counts[cell] * profits[user_class - 1])
     video = catalog[video_id]
-    weight = proxy.weight_of(video_id, user_class, profits)
-    decision = route_remote(
-        world, time, proxy_id, video_id, user_class,
-        video.min_bw[user_class - 1], video.max_bw[user_class - 1], weight, psg_enabled,
-    )
-    if decision.source is not REJECTED:
-        proxy.insert(video_id)
-        proxy.stream_opened(video_id)
-    return decision
+    min_rate, max_rate = video.min_bw[user_class - 1], video.max_bw[user_class - 1]
+    # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS
+    lps_link, rps_link, cms_link = proxy.links.values()
+    if psg_enabled:
+        at_lps = video_id in proxies[proxy_id - 1].cache  # proxy 0's left is the last
+        at_rps = video_id in proxies[(proxy_id + 1) % len(proxies)].cache
+        if at_lps and at_rps:
+            at_lps = lps_link.free_bandwidth() > rps_link.free_bandwidth()
+        if at_lps or at_rps:
+            source, link = (LPS, lps_link) if at_lps else (RPS, rps_link)
+            admitted = link.admit(time, video_id, user_class, min_rate, max_rate, weight)
+            if admitted is not None:
+                proxy.insert(video_id)
+                return RouteDecision(source, admitted[0], link, admitted[1])
+    admitted = cms_link.admit(time, video_id, user_class, min_rate, max_rate, weight)
+    if admitted is None:
+        return REJECTION
+    proxy.insert(video_id)
+    return RouteDecision(CMS, admitted[0], cms_link, admitted[1])
 
 
 def seed_initial_placement(world: World, rng: random.Random) -> None:

@@ -32,11 +32,10 @@ def test_tour_weights_sum_demand_over_proxies():
     request(world, catalog, 3, 9, UserClass.CLASS3)
     agent_tour(10.0, world, PROFITS)
     assert sum(world.demand) == 4
-    for proxy in world.proxies:
-        assert proxy.global_weights[cell_index(3, UserClass.CLASS1)] == 2 * 3
-        assert proxy.global_weights[cell_index(3, UserClass.CLASS2)] == 1 * 2
-        assert proxy.global_weights[cell_index(9, UserClass.CLASS3)] == 1 * 1
-        assert proxy.global_weights[cell_index(9, UserClass.CLASS1)] == 0
+    assert world.weights[cell_index(3, UserClass.CLASS1)] == 2 * 3
+    assert world.weights[cell_index(3, UserClass.CLASS2)] == 1 * 2
+    assert world.weights[cell_index(9, UserClass.CLASS3)] == 1 * 1
+    assert world.weights[cell_index(9, UserClass.CLASS1)] == 0
     assert world.proxies[0].local_counts[cell_index(3, UserClass.CLASS1)] == 1
 
 
@@ -44,10 +43,11 @@ def test_tour_pushes_weights_everywhere():
     world, catalog = setup()
     request(world, catalog, 1, 7, UserClass.CLASS1, times=5)
     agent_tour(10.0, world, PROFITS)
-    table = world.proxies[0].global_weights
-    assert table[cell_index(7, UserClass.CLASS1)] == 15
-    for proxy in world.proxies:
-        assert proxy.global_weights is table
+    assert world.weights[cell_index(7, UserClass.CLASS1)] == 15
+    # the table the tour wrote is the one every proxy's admission reads
+    for proxy_id in (0, 2, 3):
+        decision = handle_request(world, 11.0, proxy_id, 7, UserClass.CLASS1, catalog, PROFITS)
+        assert decision.allocation.weight == 15
 
 
 def test_tour_leaves_catalog_untouched():
@@ -68,7 +68,7 @@ def test_tour_does_not_reset_counters():
     request(world, catalog, 0, 1, UserClass.CLASS1)
     agent_tour(20.0, world, PROFITS)
     assert sum(world.demand) == 2
-    assert world.proxies[0].global_weights[cell_index(1, UserClass.CLASS1)] == 6
+    assert world.weights[cell_index(1, UserClass.CLASS1)] == 6
 
 
 def test_second_tour_without_new_demand_changes_nothing():
@@ -77,12 +77,11 @@ def test_second_tour_without_new_demand_changes_nothing():
     for _ in range(400):
         request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
     agent_tour(10.0, world, PROFITS)
-    demand, weights = world.demand[:], world.proxies[0].global_weights[:]
+    demand, weights = world.demand[:], world.weights[:]
     agent_tour(20.0, world, PROFITS)
     assert sum(demand) == 400
     assert world.demand == demand
-    for proxy in world.proxies:
-        assert proxy.global_weights == weights
+    assert world.weights == weights
 
 
 def test_incremental_tours_equal_full_rebuild(monkeypatch):
@@ -105,7 +104,6 @@ def test_incremental_tours_equal_full_rebuild(monkeypatch):
                 cell = cell_index(vid, user_class)
                 expected = world.demand[cell] * profits[user_class - 1]
                 assert world.weights[cell] == expected
-        assert all(proxy.global_weights is world.weights for proxy in world.proxies)
         changed_per_tour.append(len(changed))
         previous[:] = world.demand
 

@@ -113,15 +113,21 @@ def test_bad_sweep_scale_fails_before_any_run(tmp_path, capsys, scales):
 
 
 # Reference SHA-256 of the report directories of ``compare`` (with its
-# sharing-off baseline and its drain) and ``sweep``, which the benchmark's
-# report digests do not cover.  Each hashes every file in name order as
-# "name\nlength\n" then its bytes.  A change to any report byte of either
-# command changes its digest.
+# sharing-off baseline and its drain), ``sweep`` and two ``run`` cases
+# the benchmark's report digests do not cover.  Each hashes every file in
+# name order as "name\nlength\n" then its bytes.  A change to any report
+# byte of any of these commands changes its digest.
 GOLDEN = {
     "compare": (["compare", "--seed", "1", "--horizon", "500"],
                 "a1a52c5866dd603455ee9f56ab88b12e1afc90528c622835df54fd388f70007d"),
     "sweep": (["sweep", "--seed", "1", "--scales", "0.25,1", "--horizon", "500"],
               "f462c5c127226a7a951393e054908ff79089fa7fc61a131eccacc5c6a01dc44e"),
+    # x16 load: caches run over capacity and shrink back as streams close
+    "run_x16": (["run", "--seed", "1", "--rate", "16", "--horizon", "500"],
+                "c28295bb80674c4b5c51f5f1d97e6a6d809d5dedf4576de4d6cbba4f8d213820"),
+    # sharing off: every miss goes to the central link
+    "run_no_psg": (["run", "--seed", "1", "--horizon", "500", "--no-psg"],
+                   "e21a2a35c8655d094d3850780a65ada027ceb798392bd82492a90162f8203c79"),
 }
 
 

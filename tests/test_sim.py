@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -15,6 +16,7 @@ from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_r
 from vodsim import sim
 from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog
 from vodsim.sim import Simulation, baseline_no_psg, draw_arrivals, run
+from vodsim.topology import ProxyServer
 
 SMALL = SimConfig(horizon=600.0, seed=9)
 
@@ -517,3 +519,51 @@ def test_ledger_series_equal_live_aggregation(config, monkeypatch):
     walked = Replay(result.ledgers, config.horizon, result.metrics.ticks)
     assert walked.at_ticks == live
     assert any(state[_COUNT + c] for states in live.values() for state in states for c in CLASSES)
+
+
+def test_second_run_raises_and_leaves_result_unchanged():
+    # a second run would push a tour and a sample behind the clock, and the
+    # ticks it added would no longer ascend
+    config = SimConfig(horizon=300.0, seed=3)
+    simulation = Simulation(config)
+    result = simulation.run()
+    ticks, counters = result.metrics.ticks[:], copy.deepcopy(result.counters)
+    heap, pending, now = simulation.heap[:], simulation.pending, simulation.now
+    with pytest.raises(RuntimeError, match="already called"):
+        simulation.run()
+    assert len(ticks) == 30
+    assert result.metrics.ticks == ticks
+    assert result.counters == counters
+    assert (simulation.heap, simulation.pending, simulation.now) == (heap, pending, now)
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(total_arrival_rate=16.0, horizon=500.0),  # overload_x16, shortened
+    SimConfig(num_proxies=3, num_videos=8, cache_capacity=4, total_arrival_rate=8.0,
+              horizon=500.0),
+], ids=["overload_x16", "crowded_ring"])
+def test_cache_runs_over_capacity_only_when_every_entry_is_live(config, monkeypatch):
+    # ProxyServer.stream_closed evicts the closing video whenever its cache
+    # is over capacity; that is the LRU choice only if nothing else is idle
+    real_insert, real_closed = ProxyServer.insert, ProxyServer.stream_closed
+    over_capacity_closes = []
+
+    def check(proxy):
+        assert (len(proxy.cache) <= proxy.cache_capacity
+                or proxy.live_videos == set(proxy.cache)), proxy.proxy_id
+
+    def insert(proxy, video_id):
+        real_insert(proxy, video_id)
+        check(proxy)
+
+    def stream_closed(proxy, video_id):
+        if len(proxy.cache) > proxy.cache_capacity:
+            over_capacity_closes.append(video_id)
+        real_closed(proxy, video_id)
+        check(proxy)
+
+    monkeypatch.setattr(ProxyServer, "insert", insert)
+    monkeypatch.setattr(ProxyServer, "stream_closed", stream_closed)
+    result = run(config)
+    assert result.counters.identity_holds()
+    assert over_capacity_closes

@@ -8,14 +8,8 @@ from collections import Counter
 import pytest
 
 from vodsim.allocation import LinkKind
-from vodsim.model import CLASSES, UserClass, build_catalog, cell_index, tier_ranges
-from vodsim.topology import (
-    RouteSource,
-    build_world,
-    handle_request,
-    route_remote,
-    seed_initial_placement,
-)
+from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, tier_ranges
+from vodsim.topology import RouteSource, build_world, handle_request, seed_initial_placement
 
 PROFITS = (3, 2, 1)
 
@@ -26,6 +20,16 @@ def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
 
 def small_catalog(num_videos=48, seed=3):
     return build_catalog(num_videos, 700, 2100, random.Random(seed))
+
+
+# every video streams class 1 at 8..24, class 2 at 6..18 and class 3 at 4..12 MB/s
+WINDOWS = [VideoMeta(1000, (8, 6, 4), (24, 18, 12)) for _ in range(48)]
+
+
+def route(world, time, proxy_id, video_id, user_class, psg_enabled=True):
+    """One request through ``handle_request`` on the ``WINDOWS`` catalog."""
+    return handle_request(world, time, proxy_id, video_id, user_class, WINDOWS, PROFITS,
+                          psg_enabled)
 
 
 def caches(world):
@@ -50,7 +54,7 @@ def test_ring_neighbors_wrap():
         for holder, requester, source in cases:
             world = small_world(num_proxies=num_proxies)
             world.proxies[holder].cache[7] = None
-            decision = route_remote(world, 0.0, requester, 7, UserClass.CLASS2, 6, 18, 0)
+            decision = route(world, 0.0, requester, 7, UserClass.CLASS2)
             assert decision.source is source, (num_proxies, holder, requester)
             assert decision.link is world.proxies[requester].links[SOURCE_LINK[source]]
 
@@ -85,7 +89,7 @@ def test_route_remote_table(holders, free):
     for kind in loaded:
         assert proxy.links[kind].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
     expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
-    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is expected
     assert decision.link is proxy.links[SOURCE_LINK[expected]]
     assert decision.allocation.rate == 18
@@ -109,7 +113,7 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
         assert other.admit(0.0, 31, UserClass.CLASS2, 6, 40, 0)
     assert other.plan_reclaim(UserClass.CLASS2, 6) is not None  # other could admit
     rows = {kind: len(proxy.links[kind].rows) for kind in LinkKind}
-    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[LinkKind.PS_CMS]
     for kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
@@ -122,7 +126,7 @@ def test_route_prefers_freer_neighbor():
     world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
     proxy.links[LinkKind.PS_RPS].admit(0.0, 9, UserClass.CLASS1, 8, 30, 0)
-    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.LPS
     assert decision.link is proxy.links[LinkKind.PS_LPS]
     assert decision.allocation.rate == 18
@@ -132,7 +136,7 @@ def test_route_tie_goes_right():
     world = small_world()
     world.proxies[5].cache[7] = None
     world.proxies[1].cache[7] = None
-    decision = route_remote(world, 0.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 0.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.RPS
 
 
@@ -141,45 +145,49 @@ def test_route_single_holder_used_even_if_busier():
     world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
     proxy.links[LinkKind.PS_RPS].admit(0.0, 9, UserClass.CLASS1, 8, 29, 0)
-    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.RPS
 
 
 def test_route_falls_back_to_central_not_other_neighbor():
     world = small_world(capacity=40)
-    world.proxies[5].cache[7] = None
-    world.proxies[1].cache[7] = None
+    for vid in (7, 8):
+        world.proxies[5].cache[vid] = None
+        world.proxies[1].cache[vid] = None
     proxy = world.proxies[0]
     # saturate the right link with class-1 minimums: nothing reclaimable
     for vid in range(5):
         assert proxy.links[LinkKind.PS_RPS].admit(0.0, 20 + vid, UserClass.CLASS2, 8, 8, 0)
     proxy.links[LinkKind.PS_LPS].admit(0.0, 30, UserClass.CLASS3, 4, 12, 0)
     # right link freer? no: left has 28 free, right 0 -> left picked, admits
-    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.LPS
-    # now fill left too and ask for a class with nothing to reclaim there
+    # now fill left too and ask for a class with nothing to reclaim there;
+    # video 7 is cached here now, so ask for video 8, held where 7 is
     while proxy.links[LinkKind.PS_LPS].free_bandwidth() >= 4:
         free = proxy.links[LinkKind.PS_LPS].free_bandwidth()
         rate = min(4, free)
         if proxy.links[LinkKind.PS_LPS].admit(1.0, 40 + free, UserClass.CLASS3, rate, rate, 0) is None:
             break
-    decision = route_remote(world, 2.0, 0, 7, UserClass.CLASS1, 8, 24, 0)
+    decision = route(world, 2.0, 0, 8, UserClass.CLASS1)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[LinkKind.PS_CMS]
 
 
 def test_route_without_sharing_goes_central():
     world = small_world()
-    world.proxies[5].cache[7] = None
-    world.proxies[1].cache[7] = None
-    decision = route_remote(world, 0.0, 0, 7, UserClass.CLASS1, 8, 24, 0, psg_enabled=False)
+    for vid in (7, 8):
+        world.proxies[5].cache[vid] = None
+        world.proxies[1].cache[vid] = None
+    decision = route(world, 0.0, 0, 7, UserClass.CLASS1, psg_enabled=False)
     assert decision.source is RouteSource.CMS
-    # with the central link full the miss is rejected, not served by a neighbor
+    # with the central link full a miss of video 8 (video 7 is cached here
+    # now) is rejected, not served by a neighbor
     proxy = world.proxies[0]
     cms = proxy.links[LinkKind.PS_CMS]
     while cms.admit(1.0, 9, UserClass.CLASS2, 6, 6, 0):
         pass
-    decision = route_remote(world, 2.0, 0, 7, UserClass.CLASS2, 6, 18, 0, psg_enabled=False)
+    decision = route(world, 2.0, 0, 8, UserClass.CLASS2, psg_enabled=False)
     assert decision.source is RouteSource.REJECTED
     assert proxy.links[LinkKind.PS_LPS].rows == proxy.links[LinkKind.PS_RPS].rows == []
 
@@ -188,7 +196,7 @@ def test_route_rejects_when_central_full():
     world = small_world(capacity=8)
     proxy = world.proxies[0]
     assert proxy.links[LinkKind.PS_CMS].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
-    decision = route_remote(world, 1.0, 0, 7, UserClass.CLASS2, 6, 18, 0)
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.REJECTED
     assert decision.allocation is None
 
@@ -214,7 +222,7 @@ def test_handle_request_caches_on_success():
     decision = handle_request(world, 3.0, 0, 7, UserClass.CLASS2, catalog, PROFITS)
     assert decision.source is RouteSource.CMS
     assert 7 in proxy.cache
-    assert proxy.live_videos[7] == 1
+    assert proxy.live_videos == {7}
 
 
 def test_handle_request_rejection_does_not_cache():
@@ -258,6 +266,8 @@ def test_lru_evicts_idle_least_recent():
     proxy = world.proxies[0]
     for vid in (1, 2, 3, 4):
         proxy.insert(vid)
+    for vid in (1, 2, 3, 4):
+        proxy.stream_closed(vid)
     proxy.insert(9)
     assert 1 not in proxy.cache
     assert sorted(proxy.cache) == [2, 3, 4, 9]
@@ -268,7 +278,8 @@ def test_lru_skips_live_videos():
     proxy = world.proxies[0]
     for vid in (1, 2, 3, 4):
         proxy.insert(vid)
-    proxy.stream_opened(1)
+    for vid in (2, 3, 4):
+        proxy.stream_closed(vid)
     proxy.insert(9)
     assert 1 in proxy.cache
     assert 2 not in proxy.cache
@@ -277,11 +288,8 @@ def test_lru_skips_live_videos():
 def test_cache_overshoots_when_all_live_then_reconciles():
     world = small_world(cache=2)
     proxy = world.proxies[0]
-    for vid in (1, 2):
+    for vid in (1, 2, 3):
         proxy.insert(vid)
-        proxy.stream_opened(vid)
-    proxy.insert(3)
-    proxy.stream_opened(3)
     assert len(proxy.cache) == 3
     proxy.stream_closed(1)
     assert len(proxy.cache) == 2
@@ -294,39 +302,54 @@ def test_stream_closed_underflow_raises():
         world.proxies[0].stream_closed(5)
 
 
-def test_stream_opened_on_uncached_video_raises():
+def test_insert_of_cached_video_raises():
+    # a cached video is a local hit, so its stream never opens a second time
+    world = small_world(cache=4)
+    proxy = world.proxies[0]
+    proxy.cache[2] = None  # placed, idle
+    proxy.insert(1)
+    for vid in (1, 2):
+        with pytest.raises(ValueError, match="already cached"):
+            proxy.insert(vid)
+    assert list(proxy.cache) == [2, 1]
+    assert proxy.live_videos == {1}
+
+
+def test_closing_idle_video_raises():
     world = small_world(cache=4)
     proxy = world.proxies[0]
     proxy.insert(1)
-    with pytest.raises(ValueError):
-        proxy.stream_opened(2)
-    assert proxy.live_videos == {}
-    proxy.stream_opened(1)
-    assert proxy.live_videos == {1: 1}
+    proxy.stream_closed(1)
+    with pytest.raises(ValueError, match="no live stream"):
+        proxy.stream_closed(1)
+    assert list(proxy.cache) == [1]
+    assert proxy.live_videos == set()
 
 
-def drive_lru_against_reference(cache, steps, mix, seed=17):
-    """Random cache traffic on a placed proxy against a timestamp reference.
+def drive_lru_against_reference(cache, steps, request_share, seed=17):
+    """Run-like cache traffic on a placed proxy against a timestamp reference.
 
+    Each step is a request with probability ``request_share`` and otherwise
+    ends a random live stream.  A request does what a run does: it touches
+    its video when cached and inserts it otherwise, which opens its stream.
     The reference keeps each entry's last use (placed entries at 0.0) and
     evicts the idle entry with the smallest (last use, id), as an explicit
-    timestamp LRU would.  ``mix`` holds the cumulative probabilities of an
-    insert, a touch and a stream open; the rest are stream closes.  Returns
-    the evictions, the evictions that broke a tie among equal last uses,
-    and the over-capacity closes with one and with several idle entries.
+    timestamp LRU would.  Returns the evictions, the evictions that broke a
+    tie among equal last uses, and the over-capacity closes by their idle
+    entries after the close (2 stands for two or more).
     """
     world = small_world(num_proxies=3, num_videos=96, cache=cache)
     seed_initial_placement(world, random.Random(5))
     proxy = world.proxies[0]
     last_use = dict.fromkeys(proxy.cache, 0.0)
-    live = Counter()
+    live = set()
     rng = random.Random(seed)
     evictions = ties = 0
     crowded_closes = Counter()
 
     def evict_one():
         nonlocal ties
-        idle = sorted((last_use[vid], vid) for vid in last_use if not live[vid])
+        idle = sorted((last_use[vid], vid) for vid in last_use if vid not in live)
         if not idle:
             return False
         ties += len(idle) > 1 and idle[0][0] == idle[1][0]
@@ -336,62 +359,61 @@ def drive_lru_against_reference(cache, steps, mix, seed=17):
     for step in range(1, steps):
         now = float(step)
         before = set(proxy.cache)
-        op = rng.random()
-        if op < mix[0]:
+        if rng.random() < request_share or not live:
             vid = rng.randrange(96)
-            proxy.insert(vid)
-            if vid not in last_use and len(last_use) >= proxy.cache_capacity:
-                evict_one()
+            if vid in proxy.cache:
+                proxy.touch(vid)
+            else:
+                proxy.insert(vid)
+                if len(last_use) >= proxy.cache_capacity:
+                    evict_one()
+                live.add(vid)
             last_use[vid] = now
-        elif op < mix[1]:
-            vid = rng.choice(sorted(last_use))
-            proxy.touch(vid)
-            last_use[vid] = now
-        elif op < mix[2]:
-            vid = rng.choice(sorted(last_use))
-            proxy.stream_opened(vid)
-            live[vid] += 1
-        elif live:
+        else:
             vid = rng.choice(sorted(live))
             proxy.stream_closed(vid)
-            live[vid] -= 1
-            if not live[vid]:
-                del live[vid]
+            live.remove(vid)
             if len(last_use) > proxy.cache_capacity:
-                idle = sum(not live[v] for v in last_use)
+                idle = sum(v not in live for v in last_use)
                 crowded_closes[min(idle, 2)] += 1
             while len(last_use) > proxy.cache_capacity and evict_one():
                 pass
         victims = before - set(proxy.cache)
         assert victims == before - set(last_use), f"step {step}"
         assert set(proxy.cache) == set(last_use)
-        assert set(proxy.live_videos) <= set(proxy.cache)
+        assert proxy.live_videos == live
         evictions += len(victims)
     return evictions, ties, crowded_closes
 
 
 def test_lru_victim_is_smallest_idle_last_use_then_id():
-    evictions, ties, _ = drive_lru_against_reference(32, 3000, (0.45, 0.7, 0.85))
+    evictions, ties, _ = drive_lru_against_reference(32, 3000, 0.5)
     assert evictions > 100
     assert ties > 15
 
 
 def test_over_capacity_close_evicts_like_reference():
-    # mostly opens and inserts, so the cache runs over capacity, sometimes
-    # with an inserted video still idle when a stream closes
-    _, _, crowded_closes = drive_lru_against_reference(8, 6000, (0.3, 0.4, 0.7))
+    # mostly requests, so live streams pile up past the cache's capacity;
+    # a cache grows past capacity only when every entry is live, so the
+    # closing video is the only idle entry at every over-capacity close
+    _, _, crowded_closes = drive_lru_against_reference(8, 6000, 0.6)
     assert crowded_closes[1] > 200
-    assert crowded_closes[2] > 20
+    assert crowded_closes[2] == 0
 
 
 def test_weight_prefers_fresher_view():
+    # the weight admission uses is the larger of the agent's last table and
+    # the landing proxy's own count times the class profit
     world = small_world()
-    proxy = world.proxies[0]
     cell = cell_index(7, UserClass.CLASS1)
-    proxy.local_counts[cell] = 4
-    assert proxy.weight_of(7, UserClass.CLASS1, PROFITS) == 12
-    proxy.global_weights[cell] = 30
-    assert proxy.weight_of(7, UserClass.CLASS1, PROFITS) == 30
+    world.proxies[0].local_counts[cell] = 3  # the request makes it 4
+    decision = route(world, 1.0, 0, 7, UserClass.CLASS1)
+    assert decision.source is RouteSource.CMS
+    assert decision.allocation.weight == 4 * 3
+    world.weights[cell] = 30
+    decision = route(world, 2.0, 3, 7, UserClass.CLASS1)
+    assert decision.source is RouteSource.CMS
+    assert decision.allocation.weight == 30
 
 
 def test_initial_placement_quota_and_replication():
