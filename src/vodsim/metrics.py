@@ -224,15 +224,22 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
 
     ``result`` is a finished run (its counters, sample ticks, ledgers and
     config are read); ``baseline`` optionally supplies a sharing-disabled
-    run of the same seed for side-by-side rejection numbers.  Returns the
-    paths written: nine allocation series, three utilization series,
-    rejections.csv and summary.txt.
+    run of the same workload for side-by-side rejection numbers, such as
+    ``sim.baseline_no_psg(result.config)``; any other baseline raises
+    ``ValueError`` before a file is written.  Returns the paths written:
+    nine allocation series, three utilization series, rejections.csv and
+    summary.txt.
 
     One ``Replay`` of the ledgers at the sample ticks gives every series
     and ``util_avg_*``.  If the walk finds a corrupt ledger, the twelve
     series files hold only their header, the summary has no ``util_avg_*``
     lines and it reports ``CHECK:ledger_bounds=FAIL``.
     """
+    if baseline is not None:
+        if baseline.arrival_digest != result.arrival_digest:
+            raise ValueError("baseline drew other arrivals than the run it is compared with")
+        if baseline.config.psg_enabled:
+            raise ValueError("baseline has neighbor sharing enabled")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

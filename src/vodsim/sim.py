@@ -4,6 +4,10 @@ Events are keyed by (time, sequence number), the number drawn when the
 event is scheduled, so ties break in scheduling order and every run is a
 pure function of its seed and configuration.  Four event kinds exist:
 request arrivals, stream completions, agent tours and metric samples.
+Each event carries its handler: it is one flat tuple ``(time, seq,
+handler, *fields)``, and the loop runs ``handler(sim, event)``.  A handler
+is a plain ``Simulation`` function, never a bound method, so no event
+refers back to its simulation.
 A live stream is its link's ``Allocation``; nothing else records it.
 Completions are cancelled lazily: a completion event carries the rate it
 was scheduled at, and a popped event whose allocation has another rate
@@ -19,12 +23,9 @@ the heap's smallest and pops the heap otherwise; keys are unique, so
 events are handled in exactly the order of one heap of all events.
 Each arrival goes into the digest as one packed record.
 
-Arrivals are drawn ``ARRIVAL_BLOCK`` at a time from the workload stream,
-which nothing else reads.  ``draw_arrivals`` makes the same calls on it in
-the same order as one ``expovariate``/``randrange``/``random`` draw per
-field would, so a block holds exactly the requests one-at-a-time drawing
-gives, whatever the block size; the requests drawn past the horizon are
-never used.
+Arrivals come one at a time from ``draw_arrivals``, a generator over the
+workload stream, which nothing else reads.  A run draws exactly one
+request more than it handles: the one that lands past the horizon.
 
 Stream progress is integrated exactly: the link banks a stream's bytes
 wherever its rate changes (at each reclaim, at the old rate, and at
@@ -42,6 +43,7 @@ import heapq
 import itertools
 import random
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import log
 
@@ -59,10 +61,6 @@ from .topology import (
     seed_initial_placement,
 )
 
-EV_COMPLETION, EV_TOUR, EV_SAMPLE = range(3)
-# Requests per draw_arrivals call.  Larger blocks draw no faster per
-# request, and 1,024 raised saturated_x4's peak RSS by ~0.3 MB.
-ARRIVAL_BLOCK = 256
 CLASS1, CLASS2, CLASS3 = UserClass
 PS_LPS, PS_RPS = LinkKind.PS_LPS, LinkKind.PS_RPS
 # One arrival record of the digest: exact float64 time, proxy, video, class.
@@ -70,9 +68,12 @@ ARRIVAL_RECORD = struct.Struct("<dIIB")
 
 
 def draw_arrivals(
-    rng: random.Random, config: SimConfig, n: int
-) -> list[tuple[float, int, int, UserClass]]:
-    """Draw the next ``n`` requests, each (interarrival, proxy, video, class).
+    rng: random.Random, config: SimConfig
+) -> Iterator[tuple[float, int, int, UserClass]]:
+    """Yield requests one at a time, each (interarrival, proxy, video, class).
+
+    A generator: each ``next()`` draws one request, and the config check
+    below runs at the first.
 
     Videos are drawn tier-first against the configured popularity mix,
     then uniformly inside the tier.  The tiers are the static id ranges of
@@ -99,8 +100,7 @@ def draw_arrivals(
     most_or_secondary = most + secondary
     class1, class2, _class3 = config.class_mix
     class1_or_2 = class1 + class2
-    arrivals = []
-    for _ in range(n):
+    while True:
         dt = -log(1.0 - random_()) / rate
         proxy_id = getrandbits(proxy_bits)
         while proxy_id >= num_proxies:
@@ -113,8 +113,7 @@ def draw_arrivals(
             video_id = getrandbits(bits)
         draw = random_()
         user_class = CLASS1 if draw < class1 else CLASS2 if draw < class1_or_2 else CLASS3
-        arrivals.append((dt, proxy_id, first + video_id, user_class))
-    return arrivals
+        yield dt, proxy_id, first + video_id, user_class
 
 
 @dataclass
@@ -151,64 +150,51 @@ class Simulation:
         seed_initial_placement(self.world, placement_rng)
         self.links = self.world.all_links()
         self.now = 0.0
-        self.heap: list[tuple[float, int, int, object]] = []
-        self.pending: tuple[float, int, int, int, UserClass] | None = None
-        self.arrivals: list[tuple[float, int, int, UserClass]] = []  # next one last
+        self.heap: list[tuple] = []  # every event but the pending arrival
+        self.pending: tuple | None = None
+        self.requests = draw_arrivals(self.workload_rng, config)
         self.seq = itertools.count()
         self.counters = Counters()
         self.metrics = MetricsBundle()
         self.arrival_hash = hashlib.sha256()
 
-    def _push(self, time: float, kind: int, payload: object = None) -> None:
-        heapq.heappush(self.heap, (time, next(self.seq), kind, payload))
+    def _push(self, time: float, handler, *fields) -> None:
+        heapq.heappush(self.heap, (time, next(self.seq), handler, *fields))
 
     def _schedule_arrival(self) -> None:
-        if not self.arrivals:
-            self.arrivals = draw_arrivals(self.workload_rng, self.config, ARRIVAL_BLOCK)
-            self.arrivals.reverse()
-        dt, proxy_id, video_id, user_class = self.arrivals.pop()
-        self.pending = (self.now + dt, next(self.seq), proxy_id, video_id, user_class)
+        dt, proxy_id, video_id, user_class = next(self.requests)
+        self.pending = (self.now + dt, next(self.seq), Simulation._on_arrival,
+                        proxy_id, video_id, user_class)
 
     def _push_completion(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
         size_mb = self.catalog[alloc.video_id].size_mb
-        self._push(self.now + (size_mb - alloc.sent) / alloc.rate, EV_COMPLETION,
-                   (alloc, link, proxy_id, alloc.rate))
+        self._push(self.now + (size_mb - alloc.sent) / alloc.rate, Simulation._on_completion,
+                   alloc, link, proxy_id, alloc.rate)
 
     def run(self) -> SimResult:
         # pending holds an arrival from the first run on; a second run would
         # push a tour and a sample behind the clock
         if self.pending is not None:
             raise RuntimeError("Simulation.run() was already called; build a new Simulation")
-        config = self.config
         self._schedule_arrival()
-        self._push(config.agent_period, EV_TOUR)
-        self._push(config.sample_period, EV_SAMPLE)
-        horizon = config.horizon
+        self._push(self.config.agent_period, Simulation._on_tour)
+        self._push(self.config.sample_period, Simulation._on_sample)
+        horizon = self.config.horizon
         heap = self.heap
         while True:
-            pending = self.pending
             # the heap always holds the next tour and the next sample
-            event = pending if pending < heap[0] else heapq.heappop(heap)
-            time = event[0]
-            if time > horizon:
+            event = self.pending if self.pending < heap[0] else heapq.heappop(heap)
+            if event[0] > horizon:
                 break
-            self.now = time
-            if event is pending:
-                _, _, proxy_id, video_id, user_class = pending
-                self._on_arrival(proxy_id, video_id, user_class)
-            elif event[2] == EV_COMPLETION:
-                self._on_completion(event[3])
-            elif event[2] == EV_TOUR:
-                self._on_tour()
-            else:
-                self._on_sample()
+            self.now = event[0]
+            event[2](self, event)
         self.now = horizon
         # the events past the horizon never run, and their completion
-        # payloads would keep the drained allocations alive through reporting
+        # fields would keep the drained allocations alive through reporting
         heap.clear()
         self._drain()
         return SimResult(
-            config=config,
+            config=self.config,
             counters=self.counters,
             metrics=self.metrics,
             ledgers=self.links,
@@ -216,7 +202,8 @@ class Simulation:
             arrival_digest=self.arrival_hash.hexdigest(),
         )
 
-    def _on_arrival(self, proxy_id: int, video_id: int, user_class: UserClass) -> None:
+    def _on_arrival(self, event: tuple) -> None:
+        _, _, _, proxy_id, video_id, user_class = event
         counters = self.counters
         counters.requested += 1
         counters.requested_by_class[user_class] += 1
@@ -237,8 +224,8 @@ class Simulation:
             self._push_completion(decision.allocation, link, proxy_id)
         self._schedule_arrival()
 
-    def _on_completion(self, payload) -> None:
-        alloc, link, proxy_id, rate = payload
+    def _on_completion(self, event: tuple) -> None:
+        _, _, _, alloc, link, proxy_id, rate = event
         # Every reclaim lowers the rate (a take is always positive), so an
         # event scheduled before a cut never carries the current rate, and
         # the one current event per live allocation is the only match.
@@ -263,15 +250,15 @@ class Simulation:
         link.release(self.now, alloc.alloc_id)
         self.world.proxies[proxy_id].stream_closed(alloc.video_id)
 
-    def _on_tour(self) -> None:
+    def _on_tour(self, event: tuple) -> None:
         agent_tour(self.now, self.world, self.config.profits)
-        self._push(self.now + self.config.agent_period, EV_TOUR)
+        self._push(self.now + self.config.agent_period, Simulation._on_tour)
 
-    def _on_sample(self) -> None:
+    def _on_sample(self, event: tuple) -> None:
         self.metrics.take_snapshot(self.now)
         for link in self.links:
             link.check_conservation()
-        self._push(self.now + self.config.sample_period, EV_SAMPLE)
+        self._push(self.now + self.config.sample_period, Simulation._on_sample)
 
     def _drain(self) -> None:
         """Close out streams still live at the horizon, in admission order
@@ -291,17 +278,20 @@ class Simulation:
 
 def _check_catalog(catalog: list[VideoMeta], num_videos: int) -> None:
     """Raise ConfigError unless ``catalog`` holds ``num_videos`` entries, each
-    a positive int size and three int rate windows with ``0 < min <= max``."""
+    a ``VideoMeta`` of a positive int size and two rate windows that are
+    sequences of three ints with ``0 < min <= max``."""
     if len(catalog) != num_videos:
         raise ConfigError(f"catalog has {len(catalog)} videos but num_videos is {num_videos}")
     for video_id, video in enumerate(catalog):
-        values = (video.size_mb, *video.min_bw, *video.max_bw)
-        if not (len(video.min_bw) == len(video.max_bw) == 3
-                and all(type(value) is int for value in values) and video.size_mb > 0
+        if not (isinstance(video, VideoMeta)
+                and type(video.size_mb) is int and video.size_mb > 0
+                and all(isinstance(window, Sequence) and len(window) == 3
+                        and all(type(rate) is int for rate in window)
+                        for window in (video.min_bw, video.max_bw))
                 and all(0 < lo <= hi for lo, hi in zip(video.min_bw, video.max_bw))):
-            raise ConfigError(f"catalog video {video_id}: size {video.size_mb!r} and rate "
-                              f"windows {video.min_bw!r}..{video.max_bw!r} are not positive "
-                              f"ints with min <= max")
+            raise ConfigError(f"catalog video {video_id}: {video!r} is not a VideoMeta of a "
+                              f"positive int size and three int rate windows with "
+                              f"0 < min <= max")
 
 
 def run(config: SimConfig, catalog: list[VideoMeta] | None = None) -> SimResult:

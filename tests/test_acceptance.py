@@ -22,12 +22,18 @@ line even when the surrounding test run is quiet:
   9.  Byte conservation: every completed stream delivers its size within
       1e-6 relative, and stream-side bytes match ledger-side bytes.
   10. Determinism: two identically seeded runs emit byte-identical CSVs.
+
+Each printed line must also equal that criterion's line in
+``acceptance_lines.txt``, so a change that moves any reported figure fails
+here even when every criterion still holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -43,12 +49,20 @@ CLASS_RATE_WINDOW = {1: (8, 29), 2: (6, 23), 3: (4, 17)}
 SWEEP_SCALES = (0.25, 1.0, 4.0)
 PAIRED_SEEDS = range(1, 11)
 
+# criterion ("C1".."C10") -> the line its verdict prints
+PINNED_LINES = {
+    line.split()[1]: line
+    for line in (Path(__file__).parent / "acceptance_lines.txt").read_text(
+        encoding="utf-8").splitlines()
+}
+
 
 def verdict(capsys, label: str, ok: bool, detail: str = "") -> None:
+    line = f"acceptance {label}: {'PASS' if ok else 'FAIL'}" + (f"  ({detail})" if detail else "")
     with capsys.disabled():
-        print(f"acceptance {label}: {'PASS' if ok else 'FAIL'}"
-              + (f"  ({detail})" if detail else ""))
+        print(line)
     assert ok, f"{label}: {detail}"
+    assert line == PINNED_LINES[label.split()[0]]
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +246,7 @@ def test_c08_workload_mix(capsys):
     quarter = config.num_videos // 4
     tier_counts = [0, 0, 0]
     class_counts = {user_class: 0 for user_class in CLASSES}
-    for _dt, _proxy, video_id, user_class in draw_arrivals(rng, config, total):
+    for _dt, _proxy, video_id, user_class in islice(draw_arrivals(rng, config), total):
         if video_id < quarter:
             tier_counts[0] += 1
         elif video_id < 2 * quarter:

@@ -23,7 +23,7 @@ from vodsim.metrics import (
     time_avg_utilization,
 )
 from vodsim.model import UserClass
-from vodsim.sim import SimResult, run
+from vodsim.sim import SimResult, baseline_no_psg, run
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
 
@@ -311,13 +311,28 @@ def test_emit_reports_empty_cells_for_absent_averages(tmp_path):
 def test_emit_reports_paired_columns(tmp_path):
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)
-    baseline = run(config)
+    baseline = baseline_no_psg(config)
     emit_reports(result, tmp_path, baseline=baseline)
     lines = (tmp_path / "rejections.csv").read_text().splitlines()
     assert lines[0] == "metric,with_psg,without_psg"
     assert len(lines) == 10
     for line in lines[1:]:
         assert len(line.split(",")) == 3
+
+
+@pytest.mark.parametrize("baseline_config, match", [
+    (SimConfig(horizon=200.0, seed=3, psg_enabled=False), "other arrivals"),
+    (SimConfig(horizon=200.0, seed=2), "sharing enabled"),
+], ids=["other_seed", "sharing_on"])
+def test_emit_reports_refuses_a_mismatched_baseline(baseline_config, match, tmp_path):
+    # a without_psg column from another workload, or from a run with
+    # sharing on, would be a wrong comparison written as a right one
+    config = SimConfig(horizon=200.0, seed=2)
+    result = run(config)
+    out = tmp_path / "reports"
+    with pytest.raises(ValueError, match=match):
+        emit_reports(result, out, baseline=run(baseline_config))
+    assert not out.exists()
 
 
 def test_emit_reports_deterministic_bytes(tmp_path):

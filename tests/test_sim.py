@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -23,12 +25,14 @@ SMALL = SimConfig(horizon=600.0, seed=9)
 
 def test_draw_arrivals_is_deterministic():
     config = SimConfig()
-    assert draw_arrivals(random.Random(5), config, 50) == draw_arrivals(random.Random(5), config, 50)
+    first, second = (draw_arrivals(random.Random(5), config) for _ in range(2))
+    assert list(itertools.islice(first, 50)) == list(itertools.islice(second, 50))
 
 
 def test_draw_arrivals_fields_in_range():
     config = SimConfig()
-    for dt, proxy_id, video_id, user_class in draw_arrivals(random.Random(12), config, 2000):
+    arrivals = draw_arrivals(random.Random(12), config)
+    for dt, proxy_id, video_id, user_class in itertools.islice(arrivals, 2000):
         assert dt >= 0.0
         assert 0 <= proxy_id < config.num_proxies
         assert 0 <= video_id < config.num_videos
@@ -37,14 +41,15 @@ def test_draw_arrivals_fields_in_range():
 
 def test_draw_arrivals_mean_interarrival():
     config = dataclasses.replace(SimConfig(), total_arrival_rate=4.0)
-    draws = [arrival[0] for arrival in draw_arrivals(random.Random(31), config, 20000)]
+    arrivals = draw_arrivals(random.Random(31), config)
+    draws = [arrival[0] for arrival in itertools.islice(arrivals, 20000)]
     assert sum(draws) / len(draws) == pytest.approx(0.25, rel=0.05)
 
 
 def test_draw_arrivals_rejects_unvalidated_config():
     # an empty proxy or tier range would never end its redraw loop
     with pytest.raises(ConfigError, match="3 proxies"):
-        draw_arrivals(random.Random(1), SimConfig(num_proxies=2), 10)
+        next(draw_arrivals(random.Random(1), SimConfig(num_proxies=2)))
 
 
 @pytest.mark.parametrize("changes", [{"num_proxies": 0}, {"num_videos": 0}, {"num_videos": 2}])
@@ -52,7 +57,7 @@ def test_draw_arrivals_refuses_an_empty_range(changes):
     # unvalidated: with no proxies, or a tier of 0 videos, a redraw loop
     # would never end
     with pytest.raises(ConfigError, match="need at least 3 proxies and 4 videos"):
-        draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes), 10)
+        next(draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes)))
 
 
 def test_run_validates_its_config_once(monkeypatch):
@@ -60,15 +65,15 @@ def test_run_validates_its_config_once(monkeypatch):
     validate = SimConfig.validate
     monkeypatch.setattr(SimConfig, "validate", lambda self: calls.append(self) or validate(self))
     result = run(SMALL)
-    assert result.counters.requested > 2 * sim.ARRIVAL_BLOCK  # several draw_arrivals blocks
+    assert result.counters.requested > 500  # many draws from one generator
     assert calls == [SMALL]
 
 
 def generate_arrival(rng, config):
     """One request drawn with the ``random.Random`` methods themselves.
 
-    The one-at-a-time draw ``draw_arrivals`` replaced, kept as its
-    reference: a block must hold exactly these requests.
+    The draw ``draw_arrivals`` writes out, kept as its reference: it must
+    yield exactly these requests and leave the generator in the same state.
     """
     dt = rng.expovariate(config.total_arrival_rate)
     proxy_id = rng.randrange(config.num_proxies)
@@ -115,20 +120,39 @@ def test_draw_arrivals_makes_the_reference_draws(name):
     config = EXACT_CONFIGS[name].validate()
     for seed in (0, 1, 7, 31):
         rng, reference = random.Random(seed), random.Random(seed)
-        assert draw_arrivals(rng, config, 1500) == [
+        assert list(itertools.islice(draw_arrivals(rng, config), 1500)) == [
             generate_arrival(reference, config) for _ in range(1500)
         ]
         assert rng.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_arrival_block_size_changes_nothing(block, monkeypatch):
+def test_run_draws_one_request_past_the_last_it_handles():
+    # the request that lands past the horizon is drawn, and none after it
     config = dataclasses.replace(SMALL, total_arrival_rate=4.0, horizon=300.0)
-    default = run(config)
-    monkeypatch.setattr(sim, "ARRIVAL_BLOCK", block)
-    blocked = run(config)
-    assert blocked.arrival_digest == default.arrival_digest
-    assert blocked.counters == default.counters
+    simulation = Simulation(config)
+    reference = Simulation(config).workload_rng
+    result = simulation.run()
+    assert result.counters.requested > 1000
+    for _ in range(result.counters.requested + 1):
+        generate_arrival(reference, config)
+    assert simulation.workload_rng.getstate() == reference.getstate()
+
+
+def test_finished_simulation_is_freed_without_the_cycle_collector():
+    # an event holding a bound method would tie the simulation into a
+    # reference cycle through its own pending slot
+    simulation = Simulation(dataclasses.replace(SMALL, horizon=100.0))
+    simulation.run()
+    assert simulation.pending is not None
+    freed = weakref.ref(simulation)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del simulation
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_link_capacity_below_every_class_minimum(tmp_path):
@@ -164,12 +188,13 @@ def make_stream(capacity=300):
 
 
 def completion(simulation, alloc, link):
-    """The (time, payload) of the completion event scheduled for ``alloc`` now."""
+    """The completion event scheduled for ``alloc`` now."""
     simulation.heap.clear()
     simulation._push_completion(alloc, link, 0)
-    [(time, _seq, kind, payload)] = simulation.heap
-    assert kind == sim.EV_COMPLETION
-    return time, payload
+    [event] = simulation.heap
+    assert event[2] is Simulation._on_completion
+    assert event[3:] == (alloc, link, 0, alloc.rate)
+    return event
 
 
 def test_allocation_integrates_bytes():
@@ -186,7 +211,7 @@ def test_allocation_integrates_bytes():
 
 def test_reclaim_banks_bytes_and_reschedules():
     simulation, link, alloc = make_stream(capacity=12)
-    _, stale = completion(simulation, alloc, link)
+    stale = completion(simulation, alloc, link)
     _new, victims = link.admit(4.0, 2, UserClass.CLASS1, 7, 7, weight=1)
     assert victims == [(alloc.alloc_id, 5)] and alloc.rate == 5
     assert (alloc.sent, alloc.since) == (40.0, 4.0)
@@ -276,11 +301,14 @@ def test_mismatched_catalog_rejected_up_front(num_videos):
     {"min_bw": (8, 30, 4)},  # class 2 minimum above any class 2 maximum
     {"max_bw": (24.5, 18, 12)},
     {"min_bw": (8, 6)},
+    {"min_bw": 8},
+    "plain_tuple",
 ], ids=["size_zero", "size_negative", "size_float", "size_bool", "min_zero",
-        "min_above_max", "max_float", "two_windows"])
+        "min_above_max", "max_float", "two_windows", "int_window", "plain_tuple"])
 def test_bad_catalog_entry_rejected_up_front(changes):
     config = SimConfig(horizon=300.0, total_arrival_rate=4.0)
-    catalog = [dataclasses.replace(video, **changes)
+    catalog = [(video.size_mb, video.min_bw, video.max_bw) if changes == "plain_tuple"
+               else dataclasses.replace(video, **changes)
                for video in Simulation(config).catalog]
     with pytest.raises(ConfigError, match="catalog video 0"):
         Simulation(config, catalog)
@@ -342,29 +370,30 @@ def test_pending_arrival_keeps_all_heap_order(dt, monkeypatch):
     real_draw = sim.draw_arrivals
     monkeypatch.setattr(
         sim, "draw_arrivals",
-        lambda rng, config, n: [(dt,) + arrival[1:] for arrival in real_draw(rng, config, n)],
+        lambda rng, config: ((dt,) + arrival[1:] for arrival in real_draw(rng, config)),
     )
-    kinds = {sim.EV_COMPLETION: "completion", sim.EV_TOUR: "tour", sim.EV_SAMPLE: "sample"}
+    kinds = {}  # handler -> event kind
     scheduled, handled = [], []  # the n-th event scheduled draws sequence number n
     push, schedule_arrival = Simulation._push, Simulation._schedule_arrival
 
-    def logged_push(self, time, kind, payload=None):
-        scheduled.append((time, len(scheduled), kinds[kind]))
-        push(self, time, kind, payload)
+    def logged_push(self, time, handler, *fields):
+        scheduled.append((time, len(scheduled), kinds[handler]))
+        push(self, time, handler, *fields)
 
     def logged_schedule_arrival(self):
         schedule_arrival(self)
         assert self.pending[1] == len(scheduled)
-        scheduled.append((self.pending[0], len(scheduled), "arrival"))
+        scheduled.append((self.pending[0], len(scheduled), kinds[self.pending[2]]))
 
     monkeypatch.setattr(Simulation, "_push", logged_push)
     monkeypatch.setattr(Simulation, "_schedule_arrival", logged_schedule_arrival)
     for name, kind in (("_on_arrival", "arrival"), ("_on_completion", "completion"),
                        ("_on_tour", "tour"), ("_on_sample", "sample")):
-        def logged(self, *args, _handler=getattr(Simulation, name), _kind=kind):
+        def logged(self, event, _handler=getattr(Simulation, name), _kind=kind):
             handled.append((self.now, _kind))
-            return _handler(self, *args)
+            return _handler(self, event)
         monkeypatch.setattr(Simulation, name, logged)
+        kinds[logged] = kind
     config = dataclasses.replace(SMALL, horizon=400.0)
     run(config)
     expected = [(time, kind) for time, _seq, kind in sorted(scheduled) if time <= config.horizon]
@@ -375,17 +404,40 @@ def test_pending_arrival_keeps_all_heap_order(dt, monkeypatch):
     assert len(ties) >= 40  # an arrival lands on each of the 40 sample ticks
 
 
+def test_completions_pushed_by_an_arrival_run_before_the_next_arrival(monkeypatch):
+    # every request arrives 10 s after the last and every stream lasts
+    # exactly 10 s, so each completion ties the arrival scheduled with it;
+    # that arrival's sequence number is drawn after its completions are pushed
+    real_draw = sim.draw_arrivals
+    monkeypatch.setattr(
+        sim, "draw_arrivals",
+        lambda rng, config: ((10.0,) + arrival[1:] for arrival in real_draw(rng, config)),
+    )
+    handled = []
+    for name in ("_on_arrival", "_on_completion"):
+        def logged(self, event, _handler=getattr(Simulation, name), _name=name):
+            handled.append((self.now, _name))
+            return _handler(self, event)
+        monkeypatch.setattr(Simulation, name, logged)
+    config = dataclasses.replace(SMALL, horizon=400.0)
+    run(config, [VideoMeta(100, (10, 10, 10), (10, 10, 10))] * config.num_videos)
+    ties = [(a[1], b[1]) for a, b in zip(handled, handled[1:]) if a[0] == b[0]]
+    assert len(ties) >= 10
+    assert set(ties) == {("_on_completion", "_on_arrival")}
+
+
 @pytest.fixture(scope="module")
 def small_digest():
     return run(SMALL).arrival_digest
 
 
-# Each replaces one field of a pending (time, seq, proxy, video, class) entry.
+# Each replaces one field of a pending (time, seq, handler, proxy, video,
+# class) event.
 PERTURBATIONS = {
     "time_ulp": lambda e: (math.nextafter(e[0], math.inf),) + e[1:],
-    "proxy": lambda e: e[:2] + ((e[2] + 1) % SMALL.num_proxies,) + e[3:],
-    "video": lambda e: e[:3] + ((e[3] + 1) % SMALL.num_videos,) + e[4:],
-    "class": lambda e: e[:4] + (UserClass(e[4] % 3 + 1),),
+    "proxy": lambda e: e[:3] + ((e[3] + 1) % SMALL.num_proxies,) + e[4:],
+    "video": lambda e: e[:4] + ((e[4] + 1) % SMALL.num_videos,) + e[5:],
+    "class": lambda e: e[:5] + (UserClass(e[5] % 3 + 1),),
 }
 
 
@@ -507,11 +559,11 @@ def test_ledger_series_equal_live_aggregation(config, monkeypatch):
     times, live = [], {kind: [] for kind in LINK_KINDS}
     on_sample = Simulation._on_sample
 
-    def sample_live(self):
+    def sample_live(self, event):
         times.append(self.now)
         for kind, state in live_snapshot(self.world.all_links()).items():
             live[kind].append(state)
-        on_sample(self)
+        on_sample(self, event)
 
     monkeypatch.setattr(Simulation, "_on_sample", sample_live)
     result = run(config)
