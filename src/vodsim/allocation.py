@@ -5,9 +5,13 @@ is all-or-nothing: try the stream's class maximum, then its minimum, then
 try to cover the minimum by reclaiming excess (allocated minus minimum)
 from already-admitted streams of the same class, taking from the lowest
 demand weight upward.  If even that cannot cover the minimum the request
-is rejected and the link is left untouched.  A link keeps each class's
-total excess running next to its used bandwidth, so a request that free
-bandwidth plus that excess cannot cover is rejected without a scan.
+is rejected and the link is left untouched.
+
+A live stream's rate lives only in its link's integer tables: its minimum,
+and per class its excess.  Each class's total excess runs next to the used
+bandwidth, so a request that free bandwidth plus that excess cannot cover
+is rejected without a scan, a reclaim scans only its class's table, and
+the audit recounts both counters with builtin sums over the tables.
 
 Every mutation appends a row to the link's ``rows``, its ledger, so a
 link's utilization over time can be replayed exactly from the link without
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .model import CLASSES, UserClass
 
@@ -43,17 +48,16 @@ class InvariantViolation(RuntimeError):
     """Raised when link accounting would go out of bounds; indicates a bug."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Allocation:
-    """One admitted stream's share of a link, in whole MB/s, and the MB it
-    has carried: ``sent`` counts the bytes up to ``since``, the time of its
-    last rate change, and ``rate`` has held since then."""
+    """One admitted stream on a link and the MB it has carried: ``sent``
+    counts the bytes up to ``since``, the time of its last rate change.
+    Its rate lives in its link's tables, keyed by the allocation itself
+    (equality is identity)."""
 
     alloc_id: int
     video_id: int
     user_class: UserClass
-    rate: int
-    min_rate: int
     max_rate: int
     weight: int
     sent: float = 0.0
@@ -94,31 +98,39 @@ class Link:
         self.capacity = capacity
         self.label = label or kind.value
         self.id_source = id_source if id_source is not None else itertools.count(1)
-        self.allocations: dict[int, Allocation] = {}
+        # the live allocations: each one's minimum rate, and per class (a
+        # list indexed by the UserClass int) its rate above that minimum
+        self.minimums: dict[Allocation, int] = {}
+        self.class_excess: list[dict[Allocation, int]] = [{} for _ in range(len(CLASSES) + 1)]
         self.used = 0
-        # excess[c]: sum of rate - min_rate over live allocations of class c
+        # excess[c]: the sum of class_excess[c]
         self.excess = [0] * (len(CLASSES) + 1)
         self.rows: list[LedgerRow] = []  # the ledger
 
     def free_bandwidth(self) -> int:
         return self.capacity - self.used
 
-    def _log(self, time: float, op: str, alloc: Allocation, amount: int) -> None:
+    def rate(self, alloc: Allocation) -> int:
+        """The current rate of a live allocation."""
+        return self.minimums[alloc] + self.class_excess[alloc.user_class][alloc]
+
+    def _log(self, time: float, op: str, alloc: Allocation, amount: int, min_rate: int) -> None:
         self.rows.append(
             LedgerRow(time, op, alloc.alloc_id, alloc.video_id, int(alloc.user_class), amount,
-                      alloc.min_rate, alloc.max_rate)
+                      min_rate, alloc.max_rate)
         )
 
-    def plan_reclaim(self, user_class: UserClass, needed: int) -> list[tuple[int, int]] | None:
+    def plan_reclaim(self, user_class: UserClass,
+                     needed: int) -> list[tuple[Allocation, int]] | None:
         """Plan how to cover ``needed`` MB/s for a new stream of this class.
 
         Free bandwidth counts first; any remainder must come from excess
         (rate above minimum) held by same-class allocations, visited in
         ascending weight order (ties: video id, then allocation id).
-        Returns the (alloc_id, take) victims, empty when free bandwidth
+        Returns the (allocation, take) victims, empty when free bandwidth
         alone covers the need, or None when the need cannot be covered,
         which the class's running excess tells before any allocation is
-        visited.
+        visited.  Only the class's own table is scanned.
         """
         if needed < 0:
             raise ValueError("needed must be non-negative")
@@ -127,31 +139,31 @@ class Link:
             return []
         if remaining > self.excess[user_class]:
             return None
+        table = self.class_excess[user_class]
         victims = []
-        for alloc in sorted(
-            (a for a in self.allocations.values()
-             if a.user_class == user_class and a.rate > a.min_rate),
-            key=lambda a: (a.weight, a.video_id, a.alloc_id),
-        ):
-            take = min(alloc.rate - alloc.min_rate, remaining)
-            victims.append((alloc.alloc_id, take))
+        for alloc in sorted((a for a, excess in table.items() if excess),
+                            key=attrgetter("weight", "video_id", "alloc_id")):
+            take = min(table[alloc], remaining)
+            victims.append((alloc, take))
             remaining -= take
             if remaining == 0:
                 return victims
         raise InvariantViolation(f"link {self.label}: class {int(user_class)} excess "
                                  f"{self.excess[user_class]} exceeds its allocations")
 
-    def _apply_reclaim(self, time: float, victims: list[tuple[int, int]]) -> None:
-        for alloc_id, take in victims:
-            alloc = self.allocations[alloc_id]
-            if take <= 0 or alloc.rate - take < alloc.min_rate:
+    def _apply_reclaim(self, time: float, victims: list[tuple[Allocation, int]]) -> None:
+        for alloc, take in victims:
+            table = self.class_excess[alloc.user_class]
+            excess = table[alloc]
+            if not 0 < take <= excess:
                 raise InvariantViolation("reclaim would push a stream below its minimum")
-            alloc.sent += alloc.rate * (time - alloc.since)
+            minimum = self.minimums[alloc]
+            alloc.sent += (minimum + excess) * (time - alloc.since)
             alloc.since = time
-            alloc.rate -= take
+            table[alloc] = excess - take
             self.used -= take
             self.excess[alloc.user_class] -= take
-            self._log(time, "reclaim", alloc, take)
+            self._log(time, "reclaim", alloc, take, minimum)
 
     def admit(
         self,
@@ -161,10 +173,10 @@ class Link:
         min_rate: int,
         max_rate: int,
         weight: int,
-    ) -> tuple[Allocation, list[tuple[int, int]]] | None:
+    ) -> tuple[Allocation, list[tuple[Allocation, int]]] | None:
         """Admit a stream or reject it, leaving the link untouched on reject.
 
-        Returns the new allocation and the (alloc_id, take) victims its
+        Returns the new allocation and the (allocation, take) victims its
         reclaim cut (empty when free bandwidth covered it), or None on
         rejection.
         """
@@ -181,49 +193,53 @@ class Link:
                 return None
             self._apply_reclaim(time, victims)
             rate = min_rate
-        alloc = Allocation(next(self.id_source), video_id, user_class,
-                           rate, min_rate, max_rate, weight, since=time)
-        self.allocations[alloc.alloc_id] = alloc
+        alloc = Allocation(next(self.id_source), video_id, user_class, max_rate, weight,
+                           since=time)
+        self.minimums[alloc] = min_rate
+        self.class_excess[user_class][alloc] = rate - min_rate
         self.used += rate
         self.excess[user_class] += rate - min_rate
         if self.used > self.capacity:
             raise InvariantViolation(
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
-        self._log(time, "allocate", alloc, rate)
+        self._log(time, "allocate", alloc, rate, min_rate)
         return alloc, victims
 
-    def release(self, time: float, alloc_id: int) -> Allocation:
+    def release(self, time: float, alloc: Allocation) -> Allocation:
         """Tear down an allocation and return it with its bytes banked up
-        to ``time``; unknown ids are a bug."""
-        alloc = self.allocations.pop(alloc_id, None)
-        if alloc is None:
-            raise InvariantViolation(f"release of unknown allocation {alloc_id}")
-        alloc.sent += alloc.rate * (time - alloc.since)
+        to ``time``; an allocation not live here is a bug."""
+        minimum = self.minimums.pop(alloc, None)
+        if minimum is None:
+            raise InvariantViolation(f"release of unknown allocation {alloc.alloc_id}")
+        excess = self.class_excess[alloc.user_class].pop(alloc)
+        rate = minimum + excess
+        alloc.sent += rate * (time - alloc.since)
         alloc.since = time
-        self.used -= alloc.rate
-        self.excess[alloc.user_class] -= alloc.rate - alloc.min_rate
+        self.used -= rate
+        self.excess[alloc.user_class] -= excess
         if self.used < 0:
             raise InvariantViolation(f"link {self.label} used went negative")
-        self._log(time, "release", alloc, alloc.rate)
+        self._log(time, "release", alloc, rate, minimum)
         return alloc
 
     def check_conservation(self) -> None:
-        """Assert the running counters equal a recount of the live allocations:
-        ``used`` their rates, ``excess`` their per-class rate above minimum."""
-        total = 0
-        excess = [0] * len(self.excess)
-        for alloc in self.allocations.values():
-            total += alloc.rate
-            excess[alloc.user_class] += alloc.rate - alloc.min_rate
+        """Assert the running counters equal a recount of the live tables:
+        each ``excess[c]`` the sum of class ``c``'s table, and ``used`` the
+        sum of the minimums plus all the excess.  It runs on every link at
+        every sample, so the three classes are unpacked, not looped over."""
+        _, table1, table2, table3 = self.class_excess
+        _, excess1, excess2, excess3 = self.excess
+        if (sum(table1.values()) != excess1 or sum(table2.values()) != excess2
+                or sum(table3.values()) != excess3):
+            recount = [sum(table.values()) for table in self.class_excess]
+            raise InvariantViolation(
+                f"link {self.label}: excess={self.excess} but the class tables give {recount}"
+            )
+        total = sum(self.minimums.values()) + excess1 + excess2 + excess3
         if total != self.used:
             raise InvariantViolation(
                 f"link {self.label}: used={self.used} but allocations sum to {total}"
             )
-        if excess != self.excess:
-            raise InvariantViolation(
-                f"link {self.label}: excess={self.excess} but allocations give {excess}"
-            )
         if not 0 <= self.used <= self.capacity:
             raise InvariantViolation(f"link {self.label}: used={self.used} out of bounds")
-

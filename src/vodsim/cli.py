@@ -40,6 +40,15 @@ def _build_config(args, psg_enabled: bool | None = None) -> SimConfig:
     return config.validate()
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that cannot become a directory, before any run:
+    its nearest existing path must be a directory."""
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def _cmd_run(args) -> int:
     config = _build_config(args, psg_enabled=False if args.no_psg else None)
     result = run(config)
@@ -129,6 +138,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,13 +8,13 @@ Each event carries its handler: it is one flat tuple ``(time, seq,
 handler, *fields)``, and the loop runs ``handler(sim, event)``.  A handler
 is a plain ``Simulation`` function, never a bound method, so no event
 refers back to its simulation.
-A live stream is its link's ``Allocation``; nothing else records it.
-Completions are cancelled lazily: a completion event carries the rate it
-was scheduled at, and a popped event whose allocation has another rate
-now is stale and dropped.  A metric sample records its tick and
-audits every link's capacity conservation; ``run`` replays no ledger, so
-the sampled series exist only once ``metrics.emit_reports`` walks the
-ledgers at those ticks.
+A live stream is its link's ``Allocation``, whose rate lives only in the
+link's tables.  Completions are cancelled lazily: a completion event
+carries the excess (rate above minimum) it was scheduled at, and a popped
+event whose class-table entry differs or is gone is stale and dropped.
+A metric sample records its tick and audits every link's capacity
+conservation; ``run`` replays no ledger, so the sampled series exist only
+once ``metrics.emit_reports`` walks the ledgers at those ticks.
 
 The one scheduled arrival (each arrival schedules the next) waits in the
 ``pending`` slot with the key it would have had in the binary heap that
@@ -168,8 +168,10 @@ class Simulation:
 
     def _push_completion(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
         size_mb = self.catalog[alloc.video_id].size_mb
-        self._push(self.now + (size_mb - alloc.sent) / alloc.rate, Simulation._on_completion,
-                   alloc, link, proxy_id, alloc.rate)
+        excess = link.class_excess[alloc.user_class][alloc]
+        rate = link.minimums[alloc] + excess
+        self._push(self.now + (size_mb - alloc.sent) / rate, Simulation._on_completion,
+                   alloc, link, proxy_id, excess)
 
     def run(self) -> SimResult:
         # pending holds an arrival from the first run on; a second run would
@@ -219,17 +221,17 @@ class Simulation:
         else:
             # a link belongs to one proxy, so its victims stream to this proxy too
             link = decision.link
-            for victim_id, _take in decision.victims:
-                self._push_completion(link.allocations[victim_id], link, proxy_id)
+            for victim, _take in decision.victims:
+                self._push_completion(victim, link, proxy_id)
             self._push_completion(decision.allocation, link, proxy_id)
         self._schedule_arrival()
 
     def _on_completion(self, event: tuple) -> None:
-        _, _, _, alloc, link, proxy_id, rate = event
-        # Every reclaim lowers the rate (a take is always positive), so an
-        # event scheduled before a cut never carries the current rate, and
-        # the one current event per live allocation is the only match.
-        if alloc.rate != rate:
+        _, _, _, alloc, link, proxy_id, excess = event
+        # Every reclaim lowers the excess (a take is always positive) and
+        # nothing raises it, so an event scheduled before a cut never
+        # carries the current excess, and after a release there is no entry.
+        if link.class_excess[alloc.user_class].get(alloc) != excess:
             return
         self._close(alloc, link, proxy_id)
         counters = self.counters
@@ -247,7 +249,7 @@ class Simulation:
             counters.max_byte_rel_error = rel_error
 
     def _close(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
-        link.release(self.now, alloc.alloc_id)
+        link.release(self.now, alloc)
         self.world.proxies[proxy_id].stream_closed(alloc.video_id)
 
     def _on_tour(self, event: tuple) -> None:
@@ -267,7 +269,7 @@ class Simulation:
         counters = self.counters
         live = sorted(
             ((alloc, link, proxy.proxy_id) for proxy in self.world.proxies
-             for link in proxy.links.values() for alloc in link.allocations.values()),
+             for link in proxy.links.values() for alloc in link.minimums),
             key=lambda entry: entry[0].alloc_id,
         )
         for alloc, link, proxy_id in live:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .allocation import Link, LinkKind
+from .allocation import Allocation, Link, LinkKind
 from .model import UserClass, VideoMeta, cell_index, tier_ranges
 
 
@@ -52,7 +52,7 @@ class RouteDecision:
     source: RouteSource
     allocation: object = None
     link: Link | None = None
-    victims: list[tuple[int, int]] | None = None  # (alloc_id, take) reclaimed
+    victims: list[tuple[Allocation, int]] | None = None  # (allocation, take) reclaimed
 
 
 # Shared by every local hit and every rejection; never mutated.

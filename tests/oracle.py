@@ -65,9 +65,9 @@ def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
     """
     link = Link(LinkKind.PS_CMS, capacity, "forced")
     for s in existing:
-        link.allocations[s.alloc_id] = Allocation(
-            s.alloc_id, s.video_id, s.user_class, s.rate, s.min_rate, s.max_rate, s.weight
-        )
+        alloc = Allocation(s.alloc_id, s.video_id, s.user_class, s.max_rate, s.weight)
+        link.minimums[alloc] = s.min_rate
+        link.class_excess[s.user_class][alloc] = s.rate - s.min_rate
         link.used += s.rate
         link.excess[s.user_class] += s.rate - s.min_rate
     if link.used > capacity:

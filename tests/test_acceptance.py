@@ -162,7 +162,7 @@ def test_c03_oracle_equivalence(capsys):
         if expected is None:
             untouched = (
                 link.used == sum(s.rate for s in existing)
-                and {a: al.rate for a, al in link.allocations.items()}
+                and {al.alloc_id: link.rate(al) for al in link.minimums}
                 == {s.alloc_id: s.rate for s in existing}
             )
             if outcome is not None or not untouched:
@@ -170,7 +170,8 @@ def test_c03_oracle_equivalence(capsys):
         else:
             rate, victims = expected
             alloc, got = outcome or (None, [])
-            if alloc is None or alloc.rate != rate or sorted(got) != sorted(victims):
+            got = sorted((victim.alloc_id, take) for victim, take in got)
+            if alloc is None or link.rate(alloc) != rate or got != sorted(victims):
                 mismatches += 1
     verdict(capsys, "C3 oracle equivalence", mismatches == 0,
             f"mismatches={mismatches}/10000")

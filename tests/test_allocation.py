@@ -18,12 +18,17 @@ def fresh_link(capacity=100):
     return Link(LinkKind.PS_CMS, capacity, "test")
 
 
+def live_rates(link):
+    """Each live allocation's id mapped to its current rate."""
+    return {alloc.alloc_id: link.rate(alloc) for alloc in link.minimums}
+
+
 def test_admit_prefers_maximum():
     link = fresh_link(100)
     outcome = link.admit(0.0, video_id=1, user_class=C1, min_rate=8, max_rate=24, weight=0)
     assert outcome is not None
     alloc, victims = outcome
-    assert alloc.rate == alloc.max_rate == 24
+    assert link.rate(alloc) == alloc.max_rate == 24
     assert victims == []
     assert link.free_bandwidth() == 76
 
@@ -34,8 +39,8 @@ def test_admit_degrades_to_minimum():
     outcome = link.admit(1.0, 2, C1, min_rate=5, max_rate=20, weight=0)
     assert outcome is not None
     alloc, victims = outcome
-    assert alloc.rate == 5
-    assert alloc.rate != alloc.max_rate
+    assert link.rate(alloc) == 5
+    assert link.rate(alloc) != alloc.max_rate
     assert victims == []
     assert link.used == 29
 
@@ -44,12 +49,12 @@ def test_admit_rejects_and_leaves_link_untouched():
     link = fresh_link(20)
     link.admit(0.0, 1, C1, min_rate=10, max_rate=18, weight=0)
     before_used = link.used
-    before_rates = {a: alloc.rate for a, alloc in link.allocations.items()}
+    before_rates = live_rates(link)
     before_rows = len(link.rows)
     outcome = link.admit(1.0, 2, C2, min_rate=5, max_rate=9, weight=0)
     assert outcome is None
     assert link.used == before_used
-    assert {a: alloc.rate for a, alloc in link.allocations.items()} == before_rates
+    assert live_rates(link) == before_rates
     assert len(link.rows) == before_rows
 
 
@@ -64,12 +69,12 @@ def test_reclaim_takes_from_lowest_weight_first():
         outcome = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
         assert outcome is not None
         alloc, victims = outcome
-        assert alloc.rate == 7
-        assert victims[0][0] == light.alloc_id
-        assert light.rate == 20 - victims[0][1]
+        assert link.rate(alloc) == 7
+        assert victims[0][0] is light
+        assert link.rate(light) == 20 - victims[0][1]
         assert sum(take for _, take in victims) == 7
-        victim_ids = [vid for vid, _ in victims]
-        assert heavy.alloc_id not in victim_ids or victim_ids.index(heavy.alloc_id) > 0
+        cut = [victim for victim, _ in victims]
+        assert heavy not in cut or cut.index(heavy) > 0
         assert link.used == 40
 
 
@@ -79,8 +84,8 @@ def test_reclaim_never_cuts_below_minimum():
     b = link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=2)[0]
     outcome = link.admit(1.0, 3, C3, min_rate=6, max_rate=14, weight=0)
     assert outcome is not None
-    assert a.rate >= a.min_rate
-    assert b.rate >= b.min_rate
+    assert link.rate(a) >= link.minimums[a] == 4
+    assert link.rate(b) >= link.minimums[b] == 4
     assert link.used <= link.capacity
 
 
@@ -94,10 +99,10 @@ def test_reclaim_ignores_other_classes():
 def test_reclaim_all_or_nothing():
     link = fresh_link(20)
     victim = link.admit(0.0, 1, C3, min_rate=4, max_rate=17, weight=0)[0]
-    assert victim.rate == 17
+    assert link.rate(victim) == 17
     outcome = link.admit(1.0, 2, C3, min_rate=17, max_rate=17, weight=9)
     assert outcome is None
-    assert victim.rate == 17
+    assert link.rate(victim) == 17
     assert link.used == 17
 
 
@@ -109,33 +114,52 @@ def test_plan_reclaim_empty_when_free_covers():
 
 def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
     # the simulator drops a completion event as stale when its allocation's
-    # rate differs from the rate it was scheduled at, which is right only
-    # because every applied take is positive: each cut changes the rate
+    # excess differs from the excess it was scheduled at, which is right
+    # only because every applied take is positive: each cut changes it
     link = fresh_link(40)
     alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     for take in (0, -1, 17):
         with pytest.raises(InvariantViolation):
-            link._apply_reclaim(1.0, [(alloc.alloc_id, take)])
-    assert alloc.rate == 24 and link.rows[-1].op == "allocate"
+            link._apply_reclaim(1.0, [(alloc, take)])
+    assert link.rate(alloc) == 24 and link.rows[-1].op == "allocate"
 
 
 def test_release_returns_bandwidth():
     link = fresh_link(40)
     alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     assert link.free_bandwidth() == 16
-    link.release(2.0, alloc.alloc_id)
+    link.release(2.0, alloc)
     assert link.free_bandwidth() == 40
     with pytest.raises(InvariantViolation):
-        link.release(3.0, alloc.alloc_id)
+        link.release(3.0, alloc)
+
+
+def loaded_link():
+    """A link holding one stream of each class, every one with some excess,
+    audited clean."""
+    link = fresh_link(90)
+    for video_id, user_class in enumerate(CLASSES):
+        min_lo, _min_hi, _max_lo, max_hi = BW_RANGES[user_class]
+        link.admit(0.0, video_id, user_class, min_rate=min_lo, max_rate=max_hi, weight=0)
+    link.check_conservation()
+    assert all(link.excess[c] > 0 for c in CLASSES)
+    return link
 
 
 def test_conservation_check_catches_tampering():
-    link = fresh_link(40)
-    alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    link.check_conservation()
-    alloc.rate += 1
-    with pytest.raises(InvariantViolation):
-        link.check_conservation()
+    # an entry of the live tables off by one, with the counters left as
+    # they were: one entry of each class's excess table, then one minimum
+    link = loaded_link()
+    entries = [(link.class_excess[c], next(iter(link.class_excess[c]))) for c in CLASSES]
+    entries.append((link.minimums, next(iter(link.minimums))))
+    for table, alloc in entries:
+        for delta in (1, -1):
+            table[alloc] += delta
+            with pytest.raises(InvariantViolation):
+                link.check_conservation()
+            table[alloc] -= delta
+            link.check_conservation()
+    fresh_link().check_conservation()
 
 
 def test_ledger_replay_matches_live_state():
@@ -153,9 +177,9 @@ def test_ledger_replay_matches_live_state():
                 weight=rng.randrange(10),
             )
             if outcome is not None:
-                live.append(outcome[0].alloc_id)
+                live.append(outcome[0])
         replayed = Replay([link], float(step)).live[0]
-        assert replayed == {a: alloc.rate for a, alloc in link.allocations.items()}
+        assert replayed == live_rates(link)
         assert sum(replayed.values()) == link.used
         link.check_conservation()
 
@@ -181,15 +205,13 @@ def test_engine_matches_oracle_on_random_states():
         if expected is None:
             assert outcome is None
             assert link.used == sum(s.rate for s in existing)
-            assert {a: alloc.rate for a, alloc in link.allocations.items()} == {
-                s.alloc_id: s.rate for s in existing
-            }
+            assert live_rates(link) == {s.alloc_id: s.rate for s in existing}
         else:
             rate, victims = expected
             assert outcome is not None
             alloc, got = outcome
-            assert alloc.rate == rate
-            assert sorted(got) == sorted(victims)
+            assert link.rate(alloc) == rate
+            assert sorted((victim.alloc_id, take) for victim, take in got) == sorted(victims)
             link.check_conservation()
 
 
@@ -220,6 +242,8 @@ def test_excess_tracks_admit_reclaim_and_release():
     link = fresh_link(90)
     live = []
     reclaims = 0
+    # each live stream's class and excess, rebuilt from the ledger rows
+    streams, seen = {}, 0
     for step in range(2500):
         if live and rng.random() < 0.35:
             link.release(float(step), live.pop(rng.randrange(len(live))))
@@ -231,27 +255,45 @@ def test_excess_tracks_admit_reclaim_and_release():
                                  weight=rng.randrange(10))
             if outcome is not None:
                 alloc, victims = outcome
-                live.append(alloc.alloc_id)
+                live.append(alloc)
                 reclaims += bool(victims)
-        recount = {c: sum(a.rate - a.min_rate for a in link.allocations.values()
-                          if a.user_class == c) for c in CLASSES}
+        for row in link.rows[seen:]:
+            if row.op == "allocate":
+                streams[row.alloc_id] = [row.user_class, row.amount - row.min_rate]
+            elif row.op == "reclaim":
+                streams[row.alloc_id][1] -= row.amount
+            else:
+                del streams[row.alloc_id]
+        seen = len(link.rows)
+        recount = {c: sum(excess for user_class, excess in streams.values() if user_class == c)
+                   for c in CLASSES}
         assert {c: link.excess[c] for c in CLASSES} == recount, f"step {step}"
     assert reclaims > 100
 
 
 def test_conservation_check_catches_stale_excess():
-    link = fresh_link(60)
-    link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=0)
-    link.check_conservation()
+    # a running counter off by one, with the tables left as they were:
+    # each class's excess, then the used bandwidth
+    link = loaded_link()
     for c in CLASSES:
         for delta in (1, -1):
             link.excess[c] += delta
             with pytest.raises(InvariantViolation):
                 link.check_conservation()
             link.excess[c] -= delta
+    for delta in (1, -1):
+        link.used += delta
+        with pytest.raises(InvariantViolation):
+            link.check_conservation()
+        link.used -= delta
     link.check_conservation()
+    empty = fresh_link()
+    empty.check_conservation()
+    empty.used += 1
+    with pytest.raises(InvariantViolation):
+        empty.check_conservation()
     # an excess larger than the streams can give is caught by the planner too
+    free, pool = link.free_bandwidth(), link.excess[C3]
     link.excess[C3] += 30
     with pytest.raises(InvariantViolation):
-        link.plan_reclaim(C3, 40)
+        link.plan_reclaim(C3, free + pool + 1)

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from vodsim import cli
 from vodsim.cli import main
 
 CONF = """
@@ -110,6 +111,24 @@ def test_bad_sweep_scale_fails_before_any_run(tmp_path, capsys, scales):
     assert "error:" in captured.err
     assert "scale 1" not in captured.out
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_out_that_is_a_file_fails_before_any_run(command, tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError(f"{command} started a run")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "baseline_no_psg", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    for out in (afile, afile / "reports"):
+        code = main([command, "--horizon", "50", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "not a directory" in captured.err
+        assert captured.out == ""
+    assert afile.read_text(encoding="utf-8") == "kept\n"
 
 
 # Reference SHA-256 of the report directories of ``compare`` (with its

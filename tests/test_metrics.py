@@ -163,7 +163,7 @@ def random_links(seed, horizon):
                 admitted = link.admit(now, rng.randrange(9), rng.choice((C1, C2, C3)),
                                       rng.randint(4, 8), rng.randint(10, 20), rng.randrange(6))
                 if admitted is not None:
-                    live.append(admitted[0].alloc_id)
+                    live.append(admitted[0])
             now += rng.choice((0.0, 0.5, 1.0))
     return links + [Link(LinkKind.PS_RPS, 25, "empty")]
 
@@ -376,9 +376,9 @@ def test_walk_handles_random_traffic():
             outcome = link.admit(now, rng.randrange(9), rng.choice((C1, C2, C3)),
                                  rng.randint(4, 8), rng.randint(12, 25), rng.randrange(6))
             if outcome is not None:
-                live.append(outcome[0].alloc_id)
-    for alloc_id in live:
-        link.release(now + 1.0, alloc_id)
+                live.append(outcome[0])
+    for alloc in live:
+        link.release(now + 1.0, alloc)
     horizon = now + 2.0
     util = time_avg_utilization([link], horizon)[LinkKind.PS_RPS]
     assert 0.0 <= util <= 1.0

@@ -193,19 +193,19 @@ def completion(simulation, alloc, link):
     simulation._push_completion(alloc, link, 0)
     [event] = simulation.heap
     assert event[2] is Simulation._on_completion
-    assert event[3:] == (alloc, link, 0, alloc.rate)
+    assert event[3:] == (alloc, link, 0, link.class_excess[alloc.user_class][alloc])
     return event
 
 
 def test_allocation_integrates_bytes():
     simulation, link, alloc = make_stream()
-    assert (alloc.rate, alloc.sent, alloc.since) == (10, 0.0, 0.0)
+    assert (link.rate(alloc), alloc.sent, alloc.since) == (10, 0.0, 0.0)
     assert completion(simulation, alloc, link)[0] == 10.0
     # the same stream twice: one released early at t=4, one at completion
     early, _victims = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
-    assert link.release(4.0, early.alloc_id) is early
+    assert link.release(4.0, early) is early
     assert (early.sent, early.since) == (40.0, 4.0)
-    assert link.release(10.0, alloc.alloc_id) is alloc
+    assert link.release(10.0, alloc) is alloc
     assert (alloc.sent, alloc.since) == (100.0, 10.0)
 
 
@@ -213,15 +213,15 @@ def test_reclaim_banks_bytes_and_reschedules():
     simulation, link, alloc = make_stream(capacity=12)
     stale = completion(simulation, alloc, link)
     _new, victims = link.admit(4.0, 2, UserClass.CLASS1, 7, 7, weight=1)
-    assert victims == [(alloc.alloc_id, 5)] and alloc.rate == 5
+    assert victims == [(alloc, 5)] and link.rate(alloc) == 5
     assert (alloc.sent, alloc.since) == (40.0, 4.0)
     simulation.now = 4.0
     assert completion(simulation, alloc, link)[0] == 4.0 + 60.0 / 5
     # the event scheduled at the old rate is stale: popping it closes nothing
     simulation.now = 10.0
     simulation._on_completion(stale)
-    assert alloc.alloc_id in link.allocations and link.rows[-1].op == "allocate"
-    link.release(4.0 + 60.0 / 5, alloc.alloc_id)
+    assert alloc in link.minimums and link.rows[-1].op == "allocate"
+    link.release(4.0 + 60.0 / 5, alloc)
     assert alloc.sent == 100.0
 
 
@@ -234,7 +234,7 @@ def test_short_run_identities():
     assert Replay(result.ledgers, SMALL.horizon).live == [{} for _ in result.ledgers]
     for link in result.world.all_links():
         assert link.used == 0
-        assert not link.allocations
+        assert not link.minimums and not any(link.class_excess)
     for proxy in result.world.proxies:
         assert not proxy.live_videos
         assert len(proxy.cache) <= proxy.cache_capacity
@@ -489,9 +489,9 @@ def test_drain_closes_in_admission_order(monkeypatch):
     released = []  # (time, link, alloc_id) per release
     release = Link.release
 
-    def logged_release(self, time, alloc_id):
-        released.append((time, self, alloc_id))
-        return release(self, time, alloc_id)
+    def logged_release(self, time, alloc):
+        released.append((time, self, alloc.alloc_id))
+        return release(self, time, alloc)
 
     monkeypatch.setattr(Link, "release", logged_release)
     config = dataclasses.replace(SMALL, horizon=50.0)
@@ -542,11 +542,11 @@ def live_snapshot(links):
     for link in links:
         kind_state = state[link.kind]
         kind_state[0] += link.used
-        for alloc in link.allocations.values():
+        for alloc, min_rate in link.minimums.items():
             c = alloc.user_class
             kind_state[_COUNT + c] += 1
-            kind_state[_RATE + c] += alloc.rate
-            kind_state[_MIN + c] += alloc.min_rate
+            kind_state[_RATE + c] += link.rate(alloc)
+            kind_state[_MIN + c] += min_rate
             kind_state[_MAX + c] += alloc.max_rate
     return state
 

@@ -92,7 +92,7 @@ def test_route_remote_table(holders, free):
     decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is expected
     assert decision.link is proxy.links[SOURCE_LINK[expected]]
-    assert decision.allocation.rate == 18
+    assert decision.link.rate(decision.allocation) == 18
     assert decision.victims == []
 
 
@@ -129,7 +129,7 @@ def test_route_prefers_freer_neighbor():
     decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is RouteSource.LPS
     assert decision.link is proxy.links[LinkKind.PS_LPS]
-    assert decision.allocation.rate == 18
+    assert decision.link.rate(decision.allocation) == 18
 
 
 def test_route_tie_goes_right():
