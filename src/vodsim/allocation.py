@@ -99,9 +99,10 @@ class Link:
         self.label = label or kind.value
         self.id_source = id_source if id_source is not None else itertools.count(1)
         # the live allocations: each one's minimum rate, and per class (a
-        # list indexed by the UserClass int) its rate above that minimum
+        # list indexed by the UserClass int, so slot 0 is None) its rate
+        # above that minimum
         self.minimums: dict[Allocation, int] = {}
-        self.class_excess: list[dict[Allocation, int]] = [{} for _ in range(len(CLASSES) + 1)]
+        self.class_excess: list[dict[Allocation, int] | None] = [None, {}, {}, {}]
         self.used = 0
         # excess[c]: the sum of class_excess[c]
         self.excess = [0] * (len(CLASSES) + 1)
@@ -232,9 +233,9 @@ class Link:
         _, excess1, excess2, excess3 = self.excess
         if (sum(table1.values()) != excess1 or sum(table2.values()) != excess2
                 or sum(table3.values()) != excess3):
-            recount = [sum(table.values()) for table in self.class_excess]
+            recount = [sum(table.values()) for table in self.class_excess[1:]]
             raise InvariantViolation(
-                f"link {self.label}: excess={self.excess} but the class tables give {recount}"
+                f"link {self.label}: excess={self.excess[1:]} but the class tables give {recount}"
             )
         total = sum(self.minimums.values()) + excess1 + excess2 + excess3
         if total != self.used:

@@ -37,7 +37,6 @@ class SimConfig:
     total_arrival_rate: float = 1.0
     tier_mix: tuple[float, float, float] = (0.50, 0.35, 0.15)
     class_mix: tuple[float, float, float] = (0.20, 0.30, 0.50)
-    profits: tuple[int, int, int] = (3, 2, 1)
     horizon: float = 10000.0
     agent_period: float = 100.0
     sample_period: float = 10.0
@@ -72,10 +71,6 @@ class SimConfig:
         for name, mix in (("tier_mix", self.tier_mix), ("class_mix", self.class_mix)):
             if len(mix) != 3 or min(mix) <= 0 or abs(sum(mix) - 1.0) > 1e-9:
                 raise ConfigError(f"{name} must be three positive shares summing to 1")
-        if len(self.profits) != 3 or min(self.profits) <= 0:
-            raise ConfigError("profits must be three positive integers")
-        if not self.profits[0] >= self.profits[1] >= self.profits[2]:
-            raise ConfigError("profits must be non-increasing by class")
         return self
 
 
@@ -112,7 +107,7 @@ def load_config(path) -> SimConfig:
     """Read key=value lines; '#' starts a comment, blank lines are skipped."""
     values = {}
     defaults = {f.name: f.default for f in fields(SimConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:

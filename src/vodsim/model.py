@@ -6,11 +6,11 @@ static id-range popularity tiers that the workload draws from and that
 placement deals from.  Demand counts and video weights are flat
 ``list[int]`` tables: ``cell_index`` puts (video, class) at cell
 ``3 * video + class - 1``, so cell ``i`` is of class ``i % 3 + 1``.
-Weights are exact integers (request count times integer class profit) so
-comparisons used for victim ordering are never perturbed by float
-rounding.  A video id of -1 or a class of 0 would wrap to another video's
-cells, so ``topology.handle_request`` checks both before it touches any
-cell.
+A weight is its cell's request count, an exact integer, so comparisons
+used for victim ordering are never perturbed by float rounding.  Victims
+are only ever compared within one class.  A video id of -1 or a class of
+0 would wrap to another video's cells, so ``topology.handle_request``
+checks both before it touches any cell.
 """
 
 from __future__ import annotations

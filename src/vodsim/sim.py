@@ -212,7 +212,7 @@ class Simulation:
         self.arrival_hash.update(ARRIVAL_RECORD.pack(self.now, proxy_id, video_id, user_class))
         decision = handle_request(
             self.world, self.now, proxy_id, video_id, user_class,
-            self.catalog, self.config.profits, self.config.psg_enabled,
+            self.catalog, self.config.psg_enabled,
         )
         if decision.source is LOCAL:
             counters.local_hits += 1
@@ -253,7 +253,7 @@ class Simulation:
         self.world.proxies[proxy_id].stream_closed(alloc.video_id)
 
     def _on_tour(self, event: tuple) -> None:
-        agent_tour(self.now, self.world, self.config.profits)
+        agent_tour(self.now, self.world)
         self._push(self.now + self.config.agent_period, Simulation._on_tour)
 
     def _on_sample(self, event: tuple) -> None:

@@ -154,7 +154,6 @@ def handle_request(
     video_id: int,
     user_class: UserClass,
     catalog: list[VideoMeta],
-    profits,
     psg_enabled: bool = True,
 ) -> RouteDecision:
     """Process one arrival end to end at its landing proxy.
@@ -165,8 +164,8 @@ def handle_request(
     served from the local cache when present.  A miss is routed as the
     module docstring says (with sharing off, straight to the central
     link) and weighed by the larger of the agent's last table and this
-    proxy's own count times the class profit, since the table can lag
-    local traffic.  An admitted video is cached here and marked live.
+    proxy's own count, since the table can lag local traffic.  An
+    admitted video is cached here and marked live.
     """
     proxies = world.proxies
     if not (0 <= proxy_id < len(proxies) and 0 <= video_id < world.num_videos
@@ -181,7 +180,7 @@ def handle_request(
     if video_id in proxy.cache:
         proxy.touch(video_id)
         return LOCAL_HIT
-    weight = max(world.weights[cell], proxy.local_counts[cell] * profits[user_class - 1])
+    weight = max(world.weights[cell], proxy.local_counts[cell])
     video = catalog[video_id]
     min_rate, max_rate = video.min_bw[user_class - 1], video.max_bw[user_class - 1]
     # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS

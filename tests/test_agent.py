@@ -10,8 +10,6 @@ from vodsim.model import CLASSES, UserClass, build_catalog, cell_index
 from vodsim.agent import agent_tour
 from vodsim.topology import build_world, handle_request
 
-PROFITS = (3, 2, 1)
-
 
 def setup(num_videos=32, seed=4):
     world = build_world(4, num_videos, 8, 100)
@@ -21,7 +19,7 @@ def setup(num_videos=32, seed=4):
 
 def request(world, catalog, proxy_id, video_id, user_class, times=1):
     for _ in range(times):
-        handle_request(world, 1.0, proxy_id, video_id, user_class, catalog, PROFITS)
+        handle_request(world, 1.0, proxy_id, video_id, user_class, catalog)
 
 
 def test_tour_weights_sum_demand_over_proxies():
@@ -30,11 +28,11 @@ def test_tour_weights_sum_demand_over_proxies():
     request(world, catalog, 1, 3, UserClass.CLASS1)
     request(world, catalog, 2, 3, UserClass.CLASS2)
     request(world, catalog, 3, 9, UserClass.CLASS3)
-    agent_tour(10.0, world, PROFITS)
+    agent_tour(10.0, world)
     assert sum(world.demand) == 4
-    assert world.weights[cell_index(3, UserClass.CLASS1)] == 2 * 3
-    assert world.weights[cell_index(3, UserClass.CLASS2)] == 1 * 2
-    assert world.weights[cell_index(9, UserClass.CLASS3)] == 1 * 1
+    assert world.weights[cell_index(3, UserClass.CLASS1)] == 2
+    assert world.weights[cell_index(3, UserClass.CLASS2)] == 1
+    assert world.weights[cell_index(9, UserClass.CLASS3)] == 1
     assert world.weights[cell_index(9, UserClass.CLASS1)] == 0
     assert world.proxies[0].local_counts[cell_index(3, UserClass.CLASS1)] == 1
 
@@ -42,12 +40,12 @@ def test_tour_weights_sum_demand_over_proxies():
 def test_tour_pushes_weights_everywhere():
     world, catalog = setup()
     request(world, catalog, 1, 7, UserClass.CLASS1, times=5)
-    agent_tour(10.0, world, PROFITS)
-    assert world.weights[cell_index(7, UserClass.CLASS1)] == 15
+    agent_tour(10.0, world)
+    assert world.weights[cell_index(7, UserClass.CLASS1)] == 5
     # the table the tour wrote is the one every proxy's admission reads
     for proxy_id in (0, 2, 3):
-        decision = handle_request(world, 11.0, proxy_id, 7, UserClass.CLASS1, catalog, PROFITS)
-        assert decision.allocation.weight == 15
+        decision = handle_request(world, 11.0, proxy_id, 7, UserClass.CLASS1, catalog)
+        assert decision.allocation.weight == 5
 
 
 def test_tour_leaves_catalog_untouched():
@@ -55,20 +53,20 @@ def test_tour_leaves_catalog_untouched():
     videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     hot = 30  # in the least-popular id range
     request(world, catalog, 0, hot, UserClass.CLASS2, times=50)
-    agent_tour(10.0, world, PROFITS)
+    agent_tour(10.0, world)
     assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
 
 
 def test_tour_does_not_reset_counters():
     world, catalog = setup()
     request(world, catalog, 0, 1, UserClass.CLASS1)
-    agent_tour(10.0, world, PROFITS)
+    agent_tour(10.0, world)
     assert world.proxies[0].local_counts[cell_index(1, UserClass.CLASS1)] == 1
     assert world.demand[cell_index(1, UserClass.CLASS1)] == 1
     request(world, catalog, 0, 1, UserClass.CLASS1)
-    agent_tour(20.0, world, PROFITS)
+    agent_tour(20.0, world)
     assert sum(world.demand) == 2
-    assert world.weights[cell_index(1, UserClass.CLASS1)] == 6
+    assert world.weights[cell_index(1, UserClass.CLASS1)] == 2
 
 
 def test_second_tour_without_new_demand_changes_nothing():
@@ -76,9 +74,9 @@ def test_second_tour_without_new_demand_changes_nothing():
     rng = random.Random(6)
     for _ in range(400):
         request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
-    agent_tour(10.0, world, PROFITS)
+    agent_tour(10.0, world)
     demand, weights = world.demand[:], world.weights[:]
-    agent_tour(20.0, world, PROFITS)
+    agent_tour(20.0, world)
     assert sum(demand) == 400
     assert world.demand == demand
     assert world.weights == weights
@@ -86,24 +84,22 @@ def test_second_tour_without_new_demand_changes_nothing():
 
 def test_incremental_tours_equal_full_rebuild(monkeypatch):
     # a tour rewrites only the cells marked since the last one; after every
-    # tour the shared table must still equal count x profit in every cell
+    # tour the shared table must still equal the request count in every cell
     config = SimConfig(num_proxies=5, total_arrival_rate=2.0, horizon=2500.0, seed=3)
-    profits = config.profits
     real_tour = sim.agent_tour
     previous = [0] * (3 * config.num_videos)
     changed_per_tour = []
 
-    def checked_tour(time, world, tour_profits):
+    def checked_tour(time, world):
         counts = world.demand
         changed = {cell for cell, count in enumerate(counts) if count != previous[cell]}
         assert world.dirty == changed
-        real_tour(time, world, tour_profits)
+        real_tour(time, world)
         assert not world.dirty
         for vid in range(config.num_videos):
             for user_class in CLASSES:
                 cell = cell_index(vid, user_class)
-                expected = world.demand[cell] * profits[user_class - 1]
-                assert world.weights[cell] == expected
+                assert world.weights[cell] == world.demand[cell]
         changed_per_tour.append(len(changed))
         previous[:] = world.demand
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,6 @@ def test_defaults_validate():
     assert config.link_capacity == 300
     assert config.tier_mix == (0.50, 0.35, 0.15)
     assert config.class_mix == (0.20, 0.30, 0.50)
-    assert config.profits == (3, 2, 1)
     assert config.psg_enabled
 
 
@@ -33,8 +34,9 @@ def test_defaults_validate():
     ("total_arrival_rate", 0.0),
     ("tier_mix", (0.5, 0.5, 0.5)),
     ("class_mix", (0.2, 0.3, 0.4)),
-    ("profits", (1, 2, 3)),
-    ("profits", (3, 2, 0)),
+    # a mix must have exactly three shares; extra items are not dropped
+    ("tier_mix", (0.5, 0.5)),
+    ("class_mix", (0.2, 0.3, 0.5, 0.0)),
     ("horizon", 0.0),
     ("agent_period", -1.0),
     ("sample_period", 0.0),
@@ -51,8 +53,8 @@ def test_defaults_validate():
     ("class_mix", (0.2, 0.3, float("nan"))),
     ("class_mix", (0.2, float("inf"), 0.5)),
     # each value's type must be its default's; an int may stand for a float
-    ("profits", (3.5, 2, 1)),
-    ("profits", (3, 2, True)),
+    ("tier_mix", (10 ** 400, 0.35, 0.15)),
+    ("tier_mix", (0.5, 0.35, True)),
     ("link_capacity", 300.5),
     ("psg_enabled", "no"),
     ("psg_enabled", 1),
@@ -76,7 +78,6 @@ def test_validate_takes_int_for_float():
     assert config.total_arrival_rate == 4.0
     # stored as the float it stands for, so equal configs format alike
     assert type(config.total_arrival_rate) is float and type(config.horizon) is float
-    assert config.profits == (3, 2, 1) and type(config.profits[0]) is int
 
 
 def write(tmp_path, text):
@@ -92,7 +93,6 @@ seed = 42
 horizon = 2500.5        # trailing comment
 psg_enabled = false
 tier_mix = 0.4, 0.4, 0.2
-profits = 5, 3, 1
 num_videos = 120
 cache_capacity = 40
 """)
@@ -101,13 +101,16 @@ cache_capacity = 40
     assert config.horizon == 2500.5
     assert config.psg_enabled is False
     assert config.tier_mix == (0.4, 0.4, 0.2)
-    assert config.profits == (5, 3, 1)
     assert config.num_videos == 120
 
 
 def test_load_config_unknown_key(tmp_path):
     path = write(tmp_path, "bandwidth = 7\n")
     with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
+    # weights are plain request counts; there is no per-class profit field
+    path = write(tmp_path, "profits = 3, 2, 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'profits'"):
         load_config(path)
 
 
@@ -138,8 +141,8 @@ def test_load_config_bad_number(tmp_path):
     path = write(tmp_path, "seed = 1.5\n")
     with pytest.raises(ConfigError, match="bad value for seed"):
         load_config(path)
-    path = write(tmp_path, "profits = 3, 2, x\n")
-    with pytest.raises(ConfigError, match="bad value for profits"):
+    path = write(tmp_path, "class_mix = 0.2, 0.3, x\n")
+    with pytest.raises(ConfigError, match="bad value for class_mix"):
         load_config(path)
 
 
@@ -171,3 +174,18 @@ def test_load_config_validates_result(tmp_path):
     path = write(tmp_path, "num_proxies = 1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_skips_byte_order_mark(tmp_path):
+    # some editors start a UTF-8 file with a byte-order mark
+    path = tmp_path / "run.conf"
+    path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+    assert load_config(path).seed == 3
+
+
+def test_readme_config_table_names_every_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = [name for line in section.splitlines() if line.startswith("| `")
+             for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert sorted(named) == sorted(field.name for field in dataclasses.fields(SimConfig))

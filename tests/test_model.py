@@ -106,15 +106,14 @@ def test_demand_profile_counts():
             assert cell_index(vid, user_class) % 3 + 1 == user_class
 
 
-def test_weights_are_count_times_profit():
+def test_weights_are_request_counts():
     rng = random.Random(17)
     world = build_world(3, 12, 4, 100)
     for _ in range(500):
         world.demand[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
-    profits = (3, 2, 1)
     world.dirty.update(range(len(world.demand)))
-    agent_tour(1.0, world, profits)
+    agent_tour(1.0, world)
     for vid in range(12):
         for user_class in CLASSES:
             cell = cell_index(vid, user_class)
-            assert world.weights[cell] == world.demand[cell] * profits[user_class - 1]
+            assert world.weights[cell] == world.demand[cell]

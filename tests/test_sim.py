@@ -225,6 +225,45 @@ def test_reclaim_banks_bytes_and_reschedules():
     assert alloc.sent == 100.0
 
 
+def fixed_rate_catalog(num_videos):
+    """A catalog whose every rate window is a single rate: min == max."""
+    return [VideoMeta(600, (9, 7, 5), (9, 7, 5)) for _ in range(num_videos)]
+
+
+# name: (config changes to a 300 s run of SMALL, catalog maker or None)
+TINY = {
+    "3-proxies-4-videos": ({"num_proxies": 3, "num_videos": 4, "cache_capacity": 4}, None),
+    "link-capacity-3": ({"link_capacity": 3}, None),
+    "min-equals-max": ({"total_arrival_rate": 4.0}, fixed_rate_catalog),
+    "horizon-below-periods": ({"horizon": 5.0}, None),
+    "cache-holds-catalog": ({"num_videos": 16, "cache_capacity": 16}, None),
+}
+
+
+@pytest.mark.parametrize("name", TINY)
+def test_tiny_config_keeps_identity_checks_and_bytes(name, tmp_path):
+    changes, make_catalog = TINY[name]
+    config = dataclasses.replace(SMALL, **{"horizon": 300.0, **changes}).validate()
+    catalog = make_catalog(config.num_videos) if make_catalog else None
+    result = run(config, catalog)
+    counters = result.counters
+    assert counters.identity_holds()
+    # each completed stream carried its size, and the ledgers carried every MB
+    assert counters.max_byte_rel_error < 1e-9
+    ledger_side = Replay(result.ledgers, config.horizon).totals[0]
+    assert ledger_side == pytest.approx(counters.bytes_total, rel=1e-9)
+    paths = emit_reports(result, tmp_path / "a")
+    summary = (tmp_path / "a" / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in summary if line.startswith("CHECK:")] == [
+        "CHECK:conservation=PASS", "CHECK:ledger_bounds=PASS",
+    ]
+    emit_reports(run(config, catalog), tmp_path / "b")
+    for path in paths:
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+    without = run(dataclasses.replace(config, psg_enabled=False), catalog)
+    assert without.arrival_digest == result.arrival_digest
+
+
 def test_short_run_identities():
     result = run(SMALL)
     counters = result.counters
@@ -507,9 +546,9 @@ def test_tours_run_on_schedule(monkeypatch):
     tours = []  # (time, requests counted so far) per tour
     real_tour = sim.agent_tour
 
-    def recording_tour(time, world, profits):
+    def recording_tour(time, world):
         tours.append((time, sum(world.demand)))
-        real_tour(time, world, profits)
+        real_tour(time, world)
 
     monkeypatch.setattr(sim, "agent_tour", recording_tour)
     result = run(SMALL)

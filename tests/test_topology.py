@@ -11,8 +11,6 @@ from vodsim.allocation import LinkKind
 from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, tier_ranges
 from vodsim.topology import RouteSource, build_world, handle_request, seed_initial_placement
 
-PROFITS = (3, 2, 1)
-
 
 def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
     return build_world(num_proxies, num_videos, cache, capacity)
@@ -28,8 +26,7 @@ WINDOWS = [VideoMeta(1000, (8, 6, 4), (24, 18, 12)) for _ in range(48)]
 
 def route(world, time, proxy_id, video_id, user_class, psg_enabled=True):
     """One request through ``handle_request`` on the ``WINDOWS`` catalog."""
-    return handle_request(world, time, proxy_id, video_id, user_class, WINDOWS, PROFITS,
-                          psg_enabled)
+    return handle_request(world, time, proxy_id, video_id, user_class, WINDOWS, psg_enabled)
 
 
 def caches(world):
@@ -207,7 +204,7 @@ def test_handle_request_local_hit_touches_lru():
     proxy = world.proxies[2]
     proxy.insert(5)
     proxy.insert(6)
-    decision = handle_request(world, 9.0, 2, 5, UserClass.CLASS1, catalog, PROFITS)
+    decision = handle_request(world, 9.0, 2, 5, UserClass.CLASS1, catalog)
     assert decision.source is RouteSource.LOCAL
     assert list(proxy.cache) == [6, 5]
     assert proxy.local_counts[cell_index(5, UserClass.CLASS1)] == 1
@@ -219,7 +216,7 @@ def test_handle_request_caches_on_success():
     catalog = small_catalog()
     proxy = world.proxies[0]
     assert 7 not in proxy.cache
-    decision = handle_request(world, 3.0, 0, 7, UserClass.CLASS2, catalog, PROFITS)
+    decision = handle_request(world, 3.0, 0, 7, UserClass.CLASS2, catalog)
     assert decision.source is RouteSource.CMS
     assert 7 in proxy.cache
     assert proxy.live_videos == {7}
@@ -230,7 +227,7 @@ def test_handle_request_rejection_does_not_cache():
     catalog = small_catalog()
     proxy = world.proxies[0]
     proxy.links[LinkKind.PS_CMS].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
-    decision = handle_request(world, 1.0, 0, 7, UserClass.CLASS1, catalog, PROFITS)
+    decision = handle_request(world, 1.0, 0, 7, UserClass.CLASS1, catalog)
     assert decision.source is RouteSource.REJECTED
     assert 7 not in proxy.cache
     assert proxy.local_counts[cell_index(7, UserClass.CLASS1)] == 1
@@ -247,7 +244,7 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
     # the last proxy
     world = small_world(num_videos=48)
     catalog = small_catalog(num_videos=48)
-    handle_request(world, 1.0, 0, 47, UserClass.CLASS3, catalog, PROFITS)
+    handle_request(world, 1.0, 0, 47, UserClass.CLASS3, catalog)
 
     def state():
         return (
@@ -257,7 +254,7 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
 
     before = state()
     with pytest.raises(ValueError, match="unknown request"):
-        handle_request(world, 2.0, proxy_id, video_id, user_class, catalog, PROFITS)
+        handle_request(world, 2.0, proxy_id, video_id, user_class, catalog)
     assert state() == before
 
 
@@ -403,13 +400,13 @@ def test_over_capacity_close_evicts_like_reference():
 
 def test_weight_prefers_fresher_view():
     # the weight admission uses is the larger of the agent's last table and
-    # the landing proxy's own count times the class profit
+    # the landing proxy's own count
     world = small_world()
     cell = cell_index(7, UserClass.CLASS1)
     world.proxies[0].local_counts[cell] = 3  # the request makes it 4
     decision = route(world, 1.0, 0, 7, UserClass.CLASS1)
     assert decision.source is RouteSource.CMS
-    assert decision.allocation.weight == 4 * 3
+    assert decision.allocation.weight == 4
     world.weights[cell] = 30
     decision = route(world, 2.0, 3, 7, UserClass.CLASS1)
     assert decision.source is RouteSource.CMS
@@ -444,7 +441,7 @@ def test_request_counting_covers_all_classes():
     rng = random.Random(8)
     for _ in range(300):
         handle_request(world, rng.random() * 100, rng.randrange(6),
-                       rng.randrange(48), rng.choice(CLASSES), catalog, PROFITS)
+                       rng.randrange(48), rng.choice(CLASSES), catalog)
     assert sum(sum(proxy.local_counts) for proxy in world.proxies) == 300
     assert sum(world.demand) == 300
 
