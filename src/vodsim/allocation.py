@@ -13,9 +13,13 @@ bandwidth, so a request that free bandwidth plus that excess cannot cover
 is rejected without a scan, a reclaim scans only its class's table, and
 the audit recounts both counters with builtin sums over the tables.
 
-Every mutation appends a row to the link's ``rows``, its ledger, so a
-link's utilization over time can be replayed exactly from the link without
-trusting the live counters.
+Every mutation appends one packed ``LEDGER_RECORD`` to the link's
+``ledger``, a ``bytearray``, so a link's utilization over time can be
+replayed exactly from the link without trusting the live counters.  The
+record's fields are fixed-width: ``SimConfig.validate()`` and the catalog
+check refuse, up front, any capacity, rate or video id wider than
+``FIELD_MAX``, so no value is ever truncated.  ``Link.rows`` decodes the
+bytes into ``LedgerRow``s for inspection; nothing in the package reads it.
 
 An allocation is the one record of its live stream.  It banks the bytes
 it has carried: a reclaim adds the bytes sent at the old rate before it
@@ -26,6 +30,7 @@ are exact however often its rate changes.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -42,6 +47,16 @@ class LinkKind(Enum):
 
 
 LINK_KINDS: tuple[LinkKind, ...] = (LinkKind.PS_LPS, LinkKind.PS_RPS, LinkKind.PS_CMS)
+
+
+# One ledger record: exact float64 time, op code, allocation id, video id,
+# class, amount (MB/s), and the stream's minimum and maximum rate (MB/s).
+# Allocation ids are 64-bit, which no run can exhaust; the other int
+# fields hold at most FIELD_MAX.
+LEDGER_RECORD = struct.Struct("<dBQIBIII")
+FIELD_MAX = 2**32 - 1
+ALLOCATE, RECLAIM, RELEASE = range(3)
+OPS = ("allocate", "reclaim", "release")  # the name of each op code
 
 
 class InvariantViolation(RuntimeError):
@@ -66,10 +81,11 @@ class Allocation:
 
 @dataclass(slots=True)
 class LedgerRow:
-    """One append-only accounting record: allocate, reclaim or release.
+    """One ledger record, decoded with its op as a name: allocate, reclaim
+    or release.  Only ``Link.rows`` builds these.
 
-    Each row carries its allocation's rate window, so a replay can rebuild
-    the per-class minimum and maximum sums as well as the rates.
+    Each record carries its allocation's rate window, so a replay can
+    rebuild the per-class minimum and maximum sums as well as the rates.
     """
 
     time: float
@@ -92,8 +108,8 @@ class Link:
     """
 
     def __init__(self, kind: LinkKind, capacity: int, label: str = "", id_source=None):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not 0 < capacity <= FIELD_MAX:
+            raise ValueError(f"capacity must be in 1..{FIELD_MAX}, got {capacity}")
         self.kind = kind
         self.capacity = capacity
         self.label = label or kind.value
@@ -106,7 +122,7 @@ class Link:
         self.used = 0
         # excess[c]: the sum of class_excess[c]
         self.excess = [0] * (len(CLASSES) + 1)
-        self.rows: list[LedgerRow] = []  # the ledger
+        self.ledger = bytearray()  # one LEDGER_RECORD per mutation
 
     def free_bandwidth(self) -> int:
         return self.capacity - self.used
@@ -115,11 +131,17 @@ class Link:
         """The current rate of a live allocation."""
         return self.minimums[alloc] + self.class_excess[alloc.user_class][alloc]
 
-    def _log(self, time: float, op: str, alloc: Allocation, amount: int, min_rate: int) -> None:
-        self.rows.append(
-            LedgerRow(time, op, alloc.alloc_id, alloc.video_id, int(alloc.user_class), amount,
-                      min_rate, alloc.max_rate)
-        )
+    @property
+    def rows(self) -> tuple[LedgerRow, ...]:
+        """The ledger decoded, one ``LedgerRow`` per record, for tests and
+        for the benchmark's traced layer metrics; nothing in the package
+        calls it.  It can go once the benchmark no longer reads it."""
+        return tuple(LedgerRow(time, OPS[op], *fields)
+                     for time, op, *fields in LEDGER_RECORD.iter_unpack(self.ledger))
+
+    def _log(self, time: float, op: int, alloc: Allocation, amount: int, min_rate: int) -> None:
+        self.ledger += LEDGER_RECORD.pack(time, op, alloc.alloc_id, alloc.video_id,
+                                          alloc.user_class, amount, min_rate, alloc.max_rate)
 
     def plan_reclaim(self, user_class: UserClass,
                      needed: int) -> list[tuple[Allocation, int]] | None:
@@ -164,7 +186,7 @@ class Link:
             table[alloc] = excess - take
             self.used -= take
             self.excess[alloc.user_class] -= take
-            self._log(time, "reclaim", alloc, take, minimum)
+            self._log(time, RECLAIM, alloc, take, minimum)
 
     def admit(
         self,
@@ -204,7 +226,7 @@ class Link:
             raise InvariantViolation(
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
-        self._log(time, "allocate", alloc, rate, min_rate)
+        self._log(time, ALLOCATE, alloc, rate, min_rate)
         return alloc, victims
 
     def release(self, time: float, alloc: Allocation) -> Allocation:
@@ -221,7 +243,7 @@ class Link:
         self.excess[alloc.user_class] -= excess
         if self.used < 0:
             raise InvariantViolation(f"link {self.label} used went negative")
-        self._log(time, "release", alloc, rate, minimum)
+        self._log(time, RELEASE, alloc, rate, minimum)
         return alloc
 
     def check_conservation(self) -> None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .allocation import FIELD_MAX
+
 
 class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
@@ -58,6 +60,12 @@ class SimConfig:
             raise ConfigError("need at least 3 proxies to form a ring")
         if self.num_videos <= 0 or self.num_videos % 4:
             raise ConfigError("num_videos must be a positive multiple of 4")
+        if self.num_videos - 1 > FIELD_MAX:
+            raise ConfigError(f"num_videos must be at most {FIELD_MAX + 1}: a ledger record "
+                              f"holds video ids up to {FIELD_MAX}")
+        if self.link_capacity > FIELD_MAX:
+            raise ConfigError(f"link_capacity must be at most {FIELD_MAX} MB/s, the widest "
+                              f"amount a ledger record holds")
         for name in ("link_capacity", "total_arrival_rate", "horizon", "agent_period",
                      "sample_period"):
             if getattr(self, name) <= 0:

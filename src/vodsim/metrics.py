@@ -1,11 +1,12 @@
 """Run counters, ledger replay, the series derived from it, and report files.
 
-The link ledgers (each link's ``rows``) are the record of a run.  One
-walker, ``Replay``, passes over each link's rows once and rebuilds its
-usage as an exact step function.  Every reported number derives from
-what it returns: the sampled series are the step function evaluated at
-the sample ticks, and time-averaged utilization, bytes carried and
-per-class mean allocations are its integrals.  No live counter is read.
+The link ledgers (each link's ``ledger``, packed ``LEDGER_RECORD``s) are
+the record of a run.  One walker, ``Replay``, unpacks each link's records
+once and rebuilds its usage as an exact step function; it builds no row
+objects.  Every reported number derives from what it returns: the
+sampled series are the step function evaluated at the sample ticks, and
+time-averaged utilization, bytes carried and per-class mean allocations
+are its integrals.  No live counter is read.
 A running simulation records only its sample ticks; ``emit_reports``
 makes the one walk that writes every series, at report time.
 """
@@ -16,11 +17,21 @@ import bisect
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .allocation import LINK_KINDS, Link, LinkKind
+from .allocation import (
+    ALLOCATE,
+    LEDGER_RECORD,
+    LINK_KINDS,
+    OPS,
+    RECLAIM,
+    RELEASE,
+    Link,
+    LinkKind,
+)
 from .model import CLASSES, UserClass
 
 
@@ -80,27 +91,33 @@ _COUNT, _RATE, _MIN, _MAX = 0, 3, 6, 9
 _STATE_LEN, _INTEGRATED = 1 + 4 * len(CLASSES), 1 + 2 * len(CLASSES)
 
 
-class Replay:
-    """One walk over the rows of each of a set of links, in order, with row
-    times clipped at ``horizon``; the package reads ledger rows nowhere else.
+# the record after a ledger's last: it only closes the final segment
+_END = (math.inf, None, 0, 0, 0, 0, 0, 0)
 
-    An unknown op, a reclaim or release of an allocation that is not live,
-    a release of anything but the replayed rate, or usage outside
-    0..capacity raises ValueError.  Afterwards ``integral[kind]`` holds the
-    used, count and rate entries of the summed state vector of that kind's
-    links, integrated from 0 to the horizon, and ``totals`` integrates used
-    MB/s and live streams over every link, in ledger order.  ``live`` holds
-    each ledger's per-allocation rates after its last row.  The state at
-    tick T is every row stamped before T, and ``at_ticks[kind][i]`` is the
+
+class Replay:
+    """One walk over the records of each of a set of links, in order, with
+    record times clipped at ``horizon``; the package reads ledgers nowhere
+    else.
+
+    A ledger whose length is not a whole number of records, an unknown op,
+    a reclaim or release of an allocation that is not live, a release of
+    anything but the replayed rate, or usage outside 0..capacity raises
+    ValueError.  Afterwards ``integral[kind]`` holds the used, count and
+    rate entries of the summed state vector of that kind's links,
+    integrated from 0 to the horizon, and ``totals`` integrates used MB/s
+    and live streams over every link, in ledger order.  ``live`` holds each
+    ledger's per-allocation rates after its last record.  The state at tick
+    T is every record stamped before T, and ``at_ticks[kind][i]`` is the
     summed state vector of that kind's links at ``ticks[i]``; ticks ascend
     to at most ``horizon``.
 
-    The walk costs rows plus ticks, not links times ticks: each row adds its
-    change to its kind's step vector of the first tick after it (found by
-    ``bisect_right`` only when a row reaches the next tick; rows after the
-    last tick share one more step, which is dropped), and
-    ``at_ticks[kind]`` is that kind's step list, prefix-summed in place.
-    A ledger keeps only its running used MB/s.
+    The walk costs records plus ticks, not links times ticks: each record
+    adds its change to its kind's step vector of the first tick after it
+    (found by ``bisect_right`` only when a record reaches the next tick;
+    records after the last tick share one more step, which is dropped),
+    and ``at_ticks[kind]`` is that kind's step list, prefix-summed in
+    place.  A ledger keeps only its running used MB/s.
     """
 
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
@@ -119,34 +136,40 @@ class Replay:
             self.live.append(live)
             used, prev = 0, 0.0
             step, next_tick = kind_steps[0], first_tick
-            for row in itertools.chain(ledger.rows, (None,)):
-                time = horizon if row is None or row.time > horizon else row.time
+            try:
+                records = LEDGER_RECORD.iter_unpack(ledger.ledger)
+            except struct.error as exc:
+                raise ValueError(f"ledger of {ledger.label}: {exc}") from None
+            for time, op, alloc_id, _, c, amount, min_rate, max_rate in itertools.chain(
+                    records, (_END,)):
+                if time > horizon:
+                    time = horizon
                 if time > prev:
                     dt = time - prev
                     area += used * dt
                     used_area += used * dt
                     streams_area += len(live) * dt
                     prev = time
-                if row is None:
+                if op is None:
                     break
                 if time >= next_tick:
                     tick = bisect.bisect_right(ticks, time)
                     step = kind_steps[tick]
                     next_tick = ticks[tick] if tick < len(ticks) else math.inf
-                c, amount = row.user_class, row.amount
-                if row.op == "reclaim" and row.alloc_id in live:
-                    live[row.alloc_id] -= amount
+                if op == RECLAIM and alloc_id in live:
+                    live[alloc_id] -= amount
                     amount = -amount
                 else:
-                    if row.op == "allocate":
-                        live[row.alloc_id], sign = amount, 1
-                    elif row.op == "release" and live.pop(row.alloc_id, None) == amount:
+                    if op == ALLOCATE:
+                        live[alloc_id], sign = amount, 1
+                    elif op == RELEASE and live.pop(alloc_id, None) == amount:
                         sign = -1
                     else:
-                        raise ValueError(f"bad {row.op!r} of {row.alloc_id} on {ledger.label}")
+                        name = OPS[op] if op < len(OPS) else f"op {op}"
+                        raise ValueError(f"bad {name!r} of {alloc_id} on {ledger.label}")
                     step[_COUNT + c] += sign
-                    step[_MIN + c] += sign * row.min_rate
-                    step[_MAX + c] += sign * row.max_rate
+                    step[_MIN + c] += sign * min_rate
+                    step[_MAX + c] += sign * max_rate
                     integral[_COUNT + c] += sign * (horizon - time)
                     amount *= sign
                 step[_RATE + c] += amount
@@ -158,7 +181,7 @@ class Replay:
             integral[0] = area
         self.totals = [used_area, streams_area]
         for kind_steps in steps.values():
-            kind_steps.pop()  # the rows after the last tick
+            kind_steps.pop()  # the records after the last tick
             for prev, cur in itertools.pairwise(kind_steps):
                 cur[:] = map(operator.add, prev, cur)
         self.at_ticks = steps

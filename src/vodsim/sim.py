@@ -30,9 +30,12 @@ request more than it handles: the one that lands past the horizon.
 Stream progress is integrated exactly: the link banks a stream's bytes
 wherever its rate changes (at each reclaim, at the old rate, and at
 release), so the sum of per-stream bytes matches an independent replay
-of the link ledgers.
+of the link ledgers.  A ledger is packed bytes, one record per mutation;
+``SimResult.ledger_digest`` hashes them on demand and pins exact event
+times that the six-decimal reports round away.
 A caller's catalog is checked up front: sizes and rate windows must be
-positive integers, or bytes and link capacity would not add up exactly.
+positive integers, or bytes and link capacity would not add up exactly,
+and no rate may exceed what a ledger record holds.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 from math import log
 
 from .agent import agent_tour
-from .allocation import Allocation, Link, LinkKind
+from .allocation import FIELD_MAX, Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig
 from .metrics import Counters, MetricsBundle
 from .model import UserClass, VideoMeta, build_catalog, draw_spec, tier_ranges
@@ -126,6 +129,16 @@ class SimResult:
     ledgers: list[Link]  # every link, in world.all_links() order
     world: World | None = field(repr=False, default=None)
     arrival_digest: str = ""
+
+    def ledger_digest(self) -> str:
+        """SHA-256 over every ledger's bytes, in link order, each preceded by
+        its length as 8 little-endian bytes, so no record can shift from
+        one link to the next unnoticed."""
+        digest = hashlib.sha256()
+        for link in self.ledgers:
+            digest.update(len(link.ledger).to_bytes(8, "little"))
+            digest.update(link.ledger)
+        return digest.hexdigest()
 
 
 class Simulation:
@@ -265,7 +278,7 @@ class Simulation:
     def _drain(self) -> None:
         """Close out streams still live at the horizon, in admission order
         (ascending allocation id) across all links, which fixes the order of
-        the ``bytes_drained`` float sum and of the release rows."""
+        the ``bytes_drained`` float sum and of the release records."""
         counters = self.counters
         live = sorted(
             ((alloc, link, proxy.proxy_id) for proxy in self.world.proxies
@@ -281,7 +294,7 @@ class Simulation:
 def _check_catalog(catalog: list[VideoMeta], num_videos: int) -> None:
     """Raise ConfigError unless ``catalog`` holds ``num_videos`` entries, each
     a ``VideoMeta`` of a positive int size and two rate windows that are
-    sequences of three ints with ``0 < min <= max``."""
+    sequences of three ints with ``0 < min <= max <= FIELD_MAX``."""
     if len(catalog) != num_videos:
         raise ConfigError(f"catalog has {len(catalog)} videos but num_videos is {num_videos}")
     for video_id, video in enumerate(catalog):
@@ -290,10 +303,10 @@ def _check_catalog(catalog: list[VideoMeta], num_videos: int) -> None:
                 and all(isinstance(window, Sequence) and len(window) == 3
                         and all(type(rate) is int for rate in window)
                         for window in (video.min_bw, video.max_bw))
-                and all(0 < lo <= hi for lo, hi in zip(video.min_bw, video.max_bw))):
+                and all(0 < lo <= hi <= FIELD_MAX for lo, hi in zip(video.min_bw, video.max_bw))):
             raise ConfigError(f"catalog video {video_id}: {video!r} is not a VideoMeta of a "
                               f"positive int size and three int rate windows with "
-                              f"0 < min <= max")
+                              f"0 < min <= max <= {FIELD_MAX}")
 
 
 def run(config: SimConfig, catalog: list[VideoMeta] | None = None) -> SimResult:

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import struct
 
 import pytest
 
 from oracle import AdmitRequest, ExistingStream, force_link, oracle_admit, random_link_state
-from vodsim.allocation import InvariantViolation, Link, LinkKind
+from vodsim.allocation import (
+    ALLOCATE,
+    FIELD_MAX,
+    LEDGER_RECORD,
+    RECLAIM,
+    InvariantViolation,
+    LedgerRow,
+    Link,
+    LinkKind,
+)
 from vodsim.metrics import Replay
 from vodsim.model import BW_RANGES, CLASSES, UserClass
 
@@ -194,6 +206,37 @@ def test_admit_validates_bounds():
         Link(LinkKind.PS_CMS, 0)
 
 
+def test_link_capacity_fits_the_amount_field():
+    assert Link(LinkKind.PS_CMS, FIELD_MAX).capacity == 2**32 - 1
+    with pytest.raises(ValueError, match="capacity"):
+        Link(LinkKind.PS_CMS, FIELD_MAX + 1)
+
+
+def test_ledger_rows_decode_what_was_logged():
+    # the widest video id and the last two allocation ids below 2**64
+    first_id = 2**64 - 2
+    link = Link(LinkKind.PS_CMS, 30, "trip", id_source=itertools.count(first_id))
+    past_tick = math.nextafter(10.0, math.inf)
+    first, _ = link.admit(0.0, FIELD_MAX, C2, 6, 20, 3)
+    second, victims = link.admit(past_tick, 5, C2, 12, 18, 1)
+    assert victims == [(first, 2)]
+    link.release(20.0, first)
+    rows = link.rows
+    assert type(rows) is tuple
+    assert rows == (
+        LedgerRow(0.0, "allocate", first_id, FIELD_MAX, 2, 20, 6, 20),
+        LedgerRow(past_tick, "reclaim", first_id, FIELD_MAX, 2, 2, 6, 20),
+        LedgerRow(past_tick, "allocate", first_id + 1, 5, 2, 12, 12, 18),
+        LedgerRow(20.0, "release", first_id, FIELD_MAX, 2, 18, 6, 20),
+    )
+    assert rows[1].time != 10.0 and second.alloc_id == 2**64 - 1
+    assert len(link.ledger) == 4 * LEDGER_RECORD.size
+    # an id past the field raises instead of wrapping; 2**64 allocations
+    # are out of any run's reach
+    with pytest.raises(struct.error):
+        link.admit(21.0, 6, C3, 4, 4, 0)
+
+
 def test_engine_matches_oracle_on_random_states():
     rng = random.Random(2024)
     for case in range(800):
@@ -242,7 +285,8 @@ def test_excess_tracks_admit_reclaim_and_release():
     link = fresh_link(90)
     live = []
     reclaims = 0
-    # each live stream's class and excess, rebuilt from the ledger rows
+    # each live stream's class and excess, rebuilt from the ledger records;
+    # seen counts the bytes already decoded
     streams, seen = {}, 0
     for step in range(2500):
         if live and rng.random() < 0.35:
@@ -257,14 +301,15 @@ def test_excess_tracks_admit_reclaim_and_release():
                 alloc, victims = outcome
                 live.append(alloc)
                 reclaims += bool(victims)
-        for row in link.rows[seen:]:
-            if row.op == "allocate":
-                streams[row.alloc_id] = [row.user_class, row.amount - row.min_rate]
-            elif row.op == "reclaim":
-                streams[row.alloc_id][1] -= row.amount
+        for _, op, alloc_id, _, user_class, amount, min_rate, _ in LEDGER_RECORD.iter_unpack(
+                link.ledger[seen:]):
+            if op == ALLOCATE:
+                streams[alloc_id] = [user_class, amount - min_rate]
+            elif op == RECLAIM:
+                streams[alloc_id][1] -= amount
             else:
-                del streams[row.alloc_id]
-        seen = len(link.rows)
+                del streams[alloc_id]
+        seen = len(link.ledger)
         recount = {c: sum(excess for user_class, excess in streams.values() if user_class == c)
                    for c in CLASSES}
         assert {c: link.excess[c] for c in CLASSES} == recount, f"step {step}"

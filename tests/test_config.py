@@ -73,6 +73,17 @@ def test_validate_rejects_bad_values(field, value):
         config.validate()
 
 
+@pytest.mark.parametrize("field, widest, too_wide", [
+    ("link_capacity", 2**32 - 1, 2**32),  # a ledger amount is 32 bits
+    ("num_videos", 2**32, 2**32 + 4),  # ids 0..num_videos-1 must fit 32 bits
+])
+def test_validate_bounds_ledger_fields(field, widest, too_wide):
+    # validate() only: a run with 2**32 videos would need gigabytes of tables
+    assert getattr(dataclasses.replace(SimConfig(), **{field: widest}).validate(), field) == widest
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(SimConfig(), **{field: too_wide}).validate()
+
+
 def test_validate_takes_int_for_float():
     config = SimConfig(total_arrival_rate=4, horizon=2000, tier_mix=(0.5, 0.25, 0.25)).validate()
     assert config.total_arrival_rate == 4.0

@@ -7,7 +7,15 @@ import random
 import pytest
 
 from vodsim import metrics
-from vodsim.allocation import LINK_KINDS, LedgerRow, Link, LinkKind
+from vodsim.allocation import (
+    ALLOCATE,
+    LEDGER_RECORD,
+    LINK_KINDS,
+    RECLAIM,
+    RELEASE,
+    Link,
+    LinkKind,
+)
 from vodsim.config import SimConfig
 from vodsim.metrics import (
     _COUNT,
@@ -28,10 +36,16 @@ from vodsim.sim import SimResult, baseline_no_psg, run
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
 
 
+def pack_rows(rows):
+    """``rows`` as ledger bytes, each row a ``LEDGER_RECORD`` field tuple:
+    (time, op code, alloc id, video id, class, amount, min rate, max rate)."""
+    return b"".join(LEDGER_RECORD.pack(*row) for row in rows)
+
+
 def ledger_link(label, rows, capacity=10):
     """A PS_CMS link whose ledger is the hand-written ``rows``."""
     link = Link(LinkKind.PS_CMS, capacity, label)
-    link.rows.extend(rows)
+    link.ledger += pack_rows(rows)
     return link
 
 
@@ -84,9 +98,9 @@ def test_snapshot_aggregates_by_kind_and_class(tmp_path):
 def test_series_tick_excludes_rows_stamped_at_it(tmp_path):
     # stream 1 lives on [0, 10); stream 2 starts at 10, exactly on a tick
     rows = [
-        LedgerRow(0.0, "allocate", 1, 7, 1, 4, 2, 6),
-        LedgerRow(10.0, "release", 1, 7, 1, 4, 2, 6),
-        LedgerRow(10.0, "allocate", 2, 8, 1, 3, 3, 9),
+        (0.0, ALLOCATE, 1, 7, 1, 4, 2, 6),
+        (10.0, RELEASE, 1, 7, 1, 4, 2, 6),
+        (10.0, ALLOCATE, 2, 8, 1, 3, 3, 9),
     ]
     reports = hand_reports(tmp_path, [ledger_link("tie", rows)], horizon=20.0,
                            ticks=[0.0, 5.0, 10.0, 15.0])
@@ -193,9 +207,9 @@ def test_replay_equals_brute_force(seed, ticks):
 def hand_ledger():
     # capacity 10: rate 4 on [0,10), cut to 2 at t=10, released at t=20
     rows = [
-        LedgerRow(0.0, "allocate", 1, 7, 1, 4, 2, 4),
-        LedgerRow(10.0, "reclaim", 1, 7, 1, 2, 2, 4),
-        LedgerRow(20.0, "release", 1, 7, 1, 2, 2, 4),
+        (0.0, ALLOCATE, 1, 7, 1, 4, 2, 4),
+        (10.0, RECLAIM, 1, 7, 1, 2, 2, 4),
+        (20.0, RELEASE, 1, 7, 1, 2, 2, 4),
     ]
     return ledger_link("hand", rows)
 
@@ -225,14 +239,23 @@ def test_replay_rejects_corrupt_ledger():
         return [ledger_link("bad", rows)]
 
     with pytest.raises(ValueError):
-        time_avg_utilization(bad(LedgerRow(0.0, "allocate", 1, 7, 1, 14, 4, 14)), 10.0)
-    with pytest.raises(ValueError):
-        time_avg_utilization(bad(LedgerRow(0.0, "drop", 1, 7, 1, 4, 4, 8)), 10.0)
+        time_avg_utilization(bad((0.0, ALLOCATE, 1, 7, 1, 14, 4, 14)), 10.0)
+    # op 3 is past the last code; the message names it, not an IndexError
+    with pytest.raises(ValueError, match="'op 3' of 1 on bad"):
+        time_avg_utilization(bad((0.0, 3, 1, 7, 1, 4, 4, 8)), 10.0)
     with pytest.raises(ValueError, match="release"):
-        Replay(bad(LedgerRow(0.0, "allocate", 1, 7, 1, 6, 4, 8),
-                   LedgerRow(1.0, "release", 1, 7, 1, 5, 4, 8)), 10.0)
+        Replay(bad((0.0, ALLOCATE, 1, 7, 1, 6, 4, 8),
+                   (1.0, RELEASE, 1, 7, 1, 5, 4, 8)), 10.0)
     with pytest.raises(ValueError):
-        Replay(bad(LedgerRow(0.0, "reclaim", 1, 7, 1, 2, 4, 8)), 10.0)
+        Replay(bad((0.0, RECLAIM, 1, 7, 1, 2, 4, 8)), 10.0)
+    with pytest.raises(ValueError, match="'release' of 2 on bad"):
+        Replay(bad((0.0, ALLOCATE, 1, 7, 1, 6, 4, 8),
+                   (1.0, RELEASE, 2, 7, 1, 6, 4, 8)), 10.0)
+    # bytes that are not a whole number of records
+    truncated = ledger_link("bad", [(0.0, ALLOCATE, 1, 7, 1, 6, 4, 8)])
+    del truncated.ledger[-1]
+    with pytest.raises(ValueError, match="bad"):
+        Replay([truncated], 10.0)
 
 
 def test_utilization_replay_matches_sampled_series():
@@ -268,7 +291,7 @@ def test_emit_reports_flags_out_of_bounds_ledger(tmp_path):
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)
     ledger = result.ledgers[0]
-    ledger.rows.insert(0, LedgerRow(0.0, "allocate", 0, 0, 1, ledger.capacity + 1, 8, 24))
+    ledger.ledger[:0] = pack_rows([(0.0, ALLOCATE, 0, 0, 1, ledger.capacity + 1, 8, 24)])
     paths = emit_reports(result, tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
     assert "CHECK:ledger_bounds=FAIL" in summary
@@ -278,6 +301,16 @@ def test_emit_reports_flags_out_of_bounds_ledger(tmp_path):
     assert len(series) == 12
     for path in series:
         assert path.read_text() in (ALLOC_HEADER + "\n", "time,utilization\n")
+
+
+def test_emit_reports_flags_a_partial_record(tmp_path):
+    result = run(SimConfig(horizon=200.0, seed=2))
+    ledger = next(link for link in result.ledgers if link.ledger)
+    ledger.ledger += b"\0"
+    emit_reports(result, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "CHECK:ledger_bounds=FAIL" in summary
+    assert "CHECK:conservation=PASS" in summary
 
 
 def test_one_replay_per_report(tmp_path, monkeypatch):

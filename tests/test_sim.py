@@ -8,14 +8,15 @@ import gc
 import itertools
 import math
 import random
+import struct
 import weakref
 
 import pytest
 
-from vodsim.allocation import LINK_KINDS, Link, LinkKind
+from vodsim.allocation import FIELD_MAX, LEDGER_RECORD, LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
-from vodsim import sim
+from vodsim import allocation, sim
 from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog
 from vodsim.sim import Simulation, baseline_no_psg, draw_arrivals, run
 from vodsim.topology import ProxyServer
@@ -165,7 +166,7 @@ def test_link_capacity_below_every_class_minimum(tmp_path):
     assert counters.rejected == counters.remote_requests
     assert counters.served_remote == counters.drained == 0
     assert counters.identity_holds()
-    assert all(ledger.rows == [] for ledger in result.ledgers)
+    assert all(ledger.rows == () for ledger in result.ledgers)
     emit_reports(result, tmp_path)
     summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
     assert [line for line in summary if line.startswith("CHECK:")] == [
@@ -287,6 +288,43 @@ def test_byte_conservation_short_run():
     assert result.counters.max_byte_rel_error < 1e-9
 
 
+def test_ledger_holds_one_record_per_row():
+    result = run(SMALL)
+    assert any(link.ledger for link in result.ledgers)
+    for link in result.ledgers:
+        assert len(link.ledger) == LEDGER_RECORD.size * len(link.rows)
+
+
+def test_run_and_reports_build_no_ledger_rows(tmp_path, monkeypatch):
+    def no_rows(*fields):
+        raise AssertionError("a LedgerRow was built")
+
+    monkeypatch.setattr(allocation, "LedgerRow", no_rows)
+    result = Simulation(SMALL).run()
+    emit_reports(result, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in summary if line.startswith("CHECK:")] == [
+        "CHECK:conservation=PASS", "CHECK:ledger_bounds=PASS",
+    ]
+    # the stub is the one the decoded view would call
+    with pytest.raises(AssertionError, match="LedgerRow"):
+        next(link for link in result.ledgers if link.ledger).rows
+
+
+# SHA-256 of the ledgers of `vodsim run --seed 1 --horizon 500`
+LEDGER_GOLDEN = "6bcdc4eb184b1dabf5e8546e66e15288e8232a8e5e7c764afd3b2a04361259df"
+
+
+def test_ledger_digest_is_pinned():
+    result = run(SimConfig(seed=1, horizon=500.0))
+    assert result.ledger_digest() == LEDGER_GOLDEN
+    # it sees a time one ulp off, which six-decimal reports round away
+    link = next(link for link in result.ledgers if link.ledger)
+    (time,) = struct.unpack_from("<d", link.ledger)
+    struct.pack_into("<d", link.ledger, 0, math.nextafter(time, math.inf))
+    assert result.ledger_digest() != LEDGER_GOLDEN
+
+
 def test_same_seed_reproduces_run():
     a = run(SMALL)
     b = run(SMALL)
@@ -351,6 +389,19 @@ def test_bad_catalog_entry_rejected_up_front(changes):
                for video in Simulation(config).catalog]
     with pytest.raises(ConfigError, match="catalog video 0"):
         Simulation(config, catalog)
+
+
+def test_catalog_rates_fit_the_ledger_fields():
+    config = SimConfig(horizon=300.0, total_arrival_rate=4.0)
+    drawn = Simulation(config).catalog
+
+    def widest_class3_max(rate):
+        return [dataclasses.replace(video, max_bw=(*video.max_bw[:2], rate)) for video in drawn]
+
+    result = run(config, widest_class3_max(FIELD_MAX))
+    assert max(row.max_rate for link in result.ledgers for row in link.rows) == FIELD_MAX
+    with pytest.raises(ConfigError, match="catalog video 0"):
+        Simulation(config, widest_class3_max(FIELD_MAX + 1))
 
 
 @pytest.mark.parametrize("config", [
@@ -498,7 +549,7 @@ def test_no_psg_never_touches_neighbor_links():
     result = baseline_no_psg(SMALL)
     for ledger in result.ledgers:
         if ledger.kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
-            assert ledger.rows == []
+            assert ledger.rows == ()
 
 
 def test_reclaims_happen_under_pressure():

@@ -186,7 +186,7 @@ def test_route_without_sharing_goes_central():
         pass
     decision = route(world, 2.0, 0, 8, UserClass.CLASS2, psg_enabled=False)
     assert decision.source is RouteSource.REJECTED
-    assert proxy.links[LinkKind.PS_LPS].rows == proxy.links[LinkKind.PS_RPS].rows == []
+    assert proxy.links[LinkKind.PS_LPS].rows == proxy.links[LinkKind.PS_RPS].rows == ()
 
 
 def test_route_rejects_when_central_full():
