@@ -139,9 +139,10 @@ class Link:
         return tuple(LedgerRow(time, OPS[op], *fields)
                      for time, op, *fields in LEDGER_RECORD.iter_unpack(self.ledger))
 
-    def _log(self, time: float, op: int, alloc: Allocation, amount: int, min_rate: int) -> None:
-        self.ledger += LEDGER_RECORD.pack(time, op, alloc.alloc_id, alloc.video_id,
-                                          alloc.user_class, amount, min_rate, alloc.max_rate)
+    def _record(self, time: float, op: int, alloc: Allocation, amount: int,
+                min_rate: int) -> bytes:
+        return LEDGER_RECORD.pack(time, op, alloc.alloc_id, alloc.video_id,
+                                  alloc.user_class, amount, min_rate, alloc.max_rate)
 
     def plan_reclaim(self, user_class: UserClass,
                      needed: int) -> list[tuple[Allocation, int]] | None:
@@ -186,7 +187,7 @@ class Link:
             table[alloc] = excess - take
             self.used -= take
             self.excess[alloc.user_class] -= take
-            self._log(time, RECLAIM, alloc, take, minimum)
+            self.ledger += self._record(time, RECLAIM, alloc, take, minimum)
 
     def admit(
         self,
@@ -201,7 +202,8 @@ class Link:
 
         Returns the new allocation and the (allocation, take) victims its
         reclaim cut (empty when free bandwidth covered it), or None on
-        rejection.
+        rejection.  Its record is packed before anything changes, so a
+        field too wide for the record raises with the link untouched.
         """
         if not 0 < min_rate <= max_rate:
             raise ValueError(f"bad rate bounds ({min_rate}, {max_rate})")
@@ -214,10 +216,11 @@ class Link:
             victims = self.plan_reclaim(user_class, min_rate)
             if victims is None:
                 return None
-            self._apply_reclaim(time, victims)
             rate = min_rate
         alloc = Allocation(next(self.id_source), video_id, user_class, max_rate, weight,
                            since=time)
+        record = self._record(time, ALLOCATE, alloc, rate, min_rate)
+        self._apply_reclaim(time, victims)
         self.minimums[alloc] = min_rate
         self.class_excess[user_class][alloc] = rate - min_rate
         self.used += rate
@@ -226,7 +229,7 @@ class Link:
             raise InvariantViolation(
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
-        self._log(time, ALLOCATE, alloc, rate, min_rate)
+        self.ledger += record
         return alloc, victims
 
     def release(self, time: float, alloc: Allocation) -> Allocation:
@@ -243,7 +246,7 @@ class Link:
         self.excess[alloc.user_class] -= excess
         if self.used < 0:
             raise InvariantViolation(f"link {self.label} used went negative")
-        self._log(time, RELEASE, alloc, rate, minimum)
+        self.ledger += self._record(time, RELEASE, alloc, rate, minimum)
         return alloc
 
     def check_conservation(self) -> None:

@@ -6,7 +6,8 @@ once and rebuilds its usage as an exact step function; it builds no row
 objects.  Every reported number derives from what it returns: the
 sampled series are the step function evaluated at the sample ticks, and
 time-averaged utilization, bytes carried and per-class mean allocations
-are its integrals.  No live counter is read.
+are its integrals, each the sum of every change times the time it holds
+until the horizon.  No live counter is read.
 A running simulation records only its sample ticks; ``emit_reports``
 makes the one walk that writes every series, at report time.
 """
@@ -84,15 +85,11 @@ class Counters:
 
 # A state vector holds a link's used MB/s at index 0, then its live stream
 # counts, rate sums, minimum-rate sums and maximum-rate sums; the entry of
-# class c sits at the offset plus c.  Integrals cover used, counts and rates:
-# used segment by segment, so report digits keep their summation order; the
-# others add each change times the time left to the horizon.
+# class c sits at the offset plus c.  Integrals cover used, counts and rates,
+# each the sum of its changes times the time left to the horizon.
 _COUNT, _RATE, _MIN, _MAX = 0, 3, 6, 9
 _STATE_LEN, _INTEGRATED = 1 + 4 * len(CLASSES), 1 + 2 * len(CLASSES)
-
-
-# the record after a ledger's last: it only closes the final segment
-_END = (math.inf, None, 0, 0, 0, 0, 0, 0)
+_CLASS_BYTES = frozenset(CLASSES)  # the class bytes a record may hold
 
 
 class Replay:
@@ -100,17 +97,18 @@ class Replay:
     record times clipped at ``horizon``; the package reads ledgers nowhere
     else.
 
-    A ledger whose length is not a whole number of records, an unknown op,
-    a reclaim or release of an allocation that is not live, a release of
-    anything but the replayed rate, or usage outside 0..capacity raises
-    ValueError.  Afterwards ``integral[kind]`` holds the used, count and
-    rate entries of the summed state vector of that kind's links,
-    integrated from 0 to the horizon, and ``totals`` integrates used MB/s
-    and live streams over every link, in ledger order.  ``live`` holds each
-    ledger's per-allocation rates after its last record.  The state at tick
-    T is every record stamped before T, and ``at_ticks[kind][i]`` is the
-    summed state vector of that kind's links at ``ticks[i]``; ticks ascend
-    to at most ``horizon``.
+    A ledger whose length is not a whole number of records, an unknown op
+    or class, a reclaim or release of an allocation that is not live, a
+    release of anything but the replayed rate, or usage outside
+    0..capacity raises ValueError.  Afterwards ``integral[kind]`` holds the
+    used, count and rate entries of the summed state vector of that kind's
+    links, integrated from 0 to the horizon: each record adds its change
+    times the time left to the horizon, so the used entry summed over
+    kinds is the MB carried.  ``live`` holds each ledger's per-allocation
+    rates after its last record.  The state at tick T is every record
+    stamped before T, and ``at_ticks[kind][i]`` is the summed state vector
+    of that kind's links at ``ticks[i]``; ticks ascend to at most
+    ``horizon``.
 
     The walk costs records plus ticks, not links times ticks: each record
     adds its change to its kind's step vector of the first tick after it
@@ -127,35 +125,27 @@ class Replay:
         self.live: list[dict[int, int]] = []
         steps = {kind: [[0] * _STATE_LEN for _ in range(len(ticks) + 1)] for kind in LINK_KINDS}
         first_tick = ticks[0] if ticks else math.inf
-        used_area = streams_area = 0.0
         for ledger in ledgers:
             self.capacity[ledger.kind] += ledger.capacity
             integral, kind_steps = self.integral[ledger.kind], steps[ledger.kind]
-            area = integral[0]
             live: dict[int, int] = {}
             self.live.append(live)
-            used, prev = 0, 0.0
+            used = 0
             step, next_tick = kind_steps[0], first_tick
             try:
                 records = LEDGER_RECORD.iter_unpack(ledger.ledger)
             except struct.error as exc:
                 raise ValueError(f"ledger of {ledger.label}: {exc}") from None
-            for time, op, alloc_id, _, c, amount, min_rate, max_rate in itertools.chain(
-                    records, (_END,)):
+            for time, op, alloc_id, _, c, amount, min_rate, max_rate in records:
                 if time > horizon:
                     time = horizon
-                if time > prev:
-                    dt = time - prev
-                    area += used * dt
-                    used_area += used * dt
-                    streams_area += len(live) * dt
-                    prev = time
-                if op is None:
-                    break
+                if c not in _CLASS_BYTES:
+                    raise ValueError(f"bad class {c} of {alloc_id} on {ledger.label}")
                 if time >= next_tick:
                     tick = bisect.bisect_right(ticks, time)
                     step = kind_steps[tick]
                     next_tick = ticks[tick] if tick < len(ticks) else math.inf
+                left = horizon - time
                 if op == RECLAIM and alloc_id in live:
                     live[alloc_id] -= amount
                     amount = -amount
@@ -170,20 +160,19 @@ class Replay:
                     step[_COUNT + c] += sign
                     step[_MIN + c] += sign * min_rate
                     step[_MAX + c] += sign * max_rate
-                    integral[_COUNT + c] += sign * (horizon - time)
+                    integral[_COUNT + c] += sign * left
                     amount *= sign
                 step[_RATE + c] += amount
-                integral[_RATE + c] += amount * (horizon - time)
+                integral[_RATE + c] += amount * left
                 step[0] += amount
+                integral[0] += amount * left
                 used += amount
                 if not 0 <= used <= ledger.capacity:
                     raise ValueError(f"ledger replay out of bounds on {ledger.label}: {used}")
-            integral[0] = area
-        self.totals = [used_area, streams_area]
         for kind_steps in steps.values():
             kind_steps.pop()  # the records after the last tick
-            for prev, cur in itertools.pairwise(kind_steps):
-                cur[:] = map(operator.add, prev, cur)
+            for before, cur in itertools.pairwise(kind_steps):
+                cur[:] = map(operator.add, before, cur)
         self.at_ticks = steps
 
     def utilization(self) -> dict[LinkKind, float]:
@@ -193,8 +182,9 @@ class Replay:
 
     def mean_alloc(self) -> float:
         """Time-averaged allocation per live stream across every link."""
-        used, streams = self.totals
-        return used / streams if streams else 0.0
+        by_kind = self.integral.values()
+        streams = sum(i[_COUNT + c] for i in by_kind for c in CLASSES)
+        return sum(i[0] for i in by_kind) / streams if streams else 0.0
 
     def mean_alloc_by_class(self) -> dict[tuple[LinkKind, UserClass], float]:
         """Time-averaged allocation per live stream, split by kind and class.

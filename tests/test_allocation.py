@@ -231,10 +231,28 @@ def test_ledger_rows_decode_what_was_logged():
     )
     assert rows[1].time != 10.0 and second.alloc_id == 2**64 - 1
     assert len(link.ledger) == 4 * LEDGER_RECORD.size
-    # an id past the field raises instead of wrapping; 2**64 allocations
-    # are out of any run's reach
+    # an id past the field raises instead of wrapping, with the link as it
+    # was; 2**64 allocations are out of any run's reach
+    state = (link.used, list(link.excess), dict(link.minimums),
+             [dict(table) for table in link.class_excess[1:]])
     with pytest.raises(struct.error):
         link.admit(21.0, 6, C3, 4, 4, 0)
+    assert (link.used, link.excess, link.minimums, link.class_excess[1:]) == state
+    assert len(link.ledger) == 4 * LEDGER_RECORD.size
+
+
+def test_unpackable_admit_leaves_its_victims_uncut():
+    # the new record cannot hold a video id of 2**32, and the admit would
+    # have reclaimed 2 MB/s from the first stream to make room
+    link = Link(LinkKind.PS_CMS, 30, "wide")
+    first, _ = link.admit(0.0, 1, C1, 6, 20, 0)
+    assert link.plan_reclaim(C1, 12) == [(first, 2)]
+    with pytest.raises(struct.error):
+        link.admit(5.0, FIELD_MAX + 1, C1, 12, 18, 1)
+    assert link.rate(first) == 20 and link.class_excess[C1] == {first: 14}
+    assert (link.used, link.excess[C1], first.sent, first.since) == (20, 14, 0.0, 0.0)
+    assert len(link.ledger) == LEDGER_RECORD.size
+    link.check_conservation()
 
 
 def test_engine_matches_oracle_on_random_states():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vodsim import metrics
 from vodsim.allocation import (
@@ -30,7 +33,7 @@ from vodsim.metrics import (
     emit_reports,
     time_avg_utilization,
 )
-from vodsim.model import UserClass
+from vodsim.model import CLASSES, UserClass
 from vodsim.sim import SimResult, baseline_no_psg, run
 
 C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
@@ -119,12 +122,13 @@ def test_series_tick_excludes_rows_stamped_at_it(tmp_path):
 
 def replay_by_brute_force(links, horizon, ticks):
     """``Replay``'s outputs, each tick's state summed afresh from every row
-    stamped before it.  The float integrals add the same terms in the same
-    order as the walk, so they must match it exactly."""
+    stamped before it.  The count and rate integrals add the same terms in
+    the same order as the walk; the used integral is summed segment by
+    segment.  On a grid of 0.5 both are exact, so they must match the walk
+    exactly."""
     capacity = {kind: 0 for kind in LINK_KINDS}
     integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
     at_ticks = {kind: [[0] * _STATE_LEN for _ in ticks] for kind in LINK_KINDS}
-    totals = [0.0, 0.0]
     lives = []
     for link in links:
         capacity[link.kind] += link.capacity
@@ -156,9 +160,7 @@ def replay_by_brute_force(links, horizon, ticks):
             before = [sum(entry) for entry in zip([0] * _STATE_LEN, *(ch for _, ch in changes[:k]))]
             dt = end - (ends[k - 1] if k else 0.0)
             integral[link.kind][0] += before[0] * dt
-            totals[0] += before[0] * dt
-            totals[1] += sum(before[_COUNT + c] for c in (C1, C2, C3)) * dt
-    return capacity, integral, totals, lives, at_ticks
+    return capacity, integral, lives, at_ticks
 
 
 def random_links(seed, horizon):
@@ -196,12 +198,49 @@ def test_replay_equals_brute_force(seed, ticks):
     assert any(row.time > horizon for row in rows)
     assert not ticks or any(row.time in ticks for row in rows)
     walked = Replay(links, horizon, ticks)
-    capacity, integral, totals, lives, at_ticks = replay_by_brute_force(links, horizon, ticks)
+    capacity, integral, lives, at_ticks = replay_by_brute_force(links, horizon, ticks)
     assert walked.capacity == capacity
     assert walked.integral == integral
-    assert walked.totals == totals
     assert walked.live == lives
     assert walked.at_ticks == at_ticks
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(st.floats(0.5, 5.0), st.sampled_from(CLASSES), st.integers(4, 8),
+                                st.integers(10, 20), st.integers(0, 5), st.booleans()),
+                      min_size=1, max_size=25),
+       past=st.floats(-10.0, 10.0))
+def test_replay_integrals_match_segment_integration(steps, past):
+    # at arbitrary float times each change times the time left to the
+    # horizon rounds otherwise than a segment-by-segment sum of the state
+    # the link's own tables held, but the two integrals agree
+    link = Link(LinkKind.PS_RPS, 40, "prop")
+    live, now, states = [], 0.0, []
+    for gap, c, low, high, weight, release in steps:
+        now += gap
+        if release and live:
+            link.release(now, live.pop(weight % len(live)))
+        elif (admitted := link.admit(now, weight, c, low, high, weight)) is not None:
+            live.append(admitted[0])
+        state = [link.used] + [0] * (_INTEGRATED - 1)
+        for user_class in CLASSES:
+            table = link.class_excess[user_class]
+            state[_COUNT + user_class] = len(table)
+            state[_RATE + user_class] = sum(map(link.rate, table))
+        states.append((now, state))
+    horizon = max(now + past, 1.0)
+    expected = [0.0] * _INTEGRATED
+    ends = [time for time, _ in states[1:]] + [math.inf]
+    for (start, state), end in zip(states, ends):
+        dt = min(end, horizon) - min(start, horizon)
+        expected = [total + entry * dt for total, entry in zip(expected, state)]
+    walked = Replay([link], horizon)
+    assert walked.integral[LinkKind.PS_RPS] == pytest.approx(expected, rel=1e-12)
+    assert walked.utilization() == {
+        LinkKind.PS_RPS: pytest.approx(expected[0] / (40 * horizon), rel=1e-12)}
+    streams = sum(expected[_COUNT + c] for c in CLASSES)
+    assert walked.mean_alloc() == pytest.approx(expected[0] / streams if streams else 0.0,
+                                                rel=1e-12)
 
 
 def hand_ledger():
@@ -221,7 +260,8 @@ def test_time_avg_utilization_hand_case():
 
 
 def test_ledger_bytes_hand_case():
-    assert Replay([hand_ledger()], horizon=40.0).totals[0] == pytest.approx(60.0)
+    walked = Replay([hand_ledger()], horizon=40.0)
+    assert sum(i[0] for i in walked.integral.values()) == pytest.approx(60.0)
 
 
 def test_mean_alloc_hand_case():
@@ -251,6 +291,10 @@ def test_replay_rejects_corrupt_ledger():
     with pytest.raises(ValueError, match="'release' of 2 on bad"):
         Replay(bad((0.0, ALLOCATE, 1, 7, 1, 6, 4, 8),
                    (1.0, RELEASE, 2, 7, 1, 6, 4, 8)), 10.0)
+    # a class byte outside 1..3 names the class, the allocation and the link
+    for c in (0, 4):
+        with pytest.raises(ValueError, match=f"class {c} of 1 on bad"):
+            Replay(bad((0.0, ALLOCATE, 1, 7, c, 4, 4, 8)), 10.0)
     # bytes that are not a whole number of records
     truncated = ledger_link("bad", [(0.0, ALLOCATE, 1, 7, 1, 6, 4, 8)])
     del truncated.ledger[-1]
@@ -307,6 +351,18 @@ def test_emit_reports_flags_a_partial_record(tmp_path):
     result = run(SimConfig(horizon=200.0, seed=2))
     ledger = next(link for link in result.ledgers if link.ledger)
     ledger.ledger += b"\0"
+    emit_reports(result, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "CHECK:ledger_bounds=FAIL" in summary
+    assert "CHECK:conservation=PASS" in summary
+
+
+def test_emit_reports_flags_a_bad_class_byte(tmp_path):
+    result = run(SimConfig(horizon=200.0, seed=2))
+    # a stream of class 4 at the front of a ledger, inside its capacity
+    result.ledgers[0].ledger[:0] = pack_rows([(0.0, ALLOCATE, 0, 0, 4, 4, 4, 8)])
+    with pytest.raises(ValueError, match="class 4 of 0"):
+        Replay(result.ledgers, result.config.horizon)
     emit_reports(result, tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
     assert "CHECK:ledger_bounds=FAIL" in summary
@@ -415,4 +471,5 @@ def test_walk_handles_random_traffic():
     horizon = now + 2.0
     util = time_avg_utilization([link], horizon)[LinkKind.PS_RPS]
     assert 0.0 <= util <= 1.0
-    assert Replay([link], horizon).totals[0] == pytest.approx(util * 80 * horizon)
+    walked = Replay([link], horizon)
+    assert sum(i[0] for i in walked.integral.values()) == pytest.approx(util * 80 * horizon)

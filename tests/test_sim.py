@@ -251,7 +251,8 @@ def test_tiny_config_keeps_identity_checks_and_bytes(name, tmp_path):
     assert counters.identity_holds()
     # each completed stream carried its size, and the ledgers carried every MB
     assert counters.max_byte_rel_error < 1e-9
-    ledger_side = Replay(result.ledgers, config.horizon).totals[0]
+    walked = Replay(result.ledgers, config.horizon)
+    ledger_side = sum(i[0] for i in walked.integral.values())
     assert ledger_side == pytest.approx(counters.bytes_total, rel=1e-9)
     paths = emit_reports(result, tmp_path / "a")
     summary = (tmp_path / "a" / "summary.txt").read_text(encoding="utf-8").splitlines()
@@ -283,7 +284,8 @@ def test_short_run_identities():
 def test_byte_conservation_short_run():
     result = run(SMALL)
     stream_side = result.counters.bytes_total
-    ledger_side = Replay(result.ledgers, SMALL.horizon).totals[0]
+    walked = Replay(result.ledgers, SMALL.horizon)
+    ledger_side = sum(i[0] for i in walked.integral.values())
     assert ledger_side == pytest.approx(stream_side, rel=1e-9)
     assert result.counters.max_byte_rel_error < 1e-9
 
