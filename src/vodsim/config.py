@@ -7,6 +7,8 @@ from dataclasses import dataclass, fields
 
 from .allocation import FIELD_MAX
 
+MAX_TICKS = 10**7  # the most sample ticks, or agent tours, that validate() lets a run schedule
+
 
 class ConfigError(ValueError):
     """Bad or inconsistent run configuration."""
@@ -70,6 +72,9 @@ class SimConfig:
                      "sample_period"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("agent_period", "sample_period"):
+            if self.horizon / getattr(self, name) > MAX_TICKS:
+                raise ConfigError(f"horizon / {name} must be at most {MAX_TICKS}")
         if self.cache_capacity <= 0 or self.cache_capacity > self.num_videos:
             raise ConfigError("cache_capacity must be in 1..num_videos")
         if self.cache_capacity % 4:

@@ -9,7 +9,8 @@ time-averaged utilization, bytes carried and per-class mean allocations
 are its integrals, each the sum of every change times the time it holds
 until the horizon.  No live counter is read.
 A running simulation records only its sample ticks; ``emit_reports``
-makes the one walk that writes every series, at report time.
+makes the one walk that writes every series, at report time.  A run is a
+pure function of its config, so a paired baseline is matched by config.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +43,7 @@ class Counters:
 
     Served counts are attributed when a stream finishes, so at the end of
     a run every request is exactly one of: local hit, served (by source),
-    rejected, or drained at the horizon.
+    rejected, or drained at the horizon.  Request totals sum the demand table.
     """
 
     requested: int = 0
@@ -237,11 +238,11 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
 
     ``result`` is a finished run (its counters, sample ticks, ledgers and
     config are read); ``baseline`` optionally supplies a sharing-disabled
-    run of the same workload for side-by-side rejection numbers, such as
-    ``sim.baseline_no_psg(result.config)``; any other baseline raises
-    ``ValueError`` before a file is written.  Returns the paths written:
-    nine allocation series, three utilization series, rejections.csv and
-    summary.txt.
+    run of ``result.config`` for side-by-side rejection numbers, such as
+    ``sim.baseline_no_psg(result.config)``; a baseline with sharing on, or
+    with any other config field changed, raises ``ValueError`` before a
+    file is written.  Returns the paths written: nine allocation series,
+    three utilization series, rejections.csv and summary.txt.
 
     One ``Replay`` of the ledgers at the sample ticks gives every series
     and ``util_avg_*``.  If the walk finds a corrupt ledger, the twelve
@@ -249,10 +250,10 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     lines and it reports ``CHECK:ledger_bounds=FAIL``.
     """
     if baseline is not None:
-        if baseline.arrival_digest != result.arrival_digest:
-            raise ValueError("baseline drew other arrivals than the run it is compared with")
         if baseline.config.psg_enabled:
             raise ValueError("baseline has neighbor sharing enabled")
+        if replace(baseline.config, psg_enabled=result.config.psg_enabled) != result.config:
+            raise ValueError("baseline config differs from the run's in more than psg_enabled")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -21,7 +21,7 @@ The one scheduled arrival (each arrival schedules the next) waits in the
 holds every other event.  The loop takes the slot when its key is below
 the heap's smallest and pops the heap otherwise; keys are unique, so
 events are handled in exactly the order of one heap of all events.
-Each arrival goes into the digest as one packed record.
+An arrival is counted only in the demand table; ``run`` sums it at the end.
 
 Arrivals come one at a time from ``draw_arrivals``, a generator over the
 workload stream, which nothing else reads.  A run draws exactly one
@@ -45,7 +45,6 @@ import hashlib
 import heapq
 import itertools
 import random
-import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import log
@@ -54,7 +53,7 @@ from .agent import agent_tour
 from .allocation import FIELD_MAX, Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig
 from .metrics import Counters, MetricsBundle
-from .model import UserClass, VideoMeta, build_catalog, draw_spec, tier_ranges
+from .model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, draw_spec, tier_ranges
 from .topology import (
     LOCAL,
     REJECTED,
@@ -66,8 +65,6 @@ from .topology import (
 
 CLASS1, CLASS2, CLASS3 = UserClass
 PS_LPS, PS_RPS = LinkKind.PS_LPS, LinkKind.PS_RPS
-# One arrival record of the digest: exact float64 time, proxy, video, class.
-ARRIVAL_RECORD = struct.Struct("<dIIB")
 
 
 def draw_arrivals(
@@ -128,7 +125,6 @@ class SimResult:
     metrics: MetricsBundle  # the sample ticks
     ledgers: list[Link]  # every link, in world.all_links() order
     world: World | None = field(repr=False, default=None)
-    arrival_digest: str = ""
 
     def ledger_digest(self) -> str:
         """SHA-256 over every ledger's bytes, in link order, each preceded by
@@ -169,7 +165,6 @@ class Simulation:
         self.seq = itertools.count()
         self.counters = Counters()
         self.metrics = MetricsBundle()
-        self.arrival_hash = hashlib.sha256()
 
     def _push(self, time: float, handler, *fields) -> None:
         heapq.heappush(self.heap, (time, next(self.seq), handler, *fields))
@@ -208,29 +203,27 @@ class Simulation:
         # fields would keep the drained allocations alive through reporting
         heap.clear()
         self._drain()
+        demand = self.world.demand
+        self.counters.requested = sum(demand)
+        self.counters.requested_by_class = {c: sum(demand[cell_index(0, c)::3]) for c in CLASSES}
         return SimResult(
             config=self.config,
             counters=self.counters,
             metrics=self.metrics,
             ledgers=self.links,
             world=self.world,
-            arrival_digest=self.arrival_hash.hexdigest(),
         )
 
     def _on_arrival(self, event: tuple) -> None:
         _, _, _, proxy_id, video_id, user_class = event
-        counters = self.counters
-        counters.requested += 1
-        counters.requested_by_class[user_class] += 1
-        self.arrival_hash.update(ARRIVAL_RECORD.pack(self.now, proxy_id, video_id, user_class))
         decision = handle_request(
             self.world, self.now, proxy_id, video_id, user_class,
             self.catalog, self.config.psg_enabled,
         )
         if decision.source is LOCAL:
-            counters.local_hits += 1
+            self.counters.local_hits += 1
         elif decision.source is REJECTED:
-            counters.rejected += 1
+            self.counters.rejected += 1
         else:
             # a link belongs to one proxy, so its victims stream to this proxy too
             link = decision.link

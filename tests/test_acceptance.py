@@ -37,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+from arrival_tap import with_arrivals
 from oracle import force_link, oracle_admit, random_link_state
 from vodsim.config import SimConfig
 from vodsim.metrics import Replay, emit_reports, time_avg_utilization
@@ -87,11 +88,11 @@ def paired_stats():
     stats = []
     for seed in PAIRED_SEEDS:
         config = SimConfig(seed=seed)
-        shared = run(config)
-        central_only = baseline_no_psg(config)
+        shared, shared_arrivals = with_arrivals(run, config)
+        central_only, central_arrivals = with_arrivals(baseline_no_psg, config)
         stats.append({
             "seed": seed,
-            "digest_match": shared.arrival_digest == central_only.arrival_digest,
+            "arrivals_match": shared_arrivals == central_arrivals,
             "requested_match": shared.counters.requested == central_only.counters.requested,
             "psg_rejected": shared.counters.rejected,
             "psg_ratio": shared.counters.rejection_ratio,
@@ -229,7 +230,7 @@ def test_c07_sharing_benefit(paired_stats, capsys):
         row["nopsg_rejected"] >= row["psg_rejected"] for row in paired_stats
     )
     workload_paired = all(
-        row["digest_match"] and row["requested_match"] for row in paired_stats
+        row["arrivals_match"] and row["requested_match"] for row in paired_stats
     )
     mean_ratio = sum(row["psg_ratio"] for row in paired_stats) / len(paired_stats)
     ok = every_seed_helped and workload_paired and mean_ratio <= 0.05

@@ -71,6 +71,21 @@ def test_compare_emits_both_columns(tmp_path, capsys):
     assert "without sharing" in printed
 
 
+def test_compare_columns_are_the_run_and_no_psg_run(tmp_path):
+    conf = write_conf(tmp_path)
+    for name, argv in (("cmp", ["compare"]), ("on", ["run"]), ("off", ["run", "--no-psg"])):
+        assert main([*argv, "--config", conf, "--rate", "4", "--out", str(tmp_path / name)]) == 0
+
+    def rows(name):
+        lines = (tmp_path / name / "rejections.csv").read_text(encoding="utf-8").splitlines()
+        return [line.split(",") for line in lines[1:]]
+
+    compared = rows("cmp")
+    assert [[metric, with_psg] for metric, with_psg, _ in compared] == rows("on")
+    assert [[metric, without] for metric, _, without in compared] == rows("off")
+    assert rows("on") != rows("off")
+
+
 def test_sweep_writes_table(tmp_path):
     conf = write_conf(tmp_path)
     out = tmp_path / "sweep"

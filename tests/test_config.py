@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from vodsim.config import ConfigError, SimConfig, load_config
+from vodsim.config import MAX_TICKS, ConfigError, SimConfig, load_config
 
 
 def test_defaults_validate():
@@ -82,6 +83,25 @@ def test_validate_bounds_ledger_fields(field, widest, too_wide):
     assert getattr(dataclasses.replace(SimConfig(), **{field: widest}).validate(), field) == widest
     with pytest.raises(ConfigError, match=field):
         dataclasses.replace(SimConfig(), **{field: too_wide}).validate()
+
+
+@pytest.mark.parametrize("name", ["sample_period", "agent_period"])
+def test_validate_caps_the_ticks_a_run_schedules(name):
+    # validate() only: each refused config would schedule over 10**7 events,
+    # 1e-9 about 10**13 at the default horizon
+    at_cap = dataclasses.replace(SimConfig(), horizon=float(MAX_TICKS), **{name: 1.0})
+    assert at_cap.validate().horizon / getattr(at_cap, name) == MAX_TICKS
+    for changes in ({name: 1e-9}, {"horizon": float(MAX_TICKS), name: math.nextafter(1.0, 0.0)}):
+        with pytest.raises(ConfigError, match=f"horizon / {name}"):
+            dataclasses.replace(SimConfig(), **changes).validate()
+
+
+def test_tick_cap_refuses_long_horizons_and_keeps_tours_off():
+    # a long horizon at the default periods schedules as many samples
+    with pytest.raises(ConfigError, match="horizon / sample_period"):
+        SimConfig(horizon=1e9).validate()
+    # an agent_period past the horizon, as a tours-off ablation sets it, is valid
+    assert SimConfig(agent_period=1e9).validate().agent_period == 1e9
 
 
 def test_validate_takes_int_for_float():

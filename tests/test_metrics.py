@@ -410,12 +410,16 @@ def test_emit_reports_paired_columns(tmp_path):
 
 
 @pytest.mark.parametrize("baseline_config, match", [
-    (SimConfig(horizon=200.0, seed=3, psg_enabled=False), "other arrivals"),
+    (SimConfig(horizon=200.0, seed=3, psg_enabled=False), "config differs"),
     (SimConfig(horizon=200.0, seed=2), "sharing enabled"),
-], ids=["other_seed", "sharing_on"])
+    # same arrivals, other system: the columns would not compare sharing alone
+    (SimConfig(horizon=200.0, seed=2, psg_enabled=False, link_capacity=200), "config differs"),
+    (SimConfig(horizon=200.0, seed=2, psg_enabled=False, cache_capacity=80), "config differs"),
+    (SimConfig(horizon=200.0, seed=2, psg_enabled=False, agent_period=50.0), "config differs"),
+], ids=["other_seed", "sharing_on", "link_capacity", "cache_capacity", "agent_period"])
 def test_emit_reports_refuses_a_mismatched_baseline(baseline_config, match, tmp_path):
-    # a without_psg column from another workload, or from a run with
-    # sharing on, would be a wrong comparison written as a right one
+    # a without_psg column from another workload or system, or from a run
+    # with sharing on, would be a wrong comparison written as a right one
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)
     out = tmp_path / "reports"

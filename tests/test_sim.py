@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 
+from arrival_tap import with_arrivals
 from vodsim.allocation import FIELD_MAX, LEDGER_RECORD, LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
@@ -246,7 +247,7 @@ def test_tiny_config_keeps_identity_checks_and_bytes(name, tmp_path):
     changes, make_catalog = TINY[name]
     config = dataclasses.replace(SMALL, **{"horizon": 300.0, **changes}).validate()
     catalog = make_catalog(config.num_videos) if make_catalog else None
-    result = run(config, catalog)
+    result, arrivals = with_arrivals(run, config, catalog)
     counters = result.counters
     assert counters.identity_holds()
     # each completed stream carried its size, and the ledgers carried every MB
@@ -262,8 +263,13 @@ def test_tiny_config_keeps_identity_checks_and_bytes(name, tmp_path):
     emit_reports(run(config, catalog), tmp_path / "b")
     for path in paths:
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
-    without = run(dataclasses.replace(config, psg_enabled=False), catalog)
-    assert without.arrival_digest == result.arrival_digest
+    without, without_arrivals = with_arrivals(
+        run, dataclasses.replace(config, psg_enabled=False), catalog)
+    assert without_arrivals == arrivals
+    # the sharing-off run of the same config and catalog is a valid baseline
+    emit_reports(result, tmp_path / "c", baseline=without)
+    rejections = (tmp_path / "c" / "rejections.csv").read_text(encoding="utf-8")
+    assert rejections.startswith("metric,with_psg,without_psg\n")
 
 
 def test_short_run_identities():
@@ -328,10 +334,10 @@ def test_ledger_digest_is_pinned():
 
 
 def test_same_seed_reproduces_run():
-    a = run(SMALL)
-    b = run(SMALL)
+    a, arrivals_a = with_arrivals(run, SMALL)
+    b, arrivals_b = with_arrivals(run, SMALL)
     assert a.counters == b.counters
-    assert a.arrival_digest == b.arrival_digest
+    assert arrivals_a == arrivals_b
     rows_a = [(r.time, r.op, r.alloc_id, r.amount) for lg in a.ledgers for r in lg.rows]
     rows_b = [(r.time, r.op, r.alloc_id, r.amount) for lg in b.ledgers for r in lg.rows]
     assert rows_a == rows_b
@@ -354,9 +360,9 @@ def test_run_leaves_passed_catalog_untouched(tmp_path):
 def test_catalog_draw_shifts_no_other_stream(tmp_path):
     # the catalog has its own generator: drawing it or passing the same
     # catalog in gives the same placement, arrivals and reports
-    passed = run(SMALL, Simulation(SMALL).catalog)
-    drawn = run(SMALL)
-    assert passed.arrival_digest == drawn.arrival_digest
+    passed, passed_arrivals = with_arrivals(run, SMALL, Simulation(SMALL).catalog)
+    drawn, drawn_arrivals = with_arrivals(run, SMALL)
+    assert passed_arrivals == drawn_arrivals
     assert passed.counters == drawn.counters
     emit_reports(passed, tmp_path / "passed")
     paths = emit_reports(drawn, tmp_path / "drawn")
@@ -440,16 +446,29 @@ def test_demand_table_is_sum_of_proxy_counts():
     assert sum(result.world.demand) == result.counters.requested
 
 
+def test_request_totals_count_the_arrivals_handled():
+    # the tap counts what the loop handed to routing, apart from the
+    # demand table the totals are summed from
+    result, arrivals = with_arrivals(run, SMALL)
+    counters = result.counters
+    assert counters.requested == len(arrivals) > 0
+    assert counters.requested_by_class == {
+        c: sum(1 for *_, user_class in arrivals if user_class == c) for c in CLASSES
+    }
+    assert list(counters.requested_by_class) == list(CLASSES)
+    assert min(counters.requested_by_class.values()) > 0
+
+
 def test_different_seed_changes_run():
-    a = run(SMALL)
-    b = run(dataclasses.replace(SMALL, seed=10))
-    assert a.arrival_digest != b.arrival_digest
+    _, arrivals_a = with_arrivals(run, SMALL)
+    _, arrivals_b = with_arrivals(run, dataclasses.replace(SMALL, seed=10))
+    assert arrivals_a != arrivals_b
 
 
 def test_paired_runs_share_arrivals():
-    with_psg = run(SMALL)
-    without = baseline_no_psg(SMALL)
-    assert with_psg.arrival_digest == without.arrival_digest
+    with_psg, arrivals = with_arrivals(run, SMALL)
+    without, without_arrivals = with_arrivals(baseline_no_psg, SMALL)
+    assert without_arrivals == arrivals
     assert without.counters.served_lps == 0
     assert without.counters.served_rps == 0
     assert with_psg.counters.requested == without.counters.requested
@@ -516,35 +535,6 @@ def test_completions_pushed_by_an_arrival_run_before_the_next_arrival(monkeypatc
     ties = [(a[1], b[1]) for a, b in zip(handled, handled[1:]) if a[0] == b[0]]
     assert len(ties) >= 10
     assert set(ties) == {("_on_completion", "_on_arrival")}
-
-
-@pytest.fixture(scope="module")
-def small_digest():
-    return run(SMALL).arrival_digest
-
-
-# Each replaces one field of a pending (time, seq, handler, proxy, video,
-# class) event.
-PERTURBATIONS = {
-    "time_ulp": lambda e: (math.nextafter(e[0], math.inf),) + e[1:],
-    "proxy": lambda e: e[:3] + ((e[3] + 1) % SMALL.num_proxies,) + e[4:],
-    "video": lambda e: e[:4] + ((e[4] + 1) % SMALL.num_videos,) + e[5:],
-    "class": lambda e: e[:5] + (UserClass(e[5] % 3 + 1),),
-}
-
-
-@pytest.mark.parametrize("field", sorted(PERTURBATIONS))
-def test_arrival_digest_sees_every_field(field, small_digest, monkeypatch):
-    schedule_arrival = Simulation._schedule_arrival
-    calls = itertools.count()
-
-    def perturbed(self):
-        schedule_arrival(self)
-        if next(calls) == 10:
-            self.pending = PERTURBATIONS[field](self.pending)
-
-    monkeypatch.setattr(Simulation, "_schedule_arrival", perturbed)
-    assert run(SMALL).arrival_digest != small_digest
 
 
 def test_no_psg_never_touches_neighbor_links():
