@@ -197,13 +197,13 @@ class Link:
         min_rate: int,
         max_rate: int,
         weight: int,
-    ) -> tuple[Allocation, list[tuple[Allocation, int]]] | None:
+    ) -> Allocation | None:
         """Admit a stream or reject it, leaving the link untouched on reject.
 
-        Returns the new allocation and the (allocation, take) victims its
-        reclaim cut (empty when free bandwidth covered it), or None on
-        rejection.  Its record is packed before anything changes, so a
-        field too wide for the record raises with the link untouched.
+        Returns the new allocation, or None on rejection.  The streams its
+        reclaim cut are the ``RECLAIM`` records it appends, each amount a
+        take, before its own ``ALLOCATE`` record.  That record is packed
+        first, so a field too wide for it raises with the link untouched.
         """
         if not 0 < min_rate <= max_rate:
             raise ValueError(f"bad rate bounds ({min_rate}, {max_rate})")
@@ -230,7 +230,7 @@ class Link:
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
             )
         self.ledger += record
-        return alloc, victims
+        return alloc
 
     def release(self, time: float, alloc: Allocation) -> Allocation:
         """Tear down an allocation and return it with its bytes banked up

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 from .allocation import FIELD_MAX
 
-MAX_TICKS = 10**7  # the most sample ticks, or agent tours, that validate() lets a run schedule
+MAX_TICKS = 10**7  # most sample ticks, agent tours or expected arrivals a run may schedule
 
 
 class ConfigError(ValueError):
@@ -75,6 +75,8 @@ class SimConfig:
         for name in ("agent_period", "sample_period"):
             if self.horizon / getattr(self, name) > MAX_TICKS:
                 raise ConfigError(f"horizon / {name} must be at most {MAX_TICKS}")
+        if self.horizon * self.total_arrival_rate > MAX_TICKS:
+            raise ConfigError(f"horizon * total_arrival_rate must be at most {MAX_TICKS}")
         if self.cache_capacity <= 0 or self.cache_capacity > self.num_videos:
             raise ConfigError("cache_capacity must be in 1..num_videos")
         if self.cache_capacity % 4:

@@ -9,9 +9,10 @@ handler, *fields)``, and the loop runs ``handler(sim, event)``.  A handler
 is a plain ``Simulation`` function, never a bound method, so no event
 refers back to its simulation.
 A live stream is its link's ``Allocation``, whose rate lives only in the
-link's tables.  Completions are cancelled lazily: a completion event
-carries the excess (rate above minimum) it was scheduled at, and a popped
-event whose class-table entry differs or is gone is stale and dropped.
+link's tables, and has one completion event carrying the excess (rate
+above minimum) it was scheduled at.  A reclaim schedules nothing; a popped
+event whose excess is stale was cut, so it is rescheduled from the bytes
+banked at the cut.  A cut only lowers a rate: it only delays completion.
 A metric sample records its tick and audits every link's capacity
 conservation; ``run`` replays no ledger, so the sampled series exist only
 once ``metrics.emit_reports`` walks the ledgers at those ticks.
@@ -178,7 +179,7 @@ class Simulation:
         size_mb = self.catalog[alloc.video_id].size_mb
         excess = link.class_excess[alloc.user_class][alloc]
         rate = link.minimums[alloc] + excess
-        self._push(self.now + (size_mb - alloc.sent) / rate, Simulation._on_completion,
+        self._push(alloc.since + (size_mb - alloc.sent) / rate, Simulation._on_completion,
                    alloc, link, proxy_id, excess)
 
     def run(self) -> SimResult:
@@ -225,19 +226,16 @@ class Simulation:
         elif decision.source is REJECTED:
             self.counters.rejected += 1
         else:
-            # a link belongs to one proxy, so its victims stream to this proxy too
-            link = decision.link
-            for victim, _take in decision.victims:
-                self._push_completion(victim, link, proxy_id)
-            self._push_completion(decision.allocation, link, proxy_id)
+            self._push_completion(decision.allocation, decision.link, proxy_id)
         self._schedule_arrival()
 
     def _on_completion(self, event: tuple) -> None:
         _, _, _, alloc, link, proxy_id, excess = event
         # Every reclaim lowers the excess (a take is always positive) and
-        # nothing raises it, so an event scheduled before a cut never
-        # carries the current excess, and after a release there is no entry.
-        if link.class_excess[alloc.user_class].get(alloc) != excess:
+        # nothing raises it, so an event scheduled before a cut never carries
+        # the current excess.  Only this event closes its stream: it is live.
+        if link.class_excess[alloc.user_class][alloc] != excess:
+            self._push_completion(alloc, link, proxy_id)
             return
         self._close(alloc, link, proxy_id)
         counters = self.counters

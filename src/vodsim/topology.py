@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .allocation import Allocation, Link, LinkKind
+from .allocation import Link, LinkKind
 from .model import UserClass, VideoMeta, cell_index, tier_ranges
 
 
@@ -52,7 +52,6 @@ class RouteDecision:
     source: RouteSource
     allocation: object = None
     link: Link | None = None
-    victims: list[tuple[Allocation, int]] | None = None  # (allocation, take) reclaimed
 
 
 # Shared by every local hit and every rejection; never mutated.
@@ -192,15 +191,15 @@ def handle_request(
             at_lps = lps_link.free_bandwidth() > rps_link.free_bandwidth()
         if at_lps or at_rps:
             source, link = (LPS, lps_link) if at_lps else (RPS, rps_link)
-            admitted = link.admit(time, video_id, user_class, min_rate, max_rate, weight)
-            if admitted is not None:
+            alloc = link.admit(time, video_id, user_class, min_rate, max_rate, weight)
+            if alloc is not None:
                 proxy.insert(video_id)
-                return RouteDecision(source, admitted[0], link, admitted[1])
-    admitted = cms_link.admit(time, video_id, user_class, min_rate, max_rate, weight)
-    if admitted is None:
+                return RouteDecision(source, alloc, link)
+    alloc = cms_link.admit(time, video_id, user_class, min_rate, max_rate, weight)
+    if alloc is None:
         return REJECTION
     proxy.insert(video_id)
-    return RouteDecision(CMS, admitted[0], cms_link, admitted[1])
+    return RouteDecision(CMS, alloc, cms_link)
 
 
 def seed_initial_placement(world: World, rng: random.Random) -> None:

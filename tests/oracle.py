@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from vodsim.allocation import Allocation, Link, LinkKind
+from vodsim.allocation import ALLOCATE, LEDGER_RECORD, RECLAIM, Allocation, Link, LinkKind
 from vodsim.model import BW_RANGES, CLASSES, UserClass
 
 
@@ -74,6 +74,19 @@ def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
         raise ValueError("forced state exceeds capacity")
     link.check_conservation()
     return link
+
+
+def admit_cuts(link: Link, start: int = 0) -> list[tuple[int, int]] | None:
+    """The (allocation id, take) of each stream cut by the admit that
+    appended ``link.ledger[start:]``, in record order, or None unless those
+    bytes are what an admit appends: its RECLAIM records, then its own
+    ALLOCATE record.  ``force_link`` writes no records, so after one admit
+    on a forced link the whole ledger is that admit's."""
+    records = [(op, alloc_id, amount) for _time, op, alloc_id, _video, _class, amount, _lo, _hi
+               in LEDGER_RECORD.iter_unpack(link.ledger[start:])]
+    if not records or records[-1][0] != ALLOCATE or any(op != RECLAIM for op, *_ in records[:-1]):
+        return None
+    return [(alloc_id, amount) for _op, alloc_id, amount in records[:-1]]
 
 
 def random_link_state(

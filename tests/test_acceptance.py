@@ -38,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from arrival_tap import with_arrivals
-from oracle import force_link, oracle_admit, random_link_state
+from oracle import admit_cuts, force_link, oracle_admit, random_link_state
 from vodsim.config import SimConfig
 from vodsim.metrics import Replay, emit_reports, time_avg_utilization
 from vodsim.model import CLASSES, UserClass
@@ -158,21 +158,23 @@ def test_c03_oracle_equivalence(capsys):
         capacity, existing, request = random_link_state(rng, base_id=1_000_000)
         link = force_link(capacity, existing)
         expected = oracle_admit(capacity, existing, request)
-        outcome = link.admit(1.0, 0, request.user_class,
-                             request.min_rate, request.max_rate, weight=2)
+        alloc = link.admit(1.0, 0, request.user_class,
+                           request.min_rate, request.max_rate, weight=2)
         if expected is None:
             untouched = (
                 link.used == sum(s.rate for s in existing)
                 and {al.alloc_id: link.rate(al) for al in link.minimums}
                 == {s.alloc_id: s.rate for s in existing}
+                and not link.ledger
             )
-            if outcome is not None or not untouched:
+            if alloc is not None or not untouched:
                 mismatches += 1
         else:
             rate, victims = expected
-            alloc, got = outcome or (None, [])
-            got = sorted((victim.alloc_id, take) for victim, take in got)
-            if alloc is None or link.rate(alloc) != rate or got != sorted(victims):
+            # the victims are the RECLAIM records the admit appended
+            got = admit_cuts(link)
+            if (alloc is None or link.rate(alloc) != rate
+                    or got is None or sorted(got) != sorted(victims)):
                 mismatches += 1
     verdict(capsys, "C3 oracle equivalence", mismatches == 0,
             f"mismatches={mismatches}/10000")

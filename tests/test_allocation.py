@@ -9,7 +9,14 @@ import struct
 
 import pytest
 
-from oracle import AdmitRequest, ExistingStream, force_link, oracle_admit, random_link_state
+from oracle import (
+    AdmitRequest,
+    ExistingStream,
+    admit_cuts,
+    force_link,
+    oracle_admit,
+    random_link_state,
+)
 from vodsim.allocation import (
     ALLOCATE,
     FIELD_MAX,
@@ -37,23 +44,22 @@ def live_rates(link):
 
 def test_admit_prefers_maximum():
     link = fresh_link(100)
-    outcome = link.admit(0.0, video_id=1, user_class=C1, min_rate=8, max_rate=24, weight=0)
-    assert outcome is not None
-    alloc, victims = outcome
+    alloc = link.admit(0.0, video_id=1, user_class=C1, min_rate=8, max_rate=24, weight=0)
+    assert alloc is not None
     assert link.rate(alloc) == alloc.max_rate == 24
-    assert victims == []
+    assert admit_cuts(link) == []
     assert link.free_bandwidth() == 76
 
 
 def test_admit_degrades_to_minimum():
     link = fresh_link(30)
     link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    outcome = link.admit(1.0, 2, C1, min_rate=5, max_rate=20, weight=0)
-    assert outcome is not None
-    alloc, victims = outcome
+    start = len(link.ledger)
+    alloc = link.admit(1.0, 2, C1, min_rate=5, max_rate=20, weight=0)
+    assert alloc is not None
     assert link.rate(alloc) == 5
     assert link.rate(alloc) != alloc.max_rate
-    assert victims == []
+    assert admit_cuts(link, start) == []
     assert link.used == 29
 
 
@@ -75,25 +81,26 @@ def test_reclaim_takes_from_lowest_weight_first():
     # from heavier streams exactly as a weight-99 one does
     for requester_weight in (99, 0):
         link = fresh_link(40)
-        heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50)[0]
-        light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5)[0]
+        heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50)
+        light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5)
         assert link.used == 40 and link.free_bandwidth() == 0
-        outcome = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
-        assert outcome is not None
-        alloc, victims = outcome
+        start = len(link.ledger)
+        alloc = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
+        assert alloc is not None
+        victims = admit_cuts(link, start)
         assert link.rate(alloc) == 7
-        assert victims[0][0] is light
+        assert victims[0][0] == light.alloc_id
         assert link.rate(light) == 20 - victims[0][1]
         assert sum(take for _, take in victims) == 7
         cut = [victim for victim, _ in victims]
-        assert heavy not in cut or cut.index(heavy) > 0
+        assert heavy.alloc_id not in cut or cut.index(heavy.alloc_id) > 0
         assert link.used == 40
 
 
 def test_reclaim_never_cuts_below_minimum():
     link = fresh_link(24)
-    a = link.admit(0.0, 1, C3, min_rate=4, max_rate=12, weight=1)[0]
-    b = link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=2)[0]
+    a = link.admit(0.0, 1, C3, min_rate=4, max_rate=12, weight=1)
+    b = link.admit(0.0, 2, C3, min_rate=4, max_rate=12, weight=2)
     outcome = link.admit(1.0, 3, C3, min_rate=6, max_rate=14, weight=0)
     assert outcome is not None
     assert link.rate(a) >= link.minimums[a] == 4
@@ -110,7 +117,7 @@ def test_reclaim_ignores_other_classes():
 
 def test_reclaim_all_or_nothing():
     link = fresh_link(20)
-    victim = link.admit(0.0, 1, C3, min_rate=4, max_rate=17, weight=0)[0]
+    victim = link.admit(0.0, 1, C3, min_rate=4, max_rate=17, weight=0)
     assert link.rate(victim) == 17
     outcome = link.admit(1.0, 2, C3, min_rate=17, max_rate=17, weight=9)
     assert outcome is None
@@ -125,11 +132,11 @@ def test_plan_reclaim_empty_when_free_covers():
 
 
 def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
-    # the simulator drops a completion event as stale when its allocation's
+    # the simulator reschedules a completion event when its allocation's
     # excess differs from the excess it was scheduled at, which is right
     # only because every applied take is positive: each cut changes it
     link = fresh_link(40)
-    alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    alloc = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     for take in (0, -1, 17):
         with pytest.raises(InvariantViolation):
             link._apply_reclaim(1.0, [(alloc, take)])
@@ -138,7 +145,7 @@ def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
 
 def test_release_returns_bandwidth():
     link = fresh_link(40)
-    alloc, _victims = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    alloc = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
     assert link.free_bandwidth() == 16
     link.release(2.0, alloc)
     assert link.free_bandwidth() == 40
@@ -189,7 +196,7 @@ def test_ledger_replay_matches_live_state():
                 weight=rng.randrange(10),
             )
             if outcome is not None:
-                live.append(outcome[0])
+                live.append(outcome)
         replayed = Replay([link], float(step)).live[0]
         assert replayed == live_rates(link)
         assert sum(replayed.values()) == link.used
@@ -217,9 +224,9 @@ def test_ledger_rows_decode_what_was_logged():
     first_id = 2**64 - 2
     link = Link(LinkKind.PS_CMS, 30, "trip", id_source=itertools.count(first_id))
     past_tick = math.nextafter(10.0, math.inf)
-    first, _ = link.admit(0.0, FIELD_MAX, C2, 6, 20, 3)
-    second, victims = link.admit(past_tick, 5, C2, 12, 18, 1)
-    assert victims == [(first, 2)]
+    first = link.admit(0.0, FIELD_MAX, C2, 6, 20, 3)
+    second = link.admit(past_tick, 5, C2, 12, 18, 1)
+    assert admit_cuts(link, LEDGER_RECORD.size) == [(first.alloc_id, 2)]
     link.release(20.0, first)
     rows = link.rows
     assert type(rows) is tuple
@@ -245,7 +252,7 @@ def test_unpackable_admit_leaves_its_victims_uncut():
     # the new record cannot hold a video id of 2**32, and the admit would
     # have reclaimed 2 MB/s from the first stream to make room
     link = Link(LinkKind.PS_CMS, 30, "wide")
-    first, _ = link.admit(0.0, 1, C1, 6, 20, 0)
+    first = link.admit(0.0, 1, C1, 6, 20, 0)
     assert link.plan_reclaim(C1, 12) == [(first, 2)]
     with pytest.raises(struct.error):
         link.admit(5.0, FIELD_MAX + 1, C1, 12, 18, 1)
@@ -261,18 +268,19 @@ def test_engine_matches_oracle_on_random_states():
         capacity, existing, request = random_link_state(rng, base_id=10_000_000 + case * 10)
         link = force_link(capacity, existing)
         expected = oracle_admit(capacity, existing, request)
-        outcome = link.admit(5.0, 0, request.user_class,
-                             request.min_rate, request.max_rate, weight=3)
+        alloc = link.admit(5.0, 0, request.user_class,
+                           request.min_rate, request.max_rate, weight=3)
         if expected is None:
-            assert outcome is None
+            assert alloc is None
             assert link.used == sum(s.rate for s in existing)
             assert live_rates(link) == {s.alloc_id: s.rate for s in existing}
+            assert not link.ledger
         else:
             rate, victims = expected
-            assert outcome is not None
-            alloc, got = outcome
+            assert alloc is not None
             assert link.rate(alloc) == rate
-            assert sorted((victim.alloc_id, take) for victim, take in got) == sorted(victims)
+            got = admit_cuts(link)
+            assert got is not None and sorted(got) == sorted(victims)
             link.check_conservation()
 
 
@@ -312,13 +320,12 @@ def test_excess_tracks_admit_reclaim_and_release():
         else:
             user_class = rng.choice(CLASSES)
             min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
-            outcome = link.admit(float(step), rng.randrange(40), user_class,
-                                 rng.randint(min_lo, min_hi), rng.randint(max_lo, max_hi),
-                                 weight=rng.randrange(10))
-            if outcome is not None:
-                alloc, victims = outcome
+            alloc = link.admit(float(step), rng.randrange(40), user_class,
+                               rng.randint(min_lo, min_hi), rng.randint(max_lo, max_hi),
+                               weight=rng.randrange(10))
+            if alloc is not None:
                 live.append(alloc)
-                reclaims += bool(victims)
+                reclaims += bool(admit_cuts(link, seen))
         for _, op, alloc_id, _, user_class, amount, min_rate, _ in LEDGER_RECORD.iter_unpack(
                 link.ledger[seen:]):
             if op == ALLOCATE:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
@@ -125,6 +126,22 @@ def test_bad_sweep_scale_fails_before_any_run(tmp_path, capsys, scales):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "scale 1" not in captured.out
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_scale_past_the_arrival_cap_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("sweep started a run")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    # at the default horizon and rate, scale 1000 draws exactly the cap's
+    # 10**7 expected requests, and the next float is past it
+    scales = f"0.25,1000,{math.nextafter(1000.0, math.inf)!r}"
+    code = main(["sweep", "--scales", scales, "--out", str(tmp_path / "x")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "horizon * total_arrival_rate must be at most" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "x").exists()
 
 

@@ -96,6 +96,21 @@ def test_validate_caps_the_ticks_a_run_schedules(name):
             dataclasses.replace(SimConfig(), **changes).validate()
 
 
+def test_validate_caps_the_arrivals_a_run_draws():
+    # validate() only: 1e9 requests/s at the default horizon would draw
+    # about 10**13 requests; the cap is on the expected count, horizon * rate
+    over = math.nextafter(1000.0, math.inf)
+    assert SimConfig().horizon * over > MAX_TICKS
+    for at_cap in ({"total_arrival_rate": 1000.0},
+                   {"horizon": float(MAX_TICKS), "total_arrival_rate": 1.0}):
+        config = SimConfig(**at_cap).validate()
+        assert config.horizon * config.total_arrival_rate == MAX_TICKS
+    for changes in ({"total_arrival_rate": 1e9}, {"total_arrival_rate": over},
+                    {"horizon": math.nextafter(float(MAX_TICKS), math.inf)}):
+        with pytest.raises(ConfigError, match=r"horizon \* total_arrival_rate"):
+            SimConfig(**changes).validate()
+
+
 def test_tick_cap_refuses_long_horizons_and_keeps_tours_off():
     # a long horizon at the default periods schedules as many samples
     with pytest.raises(ConfigError, match="horizon / sample_period"):

@@ -179,7 +179,7 @@ def random_links(seed, horizon):
                 admitted = link.admit(now, rng.randrange(9), rng.choice((C1, C2, C3)),
                                       rng.randint(4, 8), rng.randint(10, 20), rng.randrange(6))
                 if admitted is not None:
-                    live.append(admitted[0])
+                    live.append(admitted)
             now += rng.choice((0.0, 0.5, 1.0))
     return links + [Link(LinkKind.PS_RPS, 25, "empty")]
 
@@ -221,7 +221,7 @@ def test_replay_integrals_match_segment_integration(steps, past):
         if release and live:
             link.release(now, live.pop(weight % len(live)))
         elif (admitted := link.admit(now, weight, c, low, high, weight)) is not None:
-            live.append(admitted[0])
+            live.append(admitted)
         state = [link.used] + [0] * (_INTEGRATED - 1)
         for user_class in CLASSES:
             table = link.class_excess[user_class]
@@ -469,7 +469,7 @@ def test_walk_handles_random_traffic():
             outcome = link.admit(now, rng.randrange(9), rng.choice((C1, C2, C3)),
                                  rng.randint(4, 8), rng.randint(12, 25), rng.randrange(6))
             if outcome is not None:
-                live.append(outcome[0])
+                live.append(outcome)
     for alloc in live:
         link.release(now + 1.0, alloc)
     horizon = now + 2.0

@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 from arrival_tap import with_arrivals
+from oracle import admit_cuts
 from vodsim.allocation import FIELD_MAX, LEDGER_RECORD, LINK_KINDS, Link, LinkKind
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
@@ -185,14 +186,13 @@ def make_stream(capacity=300):
     catalog = [VideoMeta(100, (5, 5, 5), (10, 10, 10))] * SMALL.num_videos
     simulation = Simulation(SMALL, catalog)
     link = Link(LinkKind.PS_CMS, capacity, "t")
-    alloc, _victims = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
+    alloc = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
     return simulation, link, alloc
 
 
 def completion(simulation, alloc, link):
-    """The completion event scheduled for ``alloc`` now."""
-    simulation.heap.clear()
-    simulation._push_completion(alloc, link, 0)
+    """The one event on the heap, checked to be the completion of ``alloc``
+    carrying its current excess."""
     [event] = simulation.heap
     assert event[2] is Simulation._on_completion
     assert event[3:] == (alloc, link, 0, link.class_excess[alloc.user_class][alloc])
@@ -202,9 +202,10 @@ def completion(simulation, alloc, link):
 def test_allocation_integrates_bytes():
     simulation, link, alloc = make_stream()
     assert (link.rate(alloc), alloc.sent, alloc.since) == (10, 0.0, 0.0)
+    simulation._push_completion(alloc, link, 0)
     assert completion(simulation, alloc, link)[0] == 10.0
     # the same stream twice: one released early at t=4, one at completion
-    early, _victims = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
+    early = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
     assert link.release(4.0, early) is early
     assert (early.sent, early.since) == (40.0, 4.0)
     assert link.release(10.0, alloc) is alloc
@@ -213,18 +214,63 @@ def test_allocation_integrates_bytes():
 
 def test_reclaim_banks_bytes_and_reschedules():
     simulation, link, alloc = make_stream(capacity=12)
+    simulation._push_completion(alloc, link, 0)
     stale = completion(simulation, alloc, link)
-    _new, victims = link.admit(4.0, 2, UserClass.CLASS1, 7, 7, weight=1)
-    assert victims == [(alloc, 5)] and link.rate(alloc) == 5
+    simulation.heap.clear()
+    start = len(link.ledger)
+    link.admit(4.0, 2, UserClass.CLASS1, 7, 7, weight=1)
+    assert admit_cuts(link, start) == [(alloc.alloc_id, 5)] and link.rate(alloc) == 5
     assert (alloc.sent, alloc.since) == (40.0, 4.0)
-    simulation.now = 4.0
-    assert completion(simulation, alloc, link)[0] == 4.0 + 60.0 / 5
-    # the event scheduled at the old rate is stale: popping it closes nothing
+    # the cut scheduled nothing; the event scheduled at the old rate fires
+    # at t=10, closes nothing, and is pushed again once: the 60 MB banked at
+    # the cut, at the new 5 MB/s, finish at 16 (22 if counted from t=10)
+    assert simulation.heap == []
     simulation.now = 10.0
     simulation._on_completion(stale)
     assert alloc in link.minimums and link.rows[-1].op == "allocate"
-    link.release(4.0 + 60.0 / 5, alloc)
+    rescheduled = completion(simulation, alloc, link)
+    assert rescheduled[0] == 4.0 + 60.0 / 5 == 16.0
+    assert rescheduled[6] == 0 != stale[6]
+    link.release(rescheduled[0], alloc)
     assert alloc.sent == 100.0
+
+
+def test_each_live_stream_has_one_completion_event(monkeypatch):
+    # a reclaim-heavy ring: a reclaim schedules nothing, and the old event
+    # of a cut stream is pushed again when it fires, so at every sample the
+    # heap holds one completion per live allocation and no other
+    handled, samples = [], []
+    reschedules = 0
+    on_completion, on_sample = Simulation._on_completion, Simulation._on_sample
+
+    def logged_completion(self, event):
+        nonlocal reschedules
+        handled.append(self.now)
+        on_completion(self, event)
+        _, _, _, alloc, link, _proxy_id, _excess = event
+        reschedules += alloc in link.minimums
+
+    def checked_sample(self, event):
+        handled.append(self.now)
+        pending = sorted(e[3].alloc_id for e in self.heap if e[2] is logged_completion)
+        live = sorted(alloc.alloc_id for link in self.links for alloc in link.minimums)
+        samples.append(len(live))
+        assert pending == live, f"t={self.now}"
+        on_sample(self, event)
+
+    monkeypatch.setattr(Simulation, "_on_completion", logged_completion)
+    monkeypatch.setattr(Simulation, "_on_sample", checked_sample)
+    for name in ("_on_arrival", "_on_tour"):
+        def logged(self, event, _handler=getattr(Simulation, name)):
+            handled.append(self.now)
+            return _handler(self, event)
+        monkeypatch.setattr(Simulation, name, logged)
+    config = dataclasses.replace(SimConfig(), link_capacity=60, total_arrival_rate=8.0,
+                                 horizon=1500.0)
+    run(config)
+    assert len(samples) == 150 and max(samples) > 0
+    assert handled == sorted(handled)
+    assert reschedules > 0
 
 
 def fixed_rate_catalog(num_videos):

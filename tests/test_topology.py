@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from oracle import admit_cuts
 from vodsim.allocation import LinkKind
 from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, tier_ranges
 from vodsim.topology import RouteSource, build_world, handle_request, seed_initial_placement
@@ -86,11 +87,12 @@ def test_route_remote_table(holders, free):
     for kind in loaded:
         assert proxy.links[kind].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
     expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
+    before = {kind: len(link.ledger) for kind, link in proxy.links.items()}
     decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
     assert decision.source is expected
     assert decision.link is proxy.links[SOURCE_LINK[expected]]
     assert decision.link.rate(decision.allocation) == 18
-    assert decision.victims == []
+    assert admit_cuts(decision.link, before[decision.link.kind]) == []
 
 
 @pytest.mark.parametrize("holders", ["both", "lps_only", "rps_only"])
