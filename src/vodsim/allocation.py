@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
-from .model import CLASSES, UserClass
+from .model import CLASSES
 
 
 class LinkKind(Enum):
@@ -57,6 +57,7 @@ LEDGER_RECORD = struct.Struct("<dBQIBIII")
 FIELD_MAX = 2**32 - 1
 ALLOCATE, RECLAIM, RELEASE = range(3)
 OPS = ("allocate", "reclaim", "release")  # the name of each op code
+RECLAIM_ORDER = attrgetter("weight", "video_id", "alloc_id")  # see Link.plan_reclaim
 
 
 class InvariantViolation(RuntimeError):
@@ -72,7 +73,7 @@ class Allocation:
 
     alloc_id: int
     video_id: int
-    user_class: UserClass
+    user_class: int
     max_rate: int
     weight: int
     sent: float = 0.0
@@ -115,7 +116,7 @@ class Link:
         self.label = label or kind.value
         self.id_source = id_source if id_source is not None else itertools.count(1)
         # the live allocations: each one's minimum rate, and per class (a
-        # list indexed by the UserClass int, so slot 0 is None) its rate
+        # list indexed by the class, 1 to 3, so slot 0 is None) its rate
         # above that minimum
         self.minimums: dict[Allocation, int] = {}
         self.class_excess: list[dict[Allocation, int] | None] = [None, {}, {}, {}]
@@ -123,9 +124,6 @@ class Link:
         # excess[c]: the sum of class_excess[c]
         self.excess = [0] * (len(CLASSES) + 1)
         self.ledger = bytearray()  # one LEDGER_RECORD per mutation
-
-    def free_bandwidth(self) -> int:
-        return self.capacity - self.used
 
     def rate(self, alloc: Allocation) -> int:
         """The current rate of a live allocation."""
@@ -139,12 +137,7 @@ class Link:
         return tuple(LedgerRow(time, OPS[op], *fields)
                      for time, op, *fields in LEDGER_RECORD.iter_unpack(self.ledger))
 
-    def _record(self, time: float, op: int, alloc: Allocation, amount: int,
-                min_rate: int) -> bytes:
-        return LEDGER_RECORD.pack(time, op, alloc.alloc_id, alloc.video_id,
-                                  alloc.user_class, amount, min_rate, alloc.max_rate)
-
-    def plan_reclaim(self, user_class: UserClass,
+    def plan_reclaim(self, user_class: int,
                      needed: int) -> list[tuple[Allocation, int]] | None:
         """Plan how to cover ``needed`` MB/s for a new stream of this class.
 
@@ -165,8 +158,7 @@ class Link:
             return None
         table = self.class_excess[user_class]
         victims = []
-        for alloc in sorted((a for a, excess in table.items() if excess),
-                            key=attrgetter("weight", "video_id", "alloc_id")):
+        for alloc in sorted(filter(table.__getitem__, table), key=RECLAIM_ORDER):
             take = min(table[alloc], remaining)
             victims.append((alloc, take))
             remaining -= take
@@ -187,13 +179,14 @@ class Link:
             table[alloc] = excess - take
             self.used -= take
             self.excess[alloc.user_class] -= take
-            self.ledger += self._record(time, RECLAIM, alloc, take, minimum)
+            self.ledger += LEDGER_RECORD.pack(time, RECLAIM, alloc.alloc_id, alloc.video_id,
+                                              alloc.user_class, take, minimum, alloc.max_rate)
 
     def admit(
         self,
         time: float,
         video_id: int,
-        user_class: UserClass,
+        user_class: int,
         min_rate: int,
         max_rate: int,
         weight: int,
@@ -204,23 +197,27 @@ class Link:
         reclaim cut are the ``RECLAIM`` records it appends, each amount a
         take, before its own ``ALLOCATE`` record.  That record is packed
         first, so a field too wide for it raises with the link untouched.
+        The class is 1, 2 or 3, as an int or its ``UserClass`` member; another
+        class, or bad rate bounds, raises ``ValueError`` with the link untouched.
         """
-        if not 0 < min_rate <= max_rate:
-            raise ValueError(f"bad rate bounds ({min_rate}, {max_rate})")
+        if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
+            raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")
         free = self.capacity - self.used
         if free >= max_rate:
-            rate, victims = max_rate, []
+            rate, victims = max_rate, None
         elif free >= min_rate:
-            rate, victims = min_rate, []
+            rate, victims = min_rate, None
         else:
             victims = self.plan_reclaim(user_class, min_rate)
             if victims is None:
                 return None
             rate = min_rate
-        alloc = Allocation(next(self.id_source), video_id, user_class, max_rate, weight,
-                           since=time)
-        record = self._record(time, ALLOCATE, alloc, rate, min_rate)
-        self._apply_reclaim(time, victims)
+        alloc_id = next(self.id_source)
+        record = LEDGER_RECORD.pack(time, ALLOCATE, alloc_id, video_id, user_class, rate,
+                                    min_rate, max_rate)
+        if victims:
+            self._apply_reclaim(time, victims)
+        alloc = Allocation(alloc_id, video_id, user_class, max_rate, weight, since=time)
         self.minimums[alloc] = min_rate
         self.class_excess[user_class][alloc] = rate - min_rate
         self.used += rate
@@ -246,7 +243,8 @@ class Link:
         self.excess[alloc.user_class] -= excess
         if self.used < 0:
             raise InvariantViolation(f"link {self.label} used went negative")
-        self.ledger += self._record(time, RELEASE, alloc, rate, minimum)
+        self.ledger += LEDGER_RECORD.pack(time, RELEASE, alloc.alloc_id, alloc.video_id,
+                                          alloc.user_class, rate, minimum, alloc.max_rate)
         return alloc
 
     def check_conservation(self) -> None:

@@ -10,7 +10,8 @@ A weight is its cell's request count, an exact integer, so comparisons
 used for victim ordering are never perturbed by float rounding.  Victims
 are only ever compared within one class.  A video id of -1 or a class of
 0 would wrap to another video's cells, so ``topology.handle_request``
-checks both before it touches any cell.
+checks both before it touches any cell.  Inside a run a class is the
+int 1, 2 or 3, and the ``UserClass`` members are their public names.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import IntEnum
 
 
 class UserClass(IntEnum):
-    """Request service class; class 1 is the highest."""
+    """Request service class, class 1 the highest; members equal the ints."""
 
     CLASS1 = 1
     CLASS2 = 2

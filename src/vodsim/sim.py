@@ -54,7 +54,7 @@ from .agent import agent_tour
 from .allocation import FIELD_MAX, Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig
 from .metrics import Counters, MetricsBundle
-from .model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, draw_spec, tier_ranges
+from .model import CLASSES, VideoMeta, build_catalog, cell_index, draw_spec, tier_ranges
 from .topology import (
     LOCAL,
     REJECTED,
@@ -64,17 +64,17 @@ from .topology import (
     seed_initial_placement,
 )
 
-CLASS1, CLASS2, CLASS3 = UserClass
 PS_LPS, PS_RPS = LinkKind.PS_LPS, LinkKind.PS_RPS
 
 
 def draw_arrivals(
     rng: random.Random, config: SimConfig
-) -> Iterator[tuple[float, int, int, UserClass]]:
+) -> Iterator[tuple[float, int, int, int]]:
     """Yield requests one at a time, each (interarrival, proxy, video, class).
 
     A generator: each ``next()`` draws one request, and the config check
-    below runs at the first.
+    below runs at the first.  The class is the int 1, 2 or 3, not an enum member:
+    CPython specializes only exact-int arithmetic, comparisons and subscripts.
 
     Videos are drawn tier-first against the configured popularity mix,
     then uniformly inside the tier.  The tiers are the static id ranges of
@@ -113,7 +113,7 @@ def draw_arrivals(
         while video_id >= size:
             video_id = getrandbits(bits)
         draw = random_()
-        user_class = CLASS1 if draw < class1 else CLASS2 if draw < class1_or_2 else CLASS3
+        user_class = 1 if draw < class1 else 2 if draw < class1_or_2 else 3
         yield dt, proxy_id, first + video_id, user_class
 
 
@@ -217,10 +217,8 @@ class Simulation:
 
     def _on_arrival(self, event: tuple) -> None:
         _, _, _, proxy_id, video_id, user_class = event
-        decision = handle_request(
-            self.world, self.now, proxy_id, video_id, user_class,
-            self.catalog, self.config.psg_enabled,
-        )
+        decision = handle_request(self.world, self.now, proxy_id, video_id, user_class,
+                                  self.catalog, self.config.psg_enabled)
         if decision.source is LOCAL:
             self.counters.local_hits += 1
         elif decision.source is REJECTED:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .allocation import Link, LinkKind
-from .model import UserClass, VideoMeta, cell_index, tier_ranges
+from .model import VideoMeta, tier_ranges
 
 
 class RouteSource(Enum):
@@ -151,7 +151,7 @@ def handle_request(
     time: float,
     proxy_id: int,
     video_id: int,
-    user_class: UserClass,
+    user_class: int,
     catalog: list[VideoMeta],
     psg_enabled: bool = True,
 ) -> RouteDecision:
@@ -164,22 +164,28 @@ def handle_request(
     module docstring says (with sharing off, straight to the central
     link) and weighed by the larger of the agent's last table and this
     proxy's own count, since the table can lag local traffic.  An
-    admitted video is cached here and marked live.
+    admitted video is cached here and marked live.  The class may be the
+    int or its ``UserClass`` member; both give the same decision and bytes.
     """
     proxies = world.proxies
     if not (0 <= proxy_id < len(proxies) and 0 <= video_id < world.num_videos
             and 1 <= user_class <= 3):
         raise ValueError(f"unknown request: proxy {proxy_id}, video {video_id}, "
                          f"class {user_class}")
-    cell = cell_index(video_id, user_class)
+    cell = 3 * video_id + user_class - 1  # cell_index, inline
     proxy = proxies[proxy_id]
-    proxy.local_counts[cell] += 1
+    local_counts = proxy.local_counts
+    local_counts[cell] += 1
     world.demand[cell] += 1
     world.dirty.add(cell)
-    if video_id in proxy.cache:
-        proxy.touch(video_id)
+    cache = proxy.cache
+    if video_id in cache:
+        del cache[video_id]  # ProxyServer.touch, inline
+        cache[video_id] = None
         return LOCAL_HIT
-    weight = max(world.weights[cell], proxy.local_counts[cell])
+    weight = world.weights[cell]
+    if local_counts[cell] > weight:
+        weight = local_counts[cell]
     video = catalog[video_id]
     min_rate, max_rate = video.min_bw[user_class - 1], video.max_bw[user_class - 1]
     # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS
@@ -188,7 +194,7 @@ def handle_request(
         at_lps = video_id in proxies[proxy_id - 1].cache  # proxy 0's left is the last
         at_rps = video_id in proxies[(proxy_id + 1) % len(proxies)].cache
         if at_lps and at_rps:
-            at_lps = lps_link.free_bandwidth() > rps_link.free_bandwidth()
+            at_lps = lps_link.capacity - lps_link.used > rps_link.capacity - rps_link.used
         if at_lps or at_rps:
             source, link = (LPS, lps_link) if at_lps else (RPS, rps_link)
             alloc = link.admit(time, video_id, user_class, min_rate, max_rate, weight)

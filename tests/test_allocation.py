@@ -48,7 +48,7 @@ def test_admit_prefers_maximum():
     assert alloc is not None
     assert link.rate(alloc) == alloc.max_rate == 24
     assert admit_cuts(link) == []
-    assert link.free_bandwidth() == 76
+    assert link.capacity - link.used == 76
 
 
 def test_admit_degrades_to_minimum():
@@ -83,7 +83,7 @@ def test_reclaim_takes_from_lowest_weight_first():
         link = fresh_link(40)
         heavy = link.admit(0.0, 1, C2, min_rate=6, max_rate=20, weight=50)
         light = link.admit(0.0, 2, C2, min_rate=6, max_rate=20, weight=5)
-        assert link.used == 40 and link.free_bandwidth() == 0
+        assert link.used == link.capacity == 40
         start = len(link.ledger)
         alloc = link.admit(1.0, 3, C2, min_rate=7, max_rate=18, weight=requester_weight)
         assert alloc is not None
@@ -146,9 +146,9 @@ def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
 def test_release_returns_bandwidth():
     link = fresh_link(40)
     alloc = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    assert link.free_bandwidth() == 16
+    assert link.capacity - link.used == 16
     link.release(2.0, alloc)
-    assert link.free_bandwidth() == 40
+    assert link.capacity - link.used == 40
     with pytest.raises(InvariantViolation):
         link.release(3.0, alloc)
 
@@ -211,6 +211,19 @@ def test_admit_validates_bounds():
         link.admit(0.0, 1, C1, min_rate=12, max_rate=10, weight=0)
     with pytest.raises(ValueError):
         Link(LinkKind.PS_CMS, 0)
+
+
+@pytest.mark.parametrize("user_class", [0, 4])
+@pytest.mark.parametrize("min_rate, max_rate", [(4, 8), (25, 30)], ids=["free", "reclaim"])
+def test_admit_refuses_a_class_outside_one_to_three(user_class, min_rate, max_rate):
+    link = loaded_link()  # 21 MB/s free: (4, 8) fits, (25, 30) must reclaim
+    before = (dict(link.minimums), [table and dict(table) for table in link.class_excess],
+              link.used, list(link.excess), bytes(link.ledger))
+    with pytest.raises(ValueError, match=f"bad class {user_class}"):
+        link.admit(1.0, 9, user_class, min_rate=min_rate, max_rate=max_rate, weight=0)
+    after = (link.minimums, link.class_excess, link.used, link.excess, bytes(link.ledger))
+    assert after == before
+    link.check_conservation()
 
 
 def test_link_capacity_fits_the_amount_field():
@@ -295,12 +308,13 @@ def test_plan_reclaim_rejects_exactly_when_excess_is_short():
         c = request.user_class
         pool = sum(s.rate - s.min_rate for s in existing if s.user_class == c)
         assert link.excess[c] == pool
+        free = link.capacity - link.used
         for needed in (request.min_rate, request.max_rate):
-            short = needed - link.free_bandwidth() > pool
+            short = needed - free > pool
             victims = link.plan_reclaim(c, needed)
             assert (victims is None) == short, f"case {case}, needed {needed}"
             if victims is not None:
-                assert sum(take for _, take in victims) == max(0, needed - link.free_bandwidth())
+                assert sum(take for _, take in victims) == max(0, needed - free)
                 reclaimed += bool(victims)
             rejected += short
     assert rejected > 1000 and reclaimed > 1000
@@ -363,7 +377,7 @@ def test_conservation_check_catches_stale_excess():
     with pytest.raises(InvariantViolation):
         empty.check_conservation()
     # an excess larger than the streams can give is caught by the planner too
-    free, pool = link.free_bandwidth(), link.excess[C3]
+    free, pool = link.capacity - link.used, link.excess[C3]
     link.excess[C3] += 30
     with pytest.raises(InvariantViolation):
         link.plan_reclaim(C3, free + pool + 1)

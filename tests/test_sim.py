@@ -39,7 +39,10 @@ def test_draw_arrivals_fields_in_range():
         assert dt >= 0.0
         assert 0 <= proxy_id < config.num_proxies
         assert 0 <= video_id < config.num_videos
-        assert type(user_class) is UserClass
+        # the exact int, not a UserClass member: CPython specializes only
+        # exact-int arithmetic, comparisons and subscripts
+        assert type(user_class) is int
+        assert 1 <= user_class <= 3
 
 
 def test_draw_arrivals_mean_interarrival():
@@ -271,6 +274,21 @@ def test_each_live_stream_has_one_completion_event(monkeypatch):
     assert len(samples) == 150 and max(samples) > 0
     assert handled == sorted(handled)
     assert reschedules > 0
+
+
+def test_a_run_carries_classes_as_exact_ints(monkeypatch):
+    # the live allocations of every link at every sample: each stream's
+    # class came from draw_arrivals, through handle_request and admit
+    seen = set()
+    on_sample = Simulation._on_sample
+
+    def checked_sample(self, event):
+        seen.update(type(alloc.user_class) for link in self.links for alloc in link.minimums)
+        on_sample(self, event)
+
+    monkeypatch.setattr(Simulation, "_on_sample", checked_sample)
+    run(SMALL)
+    assert seen == {int}
 
 
 def fixed_rate_catalog(num_videos):

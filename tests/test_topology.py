@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from oracle import admit_cuts
-from vodsim.allocation import LinkKind
+from vodsim.allocation import LEDGER_RECORD, RECLAIM, LinkKind
 from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, tier_ranges
 from vodsim.topology import RouteSource, build_world, handle_request, seed_initial_placement
 
@@ -163,10 +163,11 @@ def test_route_falls_back_to_central_not_other_neighbor():
     assert decision.source is RouteSource.LPS
     # now fill left too and ask for a class with nothing to reclaim there;
     # video 7 is cached here now, so ask for video 8, held where 7 is
-    while proxy.links[LinkKind.PS_LPS].free_bandwidth() >= 4:
-        free = proxy.links[LinkKind.PS_LPS].free_bandwidth()
+    left = proxy.links[LinkKind.PS_LPS]
+    while left.capacity - left.used >= 4:
+        free = left.capacity - left.used
         rate = min(4, free)
-        if proxy.links[LinkKind.PS_LPS].admit(1.0, 40 + free, UserClass.CLASS3, rate, rate, 0) is None:
+        if left.admit(1.0, 40 + free, UserClass.CLASS3, rate, rate, 0) is None:
             break
     decision = route(world, 2.0, 0, 8, UserClass.CLASS1)
     assert decision.source is RouteSource.CMS
@@ -211,6 +212,33 @@ def test_handle_request_local_hit_touches_lru():
     assert list(proxy.cache) == [6, 5]
     assert proxy.local_counts[cell_index(5, UserClass.CLASS1)] == 1
     assert world.demand[cell_index(5, UserClass.CLASS1)] == 1
+
+
+def test_handle_request_takes_the_class_as_int_or_member():
+    # the same requests on two fresh worlds, once as UserClass.CLASS2 and
+    # once as the int 2 a run draws: fresh streams, a local hit, reclaims,
+    # a neighbor tie-break and rejections, with the same bytes throughout
+    outcomes = []
+    for user_class in (UserClass.CLASS2, 2):
+        world = small_world(capacity=40)
+        world.proxies[1].insert(30)
+        world.proxies[5].insert(30)
+        decisions = []
+        for time, video_id in enumerate([8, 9, 10, 8, 30, 11, 12, 13, 14]):
+            decision = route(world, float(time), 0, video_id, user_class)
+            alloc = decision.allocation
+            decisions.append((decision.source, decision.link and decision.link.label,
+                              alloc and (alloc.alloc_id, alloc.video_id, alloc.user_class,
+                                         alloc.max_rate, alloc.weight, alloc.since)))
+        outcomes.append((decisions, [bytes(link.ledger) for link in world.all_links()],
+                         world.demand, caches(world)))
+    as_member, as_int = outcomes
+    assert as_member == as_int
+    sources = {source for source, _, _ in as_int[0]}
+    assert sources == {RouteSource.CMS, RouteSource.LOCAL, RouteSource.RPS,
+                       RouteSource.REJECTED}
+    ops = [op for ledger in as_int[1] for _, op, *_ in LEDGER_RECORD.iter_unpack(ledger)]
+    assert RECLAIM in ops
 
 
 def test_handle_request_caches_on_success():
