@@ -9,9 +9,10 @@ is rejected and the link is left untouched.
 
 A live stream's rate lives only in its link's integer tables: its minimum,
 and per class its excess.  Each class's total excess runs next to the used
-bandwidth, so a request that free bandwidth plus that excess cannot cover
-is rejected without a scan, a reclaim scans only its class's table, and
-the audit recounts both counters with builtin sums over the tables.
+bandwidth, so ``admit`` refuses a request that free bandwidth plus that
+excess cannot cover without scanning or calling ``plan_reclaim``, a
+reclaim scans only its class's table, and the audit recounts both
+counters with builtin sums over the tables.
 
 Every mutation appends one packed ``LEDGER_RECORD`` to the link's
 ``ledger``, a ``bytearray``, so a link's utilization over time can be
@@ -193,12 +194,14 @@ class Link:
     ) -> Allocation | None:
         """Admit a stream or reject it, leaving the link untouched on reject.
 
-        Returns the new allocation, or None on rejection.  The streams its
-        reclaim cut are the ``RECLAIM`` records it appends, each amount a
-        take, before its own ``ALLOCATE`` record.  That record is packed
-        first, so a field too wide for it raises with the link untouched.
-        The class is 1, 2 or 3, as an int or its ``UserClass`` member; another
-        class, or bad rate bounds, raises ``ValueError`` with the link untouched.
+        Returns the new allocation, or None on rejection; a request that free
+        bandwidth plus its class's excess cannot cover is refused before any
+        ``plan_reclaim`` call.  The streams its reclaim cut are the ``RECLAIM``
+        records it appends, each amount a take, before its own ``ALLOCATE``
+        record.  That record is packed first, so a field too wide for it
+        raises with the link untouched.  The class is 1, 2 or 3, as an int or
+        its ``UserClass`` member; another class, or bad rate bounds, raises
+        ``ValueError`` with the link untouched.
         """
         if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
             raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")
@@ -207,11 +210,10 @@ class Link:
             rate, victims = max_rate, None
         elif free >= min_rate:
             rate, victims = min_rate, None
+        elif min_rate - free > self.excess[user_class]:
+            return None  # plan_reclaim's first test, without its call
         else:
-            victims = self.plan_reclaim(user_class, min_rate)
-            if victims is None:
-                return None
-            rate = min_rate
+            rate, victims = min_rate, self.plan_reclaim(user_class, min_rate)
         alloc_id = next(self.id_source)
         record = LEDGER_RECORD.pack(time, ALLOCATE, alloc_id, video_id, user_class, rate,
                                     min_rate, max_rate)

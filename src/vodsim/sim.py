@@ -4,7 +4,7 @@ Events are keyed by (time, sequence number), the number drawn when the
 event is scheduled, so ties break in scheduling order and every run is a
 pure function of its seed and configuration.  Four event kinds exist:
 request arrivals, stream completions, agent tours and metric samples.
-Each event carries its handler: it is one flat tuple ``(time, seq,
+Each heap event carries its handler: it is one flat tuple ``(time, seq,
 handler, *fields)``, and the loop runs ``handler(sim, event)``.  A handler
 is a plain ``Simulation`` function, never a bound method, so no event
 refers back to its simulation.
@@ -17,12 +17,13 @@ A metric sample records its tick and audits every link's capacity
 conservation; ``run`` replays no ledger, so the sampled series exist only
 once ``metrics.emit_reports`` walks the ledgers at those ticks.
 
-The one scheduled arrival (each arrival schedules the next) waits in the
-``pending`` slot with the key it would have had in the binary heap that
-holds every other event.  The loop takes the slot when its key is below
-the heap's smallest and pops the heap otherwise; keys are unique, so
-events are handled in exactly the order of one heap of all events.
-An arrival is counted only in the demand table; ``run`` sums it at the end.
+The one scheduled arrival (each arrival schedules the next) is not on the
+binary heap that holds every other event: ``run`` keeps its key and request
+in locals and handles it in place while its key is below the heap's
+smallest.  Keys are unique, so events run in exactly the order of one heap
+of all events.  An arrival draws the next only after pushing its
+completion, as a handler would.  Local hits and rejections are counted in
+locals; requests only in the demand table, which ``run`` sums at the end.
 
 Arrivals come one at a time from ``draw_arrivals``, a generator over the
 workload stream, which nothing else reads.  A run draws exactly one
@@ -160,8 +161,7 @@ class Simulation:
         seed_initial_placement(self.world, placement_rng)
         self.links = self.world.all_links()
         self.now = 0.0
-        self.heap: list[tuple] = []  # every event but the pending arrival
-        self.pending: tuple | None = None
+        self.heap: list[tuple] = []  # every event but the next arrival
         self.requests = draw_arrivals(self.workload_rng, config)
         self.seq = itertools.count()
         self.counters = Counters()
@@ -169,11 +169,6 @@ class Simulation:
 
     def _push(self, time: float, handler, *fields) -> None:
         heapq.heappush(self.heap, (time, next(self.seq), handler, *fields))
-
-    def _schedule_arrival(self) -> None:
-        dt, proxy_id, video_id, user_class = next(self.requests)
-        self.pending = (self.now + dt, next(self.seq), Simulation._on_arrival,
-                        proxy_id, video_id, user_class)
 
     def _push_completion(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
         size_mb = self.catalog[alloc.video_id].size_mb
@@ -183,22 +178,44 @@ class Simulation:
                    alloc, link, proxy_id, excess)
 
     def run(self) -> SimResult:
-        # pending holds an arrival from the first run on; a second run would
-        # push a tour and a sample behind the clock
-        if self.pending is not None:
+        # the clock and the heap are both empty only before the first run; a
+        # second run would push a tour and a sample behind the clock
+        if self.now or self.heap:
             raise RuntimeError("Simulation.run() was already called; build a new Simulation")
-        self._schedule_arrival()
-        self._push(self.config.agent_period, Simulation._on_tour)
-        self._push(self.config.sample_period, Simulation._on_sample)
-        horizon = self.config.horizon
-        heap = self.heap
+        config, world, catalog, heap = self.config, self.world, self.catalog, self.heap
+        psg_enabled, horizon = config.psg_enabled, config.horizon
+        requests, seq = self.requests, self.seq
+        dt, proxy_id, video_id, user_class = next(requests)
+        at, at_seq = self.now + dt, next(seq)  # the next arrival's key
+        self._push(config.agent_period, Simulation._on_tour)
+        self._push(config.sample_period, Simulation._on_sample)
+        local_hits = rejected = 0
         while True:
             # the heap always holds the next tour and the next sample
-            event = self.pending if self.pending < heap[0] else heapq.heappop(heap)
-            if event[0] > horizon:
-                break
-            self.now = event[0]
-            event[2](self, event)
+            top = heap[0]
+            if at < top[0] or at == top[0] and at_seq < top[1]:
+                if at > horizon:
+                    break
+                self.now = at
+                decision = handle_request(world, at, proxy_id, video_id, user_class,
+                                          catalog, psg_enabled)
+                source = decision.source
+                if source is LOCAL:
+                    local_hits += 1
+                elif source is REJECTED:
+                    rejected += 1
+                else:
+                    self._push_completion(decision.allocation, decision.link, proxy_id)
+                dt, proxy_id, video_id, user_class = next(requests)
+                at, at_seq = at + dt, next(seq)
+            else:
+                if top[0] > horizon:
+                    break
+                heapq.heappop(heap)
+                self.now = top[0]
+                top[2](self, top)
+        self.counters.local_hits += local_hits
+        self.counters.rejected += rejected
         self.now = horizon
         # the events past the horizon never run, and their completion
         # fields would keep the drained allocations alive through reporting
@@ -214,18 +231,6 @@ class Simulation:
             ledgers=self.links,
             world=self.world,
         )
-
-    def _on_arrival(self, event: tuple) -> None:
-        _, _, _, proxy_id, video_id, user_class = event
-        decision = handle_request(self.world, self.now, proxy_id, video_id, user_class,
-                                  self.catalog, self.config.psg_enabled)
-        if decision.source is LOCAL:
-            self.counters.local_hits += 1
-        elif decision.source is REJECTED:
-            self.counters.rejected += 1
-        else:
-            self._push_completion(decision.allocation, decision.link, proxy_id)
-        self._schedule_arrival()
 
     def _on_completion(self, event: tuple) -> None:
         _, _, _, alloc, link, proxy_id, excess = event

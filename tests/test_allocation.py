@@ -153,6 +153,12 @@ def test_release_returns_bandwidth():
         link.release(3.0, alloc)
 
 
+def link_state(link):
+    """A copy of every table and counter ``admit`` may change, and the ledger."""
+    return (dict(link.minimums), [table and dict(table) for table in link.class_excess],
+            link.used, list(link.excess), bytes(link.ledger))
+
+
 def loaded_link():
     """A link holding one stream of each class, every one with some excess,
     audited clean."""
@@ -217,12 +223,10 @@ def test_admit_validates_bounds():
 @pytest.mark.parametrize("min_rate, max_rate", [(4, 8), (25, 30)], ids=["free", "reclaim"])
 def test_admit_refuses_a_class_outside_one_to_three(user_class, min_rate, max_rate):
     link = loaded_link()  # 21 MB/s free: (4, 8) fits, (25, 30) must reclaim
-    before = (dict(link.minimums), [table and dict(table) for table in link.class_excess],
-              link.used, list(link.excess), bytes(link.ledger))
+    before = link_state(link)
     with pytest.raises(ValueError, match=f"bad class {user_class}"):
         link.admit(1.0, 9, user_class, min_rate=min_rate, max_rate=max_rate, weight=0)
-    after = (link.minimums, link.class_excess, link.used, link.excess, bytes(link.ledger))
-    assert after == before
+    assert link_state(link) == before
     link.check_conservation()
 
 
@@ -318,6 +322,51 @@ def test_plan_reclaim_rejects_exactly_when_excess_is_short():
                 reclaimed += bool(victims)
             rejected += short
     assert rejected > 1000 and reclaimed > 1000
+
+
+def test_admit_refuses_a_hopeless_request_without_planning(monkeypatch):
+    # per class, free bandwidth from 0 up to the request's minimum, and the
+    # class's excess one below, at and one above the shortfall; the other
+    # class on the link holds plenty of excess, which must not count
+    plan_reclaim, calls = Link.plan_reclaim, []
+
+    def counted(self, user_class, needed):
+        calls.append((user_class, needed))
+        return plan_reclaim(self, user_class, needed)
+
+    monkeypatch.setattr(Link, "plan_reclaim", counted)
+    min_rate, max_rate = 10, 15
+    rejected = reclaimed = 0
+    for c in CLASSES:
+        for free in range(min_rate + 1):
+            shortfall = min_rate - free
+            for excess in range(max(0, shortfall - 1), shortfall + 2):
+                link = fresh_link(100)
+                link.admit(0.0, 1, c, min_rate=1, max_rate=1 + excess // 2, weight=2)
+                link.admit(0.0, 2, c, min_rate=1, max_rate=1 + excess - excess // 2, weight=1)
+                link.admit(0.0, 3, c % 3 + 1, min_rate=1, max_rate=98 - excess - free, weight=0)
+                assert (link.capacity - link.used, link.excess[c]) == (free, excess)
+                planned = plan_reclaim(link, c, min_rate)
+                assert (planned is None) == (excess < shortfall)
+                before = link_state(link)
+                calls.clear()
+                alloc = link.admit(5.0, 9, c, min_rate=min_rate, max_rate=max_rate, weight=0)
+                assert (alloc is None) == (planned is None), (c, free, excess)
+                if alloc is None:
+                    assert link_state(link) == before and calls == []
+                    rejected += 1
+                else:
+                    assert calls == ([(c, min_rate)] if free < min_rate else [])
+                    appended = link.ledger[len(before[-1]):]
+                    assert appended == b"".join(
+                        [LEDGER_RECORD.pack(5.0, RECLAIM, victim.alloc_id, victim.video_id, c,
+                                            take, 1, victim.max_rate)
+                         for victim, take in planned]
+                        + [LEDGER_RECORD.pack(5.0, ALLOCATE, alloc.alloc_id, 9, c, min_rate,
+                                              min_rate, max_rate)])
+                    reclaimed += bool(planned)
+                link.check_conservation()
+    assert rejected == 3 * min_rate and reclaimed > 3 * min_rate
 
 
 def test_excess_tracks_admit_reclaim_and_release():

@@ -145,11 +145,40 @@ def test_run_draws_one_request_past_the_last_it_handles():
 
 
 def test_finished_simulation_is_freed_without_the_cycle_collector():
-    # an event holding a bound method would tie the simulation into a
-    # reference cycle through its own pending slot
+    # a finished run holds no event: the heap is cleared, and the next
+    # arrival lived in run()'s locals
     simulation = Simulation(dataclasses.replace(SMALL, horizon=100.0))
     simulation.run()
-    assert simulation.pending is not None
+    assert simulation.heap == []
+    freed = weakref.ref(simulation)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del simulation
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_stopped_simulation_is_freed_without_the_cycle_collector(monkeypatch):
+    # a run stopped at its first tour keeps its events; an event holding a
+    # bound method would tie the simulation into a reference cycle
+    class Stop(Exception):
+        pass
+
+    def stop(now, world):
+        raise Stop
+
+    monkeypatch.setattr(sim, "agent_tour", stop)
+    simulation = Simulation(dataclasses.replace(SMALL, horizon=300.0))
+    try:
+        simulation.run()
+    except Stop:
+        pass
+    assert simulation.now == SMALL.agent_period
+    handlers = {event[2] for event in simulation.heap}
+    assert handlers == {Simulation._on_completion, Simulation._on_sample}
     freed = weakref.ref(simulation)
     enabled = gc.isenabled()
     gc.disable()
@@ -261,17 +290,26 @@ def test_each_live_stream_has_one_completion_event(monkeypatch):
         assert pending == live, f"t={self.now}"
         on_sample(self, event)
 
+    def logged_request(world, time, *rest):
+        handled.append(time)
+        arrivals.append(time)
+        return handle_request(world, time, *rest)
+
+    def logged_tour(self, event):
+        handled.append(self.now)
+        on_tour(self, event)
+
+    arrivals = []
+    handle_request, on_tour = sim.handle_request, Simulation._on_tour
+    monkeypatch.setattr(sim, "handle_request", logged_request)
     monkeypatch.setattr(Simulation, "_on_completion", logged_completion)
     monkeypatch.setattr(Simulation, "_on_sample", checked_sample)
-    for name in ("_on_arrival", "_on_tour"):
-        def logged(self, event, _handler=getattr(Simulation, name)):
-            handled.append(self.now)
-            return _handler(self, event)
-        monkeypatch.setattr(Simulation, name, logged)
+    monkeypatch.setattr(Simulation, "_on_tour", logged_tour)
     config = dataclasses.replace(SimConfig(), link_capacity=60, total_arrival_rate=8.0,
                                  horizon=1500.0)
-    run(config)
+    result = run(config)
     assert len(samples) == 150 and max(samples) > 0
+    assert len(arrivals) == result.counters.requested > 0
     assert handled == sorted(handled)
     assert reschedules > 0
 
@@ -538,6 +576,51 @@ def test_paired_runs_share_arrivals():
     assert with_psg.counters.requested == without.counters.requested
 
 
+def logged_run(monkeypatch, config, kinds, catalog=None):
+    """Run ``config`` and return what the loop handled, each a (time, kind)
+    in handling order; each pushed event's sequence number mapped to its
+    (time, kind); and the arrivals' sequence numbers, in drawing order.
+
+    ``kinds`` maps Simulation handler names to the kind they are logged as;
+    other handlers are not logged, and their events have kind None.
+    Arrivals are logged through ``vodsim.sim.handle_request``.  A logging
+    wrapper on the simulation's ``seq`` records each number as it is drawn:
+    the n-th number drawn is n, and a number no ``_push`` drew is an
+    arrival's."""
+    handled, drawn, pushed = [], [], {}  # pushed: seq -> (time, kind)
+    logged_kinds = {}  # logged handler -> kind
+    push, handle_request = Simulation._push, sim.handle_request
+
+    def logged_push(self, time, handler, *fields):
+        push(self, time, handler, *fields)
+        pushed[drawn[-1]] = (time, logged_kinds.get(handler))
+
+    def logged_request(world, time, *rest):
+        handled.append((time, "arrival"))
+        return handle_request(world, time, *rest)
+
+    monkeypatch.setattr(Simulation, "_push", logged_push)
+    monkeypatch.setattr(sim, "handle_request", logged_request)
+    for name, kind in kinds.items():
+        def logged(self, event, _handler=getattr(Simulation, name), _kind=kind):
+            handled.append((self.now, _kind))
+            return _handler(self, event)
+        monkeypatch.setattr(Simulation, name, logged)
+        logged_kinds[logged] = kind
+
+    def logged_seq(numbers):
+        for number in numbers:
+            drawn.append(number)
+            yield number
+
+    simulation = Simulation(config, catalog)
+    simulation.seq = logged_seq(simulation.seq)
+    simulation.run()
+    assert drawn == list(range(len(drawn)))
+    arrivals = [number for number in drawn if number not in pushed]
+    return handled, pushed, arrivals
+
+
 @pytest.mark.parametrize("dt", [2.5, 10.0])
 def test_pending_arrival_keeps_all_heap_order(dt, monkeypatch):
     # arrivals land exactly on sample and tour ticks; ties must go to the
@@ -547,30 +630,15 @@ def test_pending_arrival_keeps_all_heap_order(dt, monkeypatch):
         sim, "draw_arrivals",
         lambda rng, config: ((dt,) + arrival[1:] for arrival in real_draw(rng, config)),
     )
-    kinds = {}  # handler -> event kind
-    scheduled, handled = [], []  # the n-th event scheduled draws sequence number n
-    push, schedule_arrival = Simulation._push, Simulation._schedule_arrival
-
-    def logged_push(self, time, handler, *fields):
-        scheduled.append((time, len(scheduled), kinds[handler]))
-        push(self, time, handler, *fields)
-
-    def logged_schedule_arrival(self):
-        schedule_arrival(self)
-        assert self.pending[1] == len(scheduled)
-        scheduled.append((self.pending[0], len(scheduled), kinds[self.pending[2]]))
-
-    monkeypatch.setattr(Simulation, "_push", logged_push)
-    monkeypatch.setattr(Simulation, "_schedule_arrival", logged_schedule_arrival)
-    for name, kind in (("_on_arrival", "arrival"), ("_on_completion", "completion"),
-                       ("_on_tour", "tour"), ("_on_sample", "sample")):
-        def logged(self, event, _handler=getattr(Simulation, name), _kind=kind):
-            handled.append((self.now, _kind))
-            return _handler(self, event)
-        monkeypatch.setattr(Simulation, name, logged)
-        kinds[logged] = kind
     config = dataclasses.replace(SMALL, horizon=400.0)
-    run(config)
+    handled, pushed, arrivals = logged_run(
+        monkeypatch, config,
+        {"_on_completion": "completion", "_on_tour": "tour", "_on_sample": "sample"})
+    # the k-th arrival drawn lands at (k + 1) * dt, exactly; the run draws
+    # one past the horizon
+    assert len(arrivals) == config.horizon / dt + 1
+    scheduled = [(time, seq, kind) for seq, (time, kind) in pushed.items()]
+    scheduled += [((k + 1) * dt, seq, "arrival") for k, seq in enumerate(arrivals)]
     expected = [(time, kind) for time, _seq, kind in sorted(scheduled) if time <= config.horizon]
     assert handled == expected
     ties = [
@@ -588,17 +656,22 @@ def test_completions_pushed_by_an_arrival_run_before_the_next_arrival(monkeypatc
         sim, "draw_arrivals",
         lambda rng, config: ((10.0,) + arrival[1:] for arrival in real_draw(rng, config)),
     )
-    handled = []
-    for name in ("_on_arrival", "_on_completion"):
-        def logged(self, event, _handler=getattr(Simulation, name), _name=name):
-            handled.append((self.now, _name))
-            return _handler(self, event)
-        monkeypatch.setattr(Simulation, name, logged)
     config = dataclasses.replace(SMALL, horizon=400.0)
-    run(config, [VideoMeta(100, (10, 10, 10), (10, 10, 10))] * config.num_videos)
+    handled, pushed, arrivals = logged_run(
+        monkeypatch, config, {"_on_completion": "completion"},
+        [VideoMeta(100, (10, 10, 10), (10, 10, 10))] * config.num_videos)
     ties = [(a[1], b[1]) for a, b in zip(handled, handled[1:]) if a[0] == b[0]]
     assert len(ties) >= 10
-    assert set(ties) == {("_on_completion", "_on_arrival")}
+    assert set(ties) == {("completion", "arrival")}
+    # each completion is pushed by the arrival 10 s before it, after that
+    # arrival's number is drawn and before the next arrival's
+    times = {number: (k + 1) * 10.0 for k, number in enumerate(arrivals)}
+    completions = [(seq, time) for seq, (time, kind) in pushed.items() if kind == "completion"]
+    assert len(completions) >= 10
+    for seq, time in completions:
+        before = max(number for number in arrivals if number < seq)
+        after = min(number for number in arrivals if number > seq)
+        assert (times[before], times[after]) == (time - 10.0, time)
 
 
 def test_no_psg_never_touches_neighbor_links():
@@ -726,13 +799,15 @@ def test_second_run_raises_and_leaves_result_unchanged():
     simulation = Simulation(config)
     result = simulation.run()
     ticks, counters = result.metrics.ticks[:], copy.deepcopy(result.counters)
-    heap, pending, now = simulation.heap[:], simulation.pending, simulation.now
+    heap, draws, now = simulation.heap[:], simulation.workload_rng.getstate(), simulation.now
     with pytest.raises(RuntimeError, match="already called"):
         simulation.run()
     assert len(ticks) == 30
     assert result.metrics.ticks == ticks
     assert result.counters == counters
-    assert (simulation.heap, simulation.pending, simulation.now) == (heap, pending, now)
+    # and it draws no request
+    after = (simulation.heap, simulation.workload_rng.getstate(), simulation.now)
+    assert after == (heap, draws, now)
 
 
 @pytest.mark.parametrize("config", [
