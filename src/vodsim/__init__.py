@@ -5,7 +5,7 @@ multimedia server."""
 from .allocation import Allocation, Link, LinkKind
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Counters, MetricsBundle, emit_reports, time_avg_utilization
-from .model import UserClass, VideoMeta
+from .model import VideoMeta
 from .sim import SimResult, Simulation, baseline_no_psg, draw_arrivals, run
 from .topology import ProxyServer, RouteDecision, RouteSource, World, build_world
 
@@ -24,7 +24,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Simulation",
-    "UserClass",
     "VideoMeta",
     "World",
     "baseline_no_psg",

@@ -165,7 +165,7 @@ class Link:
             remaining -= take
             if remaining == 0:
                 return victims
-        raise InvariantViolation(f"link {self.label}: class {int(user_class)} excess "
+        raise InvariantViolation(f"link {self.label}: class {user_class} excess "
                                  f"{self.excess[user_class]} exceeds its allocations")
 
     def _apply_reclaim(self, time: float, victims: list[tuple[Allocation, int]]) -> None:
@@ -199,9 +199,9 @@ class Link:
         ``plan_reclaim`` call.  The streams its reclaim cut are the ``RECLAIM``
         records it appends, each amount a take, before its own ``ALLOCATE``
         record.  That record is packed first, so a field too wide for it
-        raises with the link untouched.  The class is 1, 2 or 3, as an int or
-        its ``UserClass`` member; another class, or bad rate bounds, raises
-        ``ValueError`` with the link untouched.
+        raises with the link untouched.  The class is the int 1, 2 or 3;
+        another class, or bad rate bounds, raises ``ValueError`` with the
+        link untouched.
         """
         if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
             raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")

@@ -8,12 +8,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, SimConfig, load_config
-from .metrics import Replay, emit_reports
+from .metrics import Replay, _fmt, _write_lines, emit_reports
 from .sim import baseline_no_psg, run
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -105,9 +101,7 @@ def _cmd_sweep(args) -> int:
         )
         print(f"scale {scale:g}: requests={counters.requested} "
               f"mean_alloc={mean_alloc:.2f} rejected={counters.rejected}")
-    path = out / "sweep.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = _write_lines(out / "sweep.csv", lines)
     print(f"wrote {path}")
     return 0
 

@@ -34,7 +34,7 @@ from .allocation import (
     Link,
     LinkKind,
 )
-from .model import CLASSES, UserClass
+from .model import CLASSES
 
 
 @dataclass
@@ -56,7 +56,7 @@ class Counters:
     bytes_completed: float = 0.0
     bytes_drained: float = 0.0
     max_byte_rel_error: float = 0.0
-    requested_by_class: dict[UserClass, int] = field(
+    requested_by_class: dict[int, int] = field(
         default_factory=lambda: {user_class: 0 for user_class in CLASSES}
     )
 
@@ -187,7 +187,7 @@ class Replay:
         streams = sum(i[_COUNT + c] for i in by_kind for c in CLASSES)
         return sum(i[0] for i in by_kind) / streams if streams else 0.0
 
-    def mean_alloc_by_class(self) -> dict[tuple[LinkKind, UserClass], float]:
+    def mean_alloc_by_class(self) -> dict[tuple[LinkKind, int], float]:
         """Time-averaged allocation per live stream, split by kind and class.
 
         Pairs that never carried a stream are absent from the result.
@@ -196,7 +196,7 @@ class Replay:
         return {(kind, c): integral[kind][_RATE + c] / integral[kind][_COUNT + c]
                 for kind in LINK_KINDS for c in CLASSES if integral[kind][_COUNT + c] > 0}
 
-    def mean_alloc_per_class(self) -> dict[UserClass, float]:
+    def mean_alloc_per_class(self) -> dict[int, float]:
         """Time-averaged allocation per live stream of each class, all kinds
         pooled.  Classes that never held a stream are absent."""
         by_kind = self.integral.values()
@@ -225,6 +225,13 @@ def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[LinkKind, 
 
 def _fmt(value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def _write_lines(path: Path, lines: list[str]) -> Path:
+    """Write ``lines`` as one UTF-8 file, each ending in LF; return ``path``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 _COUNTER_ROWS = (
@@ -259,10 +266,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     paths = []
 
     def write(name: str, lines: list[str]) -> None:
-        path = out / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
+        paths.append(_write_lines(out / name, lines))
 
     config, counters, ticks = result.config, result.counters, result.metrics.ticks
     try:
@@ -275,7 +279,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     for kind in LINK_KINDS:
         for c in CLASSES:
             count, rate, low, high = _COUNT + c, _RATE + c, _MIN + c, _MAX + c
-            write(f"alloc_{kind.value}_class{int(c)}.csv", [
+            write(f"alloc_{kind.value}_class{c}.csv", [
                 "time,streams,avg_alloc,avg_min,avg_max",
                 *(f"{t:.6f},{n},{s[rate] / n:.6f},{s[low] / n:.6f},{s[high] / n:.6f}"
                   if (n := s[count]) else f"{t:.6f},0,,,"
@@ -308,7 +312,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
         if kind in util:
             lines.append(f"util_avg_{kind.value}={_fmt(util[kind])}")
     for user_class, total in counters.requested_by_class.items():
-        lines.append(f"requested_class{int(user_class)}={total}")
+        lines.append(f"requested_class{user_class}={total}")
     conservation = "PASS" if counters.identity_holds() else "FAIL"
     lines.append(f"CHECK:conservation={conservation}")
     lines.append(f"CHECK:ledger_bounds={bounds}")

@@ -10,8 +10,8 @@ A weight is its cell's request count, an exact integer, so comparisons
 used for victim ordering are never perturbed by float rounding.  Victims
 are only ever compared within one class.  A video id of -1 or a class of
 0 would wrap to another video's cells, so ``topology.handle_request``
-checks both before it touches any cell.  Inside a run a class is the
-int 1, 2 or 3, and the ``UserClass`` members are their public names.
+checks both before it touches any cell.  A class is the int 1, 2 or 3,
+class 1 the highest.
 """
 
 from __future__ import annotations
@@ -19,26 +19,16 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import IntEnum
 
-
-class UserClass(IntEnum):
-    """Request service class, class 1 the highest; members equal the ints."""
-
-    CLASS1 = 1
-    CLASS2 = 2
-    CLASS3 = 3
-
-
-CLASSES: tuple[UserClass, ...] = (UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3)
+CLASSES: tuple[int, ...] = (1, 2, 3)
 
 #: Per-class (min_lo, min_hi, max_lo, max_hi) stream-rate ranges in MB/s.
 #: A video's min/max rate for each class is drawn once from these at
 #: catalog construction and never re-drawn.
-BW_RANGES: dict[UserClass, tuple[int, int, int, int]] = {
-    UserClass.CLASS1: (8, 11, 24, 29),
-    UserClass.CLASS2: (6, 8, 18, 23),
-    UserClass.CLASS3: (4, 6, 12, 17),
+BW_RANGES: dict[int, tuple[int, int, int, int]] = {
+    1: (8, 11, 24, 29),
+    2: (6, 8, 18, 23),
+    3: (4, 6, 12, 17),
 }
 
 
@@ -56,7 +46,7 @@ def tier_ranges(num_videos: int) -> tuple[tuple[int, int], ...]:
 class VideoMeta:
     """One catalog entry; a catalog is a ``list[VideoMeta]`` indexed by video id.
 
-    ``min_bw``/``max_bw`` are indexed by ``UserClass - 1`` and fixed for the
+    ``min_bw``/``max_bw`` are indexed by the class minus 1 and fixed for the
     life of the catalog.
     """
 
@@ -114,6 +104,6 @@ def build_catalog(num_videos: int, size_min: int, size_max: int,
     return videos
 
 
-def cell_index(video: int, user_class: UserClass) -> int:
+def cell_index(video: int, user_class: int) -> int:
     """Flat index of the (video, class) cell in every demand and weight table."""
     return 3 * video + user_class - 1

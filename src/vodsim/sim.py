@@ -49,7 +49,7 @@ import itertools
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from math import log
+from math import inf, log
 
 from .agent import agent_tour
 from .allocation import FIELD_MAX, Allocation, Link, LinkKind
@@ -74,8 +74,7 @@ def draw_arrivals(
     """Yield requests one at a time, each (interarrival, proxy, video, class).
 
     A generator: each ``next()`` draws one request, and the config check
-    below runs at the first.  The class is the int 1, 2 or 3, not an enum member:
-    CPython specializes only exact-int arithmetic, comparisons and subscripts.
+    below runs at the first.  The class is the int 1, 2 or 3.
 
     Videos are drawn tier-first against the configured popularity mix,
     then uniformly inside the tier.  The tiers are the static id ranges of
@@ -89,12 +88,16 @@ def draw_arrivals(
     and each ``randrange`` under ``model.draw_spec``'s contract.
     """
     # Simulation validates the whole config once; an empty proxy or tier
-    # range would make a redraw loop below spin forever, so it is refused here
+    # range would make a redraw loop below spin forever, and a rate outside
+    # (0, inf) divides by zero or gives NaN, zero or negative gaps
     if config.num_proxies < 3 or config.num_videos < 4:
         raise ConfigError(f"cannot draw requests for {config.num_proxies} proxies and "
                           f"{config.num_videos} videos: need at least 3 proxies and 4 videos")
-    random_, getrandbits = rng.random, rng.getrandbits
     rate = config.total_arrival_rate
+    if not 0 < rate < inf:
+        raise ConfigError(f"cannot pace requests at total_arrival_rate {rate}: "
+                          "need 0 < total_arrival_rate < inf")
+    random_, getrandbits = rng.random, rng.getrandbits
     # (first id, size, bits per draw) of the proxy ids and of each tier
     [(_, num_proxies, proxy_bits)] = draw_spec([(0, config.num_proxies)])
     most_tier, secondary_tier, least_tier = draw_spec(tier_ranges(config.num_videos))

@@ -75,11 +75,6 @@ class ProxyServer:
             for kind in LinkKind
         }
 
-    def touch(self, video_id: int) -> None:
-        """Move a cached video to the most recently used end."""
-        del self.cache[video_id]
-        self.cache[video_id] = None
-
     def stream_closed(self, video_id: int) -> None:
         """End the live stream of a video; over capacity, evict the video."""
         if video_id not in self.live_videos:
@@ -164,8 +159,8 @@ def handle_request(
     module docstring says (with sharing off, straight to the central
     link) and weighed by the larger of the agent's last table and this
     proxy's own count, since the table can lag local traffic.  An
-    admitted video is cached here and marked live.  The class may be the
-    int or its ``UserClass`` member; both give the same decision and bytes.
+    admitted video is cached here and marked live.  The class is the int
+    1, 2 or 3.
     """
     proxies = world.proxies
     if not (0 <= proxy_id < len(proxies) and 0 <= video_id < world.num_videos
@@ -180,7 +175,7 @@ def handle_request(
     world.dirty.add(cell)
     cache = proxy.cache
     if video_id in cache:
-        del cache[video_id]  # ProxyServer.touch, inline
+        del cache[video_id]  # move to the most recently used end
         cache[video_id] = None
         return LOCAL_HIT
     weight = world.weights[cell]

@@ -14,13 +14,13 @@ import random
 from typing import NamedTuple
 
 from vodsim.allocation import ALLOCATE, LEDGER_RECORD, RECLAIM, Allocation, Link, LinkKind
-from vodsim.model import BW_RANGES, CLASSES, UserClass
+from vodsim.model import BW_RANGES, CLASSES
 
 
 class ExistingStream(NamedTuple):
     alloc_id: int
     video_id: int
-    user_class: UserClass
+    user_class: int
     rate: int
     min_rate: int
     max_rate: int
@@ -28,7 +28,7 @@ class ExistingStream(NamedTuple):
 
 
 class AdmitRequest(NamedTuple):
-    user_class: UserClass
+    user_class: int
     min_rate: int
     max_rate: int
 

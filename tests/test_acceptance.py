@@ -41,7 +41,7 @@ from arrival_tap import with_arrivals
 from oracle import admit_cuts, force_link, oracle_admit, random_link_state
 from vodsim.config import SimConfig
 from vodsim.metrics import Replay, emit_reports, time_avg_utilization
-from vodsim.model import CLASSES, UserClass
+from vodsim.model import CLASSES
 from vodsim.sim import baseline_no_psg, draw_arrivals, run
 
 # allocated rate must stay inside [class min lower bound, class max upper bound]
@@ -186,9 +186,9 @@ def test_c04_class_ordering(default_result, capsys):
     ordered = True
     detail = []
     for kind in sorted({k for k, _ in means}, key=lambda k: k.value):
-        c1 = means.get((kind, UserClass.CLASS1), 0.0)
-        c2 = means.get((kind, UserClass.CLASS2), 0.0)
-        c3 = means.get((kind, UserClass.CLASS3), 0.0)
+        c1 = means.get((kind, 1), 0.0)
+        c2 = means.get((kind, 2), 0.0)
+        c3 = means.get((kind, 3), 0.0)
         detail.append(f"{kind.value}: {c1:.2f}>{c2:.2f}>{c3:.2f}")
         if not (c1 > c2 > c3):
             ordered = False

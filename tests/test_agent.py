@@ -6,9 +6,11 @@ import random
 
 from vodsim import sim
 from vodsim.config import SimConfig
-from vodsim.model import CLASSES, UserClass, build_catalog, cell_index
+from vodsim.model import CLASSES, build_catalog, cell_index
 from vodsim.agent import agent_tour
 from vodsim.topology import build_world, handle_request
+
+C1, C2, C3 = CLASSES
 
 
 def setup(num_videos=32, seed=4):
@@ -24,27 +26,27 @@ def request(world, catalog, proxy_id, video_id, user_class, times=1):
 
 def test_tour_weights_sum_demand_over_proxies():
     world, catalog = setup()
-    request(world, catalog, 0, 3, UserClass.CLASS1)
-    request(world, catalog, 1, 3, UserClass.CLASS1)
-    request(world, catalog, 2, 3, UserClass.CLASS2)
-    request(world, catalog, 3, 9, UserClass.CLASS3)
+    request(world, catalog, 0, 3, C1)
+    request(world, catalog, 1, 3, C1)
+    request(world, catalog, 2, 3, C2)
+    request(world, catalog, 3, 9, C3)
     agent_tour(10.0, world)
     assert sum(world.demand) == 4
-    assert world.weights[cell_index(3, UserClass.CLASS1)] == 2
-    assert world.weights[cell_index(3, UserClass.CLASS2)] == 1
-    assert world.weights[cell_index(9, UserClass.CLASS3)] == 1
-    assert world.weights[cell_index(9, UserClass.CLASS1)] == 0
-    assert world.proxies[0].local_counts[cell_index(3, UserClass.CLASS1)] == 1
+    assert world.weights[cell_index(3, C1)] == 2
+    assert world.weights[cell_index(3, C2)] == 1
+    assert world.weights[cell_index(9, C3)] == 1
+    assert world.weights[cell_index(9, C1)] == 0
+    assert world.proxies[0].local_counts[cell_index(3, C1)] == 1
 
 
 def test_tour_pushes_weights_everywhere():
     world, catalog = setup()
-    request(world, catalog, 1, 7, UserClass.CLASS1, times=5)
+    request(world, catalog, 1, 7, C1, times=5)
     agent_tour(10.0, world)
-    assert world.weights[cell_index(7, UserClass.CLASS1)] == 5
+    assert world.weights[cell_index(7, C1)] == 5
     # the table the tour wrote is the one every proxy's admission reads
     for proxy_id in (0, 2, 3):
-        decision = handle_request(world, 11.0, proxy_id, 7, UserClass.CLASS1, catalog)
+        decision = handle_request(world, 11.0, proxy_id, 7, C1, catalog)
         assert decision.allocation.weight == 5
 
 
@@ -52,21 +54,21 @@ def test_tour_leaves_catalog_untouched():
     world, catalog = setup()
     videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     hot = 30  # in the least-popular id range
-    request(world, catalog, 0, hot, UserClass.CLASS2, times=50)
+    request(world, catalog, 0, hot, C2, times=50)
     agent_tour(10.0, world)
     assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
 
 
 def test_tour_does_not_reset_counters():
     world, catalog = setup()
-    request(world, catalog, 0, 1, UserClass.CLASS1)
+    request(world, catalog, 0, 1, C1)
     agent_tour(10.0, world)
-    assert world.proxies[0].local_counts[cell_index(1, UserClass.CLASS1)] == 1
-    assert world.demand[cell_index(1, UserClass.CLASS1)] == 1
-    request(world, catalog, 0, 1, UserClass.CLASS1)
+    assert world.proxies[0].local_counts[cell_index(1, C1)] == 1
+    assert world.demand[cell_index(1, C1)] == 1
+    request(world, catalog, 0, 1, C1)
     agent_tour(20.0, world)
     assert sum(world.demand) == 2
-    assert world.weights[cell_index(1, UserClass.CLASS1)] == 2
+    assert world.weights[cell_index(1, C1)] == 2
 
 
 def test_second_tour_without_new_demand_changes_nothing():

@@ -28,9 +28,9 @@ from vodsim.allocation import (
     LinkKind,
 )
 from vodsim.metrics import Replay
-from vodsim.model import BW_RANGES, CLASSES, UserClass
+from vodsim.model import BW_RANGES, CLASSES
 
-C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
+C1, C2, C3 = CLASSES
 
 
 def fresh_link(capacity=100):

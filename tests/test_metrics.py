@@ -33,10 +33,10 @@ from vodsim.metrics import (
     emit_reports,
     time_avg_utilization,
 )
-from vodsim.model import CLASSES, UserClass
+from vodsim.model import CLASSES
 from vodsim.sim import SimResult, baseline_no_psg, run
 
-C1, C2, C3 = UserClass.CLASS1, UserClass.CLASS2, UserClass.CLASS3
+C1, C2, C3 = CLASSES
 
 
 def pack_rows(rows):

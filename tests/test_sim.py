@@ -19,10 +19,11 @@ from vodsim.allocation import FIELD_MAX, LEDGER_RECORD, LINK_KINDS, Link, LinkKi
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
 from vodsim import allocation, sim
-from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog
+from vodsim.model import BW_RANGES, CLASSES, VideoMeta, build_catalog
 from vodsim.sim import Simulation, baseline_no_psg, draw_arrivals, run
 from vodsim.topology import ProxyServer
 
+C1, C2, C3 = CLASSES
 SMALL = SimConfig(horizon=600.0, seed=9)
 
 
@@ -39,8 +40,8 @@ def test_draw_arrivals_fields_in_range():
         assert dt >= 0.0
         assert 0 <= proxy_id < config.num_proxies
         assert 0 <= video_id < config.num_videos
-        # the exact int, not a UserClass member: CPython specializes only
-        # exact-int arithmetic, comparisons and subscripts
+        # the exact int: CPython specializes only exact-int arithmetic,
+        # comparisons and subscripts
         assert type(user_class) is int
         assert 1 <= user_class <= 3
 
@@ -58,11 +59,21 @@ def test_draw_arrivals_rejects_unvalidated_config():
         next(draw_arrivals(random.Random(1), SimConfig(num_proxies=2)))
 
 
-@pytest.mark.parametrize("changes", [{"num_proxies": 0}, {"num_videos": 0}, {"num_videos": 2}])
+@pytest.mark.parametrize("changes", [
+    {"num_proxies": 0}, {"num_videos": 0}, {"num_videos": 2},
+    *(pytest.param({"total_arrival_rate": rate}, id=f"rate-{rate}")
+      for rate in (0.0, math.nan, math.inf, -1.0)),
+])
 def test_draw_arrivals_refuses_an_empty_range(changes):
     # unvalidated: with no proxies, or a tier of 0 videos, a redraw loop
-    # would never end
-    with pytest.raises(ConfigError, match="need at least 3 proxies and 4 videos"):
+    # would never end; a rate of 0 divides by zero, and NaN, infinite or
+    # negative rates give gaps that never carry a clock past a horizon
+    # or run it backwards
+    if "total_arrival_rate" in changes:
+        match = "need 0 < total_arrival_rate < inf"
+    else:
+        match = "need at least 3 proxies and 4 videos"
+    with pytest.raises(ConfigError, match=match):
         next(draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes)))
 
 
@@ -96,11 +107,11 @@ def generate_arrival(rng, config):
     class1, class2, _class3 = config.class_mix
     draw = rng.random()
     if draw < class1:
-        user_class = UserClass.CLASS1
+        user_class = C1
     elif draw < class1 + class2:
-        user_class = UserClass.CLASS2
+        user_class = C2
     else:
-        user_class = UserClass.CLASS3
+        user_class = C3
     return dt, proxy_id, video_id, user_class
 
 
@@ -218,7 +229,7 @@ def make_stream(capacity=300):
     catalog = [VideoMeta(100, (5, 5, 5), (10, 10, 10))] * SMALL.num_videos
     simulation = Simulation(SMALL, catalog)
     link = Link(LinkKind.PS_CMS, capacity, "t")
-    alloc = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
+    alloc = link.admit(0.0, 1, C1, 5, 10, weight=0)
     return simulation, link, alloc
 
 
@@ -237,7 +248,7 @@ def test_allocation_integrates_bytes():
     simulation._push_completion(alloc, link, 0)
     assert completion(simulation, alloc, link)[0] == 10.0
     # the same stream twice: one released early at t=4, one at completion
-    early = link.admit(0.0, 1, UserClass.CLASS1, 5, 10, weight=0)
+    early = link.admit(0.0, 1, C1, 5, 10, weight=0)
     assert link.release(4.0, early) is early
     assert (early.sent, early.since) == (40.0, 4.0)
     assert link.release(10.0, alloc) is alloc
@@ -250,7 +261,7 @@ def test_reclaim_banks_bytes_and_reschedules():
     stale = completion(simulation, alloc, link)
     simulation.heap.clear()
     start = len(link.ledger)
-    link.admit(4.0, 2, UserClass.CLASS1, 7, 7, weight=1)
+    link.admit(4.0, 2, C1, 7, 7, weight=1)
     assert admit_cuts(link, start) == [(alloc.alloc_id, 5)] and link.rate(alloc) == 5
     assert (alloc.sent, alloc.since) == (40.0, 4.0)
     # the cut scheduled nothing; the event scheduled at the old rate fires
@@ -327,6 +338,22 @@ def test_a_run_carries_classes_as_exact_ints(monkeypatch):
     monkeypatch.setattr(Simulation, "_on_sample", checked_sample)
     run(SMALL)
     assert seen == {int}
+
+
+def test_every_class_handed_out_is_an_exact_int():
+    result = run(SMALL)
+    walked = Replay(result.ledgers, SMALL.horizon)
+    by_class = walked.mean_alloc_by_class()
+    per_class = walked.mean_alloc_per_class()
+    assert by_class and per_class  # each holds a class of a live stream
+    handed_out = [
+        *CLASSES,
+        *BW_RANGES,
+        *result.counters.requested_by_class,
+        *(c for _, c in by_class),
+        *per_class,
+    ]
+    assert {type(c) for c in handed_out} == {int}
 
 
 def fixed_rate_catalog(num_videos):

@@ -9,8 +9,10 @@ import pytest
 
 from oracle import admit_cuts
 from vodsim.allocation import LEDGER_RECORD, RECLAIM, LinkKind
-from vodsim.model import CLASSES, UserClass, VideoMeta, build_catalog, cell_index, tier_ranges
+from vodsim.model import CLASSES, VideoMeta, build_catalog, cell_index, tier_ranges
 from vodsim.topology import RouteSource, build_world, handle_request, seed_initial_placement
+
+C1, C2, C3 = CLASSES
 
 
 def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
@@ -52,7 +54,7 @@ def test_ring_neighbors_wrap():
         for holder, requester, source in cases:
             world = small_world(num_proxies=num_proxies)
             world.proxies[holder].cache[7] = None
-            decision = route(world, 0.0, requester, 7, UserClass.CLASS2)
+            decision = route(world, 0.0, requester, 7, C2)
             assert decision.source is source, (num_proxies, holder, requester)
             assert decision.link is world.proxies[requester].links[SOURCE_LINK[source]]
 
@@ -85,10 +87,10 @@ def test_route_remote_table(holders, free):
     loaded = {"lps_freer": [LinkKind.PS_RPS], "equal": [LinkKind.PS_LPS, LinkKind.PS_RPS],
               "rps_freer": [LinkKind.PS_LPS]}[free]
     for kind in loaded:
-        assert proxy.links[kind].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
+        assert proxy.links[kind].admit(0.0, 9, C1, 8, 8, 0)
     expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
     before = {kind: len(link.ledger) for kind, link in proxy.links.items()}
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
+    decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is expected
     assert decision.link is proxy.links[SOURCE_LINK[expected]]
     assert decision.link.rate(decision.allocation) == 18
@@ -104,15 +106,15 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
     chosen, other = (rps, lps) if holders == "rps_only" else (lps, rps)
     # the chosen link keeps 4 MB/s free and holds no class-2 excess
     for vid in range(4):
-        assert chosen.admit(0.0, 20 + vid, UserClass.CLASS2, 8, 8, 0)
-    assert chosen.admit(0.0, 30, UserClass.CLASS3, 4, 4, 0)
+        assert chosen.admit(0.0, 20 + vid, C2, 8, 8, 0)
+    assert chosen.admit(0.0, 30, C3, 4, 4, 0)
     if holders == "both":
         # less free than the chosen link, so not chosen, but 34 MB/s of
         # class-2 excess to reclaim from
-        assert other.admit(0.0, 31, UserClass.CLASS2, 6, 40, 0)
-    assert other.plan_reclaim(UserClass.CLASS2, 6) is not None  # other could admit
+        assert other.admit(0.0, 31, C2, 6, 40, 0)
+    assert other.plan_reclaim(C2, 6) is not None  # other could admit
     rows = {kind: len(proxy.links[kind].rows) for kind in LinkKind}
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
+    decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[LinkKind.PS_CMS]
     for kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
@@ -124,8 +126,8 @@ def test_route_prefers_freer_neighbor():
     world.proxies[5].cache[7] = None
     world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
-    proxy.links[LinkKind.PS_RPS].admit(0.0, 9, UserClass.CLASS1, 8, 30, 0)
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
+    proxy.links[LinkKind.PS_RPS].admit(0.0, 9, C1, 8, 30, 0)
+    decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.LPS
     assert decision.link is proxy.links[LinkKind.PS_LPS]
     assert decision.link.rate(decision.allocation) == 18
@@ -135,7 +137,7 @@ def test_route_tie_goes_right():
     world = small_world()
     world.proxies[5].cache[7] = None
     world.proxies[1].cache[7] = None
-    decision = route(world, 0.0, 0, 7, UserClass.CLASS2)
+    decision = route(world, 0.0, 0, 7, C2)
     assert decision.source is RouteSource.RPS
 
 
@@ -143,8 +145,8 @@ def test_route_single_holder_used_even_if_busier():
     world = small_world()
     world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
-    proxy.links[LinkKind.PS_RPS].admit(0.0, 9, UserClass.CLASS1, 8, 29, 0)
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
+    proxy.links[LinkKind.PS_RPS].admit(0.0, 9, C1, 8, 29, 0)
+    decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.RPS
 
 
@@ -156,10 +158,10 @@ def test_route_falls_back_to_central_not_other_neighbor():
     proxy = world.proxies[0]
     # saturate the right link with class-1 minimums: nothing reclaimable
     for vid in range(5):
-        assert proxy.links[LinkKind.PS_RPS].admit(0.0, 20 + vid, UserClass.CLASS2, 8, 8, 0)
-    proxy.links[LinkKind.PS_LPS].admit(0.0, 30, UserClass.CLASS3, 4, 12, 0)
+        assert proxy.links[LinkKind.PS_RPS].admit(0.0, 20 + vid, C2, 8, 8, 0)
+    proxy.links[LinkKind.PS_LPS].admit(0.0, 30, C3, 4, 12, 0)
     # right link freer? no: left has 28 free, right 0 -> left picked, admits
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
+    decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.LPS
     # now fill left too and ask for a class with nothing to reclaim there;
     # video 7 is cached here now, so ask for video 8, held where 7 is
@@ -167,9 +169,9 @@ def test_route_falls_back_to_central_not_other_neighbor():
     while left.capacity - left.used >= 4:
         free = left.capacity - left.used
         rate = min(4, free)
-        if left.admit(1.0, 40 + free, UserClass.CLASS3, rate, rate, 0) is None:
+        if left.admit(1.0, 40 + free, C3, rate, rate, 0) is None:
             break
-    decision = route(world, 2.0, 0, 8, UserClass.CLASS1)
+    decision = route(world, 2.0, 0, 8, C1)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[LinkKind.PS_CMS]
 
@@ -179,15 +181,15 @@ def test_route_without_sharing_goes_central():
     for vid in (7, 8):
         world.proxies[5].cache[vid] = None
         world.proxies[1].cache[vid] = None
-    decision = route(world, 0.0, 0, 7, UserClass.CLASS1, psg_enabled=False)
+    decision = route(world, 0.0, 0, 7, C1, psg_enabled=False)
     assert decision.source is RouteSource.CMS
     # with the central link full a miss of video 8 (video 7 is cached here
     # now) is rejected, not served by a neighbor
     proxy = world.proxies[0]
     cms = proxy.links[LinkKind.PS_CMS]
-    while cms.admit(1.0, 9, UserClass.CLASS2, 6, 6, 0):
+    while cms.admit(1.0, 9, C2, 6, 6, 0):
         pass
-    decision = route(world, 2.0, 0, 8, UserClass.CLASS2, psg_enabled=False)
+    decision = route(world, 2.0, 0, 8, C2, psg_enabled=False)
     assert decision.source is RouteSource.REJECTED
     assert proxy.links[LinkKind.PS_LPS].rows == proxy.links[LinkKind.PS_RPS].rows == ()
 
@@ -195,8 +197,8 @@ def test_route_without_sharing_goes_central():
 def test_route_rejects_when_central_full():
     world = small_world(capacity=8)
     proxy = world.proxies[0]
-    assert proxy.links[LinkKind.PS_CMS].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS2)
+    assert proxy.links[LinkKind.PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
+    decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.REJECTED
     assert decision.allocation is None
 
@@ -207,37 +209,29 @@ def test_handle_request_local_hit_touches_lru():
     proxy = world.proxies[2]
     proxy.insert(5)
     proxy.insert(6)
-    decision = handle_request(world, 9.0, 2, 5, UserClass.CLASS1, catalog)
+    decision = handle_request(world, 9.0, 2, 5, C1, catalog)
     assert decision.source is RouteSource.LOCAL
     assert list(proxy.cache) == [6, 5]
-    assert proxy.local_counts[cell_index(5, UserClass.CLASS1)] == 1
-    assert world.demand[cell_index(5, UserClass.CLASS1)] == 1
+    assert proxy.local_counts[cell_index(5, C1)] == 1
+    assert world.demand[cell_index(5, C1)] == 1
 
 
-def test_handle_request_takes_the_class_as_int_or_member():
-    # the same requests on two fresh worlds, once as UserClass.CLASS2 and
-    # once as the int 2 a run draws: fresh streams, a local hit, reclaims,
-    # a neighbor tie-break and rejections, with the same bytes throughout
-    outcomes = []
-    for user_class in (UserClass.CLASS2, 2):
-        world = small_world(capacity=40)
-        world.proxies[1].insert(30)
-        world.proxies[5].insert(30)
-        decisions = []
-        for time, video_id in enumerate([8, 9, 10, 8, 30, 11, 12, 13, 14]):
-            decision = route(world, float(time), 0, video_id, user_class)
-            alloc = decision.allocation
-            decisions.append((decision.source, decision.link and decision.link.label,
-                              alloc and (alloc.alloc_id, alloc.video_id, alloc.user_class,
-                                         alloc.max_rate, alloc.weight, alloc.since)))
-        outcomes.append((decisions, [bytes(link.ledger) for link in world.all_links()],
-                         world.demand, caches(world)))
-    as_member, as_int = outcomes
-    assert as_member == as_int
-    sources = {source for source, _, _ in as_int[0]}
+def test_handle_request_nine_requests_reach_every_source():
+    # nine class-2 requests on a fresh world: fresh streams, a local hit,
+    # reclaims, a neighbor tie-break and rejections
+    world = small_world(capacity=40)
+    world.proxies[1].insert(30)
+    world.proxies[5].insert(30)
+    sources = set()
+    for time, video_id in enumerate([8, 9, 10, 8, 30, 11, 12, 13, 14]):
+        decision = route(world, float(time), 0, video_id, C2)
+        sources.add(decision.source)
+        if decision.allocation is not None:
+            assert type(decision.allocation.user_class) is int
     assert sources == {RouteSource.CMS, RouteSource.LOCAL, RouteSource.RPS,
                        RouteSource.REJECTED}
-    ops = [op for ledger in as_int[1] for _, op, *_ in LEDGER_RECORD.iter_unpack(ledger)]
+    ops = [op for link in world.all_links()
+           for _, op, *_ in LEDGER_RECORD.iter_unpack(link.ledger)]
     assert RECLAIM in ops
 
 
@@ -246,7 +240,7 @@ def test_handle_request_caches_on_success():
     catalog = small_catalog()
     proxy = world.proxies[0]
     assert 7 not in proxy.cache
-    decision = handle_request(world, 3.0, 0, 7, UserClass.CLASS2, catalog)
+    decision = handle_request(world, 3.0, 0, 7, C2, catalog)
     assert decision.source is RouteSource.CMS
     assert 7 in proxy.cache
     assert proxy.live_videos == {7}
@@ -256,11 +250,11 @@ def test_handle_request_rejection_does_not_cache():
     world = small_world(capacity=8)
     catalog = small_catalog()
     proxy = world.proxies[0]
-    proxy.links[LinkKind.PS_CMS].admit(0.0, 9, UserClass.CLASS1, 8, 8, 0)
-    decision = handle_request(world, 1.0, 0, 7, UserClass.CLASS1, catalog)
+    proxy.links[LinkKind.PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
+    decision = handle_request(world, 1.0, 0, 7, C1, catalog)
     assert decision.source is RouteSource.REJECTED
     assert 7 not in proxy.cache
-    assert proxy.local_counts[cell_index(7, UserClass.CLASS1)] == 1
+    assert proxy.local_counts[cell_index(7, C1)] == 1
 
 
 @pytest.mark.parametrize(
@@ -274,7 +268,7 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
     # the last proxy
     world = small_world(num_videos=48)
     catalog = small_catalog(num_videos=48)
-    handle_request(world, 1.0, 0, 47, UserClass.CLASS3, catalog)
+    handle_request(world, 1.0, 0, 47, C3, catalog)
 
     def state():
         return (
@@ -357,8 +351,9 @@ def drive_lru_against_reference(cache, steps, request_share, seed=17):
     """Run-like cache traffic on a placed proxy against a timestamp reference.
 
     Each step is a request with probability ``request_share`` and otherwise
-    ends a random live stream.  A request does what a run does: it touches
-    its video when cached and inserts it otherwise, which opens its stream.
+    ends a random live stream.  A request does what a run does: it moves
+    its video to the most recently used end when cached and inserts it
+    otherwise, which opens its stream.
     The reference keeps each entry's last use (placed entries at 0.0) and
     evicts the idle entry with the smallest (last use, id), as an explicit
     timestamp LRU would.  Returns the evictions, the evictions that broke a
@@ -389,7 +384,8 @@ def drive_lru_against_reference(cache, steps, request_share, seed=17):
         if rng.random() < request_share or not live:
             vid = rng.randrange(96)
             if vid in proxy.cache:
-                proxy.touch(vid)
+                del proxy.cache[vid]
+                proxy.cache[vid] = None
             else:
                 proxy.insert(vid)
                 if len(last_use) >= proxy.cache_capacity:
@@ -432,13 +428,13 @@ def test_weight_prefers_fresher_view():
     # the weight admission uses is the larger of the agent's last table and
     # the landing proxy's own count
     world = small_world()
-    cell = cell_index(7, UserClass.CLASS1)
+    cell = cell_index(7, C1)
     world.proxies[0].local_counts[cell] = 3  # the request makes it 4
-    decision = route(world, 1.0, 0, 7, UserClass.CLASS1)
+    decision = route(world, 1.0, 0, 7, C1)
     assert decision.source is RouteSource.CMS
     assert decision.allocation.weight == 4
     world.weights[cell] = 30
-    decision = route(world, 2.0, 3, 7, UserClass.CLASS1)
+    decision = route(world, 2.0, 3, 7, C1)
     assert decision.source is RouteSource.CMS
     assert decision.allocation.weight == 30
 
