@@ -10,9 +10,10 @@ is rejected and the link is left untouched.
 A live stream's rate lives only in its link's integer tables: its minimum,
 and per class its excess.  Each class's total excess runs next to the used
 bandwidth, so ``admit`` refuses a request that free bandwidth plus that
-excess cannot cover without scanning or calling ``plan_reclaim``, a
-reclaim scans only its class's table, and the audit recounts both
-counters with builtin sums over the tables.
+excess cannot cover without scanning or calling ``plan_reclaim``, and a
+reclaim scans only its class's table.  The audit recounts both counters
+with builtin sums over the tables; a run recounts a link at a sample only
+if its ledger grew, and every link once before the drain.
 
 Every mutation appends one packed ``LEDGER_RECORD`` to the link's
 ``ledger``, a ``bytearray``, so a link's utilization over time can be
@@ -252,8 +253,9 @@ class Link:
     def check_conservation(self) -> None:
         """Assert the running counters equal a recount of the live tables:
         each ``excess[c]`` the sum of class ``c``'s table, and ``used`` the
-        sum of the minimums plus all the excess.  It runs on every link at
-        every sample, so the three classes are unpacked, not looped over."""
+        sum of the minimums plus all the excess.  A run calls it at a sample
+        on each link whose ledger grew since its last audit, and on every
+        link once before the drain, so the classes are unpacked for speed."""
         _, table1, table2, table3 = self.class_excess
         _, excess1, excess2, excess3 = self.excess
         if (sum(table1.values()) != excess1 or sum(table2.values()) != excess2

@@ -13,9 +13,10 @@ link's tables, and has one completion event carrying the excess (rate
 above minimum) it was scheduled at.  A reclaim schedules nothing; a popped
 event whose excess is stale was cut, so it is rescheduled from the bytes
 banked at the cut.  A cut only lowers a rate: it only delays completion.
-A metric sample records its tick and audits every link's capacity
-conservation; ``run`` replays no ledger, so the sampled series exist only
-once ``metrics.emit_reports`` walks the ledgers at those ticks.
+A metric sample records its tick and audits each link whose ledger grew
+since its last audit (every change appends a record); every link is audited
+once before the drain.  ``run`` replays no ledger: the sampled series exist
+only once ``metrics.emit_reports`` walks the ledgers at those ticks.
 
 The one scheduled arrival (each arrival schedules the next) is not on the
 binary heap that holds every other event: ``run`` keeps its key and request
@@ -163,6 +164,7 @@ class Simulation:
         )
         seed_initial_placement(self.world, placement_rng)
         self.links = self.world.all_links()
+        self.audited = [0] * len(self.links)  # each ledger's length at its last audit
         self.now = 0.0
         self.heap: list[tuple] = []  # every event but the next arrival
         self.requests = draw_arrivals(self.workload_rng, config)
@@ -223,6 +225,8 @@ class Simulation:
         # the events past the horizon never run, and their completion
         # fields would keep the drained allocations alive through reporting
         heap.clear()
+        for link in self.links:
+            link.check_conservation()
         self._drain()
         demand = self.world.demand
         self.counters.requested = sum(demand)
@@ -268,8 +272,11 @@ class Simulation:
 
     def _on_sample(self, event: tuple) -> None:
         self.metrics.take_snapshot(self.now)
-        for link in self.links:
-            link.check_conservation()
+        audited = self.audited
+        for i, link in enumerate(self.links):
+            if len(link.ledger) != audited[i]:
+                link.check_conservation()
+                audited[i] = len(link.ledger)
         self._push(self.now + self.config.sample_period, Simulation._on_sample)
 
     def _drain(self) -> None:

@@ -15,7 +15,8 @@ import pytest
 
 from arrival_tap import with_arrivals
 from oracle import admit_cuts
-from vodsim.allocation import FIELD_MAX, LEDGER_RECORD, LINK_KINDS, Link, LinkKind
+from vodsim.allocation import (FIELD_MAX, LEDGER_RECORD, LINK_KINDS, InvariantViolation, Link,
+                               LinkKind)
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
 from vodsim import allocation, sim
@@ -747,6 +748,139 @@ def test_drain_closes_in_admission_order(monkeypatch):
     assert len({link for link, _ in drained}) > 1
     ids = [alloc_id for _, alloc_id in drained]
     assert ids == sorted(ids)
+
+
+SHORT = dataclasses.replace(SimConfig(), horizon=200.0)  # tours at 100 and 200
+
+
+def tamper_after_first_tour(monkeypatch, tamper):
+    """Call ``tamper(links)`` once, right after the first agent tour, to
+    change a link's tables or counters without a ledger record."""
+    real_tour = sim.agent_tour
+    tours = 0
+
+    def tampering_tour(time, world):
+        nonlocal tours
+        real_tour(time, world)
+        tours += 1
+        if tours == 1:
+            tamper(world.all_links())
+
+    monkeypatch.setattr(sim, "agent_tour", tampering_tour)
+
+
+def records(link):
+    """(time, op code) of each of the link's ledger records."""
+    return [(time, op) for time, op, *_ in LEDGER_RECORD.iter_unpack(link.ledger)]
+
+
+def live_at(link, time):
+    """How many of the link's streams are live at ``time``, by its ledger."""
+    return sum((op == allocation.ALLOCATE) - (op == allocation.RELEASE)
+               for at, op in records(link) if at <= time)
+
+
+def raised_at_a_sample(raised):
+    return any(entry.name == "_on_sample" for entry in raised.traceback)
+
+
+def test_a_run_with_no_sample_tick_is_still_audited(monkeypatch):
+    # a sample_period past the horizon is valid, and then no sample runs:
+    # the audit before the drain is the only one
+    config = dataclasses.replace(SHORT, sample_period=1000.0)
+
+    def add_one(links):
+        next(link for link in links if link.minimums).used += 1
+
+    tamper_after_first_tour(monkeypatch, add_one)
+    with pytest.raises(InvariantViolation, match="allocations sum to"):
+        run(config)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_tamper_on_a_changing_link_is_caught_at_a_sample(delta, monkeypatch):
+    # the link with live streams that records most after the tour: its
+    # ledger grows, so a later sample recounts it
+    tour = SHORT.agent_period
+    clean = run(SHORT).ledgers
+    index = max((i for i, link in enumerate(clean) if live_at(link, tour)),
+                key=lambda i: sum(time > tour for time, _ in records(clean[i])))
+
+    def shift_excess(links):
+        link = links[index]
+        alloc = next(iter(link.minimums))
+        link.class_excess[alloc.user_class][alloc] += delta
+
+    tamper_after_first_tour(monkeypatch, shift_excess)
+    with pytest.raises(InvariantViolation, match="class tables give") as raised:
+        run(SHORT)
+    assert raised_at_a_sample(raised)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_tamper_on_a_quiet_link_is_caught_before_the_drain(delta, monkeypatch):
+    # a link with live streams and no record from the last sample before
+    # the tour to the drain: no sample after the tamper recounts it
+    tour, horizon = SHORT.agent_period, SHORT.horizon
+    clean = run(SHORT).ledgers
+    index = next(i for i, link in enumerate(clean) if live_at(link, tour) and not any(
+        tour - SHORT.sample_period < time < horizon for time, _ in records(link)))
+
+    def shift_used(links):
+        links[index].used += delta
+
+    tamper_after_first_tour(monkeypatch, shift_used)
+    with pytest.raises(InvariantViolation, match="allocations sum to") as raised:
+        run(SHORT)
+    assert not raised_at_a_sample(raised)
+
+
+def test_a_sample_recounts_exactly_the_links_whose_ledger_grew(monkeypatch):
+    log = []  # each check_conservation call's link, between the markers below
+    check, on_sample, drain = Link.check_conservation, Simulation._on_sample, Simulation._drain
+
+    def counted_check(self):
+        log.append(self)
+        check(self)
+
+    def marked_sample(self, event):
+        log.append(("sample", [(link, len(link.ledger), bool(link.minimums))
+                               for link in self.links]))
+        on_sample(self, event)
+        log.append(("sampled",))
+
+    def marked_drain(self):
+        log.append(("drain",))
+        drain(self)
+
+    monkeypatch.setattr(Link, "check_conservation", counted_check)
+    monkeypatch.setattr(Simulation, "_on_sample", marked_sample)
+    monkeypatch.setattr(Simulation, "_drain", marked_drain)
+    simulation = Simulation(SHORT)
+    simulation.run()
+    links = simulation.links
+    markers, audits = [("start",)], [[]]  # the links audited after each marker
+    for entry in log:
+        if isinstance(entry, Link):
+            audits[-1].append(entry)
+        else:
+            markers.append(entry)
+            audits.append([])
+    assert [marker[0] for marker in markers[-2:]] == ["sampled", "drain"]
+    # every link once after the loop, before the first release of the drain
+    assert audits[-2] == links and audits[-1] == []
+    last = dict.fromkeys(links, 0)  # each ledger's length at its last audit
+    recounted = skipped_live = 0
+    for marker, audited in zip(markers[:-2], audits[:-2]):
+        if marker[0] != "sample":
+            assert audited == []
+            continue
+        grew = [link for link, length, _ in marker[1] if length != last[link]]
+        assert audited == grew
+        last.update((link, length) for link, length, _ in marker[1])
+        recounted += len(grew)
+        skipped_live += sum(live for link, _, live in marker[1] if link not in grew)
+    assert recounted > 0 and skipped_live > 0
 
 
 def test_tours_run_on_schedule(monkeypatch):
