@@ -2,12 +2,12 @@
 video-on-demand system built from a ring of proxy servers and a central
 multimedia server."""
 
-from .allocation import Allocation, Link, LinkKind
+from .allocation import Allocation, Link
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Counters, MetricsBundle, emit_reports, time_avg_utilization
 from .model import VideoMeta
 from .sim import SimResult, Simulation, baseline_no_psg, draw_arrivals, run
-from .topology import ProxyServer, RouteDecision, RouteSource, World, build_world
+from .topology import ProxyServer, RouteDecision, RouteSource, World
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,6 @@ __all__ = [
     "ConfigError",
     "Counters",
     "Link",
-    "LinkKind",
     "MetricsBundle",
     "ProxyServer",
     "RouteDecision",
@@ -27,7 +26,6 @@ __all__ = [
     "VideoMeta",
     "World",
     "baseline_no_psg",
-    "build_world",
     "draw_arrivals",
     "emit_reports",
     "load_config",

@@ -34,21 +34,14 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from operator import attrgetter
 
 from .model import CLASSES
 
-
-class LinkKind(Enum):
-    """Which leg of the topology a link models, from the proxy's viewpoint."""
-
-    PS_LPS = "ps_lps"
-    PS_RPS = "ps_rps"
-    PS_CMS = "ps_cms"
-
-
-LINK_KINDS: tuple[LinkKind, ...] = (LinkKind.PS_LPS, LinkKind.PS_RPS, LinkKind.PS_CMS)
+# The kind of a link: which inbound leg of a proxy it models, from its left
+# neighbor, its right neighbor or the central server.  Reports name each
+# kind by this string.
+LINK_KINDS = PS_LPS, PS_RPS, PS_CMS = ("ps_lps", "ps_rps", "ps_cms")
 
 
 # One ledger record: exact float64 time, op code, allocation id, video id,
@@ -102,7 +95,8 @@ class LedgerRow:
 
 
 class Link:
-    """A directed link with fixed integer capacity in MB/s.
+    """A directed link with fixed integer capacity in MB/s.  Its ``kind``
+    is one of ``LINK_KINDS``; any other kind raises ``ValueError``.
 
     Links meant to coexist (one topology) should share an ``id_source`` so
     allocation ids are unique across them; a lone link defaults to its own
@@ -110,12 +104,14 @@ class Link:
     run instead of leaking state between simulations in one process.
     """
 
-    def __init__(self, kind: LinkKind, capacity: int, label: str = "", id_source=None):
+    def __init__(self, kind: str, capacity: int, label: str = "", id_source=None):
+        if kind not in LINK_KINDS:
+            raise ValueError(f"link kind must be one of {LINK_KINDS}, got {kind!r}")
         if not 0 < capacity <= FIELD_MAX:
             raise ValueError(f"capacity must be in 1..{FIELD_MAX}, got {capacity}")
         self.kind = kind
         self.capacity = capacity
-        self.label = label or kind.value
+        self.label = label or kind
         self.id_source = id_source if id_source is not None else itertools.count(1)
         # the live allocations: each one's minimum rate, and per class (a
         # list indexed by the class, 1 to 3, so slot 0 is None) its rate

@@ -24,16 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .allocation import (
-    ALLOCATE,
-    LEDGER_RECORD,
-    LINK_KINDS,
-    OPS,
-    RECLAIM,
-    RELEASE,
-    Link,
-    LinkKind,
-)
+from .allocation import ALLOCATE, LEDGER_RECORD, LINK_KINDS, OPS, RECLAIM, RELEASE, Link
 from .model import CLASSES
 
 
@@ -176,7 +167,7 @@ class Replay:
                 cur[:] = map(operator.add, before, cur)
         self.at_ticks = steps
 
-    def utilization(self) -> dict[LinkKind, float]:
+    def utilization(self) -> dict[str, float]:
         """Time-averaged utilization of each kind that has links."""
         return {kind: self.integral[kind][0] / (capacity * self.horizon)
                 for kind, capacity in self.capacity.items() if capacity}
@@ -187,7 +178,7 @@ class Replay:
         streams = sum(i[_COUNT + c] for i in by_kind for c in CLASSES)
         return sum(i[0] for i in by_kind) / streams if streams else 0.0
 
-    def mean_alloc_by_class(self) -> dict[tuple[LinkKind, int], float]:
+    def mean_alloc_by_class(self) -> dict[tuple[str, int], float]:
         """Time-averaged allocation per live stream, split by kind and class.
 
         Pairs that never carried a stream are absent from the result.
@@ -216,7 +207,7 @@ class MetricsBundle:
         self.ticks.append(time)
 
 
-def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[LinkKind, float]:
+def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[str, float]:
     """Exact time-averaged utilization per link kind, replayed from ledgers."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -279,7 +270,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     for kind in LINK_KINDS:
         for c in CLASSES:
             count, rate, low, high = _COUNT + c, _RATE + c, _MIN + c, _MAX + c
-            write(f"alloc_{kind.value}_class{c}.csv", [
+            write(f"alloc_{kind}_class{c}.csv", [
                 "time,streams,avg_alloc,avg_min,avg_max",
                 *(f"{t:.6f},{n},{s[rate] / n:.6f},{s[low] / n:.6f},{s[high] / n:.6f}"
                   if (n := s[count]) else f"{t:.6f},0,,,"
@@ -287,7 +278,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
             ])
     for kind in LINK_KINDS:
         kind_capacity = capacity.get(kind)
-        write(f"util_{kind.value}.csv", [
+        write(f"util_{kind}.csv", [
             "time,utilization",
             *(f"{t:.6f},{s[0] / kind_capacity:.6f}"
               for t, s in zip(ticks, at_ticks[kind] if kind_capacity else ())),
@@ -310,7 +301,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     lines.append(f"bytes_drained={_fmt(counters.bytes_drained)}")
     for kind in LINK_KINDS:
         if kind in util:
-            lines.append(f"util_avg_{kind.value}={_fmt(util[kind])}")
+            lines.append(f"util_avg_{kind}={_fmt(util[kind])}")
     for user_class, total in counters.requested_by_class.items():
         lines.append(f"requested_class{user_class}={total}")
     conservation = "PASS" if counters.identity_holds() else "FAIL"

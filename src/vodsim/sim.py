@@ -53,20 +53,11 @@ from dataclasses import dataclass, field
 from math import inf, log
 
 from .agent import agent_tour
-from .allocation import FIELD_MAX, Allocation, Link, LinkKind
+from .allocation import FIELD_MAX, PS_LPS, PS_RPS, Allocation, Link
 from .config import ConfigError, SimConfig
 from .metrics import Counters, MetricsBundle
 from .model import CLASSES, VideoMeta, build_catalog, cell_index, draw_spec, tier_ranges
-from .topology import (
-    LOCAL,
-    REJECTED,
-    World,
-    build_world,
-    handle_request,
-    seed_initial_placement,
-)
-
-PS_LPS, PS_RPS = LinkKind.PS_LPS, LinkKind.PS_RPS
+from .topology import LOCAL, REJECTED, World, handle_request, seed_initial_placement
 
 
 def draw_arrivals(
@@ -158,7 +149,7 @@ class Simulation:
         self.catalog = catalog or build_catalog(
             config.num_videos, config.video_size_min, config.video_size_max, catalog_rng,
         )
-        self.world = build_world(
+        self.world = World(
             config.num_proxies, config.num_videos, config.cache_capacity,
             config.link_capacity,
         )
@@ -250,9 +241,9 @@ class Simulation:
         self._close(alloc, link, proxy_id)
         counters = self.counters
         kind = link.kind
-        if kind is PS_LPS:
+        if kind == PS_LPS:
             counters.served_lps += 1
-        elif kind is PS_RPS:
+        elif kind == PS_RPS:
             counters.served_rps += 1
         else:
             counters.served_cms += 1

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .allocation import Link, LinkKind
+from .allocation import LINK_KINDS, Link
 from .model import VideoMeta, tier_ranges
 
 
@@ -63,16 +63,16 @@ class ProxyServer:
     """One ring node: an LRU cache plus three inbound links it streams over."""
 
     def __init__(self, proxy_id: int, cache_capacity: int, link_capacity: int,
-                 num_videos: int, id_source=None):
+                 num_videos: int, id_source):
         self.proxy_id = proxy_id
         self.cache_capacity = cache_capacity
         self.cache: dict[int, None] = {}  # least recently used first
         self.live_videos: set[int] = set()
         self.local_counts = [0] * (3 * num_videos)  # by cell_index
         label = f"p{proxy_id}"
-        self.links: dict[LinkKind, Link] = {
-            kind: Link(kind, link_capacity, f"{label}-{kind.value}", id_source)
-            for kind in LinkKind
+        self.links: dict[str, Link] = {
+            kind: Link(kind, link_capacity, f"{label}-{kind}", id_source)
+            for kind in LINK_KINDS
         }
 
     def stream_closed(self, video_id: int) -> None:
@@ -114,31 +114,26 @@ class ProxyServer:
 
 
 class World:
-    """The proxy ring; the central server is each proxy's ``PS_CMS`` link.
+    """The proxy ring, which builds its own proxies and links; the central
+    server is each proxy's ``PS_CMS`` link.  Every link of the ring shares
+    one allocation id counter, so ids are unique across the ring.
 
     ``weights`` is the one weight table the agent rewrites and admission
     reads; ``dirty`` holds the cells requested since the last agent tour.
     """
 
-    def __init__(self, proxies: list[ProxyServer], num_videos: int, weights: list[int]):
-        self.proxies = proxies
+    def __init__(self, num_proxies: int, num_videos: int, cache_capacity: int,
+                 link_capacity: int):
+        id_source = itertools.count(1)
+        self.proxies = [ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
+                        for pid in range(num_proxies)]
         self.num_videos = num_videos
         self.demand = [0] * (3 * num_videos)  # sum of all local_counts
-        self.weights = weights
+        self.weights = [0] * (3 * num_videos)
         self.dirty: set[int] = set()
 
     def all_links(self) -> list[Link]:
         return [link for proxy in self.proxies for link in proxy.links.values()]
-
-
-def build_world(num_proxies: int, num_videos: int, cache_capacity: int,
-                link_capacity: int) -> World:
-    id_source = itertools.count(1)
-    proxies = [
-        ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
-        for pid in range(num_proxies)
-    ]
-    return World(proxies, num_videos, [0] * (3 * num_videos))
 
 
 def handle_request(
@@ -183,7 +178,7 @@ def handle_request(
         weight = local_counts[cell]
     video = catalog[video_id]
     min_rate, max_rate = video.min_bw[user_class - 1], video.max_bw[user_class - 1]
-    # proxy.links is built in LinkKind order: PS_LPS, PS_RPS, PS_CMS
+    # proxy.links is built in LINK_KINDS order: PS_LPS, PS_RPS, PS_CMS
     lps_link, rps_link, cms_link = proxy.links.values()
     if psg_enabled:
         at_lps = video_id in proxies[proxy_id - 1].cache  # proxy 0's left is the last

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from vodsim.allocation import ALLOCATE, LEDGER_RECORD, RECLAIM, Allocation, Link, LinkKind
+from vodsim.allocation import ALLOCATE, LEDGER_RECORD, PS_CMS, RECLAIM, Allocation, Link
 from vodsim.model import BW_RANGES, CLASSES
 
 
@@ -63,7 +63,7 @@ def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
     The running counters are set here and then audited by the link's own
     conservation check, so a forced state they disagree with fails at once.
     """
-    link = Link(LinkKind.PS_CMS, capacity, "forced")
+    link = Link(PS_CMS, capacity, "forced")
     for s in existing:
         alloc = Allocation(s.alloc_id, s.video_id, s.user_class, s.max_rate, s.weight)
         link.minimums[alloc] = s.min_rate

@@ -185,11 +185,11 @@ def test_c04_class_ordering(default_result, capsys):
     means = Replay(default_result.ledgers, config.horizon).mean_alloc_by_class()
     ordered = True
     detail = []
-    for kind in sorted({k for k, _ in means}, key=lambda k: k.value):
+    for kind in sorted({k for k, _ in means}):
         c1 = means.get((kind, 1), 0.0)
         c2 = means.get((kind, 2), 0.0)
         c3 = means.get((kind, 3), 0.0)
-        detail.append(f"{kind.value}: {c1:.2f}>{c2:.2f}>{c3:.2f}")
+        detail.append(f"{kind}: {c1:.2f}>{c2:.2f}>{c3:.2f}")
         if not (c1 > c2 > c3):
             ordered = False
     remote_served = default_result.counters.served_remote
@@ -222,7 +222,7 @@ def test_c05_saturation_trend(scaled_results, capsys):
 def test_c06_utilization_at_heavy_load(scaled_results, capsys):
     heavy = scaled_results[4.0]
     util = time_avg_utilization(heavy.ledgers, heavy.config.horizon)
-    detail = " ".join(f"{kind.value}={value:.3f}" for kind, value in util.items())
+    detail = " ".join(f"{kind}={value:.3f}" for kind, value in util.items())
     ok = len(util) == 3 and all(value >= 0.90 for value in util.values())
     verdict(capsys, "C6 utilization at x4", ok, detail)
 

@@ -8,13 +8,13 @@ from vodsim import sim
 from vodsim.config import SimConfig
 from vodsim.model import CLASSES, build_catalog, cell_index
 from vodsim.agent import agent_tour
-from vodsim.topology import build_world, handle_request
+from vodsim.topology import World, handle_request
 
 C1, C2, C3 = CLASSES
 
 
 def setup(num_videos=32, seed=4):
-    world = build_world(4, num_videos, 8, 100)
+    world = World(4, num_videos, 8, 100)
     catalog = build_catalog(num_videos, 700, 2100, random.Random(seed))
     return world, catalog
 

@@ -21,11 +21,11 @@ from vodsim.allocation import (
     ALLOCATE,
     FIELD_MAX,
     LEDGER_RECORD,
+    PS_CMS,
     RECLAIM,
     InvariantViolation,
     LedgerRow,
     Link,
-    LinkKind,
 )
 from vodsim.metrics import Replay
 from vodsim.model import BW_RANGES, CLASSES
@@ -34,7 +34,7 @@ C1, C2, C3 = CLASSES
 
 
 def fresh_link(capacity=100):
-    return Link(LinkKind.PS_CMS, capacity, "test")
+    return Link(PS_CMS, capacity, "test")
 
 
 def live_rates(link):
@@ -216,7 +216,7 @@ def test_admit_validates_bounds():
     with pytest.raises(ValueError):
         link.admit(0.0, 1, C1, min_rate=12, max_rate=10, weight=0)
     with pytest.raises(ValueError):
-        Link(LinkKind.PS_CMS, 0)
+        Link(PS_CMS, 0)
 
 
 @pytest.mark.parametrize("user_class", [0, 4])
@@ -231,15 +231,15 @@ def test_admit_refuses_a_class_outside_one_to_three(user_class, min_rate, max_ra
 
 
 def test_link_capacity_fits_the_amount_field():
-    assert Link(LinkKind.PS_CMS, FIELD_MAX).capacity == 2**32 - 1
+    assert Link(PS_CMS, FIELD_MAX).capacity == 2**32 - 1
     with pytest.raises(ValueError, match="capacity"):
-        Link(LinkKind.PS_CMS, FIELD_MAX + 1)
+        Link(PS_CMS, FIELD_MAX + 1)
 
 
 def test_ledger_rows_decode_what_was_logged():
     # the widest video id and the last two allocation ids below 2**64
     first_id = 2**64 - 2
-    link = Link(LinkKind.PS_CMS, 30, "trip", id_source=itertools.count(first_id))
+    link = Link(PS_CMS, 30, "trip", id_source=itertools.count(first_id))
     past_tick = math.nextafter(10.0, math.inf)
     first = link.admit(0.0, FIELD_MAX, C2, 6, 20, 3)
     second = link.admit(past_tick, 5, C2, 12, 18, 1)
@@ -268,7 +268,7 @@ def test_ledger_rows_decode_what_was_logged():
 def test_unpackable_admit_leaves_its_victims_uncut():
     # the new record cannot hold a video id of 2**32, and the admit would
     # have reclaimed 2 MB/s from the first stream to make room
-    link = Link(LinkKind.PS_CMS, 30, "wide")
+    link = Link(PS_CMS, 30, "wide")
     first = link.admit(0.0, 1, C1, 6, 20, 0)
     assert link.plan_reclaim(C1, 12) == [(first, 2)]
     with pytest.raises(struct.error):

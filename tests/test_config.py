@@ -8,7 +8,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vodsim.allocation import FIELD_MAX
 from vodsim.config import MAX_TICKS, ConfigError, SimConfig, load_config
 
 
@@ -181,6 +184,62 @@ def test_load_config_round_trips_defaults(tmp_path):
 
     for field in dataclasses.fields(SimConfig):
         assert kinds(getattr(config, field.name)) == kinds(getattr(SimConfig(), field.name))
+
+
+def positive_floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixes(draw):
+    """Three positive shares summing to 1 within validate()'s tolerance."""
+    first = draw(positive_floats(0.01, 0.98))
+    second = draw(positive_floats(0.005, 0.99 - first))
+    return draw(st.sampled_from([(first, second, 1.0 - first - second), (1 / 3, 1 / 3, 1 / 3)]))
+
+
+@st.composite
+def valid_configs(draw):
+    num_videos = 4 * draw(st.integers(1, 400))
+    video_size_min = draw(st.integers(1, 10**6))
+    horizon = draw(positive_floats(1e-3, 1e7))
+    # the rate and periods stay a factor 2 inside MAX_TICKS, so no rounding
+    # in validate()'s quotients can cross it
+    return SimConfig(
+        num_proxies=draw(st.integers(3, 64)),
+        num_videos=num_videos,
+        link_capacity=draw(st.integers(1, FIELD_MAX)),
+        cache_capacity=4 * draw(st.integers(1, num_videos // 4)),
+        video_size_min=video_size_min,
+        video_size_max=draw(st.integers(video_size_min, 2 * 10**6)),
+        total_arrival_rate=draw(positive_floats(1e-6, MAX_TICKS / horizon / 2)),
+        tier_mix=draw(mixes()),
+        class_mix=draw(mixes()),
+        horizon=horizon,
+        agent_period=draw(positive_floats(2 * horizon / MAX_TICKS, 1e9)),
+        sample_period=draw(positive_floats(2 * horizon / MAX_TICKS, 1e9)),
+        seed=draw(st.integers(-2**63, 2**63)),
+        psg_enabled=draw(st.booleans()),
+    ).validate()
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(config=valid_configs())
+@example(config=SimConfig(seed=-7, psg_enabled=False, num_videos=8, cache_capacity=8,
+                          tier_mix=(1 / 3, 1 / 3, 1 / 3), class_mix=(1 / 3, 1 / 3, 1 / 3)))
+@example(config=SimConfig(seed=-2**40, cache_capacity=480, class_mix=(0.1, 0.2, 0.7)))
+def test_load_config_round_trips_every_valid_config(config, tmp_path_factory):
+    config.validate()
+    lines = []
+    for field in dataclasses.fields(SimConfig):
+        value = getattr(config, field.name)
+        text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{field.name} = {text}")
+    path = tmp_path_factory.mktemp("conf") / "run.conf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_config(path)
+    # repr tells an int from a float and a bool from an int, which == does not
+    assert loaded == config and repr(loaded) == repr(config)
 
 
 def test_load_config_bad_number(tmp_path):

@@ -14,10 +14,12 @@ from vodsim.allocation import (
     ALLOCATE,
     LEDGER_RECORD,
     LINK_KINDS,
+    PS_CMS,
+    PS_LPS,
+    PS_RPS,
     RECLAIM,
     RELEASE,
     Link,
-    LinkKind,
 )
 from vodsim.config import SimConfig
 from vodsim.metrics import (
@@ -47,7 +49,7 @@ def pack_rows(rows):
 
 def ledger_link(label, rows, capacity=10):
     """A PS_CMS link whose ledger is the hand-written ``rows``."""
-    link = Link(LinkKind.PS_CMS, capacity, label)
+    link = Link(PS_CMS, capacity, label)
     link.ledger += pack_rows(rows)
     return link
 
@@ -81,8 +83,7 @@ ALLOC_HEADER = "time,streams,avg_alloc,avg_min,avg_max"
 
 
 def test_snapshot_aggregates_by_kind_and_class(tmp_path):
-    links = [Link(LinkKind.PS_LPS, 100, "a"), Link(LinkKind.PS_LPS, 100, "b"),
-             Link(LinkKind.PS_CMS, 100, "c")]
+    links = [Link(PS_LPS, 100, "a"), Link(PS_LPS, 100, "b"), Link(PS_CMS, 100, "c")]
     links[0].admit(0.0, 1, C1, 10, 20, 0)
     links[1].admit(0.0, 2, C1, 10, 30, 0)
     links[2].admit(0.0, 3, C2, 6, 18, 0)
@@ -167,8 +168,7 @@ def random_links(seed, horizon):
     """Links of every kind driven through ``admit``/``release`` at times on a
     grid of 0.5 that runs past ``horizon``, plus one link with no rows."""
     rng = random.Random(seed)
-    kinds = (LinkKind.PS_LPS, LinkKind.PS_CMS, LinkKind.PS_RPS, LinkKind.PS_LPS,
-             LinkKind.PS_CMS)
+    kinds = (PS_LPS, PS_CMS, PS_RPS, PS_LPS, PS_CMS)
     links = [Link(kind, 40, f"fuzz{i}") for i, kind in enumerate(kinds)]
     for link in links:
         live, now = [], 0.0
@@ -181,7 +181,7 @@ def random_links(seed, horizon):
                 if admitted is not None:
                     live.append(admitted)
             now += rng.choice((0.0, 0.5, 1.0))
-    return links + [Link(LinkKind.PS_RPS, 25, "empty")]
+    return links + [Link(PS_RPS, 25, "empty")]
 
 
 @pytest.mark.parametrize("seed", [4, 19])
@@ -214,7 +214,7 @@ def test_replay_integrals_match_segment_integration(steps, past):
     # at arbitrary float times each change times the time left to the
     # horizon rounds otherwise than a segment-by-segment sum of the state
     # the link's own tables held, but the two integrals agree
-    link = Link(LinkKind.PS_RPS, 40, "prop")
+    link = Link(PS_RPS, 40, "prop")
     live, now, states = [], 0.0, []
     for gap, c, low, high, weight, release in steps:
         now += gap
@@ -235,9 +235,9 @@ def test_replay_integrals_match_segment_integration(steps, past):
         dt = min(end, horizon) - min(start, horizon)
         expected = [total + entry * dt for total, entry in zip(expected, state)]
     walked = Replay([link], horizon)
-    assert walked.integral[LinkKind.PS_RPS] == pytest.approx(expected, rel=1e-12)
+    assert walked.integral[PS_RPS] == pytest.approx(expected, rel=1e-12)
     assert walked.utilization() == {
-        LinkKind.PS_RPS: pytest.approx(expected[0] / (40 * horizon), rel=1e-12)}
+        PS_RPS: pytest.approx(expected[0] / (40 * horizon), rel=1e-12)}
     streams = sum(expected[_COUNT + c] for c in CLASSES)
     assert walked.mean_alloc() == pytest.approx(expected[0] / streams if streams else 0.0,
                                                 rel=1e-12)
@@ -256,7 +256,7 @@ def hand_ledger():
 def test_time_avg_utilization_hand_case():
     util = time_avg_utilization([hand_ledger()], horizon=40.0)
     # (4*10 + 2*10 + 0*20) / (10*40)
-    assert util[LinkKind.PS_CMS] == pytest.approx(60 / 400)
+    assert util[PS_CMS] == pytest.approx(60 / 400)
 
 
 def test_ledger_bytes_hand_case():
@@ -268,8 +268,8 @@ def test_mean_alloc_hand_case():
     walked = Replay([hand_ledger()], horizon=40.0)
     means = walked.mean_alloc_by_class()
     # stream lives 20s at rates 4 then 2 -> time-avg 3 per live stream
-    assert means[(LinkKind.PS_CMS, C1)] == pytest.approx(3.0)
-    assert (LinkKind.PS_CMS, C2) not in means
+    assert means[(PS_CMS, C1)] == pytest.approx(3.0)
+    assert (PS_CMS, C2) not in means
     assert walked.mean_alloc_per_class() == {C1: pytest.approx(3.0)}
     assert walked.mean_alloc() == pytest.approx(3.0)
 
@@ -458,7 +458,7 @@ def test_line_endings_are_lf(tmp_path):
 
 def test_walk_handles_random_traffic():
     rng = random.Random(77)
-    link = Link(LinkKind.PS_RPS, 80, "fuzz")
+    link = Link(PS_RPS, 80, "fuzz")
     live = []
     now = 0.0
     for _ in range(200):
@@ -473,7 +473,7 @@ def test_walk_handles_random_traffic():
     for alloc in live:
         link.release(now + 1.0, alloc)
     horizon = now + 2.0
-    util = time_avg_utilization([link], horizon)[LinkKind.PS_RPS]
+    util = time_avg_utilization([link], horizon)[PS_RPS]
     assert 0.0 <= util <= 1.0
     walked = Replay([link], horizon)
     assert sum(i[0] for i in walked.integral.values()) == pytest.approx(util * 80 * horizon)

@@ -17,7 +17,7 @@ from vodsim.model import (
     draw_spec,
     tier_ranges,
 )
-from vodsim.topology import build_world
+from vodsim.topology import World
 
 
 def make_catalog(num_videos=48, seed=7):
@@ -96,7 +96,7 @@ def test_draw_spec_refuses_an_empty_range(width):
 def test_demand_profile_counts():
     # one flat cell per (video, class), all zero at the start; a cell's
     # class is its index mod 3, plus one
-    world = build_world(3, 8, 4, 100)
+    world = World(3, 8, 4, 100)
     assert world.demand == [0] * 24
     assert all(proxy.local_counts == [0] * 24 for proxy in world.proxies)
     cells = [cell_index(vid, user_class) for vid in range(8) for user_class in CLASSES]
@@ -108,7 +108,7 @@ def test_demand_profile_counts():
 
 def test_weights_are_request_counts():
     rng = random.Random(17)
-    world = build_world(3, 12, 4, 100)
+    world = World(3, 12, 4, 100)
     for _ in range(500):
         world.demand[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
     world.dirty.update(range(len(world.demand)))

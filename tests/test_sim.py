@@ -15,8 +15,8 @@ import pytest
 
 from arrival_tap import with_arrivals
 from oracle import admit_cuts
-from vodsim.allocation import (FIELD_MAX, LEDGER_RECORD, LINK_KINDS, InvariantViolation, Link,
-                               LinkKind)
+from vodsim.allocation import (ALLOCATE, FIELD_MAX, LEDGER_RECORD, LINK_KINDS, PS_CMS, PS_LPS,
+                               PS_RPS, InvariantViolation, Link)
 from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import _COUNT, _MAX, _MIN, _RATE, _STATE_LEN, Replay, emit_reports
 from vodsim import allocation, sim
@@ -219,7 +219,7 @@ def test_link_capacity_below_every_class_minimum(tmp_path):
         "CHECK:conservation=PASS", "CHECK:ledger_bounds=PASS",
     ]
     util = [line.split("=") for line in summary if line.startswith("util_avg_")]
-    assert [name for name, _ in util] == [f"util_avg_{kind.value}" for kind in LINK_KINDS]
+    assert [name for name, _ in util] == [f"util_avg_{kind}" for kind in LINK_KINDS]
     assert all(float(value) == 0.0 for _, value in util)
 
 
@@ -229,7 +229,7 @@ def make_stream(capacity=300):
     window."""
     catalog = [VideoMeta(100, (5, 5, 5), (10, 10, 10))] * SMALL.num_videos
     simulation = Simulation(SMALL, catalog)
-    link = Link(LinkKind.PS_CMS, capacity, "t")
+    link = Link(PS_CMS, capacity, "t")
     alloc = link.admit(0.0, 1, C1, 5, 10, weight=0)
     return simulation, link, alloc
 
@@ -355,6 +355,21 @@ def test_every_class_handed_out_is_an_exact_int():
         *per_class,
     ]
     assert {type(c) for c in handed_out} == {int}
+
+
+def test_every_kind_handed_out_is_an_exact_link_kind_string():
+    result = run(SMALL)
+    walked = Replay(result.ledgers, SMALL.horizon)
+    handed_out = [
+        *(link.kind for link in result.ledgers),
+        *(kind for proxy in result.world.proxies for kind in proxy.links),
+        *walked.utilization(),
+        *(kind for kind, _ in walked.mean_alloc_by_class()),
+    ]
+    assert {type(kind) for kind in handed_out} == {str}
+    assert set(handed_out) == set(LINK_KINDS)
+    with pytest.raises(ValueError, match="ps_cm"):
+        Link("ps_cm", 30)
 
 
 def fixed_rate_catalog(num_videos):
@@ -705,7 +720,7 @@ def test_completions_pushed_by_an_arrival_run_before_the_next_arrival(monkeypatc
 def test_no_psg_never_touches_neighbor_links():
     result = baseline_no_psg(SMALL)
     for ledger in result.ledgers:
-        if ledger.kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
+        if ledger.kind in (PS_LPS, PS_RPS):
             assert ledger.rows == ()
 
 
@@ -748,6 +763,16 @@ def test_drain_closes_in_admission_order(monkeypatch):
     assert len({link for link, _ in drained}) > 1
     ids = [alloc_id for _, alloc_id in drained]
     assert ids == sorted(ids)
+
+
+def test_allocation_ids_are_unique_across_the_ring():
+    # the drain orders streams by id, so ids must not repeat across links
+    result = run(SMALL)
+    ids = sorted(alloc_id for link in result.ledgers
+                 for _, op, alloc_id, *_ in LEDGER_RECORD.iter_unpack(link.ledger)
+                 if op == ALLOCATE)
+    assert sum(1 for link in result.ledgers if link.ledger) > 1
+    assert ids == list(range(1, len(ids) + 1))
 
 
 SHORT = dataclasses.replace(SimConfig(), horizon=200.0)  # tours at 100 and 200
@@ -906,7 +931,7 @@ def test_samples_cover_run():
     assert ticks[0] == pytest.approx(10.0)
     assert ticks[-1] == pytest.approx(600.0)
     walked = Replay(result.ledgers, SMALL.horizon, ticks)
-    for kind in LinkKind:
+    for kind in LINK_KINDS:
         assert len(walked.at_ticks[kind]) == 60
 
 

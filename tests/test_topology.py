@@ -8,15 +8,15 @@ from collections import Counter
 import pytest
 
 from oracle import admit_cuts
-from vodsim.allocation import LEDGER_RECORD, RECLAIM, LinkKind
+from vodsim.allocation import LEDGER_RECORD, LINK_KINDS, PS_CMS, PS_LPS, PS_RPS, RECLAIM
 from vodsim.model import CLASSES, VideoMeta, build_catalog, cell_index, tier_ranges
-from vodsim.topology import RouteSource, build_world, handle_request, seed_initial_placement
+from vodsim.topology import RouteSource, World, handle_request, seed_initial_placement
 
 C1, C2, C3 = CLASSES
 
 
 def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
-    return build_world(num_proxies, num_videos, cache, capacity)
+    return World(num_proxies, num_videos, cache, capacity)
 
 
 def small_catalog(num_videos=48, seed=3):
@@ -37,9 +37,9 @@ def caches(world):
 
 
 SOURCE_LINK = {
-    RouteSource.LPS: LinkKind.PS_LPS,
-    RouteSource.RPS: LinkKind.PS_RPS,
-    RouteSource.CMS: LinkKind.PS_CMS,
+    RouteSource.LPS: PS_LPS,
+    RouteSource.RPS: PS_RPS,
+    RouteSource.CMS: PS_CMS,
 }
 
 
@@ -84,8 +84,8 @@ def test_route_remote_table(holders, free):
     world = small_world()
     hold_at_neighbors(world, holders)
     proxy = world.proxies[0]
-    loaded = {"lps_freer": [LinkKind.PS_RPS], "equal": [LinkKind.PS_LPS, LinkKind.PS_RPS],
-              "rps_freer": [LinkKind.PS_LPS]}[free]
+    loaded = {"lps_freer": [PS_RPS], "equal": [PS_LPS, PS_RPS],
+              "rps_freer": [PS_LPS]}[free]
     for kind in loaded:
         assert proxy.links[kind].admit(0.0, 9, C1, 8, 8, 0)
     expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
@@ -102,7 +102,7 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
     world = small_world(capacity=40)
     hold_at_neighbors(world, holders)
     proxy = world.proxies[0]
-    lps, rps = proxy.links[LinkKind.PS_LPS], proxy.links[LinkKind.PS_RPS]
+    lps, rps = proxy.links[PS_LPS], proxy.links[PS_RPS]
     chosen, other = (rps, lps) if holders == "rps_only" else (lps, rps)
     # the chosen link keeps 4 MB/s free and holds no class-2 excess
     for vid in range(4):
@@ -113,11 +113,11 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
         # class-2 excess to reclaim from
         assert other.admit(0.0, 31, C2, 6, 40, 0)
     assert other.plan_reclaim(C2, 6) is not None  # other could admit
-    rows = {kind: len(proxy.links[kind].rows) for kind in LinkKind}
+    rows = {kind: len(proxy.links[kind].rows) for kind in LINK_KINDS}
     decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.CMS
-    assert decision.link is proxy.links[LinkKind.PS_CMS]
-    for kind in (LinkKind.PS_LPS, LinkKind.PS_RPS):
+    assert decision.link is proxy.links[PS_CMS]
+    for kind in (PS_LPS, PS_RPS):
         assert len(proxy.links[kind].rows) == rows[kind]
 
 
@@ -126,10 +126,10 @@ def test_route_prefers_freer_neighbor():
     world.proxies[5].cache[7] = None
     world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
-    proxy.links[LinkKind.PS_RPS].admit(0.0, 9, C1, 8, 30, 0)
+    proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 30, 0)
     decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.LPS
-    assert decision.link is proxy.links[LinkKind.PS_LPS]
+    assert decision.link is proxy.links[PS_LPS]
     assert decision.link.rate(decision.allocation) == 18
 
 
@@ -145,7 +145,7 @@ def test_route_single_holder_used_even_if_busier():
     world = small_world()
     world.proxies[1].cache[7] = None
     proxy = world.proxies[0]
-    proxy.links[LinkKind.PS_RPS].admit(0.0, 9, C1, 8, 29, 0)
+    proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 29, 0)
     decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.RPS
 
@@ -158,22 +158,22 @@ def test_route_falls_back_to_central_not_other_neighbor():
     proxy = world.proxies[0]
     # saturate the right link with class-1 minimums: nothing reclaimable
     for vid in range(5):
-        assert proxy.links[LinkKind.PS_RPS].admit(0.0, 20 + vid, C2, 8, 8, 0)
-    proxy.links[LinkKind.PS_LPS].admit(0.0, 30, C3, 4, 12, 0)
+        assert proxy.links[PS_RPS].admit(0.0, 20 + vid, C2, 8, 8, 0)
+    proxy.links[PS_LPS].admit(0.0, 30, C3, 4, 12, 0)
     # right link freer? no: left has 28 free, right 0 -> left picked, admits
     decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.LPS
     # now fill left too and ask for a class with nothing to reclaim there;
     # video 7 is cached here now, so ask for video 8, held where 7 is
-    left = proxy.links[LinkKind.PS_LPS]
-    while left.capacity - left.used >= 4:
+    left = proxy.links[PS_LPS]
+    for _ in range(left.capacity // 4 + 1):  # bounded even if admit miscounts
         free = left.capacity - left.used
-        rate = min(4, free)
-        if left.admit(1.0, 40 + free, C3, rate, rate, 0) is None:
+        if free < 4 or left.admit(1.0, 40 + free, C3, 4, 4, 0) is None:
             break
+    assert left.capacity - left.used < 4
     decision = route(world, 2.0, 0, 8, C1)
     assert decision.source is RouteSource.CMS
-    assert decision.link is proxy.links[LinkKind.PS_CMS]
+    assert decision.link is proxy.links[PS_CMS]
 
 
 def test_route_without_sharing_goes_central():
@@ -186,18 +186,20 @@ def test_route_without_sharing_goes_central():
     # with the central link full a miss of video 8 (video 7 is cached here
     # now) is rejected, not served by a neighbor
     proxy = world.proxies[0]
-    cms = proxy.links[LinkKind.PS_CMS]
-    while cms.admit(1.0, 9, C2, 6, 6, 0):
-        pass
+    cms = proxy.links[PS_CMS]
+    for _ in range(cms.capacity // 6 + 1):  # bounded even if admit miscounts
+        if cms.admit(1.0, 9, C2, 6, 6, 0) is None:
+            break
+    assert cms.capacity - cms.used < 6
     decision = route(world, 2.0, 0, 8, C2, psg_enabled=False)
     assert decision.source is RouteSource.REJECTED
-    assert proxy.links[LinkKind.PS_LPS].rows == proxy.links[LinkKind.PS_RPS].rows == ()
+    assert proxy.links[PS_LPS].rows == proxy.links[PS_RPS].rows == ()
 
 
 def test_route_rejects_when_central_full():
     world = small_world(capacity=8)
     proxy = world.proxies[0]
-    assert proxy.links[LinkKind.PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
+    assert proxy.links[PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
     decision = route(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.REJECTED
     assert decision.allocation is None
@@ -250,7 +252,7 @@ def test_handle_request_rejection_does_not_cache():
     world = small_world(capacity=8)
     catalog = small_catalog()
     proxy = world.proxies[0]
-    proxy.links[LinkKind.PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
+    proxy.links[PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
     decision = handle_request(world, 1.0, 0, 7, C1, catalog)
     assert decision.source is RouteSource.REJECTED
     assert 7 not in proxy.cache
