@@ -52,12 +52,12 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import inf, log
 
-from .agent import agent_tour
 from .allocation import FIELD_MAX, PS_LPS, PS_RPS, Allocation, Link
 from .config import ConfigError, SimConfig
 from .metrics import Counters, MetricsBundle
 from .model import CLASSES, VideoMeta, build_catalog, cell_index, draw_spec, tier_ranges
-from .topology import LOCAL, REJECTED, World, handle_request, seed_initial_placement
+from .topology import (LOCAL, REJECTED, World, agent_tour, handle_request,
+                       seed_initial_placement)
 
 
 def draw_arrivals(
@@ -258,7 +258,7 @@ class Simulation:
         self.world.proxies[proxy_id].stream_closed(alloc.video_id)
 
     def _on_tour(self, event: tuple) -> None:
-        agent_tour(self.now, self.world)
+        agent_tour(self.world)
         self._push(self.now + self.config.agent_period, Simulation._on_tour)
 
     def _on_sample(self, event: tuple) -> None:

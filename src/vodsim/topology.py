@@ -10,14 +10,23 @@ bandwidth (ties go right).  If that link rejects, or no neighbor holds the
 video, the central server is the only other source.
 
 Caches are LRU, kept in recency order, and a video with a live inbound
-stream is never evicted.  A cached video is always a local hit, so a
-proxy holds at most one live stream per video: ``insert`` caches a video
-and marks it live in one step, and ``live_videos`` is a subset of the
-cache.  At capacity ``insert`` evicts the least recently used idle entry;
-when every cached video is live the cache grows past capacity instead.
-An over-capacity cache therefore has no idle entry but the one a closing
-stream leaves, and ``stream_closed`` evicts that video whenever the cache
-is over capacity.
+stream is never evicted.  A cache maps each video to its live flag: true
+while its inbound stream is open, false when idle.  A cached video is
+always a local hit, so a proxy holds at most one live stream per video:
+``insert`` caches a video and marks it live in one step.  At capacity
+``insert`` evicts the least recently used idle entry; when every cached
+video is live the cache grows past capacity instead.  ``stream_closed``
+evicts a video whose stream closes while the cache is over capacity, so
+an over-capacity cache holds only live entries, and only ``insert`` into
+a cache exactly at capacity scans for an idle one.
+
+The roving profile agent turns merged demand into the global video
+weights.  Every request is counted in the world's one demand table as
+well as at its proxy, and its cell is marked dirty.  A tour is
+instantaneous: it copies only the dirty cells into the one weight table
+every proxy holds, where it orders reclaim victims; no other count
+changed since its cell was last written, so after a tour every cell
+equals its request count.  The popularity tiers are fixed id ranges.
 """
 
 from __future__ import annotations
@@ -66,8 +75,7 @@ class ProxyServer:
                  num_videos: int, id_source):
         self.proxy_id = proxy_id
         self.cache_capacity = cache_capacity
-        self.cache: dict[int, None] = {}  # least recently used first
-        self.live_videos: set[int] = set()
+        self.cache: dict[int, bool] = {}  # live flags, least recently used first
         self.local_counts = [0] * (3 * num_videos)  # by cell_index
         label = f"p{proxy_id}"
         self.links: dict[str, Link] = {
@@ -77,40 +85,30 @@ class ProxyServer:
 
     def stream_closed(self, video_id: int) -> None:
         """End the live stream of a video; over capacity, evict the video."""
-        if video_id not in self.live_videos:
+        if not self.cache.get(video_id):
             raise ValueError(f"proxy {self.proxy_id}: no live stream for video {video_id}")
-        self.live_videos.remove(video_id)
         if len(self.cache) > self.cache_capacity:
             del self.cache[video_id]  # the only idle entry
-
-    def _idle_lru(self) -> int | None:
-        """Least recently used cached video with no live inbound stream.
-
-        This is the idle entry with the smallest (last use, id): placed
-        entries all share time 0 and are stored in ascending id order, and
-        every later use happens at a strictly later arrival time.
-        """
-        if len(self.cache) == len(self.live_videos):
-            return None  # every cached video is live
-        for video_id in self.cache:
-            if video_id not in self.live_videos:
-                return video_id
-        return None
+        else:
+            self.cache[video_id] = False
 
     def insert(self, video_id: int) -> None:
         """Cache an uncached video and mark it live: its stream is opening.
 
-        At capacity the least recently used idle entry is evicted; when
-        every cached video is live the cache grows past capacity instead.
+        At capacity the least recently used idle entry goes: the one with
+        the smallest (last use, id), as placed entries share time 0 in
+        ascending id order and every later use is at a later arrival.
+        When every cached video is live the cache grows past capacity.
         """
-        if video_id in self.cache:
+        cache = self.cache
+        if video_id in cache:
             raise ValueError(f"proxy {self.proxy_id}: video {video_id} is already cached")
-        if len(self.cache) >= self.cache_capacity:
-            victim = self._idle_lru()
-            if victim is not None:
-                del self.cache[victim]
-        self.cache[video_id] = None
-        self.live_videos.add(video_id)
+        if len(cache) == self.cache_capacity:
+            for victim, live in cache.items():
+                if not live:
+                    del cache[victim]
+                    break
+        cache[video_id] = True
 
 
 class World:
@@ -134,6 +132,14 @@ class World:
 
     def all_links(self) -> list[Link]:
         return [link for proxy in self.proxies for link in proxy.links.values()]
+
+
+def agent_tour(world: World) -> None:
+    """Run one full tour: copy the counts of the cells requested since the last one."""
+    counts, weights = world.demand, world.weights
+    for cell in world.dirty:
+        weights[cell] = counts[cell]
+    world.dirty.clear()
 
 
 def handle_request(
@@ -170,8 +176,7 @@ def handle_request(
     world.dirty.add(cell)
     cache = proxy.cache
     if video_id in cache:
-        del cache[video_id]  # move to the most recently used end
-        cache[video_id] = None
+        cache[video_id] = cache.pop(video_id)  # to the most recently used end
         return LOCAL_HIT
     weight = world.weights[cell]
     if local_counts[cell] > weight:
@@ -227,4 +232,4 @@ def seed_initial_placement(world: World, rng: random.Random) -> None:
             start = k * per_proxy % size
             videos.extend(ring[start:start + per_proxy])
     for proxy, videos in zip(world.proxies, dealt):
-        proxy.cache = dict.fromkeys(sorted(videos))
+        proxy.cache = dict.fromkeys(sorted(videos), False)

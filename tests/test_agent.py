@@ -7,8 +7,7 @@ import random
 from vodsim import sim
 from vodsim.config import SimConfig
 from vodsim.model import CLASSES, build_catalog, cell_index
-from vodsim.agent import agent_tour
-from vodsim.topology import World, handle_request
+from vodsim.topology import World, agent_tour, handle_request
 
 C1, C2, C3 = CLASSES
 
@@ -30,7 +29,7 @@ def test_tour_weights_sum_demand_over_proxies():
     request(world, catalog, 1, 3, C1)
     request(world, catalog, 2, 3, C2)
     request(world, catalog, 3, 9, C3)
-    agent_tour(10.0, world)
+    agent_tour(world)
     assert sum(world.demand) == 4
     assert world.weights[cell_index(3, C1)] == 2
     assert world.weights[cell_index(3, C2)] == 1
@@ -42,7 +41,7 @@ def test_tour_weights_sum_demand_over_proxies():
 def test_tour_pushes_weights_everywhere():
     world, catalog = setup()
     request(world, catalog, 1, 7, C1, times=5)
-    agent_tour(10.0, world)
+    agent_tour(world)
     assert world.weights[cell_index(7, C1)] == 5
     # the table the tour wrote is the one every proxy's admission reads
     for proxy_id in (0, 2, 3):
@@ -55,18 +54,18 @@ def test_tour_leaves_catalog_untouched():
     videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     hot = 30  # in the least-popular id range
     request(world, catalog, 0, hot, C2, times=50)
-    agent_tour(10.0, world)
+    agent_tour(world)
     assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
 
 
 def test_tour_does_not_reset_counters():
     world, catalog = setup()
     request(world, catalog, 0, 1, C1)
-    agent_tour(10.0, world)
+    agent_tour(world)
     assert world.proxies[0].local_counts[cell_index(1, C1)] == 1
     assert world.demand[cell_index(1, C1)] == 1
     request(world, catalog, 0, 1, C1)
-    agent_tour(20.0, world)
+    agent_tour(world)
     assert sum(world.demand) == 2
     assert world.weights[cell_index(1, C1)] == 2
 
@@ -76,9 +75,9 @@ def test_second_tour_without_new_demand_changes_nothing():
     rng = random.Random(6)
     for _ in range(400):
         request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
-    agent_tour(10.0, world)
+    agent_tour(world)
     demand, weights = world.demand[:], world.weights[:]
-    agent_tour(20.0, world)
+    agent_tour(world)
     assert sum(demand) == 400
     assert world.demand == demand
     assert world.weights == weights
@@ -92,11 +91,11 @@ def test_incremental_tours_equal_full_rebuild(monkeypatch):
     previous = [0] * (3 * config.num_videos)
     changed_per_tour = []
 
-    def checked_tour(time, world):
+    def checked_tour(world):
         counts = world.demand
         changed = {cell for cell, count in enumerate(counts) if count != previous[cell]}
         assert world.dirty == changed
-        real_tour(time, world)
+        real_tour(world)
         assert not world.dirty
         for vid in range(config.num_videos):
             for user_class in CLASSES:

@@ -223,7 +223,8 @@ def valid_configs(draw):
     ).validate()
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          report_multiple_bugs=False)
 @given(config=valid_configs())
 @example(config=SimConfig(seed=-7, psg_enabled=False, num_videos=8, cache_capacity=8,
                           tier_mix=(1 / 3, 1 / 3, 1 / 3), class_mix=(1 / 3, 1 / 3, 1 / 3)))

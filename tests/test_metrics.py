@@ -205,7 +205,8 @@ def test_replay_equals_brute_force(seed, ticks):
     assert walked.at_ticks == at_ticks
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          report_multiple_bugs=False)
 @given(steps=st.lists(st.tuples(st.floats(0.5, 5.0), st.sampled_from(CLASSES), st.integers(4, 8),
                                 st.integers(10, 20), st.integers(0, 5), st.booleans()),
                       min_size=1, max_size=25),

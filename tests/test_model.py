@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from vodsim.agent import agent_tour
 from vodsim.config import ConfigError, SimConfig
 from vodsim.model import (
     BW_RANGES,
@@ -17,7 +16,7 @@ from vodsim.model import (
     draw_spec,
     tier_ranges,
 )
-from vodsim.topology import World
+from vodsim.topology import World, agent_tour
 
 
 def make_catalog(num_videos=48, seed=7):
@@ -112,7 +111,7 @@ def test_weights_are_request_counts():
     for _ in range(500):
         world.demand[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
     world.dirty.update(range(len(world.demand)))
-    agent_tour(1.0, world)
+    agent_tour(world)
     for vid in range(12):
         for user_class in CLASSES:
             cell = cell_index(vid, user_class)

@@ -12,6 +12,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vodsim.allocation import LEDGER_RECORD
 from vodsim.config import SimConfig
@@ -40,42 +42,93 @@ def records(result):
     return [list(LEDGER_RECORD.iter_unpack(link.ledger)) for link in result.ledgers]
 
 
-def counters_with_bytes_scaled(result):
-    """The run's counters as a dict, with both byte totals times ``K``."""
+def counters_with_bytes_scaled(result, k=K):
+    """The run's counters as a dict, with both byte totals times ``k``."""
     counters = result.counters
-    return {**dataclasses.asdict(counters), "bytes_completed": K * counters.bytes_completed,
-            "bytes_drained": K * counters.bytes_drained}
+    return {**dataclasses.asdict(counters), "bytes_completed": k * counters.bytes_completed,
+            "bytes_drained": k * counters.bytes_drained}
 
 
 def utilization(result):
     return Replay(result.ledgers, result.config.horizon).utilization()
 
 
-def test_scaling_rates_sizes_and_capacity_scales_only_the_rates(base):
-    catalog = [VideoMeta(K * video.size_mb, tuple(K * rate for rate in video.min_bw),
-                         tuple(K * rate for rate in video.max_bw)) for video in CATALOG]
-    config = dataclasses.replace(base.config, link_capacity=K * base.config.link_capacity)
-    scaled = run(config, catalog)
-    assert base.counters.requested > base.counters.local_hits > 0
+def check_rate_relation(base, catalog, k=K):
+    """Rates, sizes and link capacity times ``k``: only the rates scale."""
+    scaled_catalog = [VideoMeta(k * video.size_mb, tuple(k * rate for rate in video.min_bw),
+                                tuple(k * rate for rate in video.max_bw)) for video in catalog]
+    config = dataclasses.replace(base.config, link_capacity=k * base.config.link_capacity)
+    scaled = run(config, scaled_catalog)
     assert records(scaled) == [
-        [(time, op, alloc_id, video_id, user_class, K * amount, K * low, K * high)
+        [(time, op, alloc_id, video_id, user_class, k * amount, k * low, k * high)
          for time, op, alloc_id, video_id, user_class, amount, low, high in ledger]
         for ledger in records(base)
     ]
-    assert dataclasses.asdict(scaled.counters) == counters_with_bytes_scaled(base)
+    assert dataclasses.asdict(scaled.counters) == counters_with_bytes_scaled(base, k)
     assert utilization(scaled) == utilization(base)
+
+
+def check_time_relation(base, catalog, k=K):
+    """Times and sizes times ``k``, the arrival rate over ``k``: only the times scale."""
+    scaled_catalog = [dataclasses.replace(video, size_mb=k * video.size_mb) for video in catalog]
+    config = dataclasses.replace(
+        base.config, horizon=k * base.config.horizon, agent_period=k * base.config.agent_period,
+        sample_period=k * base.config.sample_period,
+        total_arrival_rate=base.config.total_arrival_rate / k,
+    )
+    scaled = run(config, scaled_catalog)
+    assert records(scaled) == [[(k * time, *fields) for time, *fields in ledger]
+                               for ledger in records(base)]
+    assert scaled.metrics.ticks == [k * tick for tick in base.metrics.ticks]
+    assert dataclasses.asdict(scaled.counters) == counters_with_bytes_scaled(base, k)
+    assert utilization(scaled) == utilization(base)
+
+
+def test_scaling_rates_sizes_and_capacity_scales_only_the_rates(base):
+    assert base.counters.requested > base.counters.local_hits > 0
+    check_rate_relation(base, CATALOG)
 
 
 def test_scaling_times_and_sizes_scales_only_the_times(base):
-    catalog = [dataclasses.replace(video, size_mb=K * video.size_mb) for video in CATALOG]
-    config = dataclasses.replace(
-        base.config, horizon=K * base.config.horizon, agent_period=K * base.config.agent_period,
-        sample_period=K * base.config.sample_period,
-        total_arrival_rate=base.config.total_arrival_rate / K,
-    )
-    scaled = run(config, catalog)
-    assert records(scaled) == [[(K * time, *fields) for time, *fields in ledger]
-                               for ledger in records(base)]
-    assert scaled.metrics.ticks == [K * tick for tick in base.metrics.ticks]
-    assert dataclasses.asdict(scaled.counters) == counters_with_bytes_scaled(base)
-    assert utilization(scaled) == utilization(base)
+    check_time_relation(base, CATALOG)
+
+
+def floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tiny_runs(draw):
+    """A tiny valid config, its catalog and a factor ``k``.  Caches of 4 or
+    8 entries and long streams push caches past capacity."""
+    num_videos = 4 * draw(st.integers(3, 8))
+    size_min = draw(st.integers(1, 1500))
+    config = SimConfig(
+        num_proxies=draw(st.integers(3, 5)),
+        num_videos=num_videos,
+        link_capacity=draw(st.integers(1, 150)),
+        cache_capacity=4 * draw(st.integers(1, 2)),
+        video_size_min=size_min,
+        video_size_max=draw(st.integers(size_min, 3000)),
+        total_arrival_rate=draw(floats(0.2, 4.0)),
+        tier_mix=draw(st.sampled_from([(0.5, 0.35, 0.15), (0.1, 0.3, 0.6)])),
+        class_mix=draw(st.sampled_from([(0.2, 0.3, 0.5), (0.6, 0.3, 0.1)])),
+        horizon=draw(floats(20.0, 250.0)),
+        agent_period=draw(floats(0.5, 150.0)),
+        sample_period=draw(floats(0.5, 150.0)),
+        seed=draw(st.integers(0, 2**64)),
+        psg_enabled=draw(st.booleans()),
+    ).validate()
+    catalog = build_catalog(num_videos, config.video_size_min, config.video_size_max,
+                            random.Random(config.seed))
+    return config, catalog, draw(st.sampled_from((2, 4, 8)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          report_multiple_bugs=False)
+@given(tiny=tiny_runs())
+def test_scaling_relations_hold_on_tiny_runs(tiny):
+    config, catalog, k = tiny
+    base = run(config, catalog)
+    check_rate_relation(base, catalog, k)
+    check_time_relation(base, catalog, k)

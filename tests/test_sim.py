@@ -179,7 +179,7 @@ def test_stopped_simulation_is_freed_without_the_cycle_collector(monkeypatch):
     class Stop(Exception):
         pass
 
-    def stop(now, world):
+    def stop(world):
         raise Stop
 
     monkeypatch.setattr(sim, "agent_tour", stop)
@@ -428,7 +428,7 @@ def test_short_run_identities():
         assert link.used == 0
         assert not link.minimums and not any(link.class_excess)
     for proxy in result.world.proxies:
-        assert not proxy.live_videos
+        assert not any(proxy.cache.values())
         assert len(proxy.cache) <= proxy.cache_capacity
 
 
@@ -784,9 +784,9 @@ def tamper_after_first_tour(monkeypatch, tamper):
     real_tour = sim.agent_tour
     tours = 0
 
-    def tampering_tour(time, world):
+    def tampering_tour(world):
         nonlocal tours
-        real_tour(time, world)
+        real_tour(world)
         tours += 1
         if tours == 1:
             tamper(world.all_links())
@@ -911,13 +911,14 @@ def test_a_sample_recounts_exactly_the_links_whose_ledger_grew(monkeypatch):
 def test_tours_run_on_schedule(monkeypatch):
     tours = []  # (time, requests counted so far) per tour
     real_tour = sim.agent_tour
+    simulation = Simulation(SMALL)
 
-    def recording_tour(time, world):
-        tours.append((time, sum(world.demand)))
-        real_tour(time, world)
+    def recording_tour(world):
+        tours.append((simulation.now, sum(world.demand)))
+        real_tour(world)
 
     monkeypatch.setattr(sim, "agent_tour", recording_tour)
-    result = run(SMALL)
+    result = simulation.run()
     assert [time for time, _ in tours] == [pytest.approx(100.0 * k) for k in range(1, 7)]
     totals = [total for _, total in tours]
     assert totals == sorted(totals)
@@ -1009,7 +1010,7 @@ def test_cache_runs_over_capacity_only_when_every_entry_is_live(config, monkeypa
 
     def check(proxy):
         assert (len(proxy.cache) <= proxy.cache_capacity
-                or proxy.live_videos == set(proxy.cache)), proxy.proxy_id
+                or all(proxy.cache.values())), proxy.proxy_id
 
     def insert(proxy, video_id):
         real_insert(proxy, video_id)

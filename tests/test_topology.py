@@ -36,6 +36,11 @@ def caches(world):
     return [list(proxy.cache) for proxy in world.proxies]
 
 
+def live_set(proxy):
+    """The cached videos whose inbound stream is open, read from their flags."""
+    return {vid for vid, flag in proxy.cache.items() if flag}
+
+
 SOURCE_LINK = {
     RouteSource.LPS: PS_LPS,
     RouteSource.RPS: PS_RPS,
@@ -53,7 +58,7 @@ def test_ring_neighbors_wrap():
             cases += [(2, 0, RouteSource.CMS), (0, 2, RouteSource.CMS)]
         for holder, requester, source in cases:
             world = small_world(num_proxies=num_proxies)
-            world.proxies[holder].cache[7] = None
+            world.proxies[holder].cache[7] = False
             decision = route(world, 0.0, requester, 7, C2)
             assert decision.source is source, (num_proxies, holder, requester)
             assert decision.link is world.proxies[requester].links[SOURCE_LINK[source]]
@@ -62,9 +67,9 @@ def test_ring_neighbors_wrap():
 def hold_at_neighbors(world, holders):
     """Cache video 7 at proxy 0's left (the last proxy) and/or right neighbor."""
     if holders in ("both", "lps_only"):
-        world.proxies[-1].cache[7] = None
+        world.proxies[-1].cache[7] = False
     if holders in ("both", "rps_only"):
-        world.proxies[1].cache[7] = None
+        world.proxies[1].cache[7] = False
 
 
 # Source by which neighbors of proxy 0 hold the video, for the left link's
@@ -123,8 +128,8 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
 
 def test_route_prefers_freer_neighbor():
     world = small_world()
-    world.proxies[5].cache[7] = None
-    world.proxies[1].cache[7] = None
+    world.proxies[5].cache[7] = False
+    world.proxies[1].cache[7] = False
     proxy = world.proxies[0]
     proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 30, 0)
     decision = route(world, 1.0, 0, 7, C2)
@@ -135,15 +140,15 @@ def test_route_prefers_freer_neighbor():
 
 def test_route_tie_goes_right():
     world = small_world()
-    world.proxies[5].cache[7] = None
-    world.proxies[1].cache[7] = None
+    world.proxies[5].cache[7] = False
+    world.proxies[1].cache[7] = False
     decision = route(world, 0.0, 0, 7, C2)
     assert decision.source is RouteSource.RPS
 
 
 def test_route_single_holder_used_even_if_busier():
     world = small_world()
-    world.proxies[1].cache[7] = None
+    world.proxies[1].cache[7] = False
     proxy = world.proxies[0]
     proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 29, 0)
     decision = route(world, 1.0, 0, 7, C2)
@@ -153,8 +158,8 @@ def test_route_single_holder_used_even_if_busier():
 def test_route_falls_back_to_central_not_other_neighbor():
     world = small_world(capacity=40)
     for vid in (7, 8):
-        world.proxies[5].cache[vid] = None
-        world.proxies[1].cache[vid] = None
+        world.proxies[5].cache[vid] = False
+        world.proxies[1].cache[vid] = False
     proxy = world.proxies[0]
     # saturate the right link with class-1 minimums: nothing reclaimable
     for vid in range(5):
@@ -179,8 +184,8 @@ def test_route_falls_back_to_central_not_other_neighbor():
 def test_route_without_sharing_goes_central():
     world = small_world()
     for vid in (7, 8):
-        world.proxies[5].cache[vid] = None
-        world.proxies[1].cache[vid] = None
+        world.proxies[5].cache[vid] = False
+        world.proxies[1].cache[vid] = False
     decision = route(world, 0.0, 0, 7, C1, psg_enabled=False)
     assert decision.source is RouteSource.CMS
     # with the central link full a miss of video 8 (video 7 is cached here
@@ -245,7 +250,7 @@ def test_handle_request_caches_on_success():
     decision = handle_request(world, 3.0, 0, 7, C2, catalog)
     assert decision.source is RouteSource.CMS
     assert 7 in proxy.cache
-    assert proxy.live_videos == {7}
+    assert live_set(proxy) == {7}
 
 
 def test_handle_request_rejection_does_not_cache():
@@ -296,7 +301,7 @@ def test_lru_evicts_idle_least_recent():
     assert sorted(proxy.cache) == [2, 3, 4, 9]
 
 
-def test_lru_skips_live_videos():
+def test_lru_skips_live_entries():
     world = small_world(cache=4)
     proxy = world.proxies[0]
     for vid in (1, 2, 3, 4):
@@ -329,13 +334,13 @@ def test_insert_of_cached_video_raises():
     # a cached video is a local hit, so its stream never opens a second time
     world = small_world(cache=4)
     proxy = world.proxies[0]
-    proxy.cache[2] = None  # placed, idle
+    proxy.cache[2] = False  # placed, idle
     proxy.insert(1)
     for vid in (1, 2):
         with pytest.raises(ValueError, match="already cached"):
             proxy.insert(vid)
     assert list(proxy.cache) == [2, 1]
-    assert proxy.live_videos == {1}
+    assert live_set(proxy) == {1}
 
 
 def test_closing_idle_video_raises():
@@ -346,7 +351,22 @@ def test_closing_idle_video_raises():
     with pytest.raises(ValueError, match="no live stream"):
         proxy.stream_closed(1)
     assert list(proxy.cache) == [1]
-    assert proxy.live_videos == set()
+    assert live_set(proxy) == set()
+
+
+def test_local_hit_on_live_video_keeps_it_live():
+    # a hit moves the video to the most recently used end with its flag, so
+    # a hit on a live video leaves it live: never evicted, and closable
+    world = small_world(cache=2)
+    proxy = world.proxies[0]
+    for vid in (1, 2):
+        assert route(world, 1.0 * vid, 0, vid, C2).source is RouteSource.CMS
+    assert route(world, 3.0, 0, 1, C2).source is RouteSource.LOCAL
+    assert list(proxy.cache) == [2, 1]
+    proxy.insert(3)  # every entry is live: the cache grows past capacity
+    assert list(proxy.cache) == [2, 1, 3]
+    proxy.stream_closed(1)  # over capacity: the closing video goes
+    assert proxy.cache == {2: True, 3: True}
 
 
 def drive_lru_against_reference(cache, steps, request_share, seed=17):
@@ -386,8 +406,7 @@ def drive_lru_against_reference(cache, steps, request_share, seed=17):
         if rng.random() < request_share or not live:
             vid = rng.randrange(96)
             if vid in proxy.cache:
-                del proxy.cache[vid]
-                proxy.cache[vid] = None
+                proxy.cache[vid] = proxy.cache.pop(vid)
             else:
                 proxy.insert(vid)
                 if len(last_use) >= proxy.cache_capacity:
@@ -406,7 +425,7 @@ def drive_lru_against_reference(cache, steps, request_share, seed=17):
         victims = before - set(proxy.cache)
         assert victims == before - set(last_use), f"step {step}"
         assert set(proxy.cache) == set(last_use)
-        assert proxy.live_videos == live
+        assert live_set(proxy) == live
         evictions += len(victims)
     return evictions, ties, crowded_closes
 
@@ -496,11 +515,11 @@ def place_with_skip_loop(world, rng):
                     if skipped > len(pool):
                         raise ValueError(f"proxy {proxy.proxy_id} cannot fit its tier quota")
                     continue
-                proxy.cache[video_id] = None
+                proxy.cache[video_id] = False
                 placed += 1
                 skipped = 0
     for proxy in world.proxies:
-        proxy.cache = dict.fromkeys(sorted(proxy.cache))
+        proxy.cache = dict.fromkeys(sorted(proxy.cache), False)
 
 
 def test_placement_slices_equal_skip_loop():
