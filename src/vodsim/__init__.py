@@ -6,7 +6,7 @@ from .allocation import Allocation, Link
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Counters, MetricsBundle, emit_reports, time_avg_utilization
 from .model import VideoMeta
-from .sim import SimResult, Simulation, baseline_no_psg, draw_arrivals, run
+from .sim import Simulation, baseline_no_psg, draw_arrivals, run
 from .topology import ProxyServer, RouteDecision, RouteSource, World
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "RouteDecision",
     "RouteSource",
     "SimConfig",
-    "SimResult",
     "Simulation",
     "VideoMeta",
     "World",

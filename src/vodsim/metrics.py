@@ -89,18 +89,18 @@ class Replay:
     record times clipped at ``horizon``; the package reads ledgers nowhere
     else.
 
-    A ledger whose length is not a whole number of records, an unknown op
-    or class, a reclaim or release of an allocation that is not live, a
-    release of anything but the replayed rate, or usage outside
-    0..capacity raises ValueError.  Afterwards ``integral[kind]`` holds the
-    used, count and rate entries of the summed state vector of that kind's
-    links, integrated from 0 to the horizon: each record adds its change
-    times the time left to the horizon, so the used entry summed over
-    kinds is the MB carried.  ``live`` holds each ledger's per-allocation
-    rates after its last record.  The state at tick T is every record
-    stamped before T, and ``at_ticks[kind][i]`` is the summed state vector
-    of that kind's links at ``ticks[i]``; ticks ascend to at most
-    ``horizon``.
+    A ledger whose length is not a whole number of records, an unknown op or
+    class, an allocate of an allocation that is already live, a reclaim or
+    release of one that is not, a release of anything but the replayed rate,
+    or usage outside 0..capacity raises ValueError.  Afterwards
+    ``integral[kind]`` holds the used, count and rate entries of the summed
+    state vector of that kind's links, integrated from 0 to the horizon:
+    each record adds its change times the time left to the horizon, so the
+    used entry summed over kinds is the MB carried.  ``live`` holds each
+    ledger's per-allocation rates after its last record.  The state at tick T
+    is every record stamped before T, and ``at_ticks[kind][i]`` is the
+    summed state vector of that kind's links at ``ticks[i]``; ticks ascend
+    to at most ``horizon``.
 
     The walk costs records plus ticks, not links times ticks: each record
     adds its change to its kind's step vector of the first tick after it
@@ -142,7 +142,7 @@ class Replay:
                     live[alloc_id] -= amount
                     amount = -amount
                 else:
-                    if op == ALLOCATE:
+                    if op == ALLOCATE and alloc_id not in live:
                         live[alloc_id], sign = amount, 1
                     elif op == RELEASE and live.pop(alloc_id, None) == amount:
                         sign = -1
@@ -234,9 +234,10 @@ _COUNTER_ROWS = (
 def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     """Write the standard report set for a finished run.
 
-    ``result`` is a finished run (its counters, sample ticks, ledgers and
-    config are read); ``baseline`` optionally supplies a sharing-disabled
-    run of ``result.config`` for side-by-side rejection numbers, such as
+    ``result`` is a finished ``Simulation``, of which only ``config``,
+    ``counters``, ``metrics.ticks`` and ``ledgers`` are read.  ``baseline``
+    optionally supplies a sharing-disabled run of ``result.config`` for
+    side-by-side rejection numbers, such as
     ``sim.baseline_no_psg(result.config)``; a baseline with sharing on, or
     with any other config field changed, raises ``ValueError`` before a
     file is written.  Returns the paths written: nine allocation series,

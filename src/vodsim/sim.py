@@ -34,7 +34,7 @@ Stream progress is integrated exactly: the link banks a stream's bytes
 wherever its rate changes (at each reclaim, at the old rate, and at
 release), so the sum of per-stream bytes matches an independent replay
 of the link ledgers.  A ledger is packed bytes, one record per mutation;
-``SimResult.ledger_digest`` hashes them on demand and pins exact event
+``Simulation.ledger_digest`` hashes them on demand and pins exact event
 times that the six-decimal reports round away.
 A caller's catalog is checked up front: sizes and rate windows must be
 positive integers, or bytes and link capacity would not add up exactly,
@@ -49,7 +49,6 @@ import heapq
 import itertools
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from math import inf, log
 
 from .allocation import FIELD_MAX, PS_LPS, PS_RPS, Allocation, Link
@@ -113,29 +112,11 @@ def draw_arrivals(
         yield dt, proxy_id, first + video_id, user_class
 
 
-@dataclass
-class SimResult:
-    """Everything a finished run leaves behind."""
-
-    config: SimConfig
-    counters: Counters
-    metrics: MetricsBundle  # the sample ticks
-    ledgers: list[Link]  # every link, in world.all_links() order
-    world: World | None = field(repr=False, default=None)
-
-    def ledger_digest(self) -> str:
-        """SHA-256 over every ledger's bytes, in link order, each preceded by
-        its length as 8 little-endian bytes, so no record can shift from
-        one link to the next unnoticed."""
-        digest = hashlib.sha256()
-        for link in self.ledgers:
-            digest.update(len(link.ledger).to_bytes(8, "little"))
-            digest.update(link.ledger)
-        return digest.hexdigest()
-
-
 class Simulation:
-    """One configured run.  Build it, call run() once, read the result."""
+    """One configured run.  Build it and call run() once; run() returns the
+    finished simulation, whose ``config``, ``counters``, ``metrics`` (the sample
+    ticks), ``ledgers`` (every link, in ``world.all_links()`` order) and
+    ``world`` are the result."""
 
     def __init__(self, config: SimConfig, catalog: list[VideoMeta] | None = None):
         config.validate()
@@ -154,8 +135,8 @@ class Simulation:
             config.link_capacity,
         )
         seed_initial_placement(self.world, placement_rng)
-        self.links = self.world.all_links()
-        self.audited = [0] * len(self.links)  # each ledger's length at its last audit
+        self.ledgers = self.world.all_links()
+        self.audited = [0] * len(self.ledgers)  # each ledger's length at its last audit
         self.now = 0.0
         self.heap: list[tuple] = []  # every event but the next arrival
         self.requests = draw_arrivals(self.workload_rng, config)
@@ -173,7 +154,17 @@ class Simulation:
         self._push(alloc.since + (size_mb - alloc.sent) / rate, Simulation._on_completion,
                    alloc, link, proxy_id, excess)
 
-    def run(self) -> SimResult:
+    def ledger_digest(self) -> str:
+        """SHA-256 over every ledger's bytes, in link order, each preceded by
+        its length as 8 little-endian bytes, so no record can shift from
+        one link to the next unnoticed."""
+        digest = hashlib.sha256()
+        for link in self.ledgers:
+            digest.update(len(link.ledger).to_bytes(8, "little"))
+            digest.update(link.ledger)
+        return digest.hexdigest()
+
+    def run(self) -> Simulation:
         # the clock and the heap are both empty only before the first run; a
         # second run would push a tour and a sample behind the clock
         if self.now or self.heap:
@@ -213,22 +204,16 @@ class Simulation:
         self.counters.local_hits += local_hits
         self.counters.rejected += rejected
         self.now = horizon
-        # the events past the horizon never run, and their completion
-        # fields would keep the drained allocations alive through reporting
+        # the events past the horizon never run, and the returned simulation
+        # holds the heap: their completions would keep drained streams alive
         heap.clear()
-        for link in self.links:
+        for link in self.ledgers:
             link.check_conservation()
         self._drain()
         demand = self.world.demand
         self.counters.requested = sum(demand)
         self.counters.requested_by_class = {c: sum(demand[cell_index(0, c)::3]) for c in CLASSES}
-        return SimResult(
-            config=self.config,
-            counters=self.counters,
-            metrics=self.metrics,
-            ledgers=self.links,
-            world=self.world,
-        )
+        return self
 
     def _on_completion(self, event: tuple) -> None:
         _, _, _, alloc, link, proxy_id, excess = event
@@ -264,7 +249,7 @@ class Simulation:
     def _on_sample(self, event: tuple) -> None:
         self.metrics.take_snapshot(self.now)
         audited = self.audited
-        for i, link in enumerate(self.links):
+        for i, link in enumerate(self.ledgers):
             if len(link.ledger) != audited[i]:
                 link.check_conservation()
                 audited[i] = len(link.ledger)
@@ -304,11 +289,11 @@ def _check_catalog(catalog: list[VideoMeta], num_videos: int) -> None:
                               f"0 < min <= max <= {FIELD_MAX}")
 
 
-def run(config: SimConfig, catalog: list[VideoMeta] | None = None) -> SimResult:
+def run(config: SimConfig, catalog: list[VideoMeta] | None = None) -> Simulation:
     return Simulation(config, catalog).run()
 
 
-def baseline_no_psg(config: SimConfig) -> SimResult:
+def baseline_no_psg(config: SimConfig) -> Simulation:
     """Same seed and workload, but every cache miss goes to the central
     server."""
     return run(dataclasses.replace(config, psg_enabled=False))

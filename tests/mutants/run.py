@@ -1,0 +1,122 @@
+"""Mutation gate: every named mutant of ``src/`` must fail its tests.
+
+For each mutant the runner copies ``src/`` to a temporary directory and
+applies one text substitution to one file; a substitution that does not
+match exactly once is an error.  It then runs the mutant's pytest
+selection with ``-x -q`` against the copy (the copy's ``src`` first on
+``PYTHONPATH``), under a per-mutant timeout.  The mutant is killed when
+pytest reports failed tests (exit status 1); it survives when they pass.
+Before any mutant, the union of the selections must pass on an unchanged
+copy, so that a kill means the mutation was seen.
+
+Stdlib only, and not collected by pytest.  From the repository root:
+
+    python tests/mutants/run.py
+
+Exits non-zero if a mutant survives, a substitution does not match once,
+a selection does not pass unchanged, or a run errs or times out.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[2]
+TIMEOUT_S = 30.0
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+SIM, METRICS = "vodsim/sim.py", "vodsim/metrics.py"
+CHANGING = "tests/test_sim.py::test_a_tamper_on_a_changing_link_is_caught_at_a_sample"
+QUIET = "tests/test_sim.py::test_a_tamper_on_a_quiet_link_is_caught_before_the_drain"
+NO_SAMPLE = "tests/test_sim.py::test_a_run_with_no_sample_tick_is_still_audited"
+RECOUNT = "tests/test_sim.py::test_a_sample_recounts_exactly_the_links_whose_ledger_grew"
+
+MUTANTS = (
+    Mutant("sample audits the links whose ledger did not grow", SIM,
+           "if len(link.ledger) != audited[i]:", "if len(link.ledger) == audited[i]:",
+           (CHANGING, RECOUNT)),
+    Mutant("no audit before the drain", SIM,
+           "        for link in self.ledgers:\n"
+           "            link.check_conservation()\n"
+           "        self._drain()",
+           "        self._drain()",
+           (NO_SAMPLE, QUIET, RECOUNT)),
+    Mutant("audited length not stored", SIM,
+           "                audited[i] = len(link.ledger)\n", "",
+           (QUIET, RECOUNT)),
+    Mutant("replay accepts an allocate of a live id", METRICS,
+           "if op == ALLOCATE and alloc_id not in live:", "if op == ALLOCATE:",
+           ("tests/test_metrics.py::test_emit_reports_flags_an_allocate_of_a_live_id",)),
+)
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for ``tests`` against the package under ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+
+
+def mutated_copy(scratch: Path, mutant: Mutant | None) -> Path:
+    """A fresh copy of ``src/`` under ``scratch``, with ``mutant`` applied."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        target = src / mutant.path
+        text = target.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            raise ValueError(f"its text matches {count} times in {mutant.path}, not once")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        selection = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        try:
+            status = run_tests(mutated_copy(scratch, None), selection)
+        except subprocess.TimeoutExpired:
+            status = "timed out"
+        if status != 0:
+            print(f"ERROR     the selections on unchanged src/: pytest status {status}")
+            return 1
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            try:
+                status = run_tests(mutated_copy(scratch, mutant), mutant.tests)
+            except ValueError as exc:
+                verdict = f"ERROR     {mutant.name}: {exc}"
+            except subprocess.TimeoutExpired:
+                verdict = f"ERROR     {mutant.name}: timed out after {TIMEOUT_S:.0f} s"
+            else:
+                verdict = {0: "SURVIVED", 1: "killed  "}.get(status, f"ERROR {status}")
+                verdict += f"  {mutant.name} ({time.perf_counter() - start:.1f} s)"
+            failures += not verdict.startswith("killed")
+            print(verdict)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

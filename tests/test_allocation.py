@@ -8,6 +8,10 @@ import random
 import struct
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule)
 
 from oracle import (
     AdmitRequest,
@@ -430,3 +434,93 @@ def test_conservation_check_catches_stale_excess():
     link.excess[C3] += 30
     with pytest.raises(InvariantViolation):
         link.plan_reclaim(C3, free + pool + 1)
+
+
+# few video ids and weights, so reclaim order ties often
+VIDEO_IDS, WEIGHTS, SPREADS = st.integers(0, 2), st.integers(0, 2), st.integers(0, 8)
+# (video id, class, minimum, maximum above the minimum, weight)
+REQUESTS = st.tuples(VIDEO_IDS, st.sampled_from(CLASSES), st.integers(1, 8), SPREADS, WEIGHTS)
+
+
+class LinkMachine(RuleBasedStateMachine):
+    """One link driven by admits, releases of live streams and forced
+    reclaims.  Every admit must give the rate and cut the victims that
+    ``oracle_admit`` gives on the link's live streams, and the running
+    counters must equal a recount of the tables after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.link = Link(PS_CMS, 40, "machine")
+        self.time = 0.0
+
+    def judged_admit(self, video_id, user_class, min_rate, max_rate, weight):
+        """Admit on the link, check it against the oracle, return its cuts."""
+        link = self.link
+        existing = [ExistingStream(alloc.alloc_id, alloc.video_id, alloc.user_class,
+                                   link.rate(alloc), minimum, alloc.max_rate, alloc.weight)
+                    for alloc, minimum in link.minimums.items()]
+        expected = oracle_admit(link.capacity, existing,
+                                AdmitRequest(user_class, min_rate, max_rate))
+        start = len(link.ledger)
+        self.time += 1.0
+        alloc = link.admit(self.time, video_id, user_class, min_rate, max_rate, weight)
+        if expected is None:
+            assert alloc is None and len(link.ledger) == start
+            return None
+        rate, victims = expected
+        assert alloc is not None and link.rate(alloc) == rate
+        cuts = admit_cuts(link, start)
+        assert cuts == victims
+        return cuts
+
+    @initialize(requests=st.lists(REQUESTS, max_size=8))
+    def load(self, requests):
+        # start from up to eight streams, so that a forced reclaim often has
+        # several streams of its class to choose from
+        for request in requests:
+            self.admit(request)
+
+    @rule(request=REQUESTS)
+    def admit(self, request):
+        video_id, user_class, min_rate, spread, weight = request
+        self.judged_admit(video_id, user_class, min_rate, min_rate + spread, weight)
+
+    @precondition(lambda self: self.link.used < self.link.capacity)
+    @rule(data=st.data(), video_id=VIDEO_IDS, user_class=st.sampled_from(CLASSES),
+          spread=SPREADS, weight=WEIGHTS)
+    def exact_fit(self, data, video_id, user_class, spread, weight):
+        # a maximum, or else a minimum, of exactly the free bandwidth
+        free = self.link.capacity - self.link.used
+        if data.draw(st.booleans()):
+            min_rate, max_rate = max(1, free - spread), free
+        else:
+            min_rate, max_rate = free, free + spread
+        assert self.judged_admit(video_id, user_class, min_rate, max_rate, weight) == []
+
+    @precondition(lambda self: self.link.minimums)
+    @rule(data=st.data())
+    def release(self, data):
+        live = sorted(self.link.minimums, key=lambda alloc: alloc.alloc_id)
+        self.time += 1.0
+        self.link.release(self.time, data.draw(st.sampled_from(live)))
+
+    @precondition(lambda self: any(self.link.excess[1:]))
+    @rule(data=st.data(), video_id=VIDEO_IDS, spread=SPREADS, weight=WEIGHTS)
+    def forced_reclaim(self, data, video_id, spread, weight):
+        # a minimum above free bandwidth but within free plus the class's excess
+        link = self.link
+        user_class = data.draw(st.sampled_from([c for c in CLASSES if link.excess[c]]))
+        free = link.capacity - link.used
+        min_rate = data.draw(st.integers(free + 1, free + link.excess[user_class]))
+        assert self.judged_admit(video_id, user_class, min_rate, min_rate + spread, weight)
+
+    @invariant()
+    def conserved(self):
+        self.link.check_conservation()
+
+
+LinkMachine.TestCase.settings = settings(
+    derandomize=True, database=None, report_multiple_bugs=False,
+    max_examples=25, stateful_step_count=20, deadline=None,
+)
+TestLinkMachine = LinkMachine.TestCase

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from vodsim.metrics import (
     time_avg_utilization,
 )
 from vodsim.model import CLASSES
-from vodsim.sim import SimResult, baseline_no_psg, run
+from vodsim.sim import baseline_no_psg, run
 
 C1, C2, C3 = CLASSES
 
@@ -75,7 +76,8 @@ def hand_reports(tmp_path, links, horizon, ticks):
     bundle = MetricsBundle()
     for tick in ticks:
         bundle.take_snapshot(tick)
-    result = SimResult(SimConfig(horizon=horizon).validate(), Counters(), bundle, links)
+    result = SimpleNamespace(config=SimConfig(horizon=horizon).validate(), counters=Counters(),
+                             metrics=bundle, ledgers=links)
     return {path.name: path.read_text().splitlines() for path in emit_reports(result, tmp_path)}
 
 
@@ -368,6 +370,24 @@ def test_emit_reports_flags_a_bad_class_byte(tmp_path):
     summary = (tmp_path / "summary.txt").read_text()
     assert "CHECK:ledger_bounds=FAIL" in summary
     assert "CHECK:conservation=PASS" in summary
+
+
+def test_emit_reports_flags_an_allocate_of_a_live_id(tmp_path):
+    # counted twice, stream 1 would stay in every tick after its one
+    # release: 10 MB/s and one stream on an empty link, inside its bounds
+    rows = [
+        (0.0, ALLOCATE, 1, 7, 1, 10, 8, 10),
+        (1.0, ALLOCATE, 1, 7, 1, 10, 8, 10),
+        (2.0, RELEASE, 1, 7, 1, 10, 8, 10),
+    ]
+    with pytest.raises(ValueError, match="'allocate' of 1 on dup"):
+        Replay([ledger_link("dup", rows, capacity=30)], 10.0)
+    reports = hand_reports(tmp_path, [ledger_link("dup", rows, capacity=30)], horizon=10.0,
+                           ticks=[5.0, 10.0])
+    assert "CHECK:ledger_bounds=FAIL" in reports["summary.txt"]
+    series = [lines for name, lines in reports.items() if name.startswith(("alloc_", "util_"))]
+    assert len(series) == 12
+    assert all(len(lines) == 1 for lines in series)
 
 
 def test_one_replay_per_report(tmp_path, monkeypatch):

@@ -297,7 +297,7 @@ def test_each_live_stream_has_one_completion_event(monkeypatch):
     def checked_sample(self, event):
         handled.append(self.now)
         pending = sorted(e[3].alloc_id for e in self.heap if e[2] is logged_completion)
-        live = sorted(alloc.alloc_id for link in self.links for alloc in link.minimums)
+        live = sorted(alloc.alloc_id for link in self.ledgers for alloc in link.minimums)
         samples.append(len(live))
         assert pending == live, f"t={self.now}"
         on_sample(self, event)
@@ -333,7 +333,7 @@ def test_a_run_carries_classes_as_exact_ints(monkeypatch):
     on_sample = Simulation._on_sample
 
     def checked_sample(self, event):
-        seen.update(type(alloc.user_class) for link in self.links for alloc in link.minimums)
+        seen.update(type(alloc.user_class) for link in self.ledgers for alloc in link.minimums)
         on_sample(self, event)
 
     monkeypatch.setattr(Simulation, "_on_sample", checked_sample)
@@ -870,7 +870,7 @@ def test_a_sample_recounts_exactly_the_links_whose_ledger_grew(monkeypatch):
 
     def marked_sample(self, event):
         log.append(("sample", [(link, len(link.ledger), bool(link.minimums))
-                               for link in self.links]))
+                               for link in self.ledgers]))
         on_sample(self, event)
         log.append(("sampled",))
 
@@ -883,7 +883,7 @@ def test_a_sample_recounts_exactly_the_links_whose_ledger_grew(monkeypatch):
     monkeypatch.setattr(Simulation, "_drain", marked_drain)
     simulation = Simulation(SHORT)
     simulation.run()
-    links = simulation.links
+    links = simulation.ledgers
     markers, audits = [("start",)], [[]]  # the links audited after each marker
     for entry in log:
         if isinstance(entry, Link):
