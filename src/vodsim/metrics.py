@@ -3,11 +3,14 @@
 The link ledgers (each link's ``ledger``, packed ``LEDGER_RECORD``s) are
 the record of a run.  One walker, ``Replay``, unpacks each link's records
 once and rebuilds its usage as an exact step function; it builds no row
-objects.  Every reported number derives from what it returns: the
-sampled series are the step function evaluated at the sample ticks, and
-time-averaged utilization, bytes carried and per-class mean allocations
-are its integrals, each the sum of every change times the time it holds
-until the horizon.  No live counter is read.
+objects.  The records are in time order, so a pointer steps through the
+sample ticks beside them, and the used entry of each sampled state is the
+sum of its class rates, set after the walk.  Every reported number
+derives from what it returns: the sampled series are the step function
+evaluated at the sample ticks, and time-averaged utilization, bytes
+carried and per-class mean allocations are its integrals, each the sum of
+every change times the time it holds until the horizon.  No live counter
+is read.
 A running simulation records only its sample ticks; ``emit_reports``
 makes the one walk that writes every series, at report time.  A run is a
 pure function of its config, so a paired baseline is matched by config.
@@ -15,7 +18,6 @@ pure function of its config, so a paired baseline is matched by config.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -81,6 +83,7 @@ class Counters:
 # each the sum of its changes times the time left to the horizon.
 _COUNT, _RATE, _MIN, _MAX = 0, 3, 6, 9
 _STATE_LEN, _INTEGRATED = 1 + 4 * len(CLASSES), 1 + 2 * len(CLASSES)
+_RATES = slice(_RATE + 1, _RATE + 1 + len(CLASSES))  # the class rate entries
 _CLASS_BYTES = frozenset(CLASSES)  # the class bytes a record may hold
 
 
@@ -103,11 +106,14 @@ class Replay:
     to at most ``horizon``.
 
     The walk costs records plus ticks, not links times ticks: each record
-    adds its change to its kind's step vector of the first tick after it
-    (found by ``bisect_right`` only when a record reaches the next tick;
-    records after the last tick share one more step, which is dropped),
+    adds its change to its kind's step vector of the first tick after it,
     and ``at_ticks[kind]`` is that kind's step list, prefix-summed in
-    place.  A ledger keeps only its running used MB/s.
+    place.  Since a ledger's records are in time order, a pointer into the
+    ticks finds that step: it moves on only when a record reaches the next
+    tick, and records after the last tick share one more step, which is
+    dropped.  A step holds no used entry; each state's used entry is set to
+    the sum of its class rate entries after the prefix sum, exact in ints.
+    A ledger keeps only its running used MB/s.
     """
 
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
@@ -115,56 +121,76 @@ class Replay:
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
         self.live: list[dict[int, int]] = []
-        steps = {kind: [[0] * _STATE_LEN for _ in range(len(ticks) + 1)] for kind in LINK_KINDS}
-        first_tick = ticks[0] if ticks else math.inf
+        n_ticks = len(ticks)
+        steps = {kind: [[0] * _STATE_LEN for _ in range(n_ticks + 1)] for kind in LINK_KINDS}
+        allocate, reclaim, release = ALLOCATE, RECLAIM, RELEASE
+        count_at, rate_at, min_at, max_at = _COUNT, _RATE, _MIN, _MAX
+        class_bytes = _CLASS_BYTES
         for ledger in ledgers:
-            self.capacity[ledger.kind] += ledger.capacity
+            capacity, label = ledger.capacity, ledger.label
+            self.capacity[ledger.kind] += capacity
             integral, kind_steps = self.integral[ledger.kind], steps[ledger.kind]
             live: dict[int, int] = {}
             self.live.append(live)
-            used = 0
-            step, next_tick = kind_steps[0], first_tick
+            used = tick = 0  # tick counts the ticks at or before the last record
+            step, next_tick = kind_steps[0], ticks[0] if ticks else math.inf
             try:
                 records = LEDGER_RECORD.iter_unpack(ledger.ledger)
             except struct.error as exc:
-                raise ValueError(f"ledger of {ledger.label}: {exc}") from None
+                raise ValueError(f"ledger of {label}: {exc}") from None
             for time, op, alloc_id, _, c, amount, min_rate, max_rate in records:
                 if time > horizon:
                     time = horizon
-                if c not in _CLASS_BYTES:
-                    raise ValueError(f"bad class {c} of {alloc_id} on {ledger.label}")
+                if c not in class_bytes:
+                    raise ValueError(f"bad class {c} of {alloc_id} on {label}")
                 if time >= next_tick:
-                    tick = bisect.bisect_right(ticks, time)
+                    tick += 1
+                    while tick < n_ticks and time >= ticks[tick]:
+                        tick += 1
                     step = kind_steps[tick]
-                    next_tick = ticks[tick] if tick < len(ticks) else math.inf
+                    next_tick = ticks[tick] if tick < n_ticks else math.inf
                 left = horizon - time
-                if op == RECLAIM and alloc_id in live:
+                moved = amount * left
+                rate = rate_at + c
+                # amounts are unsigned: an allocate can only overfill the
+                # link, a reclaim or release only drive it below zero
+                if op == allocate and alloc_id not in live:
+                    live[alloc_id] = amount
+                    count = count_at + c
+                    step[count] += 1
+                    step[min_at + c] += min_rate
+                    step[max_at + c] += max_rate
+                    integral[count] += left
+                    step[rate] += amount
+                    integral[rate] += moved
+                    integral[0] += moved
+                    used += amount
+                    if used > capacity:
+                        raise ValueError(f"ledger replay out of bounds on {label}: {used}")
+                    continue
+                if op == reclaim and alloc_id in live:
                     live[alloc_id] -= amount
-                    amount = -amount
+                elif op == release and live.pop(alloc_id, None) == amount:
+                    count = count_at + c
+                    step[count] -= 1
+                    step[min_at + c] -= min_rate
+                    step[max_at + c] -= max_rate
+                    integral[count] -= left
                 else:
-                    if op == ALLOCATE and alloc_id not in live:
-                        live[alloc_id], sign = amount, 1
-                    elif op == RELEASE and live.pop(alloc_id, None) == amount:
-                        sign = -1
-                    else:
-                        name = OPS[op] if op < len(OPS) else f"op {op}"
-                        raise ValueError(f"bad {name!r} of {alloc_id} on {ledger.label}")
-                    step[_COUNT + c] += sign
-                    step[_MIN + c] += sign * min_rate
-                    step[_MAX + c] += sign * max_rate
-                    integral[_COUNT + c] += sign * left
-                    amount *= sign
-                step[_RATE + c] += amount
-                integral[_RATE + c] += amount * left
-                step[0] += amount
-                integral[0] += amount * left
-                used += amount
-                if not 0 <= used <= ledger.capacity:
-                    raise ValueError(f"ledger replay out of bounds on {ledger.label}: {used}")
+                    name = OPS[op] if op < len(OPS) else f"op {op}"
+                    raise ValueError(f"bad {name!r} of {alloc_id} on {label}")
+                step[rate] -= amount
+                integral[rate] -= moved
+                integral[0] -= moved
+                used -= amount
+                if used < 0:
+                    raise ValueError(f"ledger replay out of bounds on {label}: {used}")
         for kind_steps in steps.values():
             kind_steps.pop()  # the records after the last tick
             for before, cur in itertools.pairwise(kind_steps):
                 cur[:] = map(operator.add, before, cur)
+            for state in kind_steps:
+                state[0] = sum(state[_RATES])
         self.at_ticks = steps
 
     def utilization(self) -> dict[str, float]:
@@ -214,14 +240,22 @@ def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[str, float
     return Replay(ledgers, horizon).utilization()
 
 
+_WRITE_BLOCK = 256  # lines per write of a report file
+
+
 def _fmt(value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def _write_lines(path: Path, lines: list[str]) -> Path:
-    """Write ``lines`` as one UTF-8 file, each ending in LF; return ``path``."""
+    """Write ``lines`` as one UTF-8 file, each ending in LF; return ``path``.
+
+    The lines go out in blocks of ``_WRITE_BLOCK``: the joined text, and the
+    copy of it that the write makes, are then a block long, not a file long.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for start in range(0, len(lines), _WRITE_BLOCK):
+            fh.write("\n".join(lines[start:start + _WRITE_BLOCK]) + "\n")
     return path
 
 
@@ -268,21 +302,24 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     except ValueError:
         at_ticks, capacity, util = dict.fromkeys(LINK_KINDS, ()), {}, {}
         bounds = "FAIL"
+    # each tick's time is formatted once for all twelve series; a
+    # %-format prints what the f-string format spec does, in less time
+    stamps = [f"{t:.6f}" for t in ticks]
     for kind in LINK_KINDS:
         for c in CLASSES:
             count, rate, low, high = _COUNT + c, _RATE + c, _MIN + c, _MAX + c
             write(f"alloc_{kind}_class{c}.csv", [
                 "time,streams,avg_alloc,avg_min,avg_max",
-                *(f"{t:.6f},{n},{s[rate] / n:.6f},{s[low] / n:.6f},{s[high] / n:.6f}"
-                  if (n := s[count]) else f"{t:.6f},0,,,"
-                  for t, s in zip(ticks, at_ticks[kind])),
+                *("%s,%d,%.6f,%.6f,%.6f" % (t, n, s[rate] / n, s[low] / n, s[high] / n)
+                  if (n := s[count]) else f"{t},0,,,"
+                  for t, s in zip(stamps, at_ticks[kind])),
             ])
     for kind in LINK_KINDS:
         kind_capacity = capacity.get(kind)
         write(f"util_{kind}.csv", [
             "time,utilization",
-            *(f"{t:.6f},{s[0] / kind_capacity:.6f}"
-              for t, s in zip(ticks, at_ticks[kind] if kind_capacity else ())),
+            *("%s,%.6f" % (t, s[0] / kind_capacity)
+              for t, s in zip(stamps, at_ticks[kind] if kind_capacity else ())),
         ])
 
     runs = [counters] if baseline is None else [counters, baseline.counters]

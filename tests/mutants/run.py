@@ -4,7 +4,9 @@ For each mutant the runner copies ``src/`` to a temporary directory and
 applies one text substitution to one file; a substitution that does not
 match exactly once is an error.  It then runs the mutant's pytest
 selection with ``-x -q`` against the copy (the copy's ``src`` first on
-``PYTHONPATH``), under a per-mutant timeout.  The mutant is killed when
+``PYTHONPATH``), under a per-mutant timeout, with the ``mutants`` Hypothesis
+profile of ``tests/conftest.py``: a property test that fails stops at its
+first counterexample instead of shrinking it.  The mutant is killed when
 pytest reports failed tests (exit status 1); it survives when they pass.
 Before any mutant, the union of the selections must pass on an unchanged
 copy, so that a kill means the mutation was seen.
@@ -40,11 +42,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
-SIM, METRICS = "vodsim/sim.py", "vodsim/metrics.py"
+SIM, METRICS, ALLOCATION = "vodsim/sim.py", "vodsim/metrics.py", "vodsim/allocation.py"
 CHANGING = "tests/test_sim.py::test_a_tamper_on_a_changing_link_is_caught_at_a_sample"
 QUIET = "tests/test_sim.py::test_a_tamper_on_a_quiet_link_is_caught_before_the_drain"
 NO_SAMPLE = "tests/test_sim.py::test_a_run_with_no_sample_tick_is_still_audited"
 RECOUNT = "tests/test_sim.py::test_a_sample_recounts_exactly_the_links_whose_ledger_grew"
+BRUTE_FORCE = "tests/test_metrics.py::test_replay_equals_brute_force"
 
 MUTANTS = (
     Mutant("sample audits the links whose ledger did not grow", SIM,
@@ -60,8 +63,18 @@ MUTANTS = (
            "                audited[i] = len(link.ledger)\n", "",
            (QUIET, RECOUNT)),
     Mutant("replay accepts an allocate of a live id", METRICS,
-           "if op == ALLOCATE and alloc_id not in live:", "if op == ALLOCATE:",
+           "if op == allocate and alloc_id not in live:", "if op == allocate:",
            ("tests/test_metrics.py::test_emit_reports_flags_an_allocate_of_a_live_id",)),
+    Mutant("replay counts a record stamped at a tick before that tick", METRICS,
+           "if time >= next_tick:", "if time > next_tick:",
+           (f"{BRUTE_FORCE}[uneven-4]", f"{BRUTE_FORCE}[to_horizon-4]")),
+    Mutant("derived used entry drops a class", METRICS,
+           "_RATES = slice(_RATE + 1, _RATE + 1 + len(CLASSES))",
+           "_RATES = slice(_RATE + 1, _RATE + len(CLASSES))",
+           ("tests/test_metrics.py::test_used_entry_is_the_sum_of_the_class_rates",)),
+    Mutant("admit gives the maximum only with bandwidth to spare", ALLOCATION,
+           "if free >= max_rate:", "if free > max_rate:",
+           ("tests/test_allocation.py::TestLinkMachine",)),
 )
 
 
@@ -69,6 +82,7 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> int:
     """pytest's exit status for ``tests`` against the package under ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["HYPOTHESIS_PROFILE"] = "mutants"  # no shrinking; see tests/conftest.py
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode

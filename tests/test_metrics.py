@@ -168,12 +168,14 @@ def replay_by_brute_force(links, horizon, ticks):
 
 def random_links(seed, horizon):
     """Links of every kind driven through ``admit``/``release`` at times on a
-    grid of 0.5 that runs past ``horizon``, plus one link with no rows."""
+    grid of 0.5 that runs past ``horizon``, plus one link with no rows.  The
+    last driven link starts at 3.5, the others at 0."""
     rng = random.Random(seed)
-    kinds = (PS_LPS, PS_CMS, PS_RPS, PS_LPS, PS_CMS)
+    kinds = (PS_LPS, PS_CMS, PS_RPS, PS_LPS, PS_CMS, PS_RPS)
+    starts = (0.0, 0.0, 0.0, 0.0, 0.0, 3.5)
     links = [Link(kind, 40, f"fuzz{i}") for i, kind in enumerate(kinds)]
-    for link in links:
-        live, now = [], 0.0
+    for link, start in zip(links, starts):
+        live, now = [], start
         while now <= horizon + 3.0:
             if live and rng.random() < 0.4:
                 link.release(now, live.pop(rng.randrange(len(live))))
@@ -191,7 +193,10 @@ def random_links(seed, horizon):
     [],
     [0.0, 1.5, 4.0, 7.5, 12.0, 19.5],
     [2.0 * i for i in range(1, 11)],  # the last tick is the horizon
-], ids=["no_ticks", "uneven", "to_horizon"])
+    # two to four ticks between records a grid step apart, and a ledger
+    # whose first record is the fourteenth tick
+    [0.25 * i for i in range(1, 81)],
+], ids=["no_ticks", "uneven", "to_horizon", "dense"])
 def test_replay_equals_brute_force(seed, ticks):
     horizon = 20.0
     links = random_links(seed, horizon)
@@ -205,6 +210,18 @@ def test_replay_equals_brute_force(seed, ticks):
     assert walked.integral == integral
     assert walked.live == lives
     assert walked.at_ticks == at_ticks
+
+
+def test_used_entry_is_the_sum_of_the_class_rates():
+    # perfbench's saturated_x4 at seed 1: every link kind carries every class
+    result = run(SimConfig(total_arrival_rate=4.0, horizon=10000.0, seed=1))
+    ticks = result.metrics.ticks
+    walked = Replay(result.ledgers, result.config.horizon, ticks)
+    for kind, states in walked.at_ticks.items():
+        assert len(states) == len(ticks)
+        assert all(any(state[_RATE + c] for state in states) for c in CLASSES)
+        for state in states:
+            assert state[0] == sum(state[_RATE + c] for c in CLASSES)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
