@@ -135,32 +135,25 @@ class Link:
         return tuple(LedgerRow(time, OPS[op], *fields)
                      for time, op, *fields in LEDGER_RECORD.iter_unpack(self.ledger))
 
-    def plan_reclaim(self, user_class: int,
-                     needed: int) -> list[tuple[Allocation, int]] | None:
-        """Plan how to cover ``needed`` MB/s for a new stream of this class.
-
-        Free bandwidth counts first; any remainder must come from excess
-        (rate above minimum) held by same-class allocations, visited in
-        ascending weight order (ties: video id, then allocation id).
-        Returns the (allocation, take) victims, empty when free bandwidth
-        alone covers the need, or None when the need cannot be covered,
-        which the class's running excess tells before any allocation is
-        visited.  Only the class's own table is scanned.
+    def plan_reclaim(self, user_class: int, shortfall: int) -> list[tuple[Allocation, int]]:
+        """Pick the streams that give up ``shortfall`` MB/s for a new stream
+        of this class: the part of its minimum that free bandwidth leaves
+        uncovered.  Same-class allocations give their excess (rate above
+        minimum) in ascending weight order (ties: video id, then allocation
+        id), and the (allocation, take) victims are returned.  A shortfall
+        outside 1..``excess[user_class]`` raises ``ValueError``; ``admit``
+        refuses such a request itself.  Only the class's own table is
+        scanned.
         """
-        if needed < 0:
-            raise ValueError("needed must be non-negative")
-        remaining = needed - (self.capacity - self.used)
-        if remaining <= 0:
-            return []
-        if remaining > self.excess[user_class]:
-            return None
+        if not 0 < shortfall <= self.excess[user_class]:
+            raise ValueError(f"shortfall {shortfall} outside 1..{self.excess[user_class]}")
         table = self.class_excess[user_class]
         victims = []
         for alloc in sorted(filter(table.__getitem__, table), key=RECLAIM_ORDER):
-            take = min(table[alloc], remaining)
+            take = min(table[alloc], shortfall)
             victims.append((alloc, take))
-            remaining -= take
-            if remaining == 0:
+            shortfall -= take
+            if shortfall == 0:
                 return victims
         raise InvariantViolation(f"link {self.label}: class {user_class} excess "
                                  f"{self.excess[user_class]} exceeds its allocations")
@@ -191,26 +184,28 @@ class Link:
     ) -> Allocation | None:
         """Admit a stream or reject it, leaving the link untouched on reject.
 
-        Returns the new allocation, or None on rejection; a request that free
-        bandwidth plus its class's excess cannot cover is refused before any
-        ``plan_reclaim`` call.  The streams its reclaim cut are the ``RECLAIM``
-        records it appends, each amount a take, before its own ``ALLOCATE``
-        record.  That record is packed first, so a field too wide for it
-        raises with the link untouched.  The class is the int 1, 2 or 3;
-        another class, or bad rate bounds, raises ``ValueError`` with the
-        link untouched.
+        Returns the new allocation, or None on rejection.  This is the one
+        admission decision: a request whose minimum free bandwidth plus its
+        class's excess cannot cover is refused here, and ``plan_reclaim``
+        only picks the victims of a shortfall that excess covers.  The
+        streams its reclaim cut are the ``RECLAIM`` records it appends, each
+        amount a take, before its own ``ALLOCATE`` record.  That record is
+        packed first, so a field too wide for it raises with the link
+        untouched.  The class is the int 1, 2 or 3; another class, or bad
+        rate bounds, raises ``ValueError`` with the link untouched.
         """
         if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
             raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")
         free = self.capacity - self.used
+        shortfall = min_rate - free
         if free >= max_rate:
             rate, victims = max_rate, None
-        elif free >= min_rate:
+        elif shortfall <= 0:
             rate, victims = min_rate, None
-        elif min_rate - free > self.excess[user_class]:
-            return None  # plan_reclaim's first test, without its call
+        elif shortfall > self.excess[user_class]:
+            return None
         else:
-            rate, victims = min_rate, self.plan_reclaim(user_class, min_rate)
+            rate, victims = min_rate, self.plan_reclaim(user_class, shortfall)
         alloc_id = next(self.id_source)
         record = LEDGER_RECORD.pack(time, ALLOCATE, alloc_id, video_id, user_class, rate,
                                     min_rate, max_rate)

@@ -66,10 +66,6 @@ class Counters:
         remote = self.remote_requests
         return self.rejected / remote if remote else 0.0
 
-    @property
-    def bytes_total(self) -> float:
-        return self.bytes_completed + self.bytes_drained
-
     def identity_holds(self) -> bool:
         """requested == local hits + served + rejected + drained."""
         return self.requested == (
@@ -92,9 +88,11 @@ class Replay:
     record times clipped at ``horizon``; the package reads ledgers nowhere
     else.
 
-    A ledger whose length is not a whole number of records, an unknown op or
-    class, an allocate of an allocation that is already live, a reclaim or
-    release of one that is not, a release of anything but the replayed rate,
+    A ledger whose length is not a whole number of records, a record stamped
+    before the one before it, an unknown op or class, an allocate of an
+    allocation that is already live or of an amount outside its rate window,
+    a reclaim or release of one that is not live, a reclaim that leaves a
+    stream below its minimum, a release of anything but the replayed rate,
     or usage outside 0..capacity raises ValueError.  Afterwards
     ``integral[kind]`` holds the used, count and rate entries of the summed
     state vector of that kind's links, integrated from 0 to the horizon:
@@ -133,12 +131,15 @@ class Replay:
             live: dict[int, int] = {}
             self.live.append(live)
             used = tick = 0  # tick counts the ticks at or before the last record
-            step, next_tick = kind_steps[0], ticks[0] if ticks else math.inf
+            step, next_tick, last = kind_steps[0], ticks[0] if ticks else math.inf, -math.inf
             try:
                 records = LEDGER_RECORD.iter_unpack(ledger.ledger)
             except struct.error as exc:
                 raise ValueError(f"ledger of {label}: {exc}") from None
             for time, op, alloc_id, _, c, amount, min_rate, max_rate in records:
+                if time < last:
+                    raise ValueError(f"record of {alloc_id} on {label} at {time} after {last}")
+                last = time
                 if time > horizon:
                     time = horizon
                 if c not in class_bytes:
@@ -154,7 +155,7 @@ class Replay:
                 rate = rate_at + c
                 # amounts are unsigned: an allocate can only overfill the
                 # link, a reclaim or release only drive it below zero
-                if op == allocate and alloc_id not in live:
+                if op == allocate and alloc_id not in live and min_rate <= amount <= max_rate:
                     live[alloc_id] = amount
                     count = count_at + c
                     step[count] += 1
@@ -168,7 +169,7 @@ class Replay:
                     if used > capacity:
                         raise ValueError(f"ledger replay out of bounds on {label}: {used}")
                     continue
-                if op == reclaim and alloc_id in live:
+                if op == reclaim and alloc_id in live and live[alloc_id] - amount >= min_rate:
                     live[alloc_id] -= amount
                 elif op == release and live.pop(alloc_id, None) == amount:
                     count = count_at + c
@@ -240,22 +241,14 @@ def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[str, float
     return Replay(ledgers, horizon).utilization()
 
 
-_WRITE_BLOCK = 256  # lines per write of a report file
-
-
 def _fmt(value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def _write_lines(path: Path, lines: list[str]) -> Path:
     """Write ``lines`` as one UTF-8 file, each ending in LF; return ``path``.
-
-    The lines go out in blocks of ``_WRITE_BLOCK``: the joined text, and the
-    copy of it that the write makes, are then a block long, not a file long.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(lines), _WRITE_BLOCK):
-            fh.write("\n".join(lines[start:start + _WRITE_BLOCK]) + "\n")
+    The final LF is joined in, not appended, so no second file-long copy is made."""
+    path.write_text("\n".join([*lines, ""]), encoding="utf-8", newline="\n")
     return path
 
 

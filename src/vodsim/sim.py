@@ -183,7 +183,6 @@ class Simulation:
             if at < top[0] or at == top[0] and at_seq < top[1]:
                 if at > horizon:
                     break
-                self.now = at
                 decision = handle_request(world, at, proxy_id, video_id, user_class,
                                           catalog, psg_enabled)
                 source = decision.source

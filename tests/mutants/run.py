@@ -48,6 +48,9 @@ QUIET = "tests/test_sim.py::test_a_tamper_on_a_quiet_link_is_caught_before_the_d
 NO_SAMPLE = "tests/test_sim.py::test_a_run_with_no_sample_tick_is_still_audited"
 RECOUNT = "tests/test_sim.py::test_a_sample_recounts_exactly_the_links_whose_ledger_grew"
 BRUTE_FORCE = "tests/test_metrics.py::test_replay_equals_brute_force"
+CORRUPT = "tests/test_metrics.py::test_replay_rejects_corrupt_ledger"
+HOPELESS = "tests/test_allocation.py::test_admit_refuses_a_hopeless_request_without_planning"
+SHORT = "tests/test_allocation.py::test_plan_reclaim_rejects_exactly_when_excess_is_short"
 
 MUTANTS = (
     Mutant("sample audits the links whose ledger did not grow", SIM,
@@ -63,7 +66,7 @@ MUTANTS = (
            "                audited[i] = len(link.ledger)\n", "",
            (QUIET, RECOUNT)),
     Mutant("replay accepts an allocate of a live id", METRICS,
-           "if op == allocate and alloc_id not in live:", "if op == allocate:",
+           "op == allocate and alloc_id not in live and", "op == allocate and",
            ("tests/test_metrics.py::test_emit_reports_flags_an_allocate_of_a_live_id",)),
     Mutant("replay counts a record stamped at a tick before that tick", METRICS,
            "if time >= next_tick:", "if time > next_tick:",
@@ -75,6 +78,26 @@ MUTANTS = (
     Mutant("admit gives the maximum only with bandwidth to spare", ALLOCATION,
            "if free >= max_rate:", "if free > max_rate:",
            ("tests/test_allocation.py::TestLinkMachine",)),
+    Mutant("admit refuses a shortfall that excess exactly covers", ALLOCATION,
+           "elif shortfall > self.excess[user_class]:",
+           "elif shortfall >= self.excess[user_class]:",
+           (HOPELESS, SHORT)),
+    Mutant("plan_reclaim takes a shortfall outside 1..excess", ALLOCATION,
+           "        if not 0 < shortfall <= self.excess[user_class]:\n"
+           "            raise ValueError(f\"shortfall {shortfall} outside 1..{self.excess[user_class]}\")\n",
+           "",
+           (SHORT,)),
+    Mutant("replay accepts a record stamped before its predecessor", METRICS,
+           "                if time < last:\n"
+           "                    raise ValueError(f\"record of {alloc_id} on {label} at {time} after {last}\")\n",
+           "",
+           (CORRUPT, "tests/test_metrics.py::test_emit_reports_flags_a_record_out_of_time_order")),
+    Mutant("replay accepts an allocate outside its rate window", METRICS,
+           " and min_rate <= amount <= max_rate:", ":",
+           (CORRUPT,)),
+    Mutant("replay accepts a reclaim below the stream's minimum", METRICS,
+           " and live[alloc_id] - amount >= min_rate:", ":",
+           (CORRUPT,)),
 )
 
 

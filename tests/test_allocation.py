@@ -129,12 +129,6 @@ def test_reclaim_all_or_nothing():
     assert link.used == 17
 
 
-def test_plan_reclaim_empty_when_free_covers():
-    link = fresh_link(50)
-    link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    assert link.plan_reclaim(C1, 10) == []
-
-
 def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
     # the simulator reschedules a completion event when its allocation's
     # excess differs from the excess it was scheduled at, which is right
@@ -274,7 +268,7 @@ def test_unpackable_admit_leaves_its_victims_uncut():
     # have reclaimed 2 MB/s from the first stream to make room
     link = Link(PS_CMS, 30, "wide")
     first = link.admit(0.0, 1, C1, 6, 20, 0)
-    assert link.plan_reclaim(C1, 12) == [(first, 2)]
+    assert link.plan_reclaim(C1, 2) == [(first, 2)]
     with pytest.raises(struct.error):
         link.admit(5.0, FIELD_MAX + 1, C1, 12, 18, 1)
     assert link.rate(first) == 20 and link.class_excess[C1] == {first: 14}
@@ -306,8 +300,10 @@ def test_engine_matches_oracle_on_random_states():
 
 
 def test_plan_reclaim_rejects_exactly_when_excess_is_short():
-    # the C3 random link states, each asked for the request's minimum and
-    # its maximum; the pool is summed here from the drawn streams
+    # the C3 random link states, each short of the request's minimum and of
+    # its maximum by what free bandwidth leaves; the pool is summed here
+    # from the drawn streams.  A shortfall outside 1..pool raises, and
+    # admit refuses exactly a request whose minimum the pool cannot cover
     rng = random.Random(20240814)
     rejected = reclaimed = 0
     for case in range(10000):
@@ -317,14 +313,21 @@ def test_plan_reclaim_rejects_exactly_when_excess_is_short():
         pool = sum(s.rate - s.min_rate for s in existing if s.user_class == c)
         assert link.excess[c] == pool
         free = link.capacity - link.used
-        for needed in (request.min_rate, request.max_rate):
-            short = needed - free > pool
-            victims = link.plan_reclaim(c, needed)
-            assert (victims is None) == short, f"case {case}, needed {needed}"
-            if victims is not None:
-                assert sum(take for _, take in victims) == max(0, needed - free)
-                reclaimed += bool(victims)
+        for shortfall in (request.min_rate - free, request.max_rate - free):
+            short = shortfall > pool
+            if short or shortfall <= 0:
+                with pytest.raises(ValueError, match="shortfall"):
+                    link.plan_reclaim(c, shortfall)
+            else:
+                victims = link.plan_reclaim(c, shortfall)
+                assert sum(take for _, take in victims) == shortfall, f"case {case}"
+                reclaimed += 1
             rejected += short
+        before = link_state(link)
+        alloc = link.admit(5.0, 0, c, request.min_rate, request.max_rate, weight=3)
+        assert (alloc is None) == (request.min_rate - free > pool), f"case {case}"
+        if alloc is None:
+            assert link_state(link) == before
     assert rejected > 1000 and reclaimed > 1000
 
 
@@ -334,9 +337,9 @@ def test_admit_refuses_a_hopeless_request_without_planning(monkeypatch):
     # class on the link holds plenty of excess, which must not count
     plan_reclaim, calls = Link.plan_reclaim, []
 
-    def counted(self, user_class, needed):
-        calls.append((user_class, needed))
-        return plan_reclaim(self, user_class, needed)
+    def counted(self, user_class, shortfall):
+        calls.append((user_class, shortfall))
+        return plan_reclaim(self, user_class, shortfall)
 
     monkeypatch.setattr(Link, "plan_reclaim", counted)
     min_rate, max_rate = 10, 15
@@ -350,17 +353,17 @@ def test_admit_refuses_a_hopeless_request_without_planning(monkeypatch):
                 link.admit(0.0, 2, c, min_rate=1, max_rate=1 + excess - excess // 2, weight=1)
                 link.admit(0.0, 3, c % 3 + 1, min_rate=1, max_rate=98 - excess - free, weight=0)
                 assert (link.capacity - link.used, link.excess[c]) == (free, excess)
-                planned = plan_reclaim(link, c, min_rate)
-                assert (planned is None) == (excess < shortfall)
+                short = excess < shortfall
+                planned = [] if short or not shortfall else plan_reclaim(link, c, shortfall)
                 before = link_state(link)
                 calls.clear()
                 alloc = link.admit(5.0, 9, c, min_rate=min_rate, max_rate=max_rate, weight=0)
-                assert (alloc is None) == (planned is None), (c, free, excess)
+                assert (alloc is None) == short, (c, free, excess)
                 if alloc is None:
                     assert link_state(link) == before and calls == []
                     rejected += 1
                 else:
-                    assert calls == ([(c, min_rate)] if free < min_rate else [])
+                    assert calls == ([(c, shortfall)] if shortfall else [])
                     appended = link.ledger[len(before[-1]):]
                     assert appended == b"".join(
                         [LEDGER_RECORD.pack(5.0, RECLAIM, victim.alloc_id, victim.video_id, c,
@@ -430,10 +433,10 @@ def test_conservation_check_catches_stale_excess():
     with pytest.raises(InvariantViolation):
         empty.check_conservation()
     # an excess larger than the streams can give is caught by the planner too
-    free, pool = link.capacity - link.used, link.excess[C3]
+    pool = link.excess[C3]
     link.excess[C3] += 30
     with pytest.raises(InvariantViolation):
-        link.plan_reclaim(C3, free + pool + 1)
+        link.plan_reclaim(C3, pool + 1)
 
 
 # few video ids and weights, so reclaim order ties often

@@ -315,6 +315,19 @@ def test_replay_rejects_corrupt_ledger():
     for c in (0, 4):
         with pytest.raises(ValueError, match=f"class {c} of 1 on bad"):
             Replay(bad((0.0, ALLOCATE, 1, 7, c, 4, 4, 8)), 10.0)
+    # a release stamped before its allocate, inside the link's bounds
+    with pytest.raises(ValueError, match="record of 1 on bad at 2.0 after 6.0"):
+        Replay(bad((6.0, ALLOCATE, 1, 7, 1, 4, 4, 8), (2.0, RELEASE, 1, 7, 1, 4, 4, 8)), 10.0)
+    # an allocate outside its rate window, below the link's capacity
+    for amount in (3, 9, 50):
+        with pytest.raises(ValueError, match="'allocate' of 1 on bad"):
+            Replay([ledger_link("bad", [(0.0, ALLOCATE, 1, 7, 1, amount, 4, 8)], 100)], 10.0)
+    # a reclaim that leaves the stream at 1 MB/s, below its minimum of 4
+    with pytest.raises(ValueError, match="'reclaim' of 1 on bad"):
+        Replay(bad((0.0, ALLOCATE, 1, 7, 1, 8, 4, 8), (1.0, RECLAIM, 1, 7, 1, 7, 4, 8)), 10.0)
+    # each bound itself replays
+    Replay(bad((0.0, ALLOCATE, 1, 7, 1, 4, 4, 8), (0.0, ALLOCATE, 2, 7, 1, 6, 4, 6),
+               (0.0, RECLAIM, 2, 7, 1, 2, 4, 6)), 10.0)
     # bytes that are not a whole number of records
     truncated = ledger_link("bad", [(0.0, ALLOCATE, 1, 7, 1, 6, 4, 8)])
     del truncated.ledger[-1]
@@ -405,6 +418,17 @@ def test_emit_reports_flags_an_allocate_of_a_live_id(tmp_path):
     series = [lines for name, lines in reports.items() if name.startswith(("alloc_", "util_"))]
     assert len(series) == 12
     assert all(len(lines) == 1 for lines in series)
+
+
+def test_emit_reports_flags_a_record_out_of_time_order(tmp_path):
+    # walked as stamped, the release at 2.0 would cancel the allocate at 6.0
+    # at every tick and leave a utilization of -0.032
+    rows = [(6.0, ALLOCATE, 1, 7, 1, 4, 4, 8), (2.0, RELEASE, 1, 7, 1, 4, 4, 8)]
+    reports = hand_reports(tmp_path, [ledger_link("late", rows, capacity=50)], horizon=10.0,
+                           ticks=[1.0, 3.0, 5.0, 7.0, 9.0])
+    summary = reports["summary.txt"]
+    assert "CHECK:ledger_bounds=FAIL" in summary
+    assert not any(line.startswith("util_avg_") for line in summary)
 
 
 def test_one_replay_per_report(tmp_path, monkeypatch):

@@ -399,7 +399,8 @@ def test_tiny_config_keeps_identity_checks_and_bytes(name, tmp_path):
     assert counters.max_byte_rel_error < 1e-9
     walked = Replay(result.ledgers, config.horizon)
     ledger_side = sum(i[0] for i in walked.integral.values())
-    assert ledger_side == pytest.approx(counters.bytes_total, rel=1e-9)
+    assert ledger_side == pytest.approx(counters.bytes_completed + counters.bytes_drained,
+                                        rel=1e-9)
     paths = emit_reports(result, tmp_path / "a")
     summary = (tmp_path / "a" / "summary.txt").read_text(encoding="utf-8").splitlines()
     assert [line for line in summary if line.startswith("CHECK:")] == [
@@ -434,7 +435,7 @@ def test_short_run_identities():
 
 def test_byte_conservation_short_run():
     result = run(SMALL)
-    stream_side = result.counters.bytes_total
+    stream_side = result.counters.bytes_completed + result.counters.bytes_drained
     walked = Replay(result.ledgers, SMALL.horizon)
     ledger_side = sum(i[0] for i in walked.integral.values())
     assert ledger_side == pytest.approx(stream_side, rel=1e-9)
