@@ -12,8 +12,8 @@ and per class its excess.  Each class's total excess runs next to the used
 bandwidth, so ``admit`` refuses a request that free bandwidth plus that
 excess cannot cover without scanning or calling ``plan_reclaim``, and a
 reclaim scans only its class's table.  The audit recounts both counters
-with builtin sums over the tables; a run recounts a link at a sample only
-if its ledger grew, and every link once before the drain.
+with builtin sums; a run recounts a link at a sample only if its ledger
+grew past its ``audited`` mark, and every link once before the drain.
 
 Every mutation appends one packed ``LEDGER_RECORD`` to the link's
 ``ledger``, a ``bytearray``, so a link's utilization over time can be
@@ -122,6 +122,7 @@ class Link:
         # excess[c]: the sum of class_excess[c]
         self.excess = [0] * (len(CLASSES) + 1)
         self.ledger = bytearray()  # one LEDGER_RECORD per mutation
+        self.audited = 0  # the ledger's length at the last audit that passed
 
     def rate(self, alloc: Allocation) -> int:
         """The current rate of a live allocation."""
@@ -158,21 +159,6 @@ class Link:
         raise InvariantViolation(f"link {self.label}: class {user_class} excess "
                                  f"{self.excess[user_class]} exceeds its allocations")
 
-    def _apply_reclaim(self, time: float, victims: list[tuple[Allocation, int]]) -> None:
-        for alloc, take in victims:
-            table = self.class_excess[alloc.user_class]
-            excess = table[alloc]
-            if not 0 < take <= excess:
-                raise InvariantViolation("reclaim would push a stream below its minimum")
-            minimum = self.minimums[alloc]
-            alloc.sent += (minimum + excess) * (time - alloc.since)
-            alloc.since = time
-            table[alloc] = excess - take
-            self.used -= take
-            self.excess[alloc.user_class] -= take
-            self.ledger += LEDGER_RECORD.pack(time, RECLAIM, alloc.alloc_id, alloc.video_id,
-                                              alloc.user_class, take, minimum, alloc.max_rate)
-
     def admit(
         self,
         time: float,
@@ -199,9 +185,9 @@ class Link:
         free = self.capacity - self.used
         shortfall = min_rate - free
         if free >= max_rate:
-            rate, victims = max_rate, None
+            rate, victims = max_rate, ()
         elif shortfall <= 0:
-            rate, victims = min_rate, None
+            rate, victims = min_rate, ()
         elif shortfall > self.excess[user_class]:
             return None
         else:
@@ -209,11 +195,22 @@ class Link:
         alloc_id = next(self.id_source)
         record = LEDGER_RECORD.pack(time, ALLOCATE, alloc_id, video_id, user_class, rate,
                                     min_rate, max_rate)
-        if victims:
-            self._apply_reclaim(time, victims)
+        table = self.class_excess[user_class]  # every victim is of this class
+        for victim, take in victims:
+            excess = table[victim]
+            if not 0 < take <= excess:
+                raise InvariantViolation("reclaim would push a stream below its minimum")
+            minimum = self.minimums[victim]
+            victim.sent += (minimum + excess) * (time - victim.since)
+            victim.since = time
+            table[victim] = excess - take
+            self.used -= take
+            self.excess[user_class] -= take
+            self.ledger += LEDGER_RECORD.pack(time, RECLAIM, victim.alloc_id, victim.video_id,
+                                              user_class, take, minimum, victim.max_rate)
         alloc = Allocation(alloc_id, video_id, user_class, max_rate, weight, since=time)
         self.minimums[alloc] = min_rate
-        self.class_excess[user_class][alloc] = rate - min_rate
+        table[alloc] = rate - min_rate
         self.used += rate
         self.excess[user_class] += rate - min_rate
         if self.used > self.capacity:
@@ -244,9 +241,10 @@ class Link:
     def check_conservation(self) -> None:
         """Assert the running counters equal a recount of the live tables:
         each ``excess[c]`` the sum of class ``c``'s table, and ``used`` the
-        sum of the minimums plus all the excess.  A run calls it at a sample
-        on each link whose ledger grew since its last audit, and on every
-        link once before the drain, so the classes are unpacked for speed."""
+        sum of the minimums plus all the excess.  A recount that passes
+        marks the ledger's length as ``audited``.  A run calls it at a sample
+        on each link whose ledger grew past that mark, and on every link once
+        before the drain, so the classes are unpacked for speed."""
         _, table1, table2, table3 = self.class_excess
         _, excess1, excess2, excess3 = self.excess
         if (sum(table1.values()) != excess1 or sum(table2.values()) != excess2
@@ -262,3 +260,4 @@ class Link:
             )
         if not 0 <= self.used <= self.capacity:
             raise InvariantViolation(f"link {self.label}: used={self.used} out of bounds")
+        self.audited = len(self.ledger)

@@ -89,19 +89,19 @@ class Replay:
     else.
 
     A ledger whose length is not a whole number of records, a record stamped
-    before the one before it, an unknown op or class, an allocate of an
-    allocation that is already live or of an amount outside its rate window,
-    a reclaim or release of one that is not live, a reclaim that leaves a
-    stream below its minimum, a release of anything but the replayed rate,
-    or usage outside 0..capacity raises ValueError.  Afterwards
-    ``integral[kind]`` holds the used, count and rate entries of the summed
-    state vector of that kind's links, integrated from 0 to the horizon:
-    each record adds its change times the time left to the horizon, so the
-    used entry summed over kinds is the MB carried.  ``live`` holds each
-    ledger's per-allocation rates after its last record.  The state at tick T
-    is every record stamped before T, and ``at_ticks[kind][i]`` is the
-    summed state vector of that kind's links at ``ticks[i]``; ticks ascend
-    to at most ``horizon``.
+    at NaN, before time 0 or before the one before it, an unknown op or
+    class, an allocate of an allocation that is already live or of an amount
+    outside its rate window, a reclaim or release of one that is not live, a
+    reclaim that leaves a stream below its minimum, a release of anything
+    but the replayed rate, or usage outside 0..capacity raises ValueError.
+    Afterwards ``integral[kind]`` holds the used, count and rate entries of
+    the summed state vector of that kind's links, integrated from 0 to the
+    horizon: each record adds its change times the time left to the horizon,
+    so the used entry summed over kinds is the MB carried.  ``live`` holds
+    each ledger's per-allocation rates after its last record.  The state at
+    tick T is every record stamped before T, and ``at_ticks[kind][i]`` is
+    the summed state vector of that kind's links at ``ticks[i]``; ticks
+    ascend to at most ``horizon``.
 
     The walk costs records plus ticks, not links times ticks: each record
     adds its change to its kind's step vector of the first tick after it,
@@ -131,13 +131,13 @@ class Replay:
             live: dict[int, int] = {}
             self.live.append(live)
             used = tick = 0  # tick counts the ticks at or before the last record
-            step, next_tick, last = kind_steps[0], ticks[0] if ticks else math.inf, -math.inf
+            step, next_tick, last = kind_steps[0], ticks[0] if ticks else math.inf, 0.0
             try:
                 records = LEDGER_RECORD.iter_unpack(ledger.ledger)
             except struct.error as exc:
                 raise ValueError(f"ledger of {label}: {exc}") from None
             for time, op, alloc_id, _, c, amount, min_rate, max_rate in records:
-                if time < last:
+                if not last <= time:  # last starts at 0.0; NaN fails too
                     raise ValueError(f"record of {alloc_id} on {label} at {time} after {last}")
                 last = time
                 if time > horizon:

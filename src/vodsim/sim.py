@@ -14,9 +14,9 @@ above minimum) it was scheduled at.  A reclaim schedules nothing; a popped
 event whose excess is stale was cut, so it is rescheduled from the bytes
 banked at the cut.  A cut only lowers a rate: it only delays completion.
 A metric sample records its tick and audits each link whose ledger grew
-since its last audit (every change appends a record); every link is audited
-once before the drain.  ``run`` replays no ledger: the sampled series exist
-only once ``metrics.emit_reports`` walks the ledgers at those ticks.
+past its ``Link.audited`` mark (every change appends a record); every
+link is audited once before the drain.  ``run`` replays no ledger: the
+sampled series exist only once ``metrics.emit_reports`` walks them.
 
 The one scheduled arrival (each arrival schedules the next) is not on the
 binary heap that holds every other event: ``run`` keeps its key and request
@@ -131,12 +131,11 @@ class Simulation:
             config.num_videos, config.video_size_min, config.video_size_max, catalog_rng,
         )
         self.world = World(
-            config.num_proxies, config.num_videos, config.cache_capacity,
-            config.link_capacity,
+            config.num_proxies, self.catalog, config.cache_capacity, config.link_capacity,
+            config.psg_enabled,
         )
         seed_initial_placement(self.world, placement_rng)
         self.ledgers = self.world.all_links()
-        self.audited = [0] * len(self.ledgers)  # each ledger's length at its last audit
         self.now = 0.0
         self.heap: list[tuple] = []  # every event but the next arrival
         self.requests = draw_arrivals(self.workload_rng, config)
@@ -169,9 +168,8 @@ class Simulation:
         # second run would push a tour and a sample behind the clock
         if self.now or self.heap:
             raise RuntimeError("Simulation.run() was already called; build a new Simulation")
-        config, world, catalog, heap = self.config, self.world, self.catalog, self.heap
-        psg_enabled, horizon = config.psg_enabled, config.horizon
-        requests, seq = self.requests, self.seq
+        config, world, heap = self.config, self.world, self.heap
+        horizon, requests, seq = config.horizon, self.requests, self.seq
         dt, proxy_id, video_id, user_class = next(requests)
         at, at_seq = self.now + dt, next(seq)  # the next arrival's key
         self._push(config.agent_period, Simulation._on_tour)
@@ -183,8 +181,7 @@ class Simulation:
             if at < top[0] or at == top[0] and at_seq < top[1]:
                 if at > horizon:
                     break
-                decision = handle_request(world, at, proxy_id, video_id, user_class,
-                                          catalog, psg_enabled)
+                decision = handle_request(world, at, proxy_id, video_id, user_class)
                 source = decision.source
                 if source is LOCAL:
                     local_hits += 1
@@ -247,11 +244,9 @@ class Simulation:
 
     def _on_sample(self, event: tuple) -> None:
         self.metrics.take_snapshot(self.now)
-        audited = self.audited
-        for i, link in enumerate(self.ledgers):
-            if len(link.ledger) != audited[i]:
+        for link in self.ledgers:
+            if len(link.ledger) != link.audited:
                 link.check_conservation()
-                audited[i] = len(link.ledger)
         self._push(self.now + self.config.sample_period, Simulation._on_sample)
 
     def _drain(self) -> None:

@@ -116,16 +116,19 @@ class World:
     server is each proxy's ``PS_CMS`` link.  Every link of the ring shares
     one allocation id counter, so ids are unique across the ring.
 
+    The ring's ``catalog`` and its sharing switch ``psg_enabled`` are fixed;
     ``weights`` is the one weight table the agent rewrites and admission
-    reads; ``dirty`` holds the cells requested since the last agent tour.
+    reads, and ``dirty`` holds the cells requested since the last tour.
     """
 
-    def __init__(self, num_proxies: int, num_videos: int, cache_capacity: int,
-                 link_capacity: int):
+    def __init__(self, num_proxies: int, catalog: list[VideoMeta], cache_capacity: int,
+                 link_capacity: int, psg_enabled: bool):
         id_source = itertools.count(1)
+        num_videos = len(catalog)
         self.proxies = [ProxyServer(pid, cache_capacity, link_capacity, num_videos, id_source)
                         for pid in range(num_proxies)]
-        self.num_videos = num_videos
+        self.catalog = catalog
+        self.psg_enabled = psg_enabled
         self.demand = [0] * (3 * num_videos)  # sum of all local_counts
         self.weights = [0] * (3 * num_videos)
         self.dirty: set[int] = set()
@@ -148,8 +151,6 @@ def handle_request(
     proxy_id: int,
     video_id: int,
     user_class: int,
-    catalog: list[VideoMeta],
-    psg_enabled: bool = True,
 ) -> RouteDecision:
     """Process one arrival end to end at its landing proxy.
 
@@ -163,8 +164,8 @@ def handle_request(
     admitted video is cached here and marked live.  The class is the int
     1, 2 or 3.
     """
-    proxies = world.proxies
-    if not (0 <= proxy_id < len(proxies) and 0 <= video_id < world.num_videos
+    proxies, catalog = world.proxies, world.catalog
+    if not (0 <= proxy_id < len(proxies) and 0 <= video_id < len(catalog)
             and 1 <= user_class <= 3):
         raise ValueError(f"unknown request: proxy {proxy_id}, video {video_id}, "
                          f"class {user_class}")
@@ -185,7 +186,7 @@ def handle_request(
     min_rate, max_rate = video.min_bw[user_class - 1], video.max_bw[user_class - 1]
     # proxy.links is built in LINK_KINDS order: PS_LPS, PS_RPS, PS_CMS
     lps_link, rps_link, cms_link = proxy.links.values()
-    if psg_enabled:
+    if world.psg_enabled:
         at_lps = video_id in proxies[proxy_id - 1].cache  # proxy 0's left is the last
         at_rps = video_id in proxies[(proxy_id + 1) % len(proxies)].cache
         if at_lps and at_rps:
@@ -221,7 +222,7 @@ def seed_initial_placement(world: World, rng: random.Random) -> None:
     """
     capacity = world.proxies[0].cache_capacity
     dealt: list[list[int]] = [[] for _ in world.proxies]
-    for (first, size), (_, per_proxy) in zip(tier_ranges(world.num_videos),
+    for (first, size), (_, per_proxy) in zip(tier_ranges(len(world.catalog)),
                                               tier_ranges(capacity)):
         pool = list(range(first, first + size))
         rng.shuffle(pool)

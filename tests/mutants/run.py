@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 
 SIM, METRICS, ALLOCATION = "vodsim/sim.py", "vodsim/metrics.py", "vodsim/allocation.py"
+TOPOLOGY = "vodsim/topology.py"
 CHANGING = "tests/test_sim.py::test_a_tamper_on_a_changing_link_is_caught_at_a_sample"
 QUIET = "tests/test_sim.py::test_a_tamper_on_a_quiet_link_is_caught_before_the_drain"
 NO_SAMPLE = "tests/test_sim.py::test_a_run_with_no_sample_tick_is_still_audited"
@@ -51,10 +52,11 @@ BRUTE_FORCE = "tests/test_metrics.py::test_replay_equals_brute_force"
 CORRUPT = "tests/test_metrics.py::test_replay_rejects_corrupt_ledger"
 HOPELESS = "tests/test_allocation.py::test_admit_refuses_a_hopeless_request_without_planning"
 SHORT = "tests/test_allocation.py::test_plan_reclaim_rejects_exactly_when_excess_is_short"
+EARLY = "tests/test_metrics.py::test_emit_reports_flags_a_record_before_time_zero"
 
 MUTANTS = (
     Mutant("sample audits the links whose ledger did not grow", SIM,
-           "if len(link.ledger) != audited[i]:", "if len(link.ledger) == audited[i]:",
+           "if len(link.ledger) != link.audited:", "if len(link.ledger) == link.audited:",
            (CHANGING, RECOUNT)),
     Mutant("no audit before the drain", SIM,
            "        for link in self.ledgers:\n"
@@ -62,8 +64,8 @@ MUTANTS = (
            "        self._drain()",
            "        self._drain()",
            (NO_SAMPLE, QUIET, RECOUNT)),
-    Mutant("audited length not stored", SIM,
-           "                audited[i] = len(link.ledger)\n", "",
+    Mutant("audited length not stored", ALLOCATION,
+           "        self.audited = len(self.ledger)\n", "",
            (QUIET, RECOUNT)),
     Mutant("replay accepts an allocate of a live id", METRICS,
            "op == allocate and alloc_id not in live and", "op == allocate and",
@@ -88,7 +90,7 @@ MUTANTS = (
            "",
            (SHORT,)),
     Mutant("replay accepts a record stamped before its predecessor", METRICS,
-           "                if time < last:\n"
+           "                if not last <= time:  # last starts at 0.0; NaN fails too\n"
            "                    raise ValueError(f\"record of {alloc_id} on {label} at {time} after {last}\")\n",
            "",
            (CORRUPT, "tests/test_metrics.py::test_emit_reports_flags_a_record_out_of_time_order")),
@@ -98,6 +100,18 @@ MUTANTS = (
     Mutant("replay accepts a reclaim below the stream's minimum", METRICS,
            " and live[alloc_id] - amount >= min_rate:", ":",
            (CORRUPT,)),
+    Mutant("replay accepts a record stamped before time 0", METRICS,
+           "ticks[0] if ticks else math.inf, 0.0\n", "ticks[0] if ticks else math.inf, -math.inf\n",
+           (CORRUPT, EARLY)),
+    Mutant("admit applies a take outside 1..the victim's excess", ALLOCATION,
+           "            if not 0 < take <= excess:\n"
+           "                raise InvariantViolation(\"reclaim would push a stream below its minimum\")\n",
+           "",
+           ("tests/test_allocation.py::test_apply_reclaim_takes_only_positive_amounts_above_minimum",)),
+    Mutant("a miss goes to a neighbor with sharing off", TOPOLOGY,
+           "    if world.psg_enabled:\n", "    if True:\n",
+           ("tests/test_topology.py::test_route_without_sharing_goes_central",
+            "tests/test_sim.py::test_no_psg_never_touches_neighbor_links")),
 )
 
 

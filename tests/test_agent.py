@@ -13,22 +13,20 @@ C1, C2, C3 = CLASSES
 
 
 def setup(num_videos=32, seed=4):
-    world = World(4, num_videos, 8, 100)
-    catalog = build_catalog(num_videos, 700, 2100, random.Random(seed))
-    return world, catalog
+    return World(4, build_catalog(num_videos, 700, 2100, random.Random(seed)), 8, 100, True)
 
 
-def request(world, catalog, proxy_id, video_id, user_class, times=1):
+def request(world, proxy_id, video_id, user_class, times=1):
     for _ in range(times):
-        handle_request(world, 1.0, proxy_id, video_id, user_class, catalog)
+        handle_request(world, 1.0, proxy_id, video_id, user_class)
 
 
 def test_tour_weights_sum_demand_over_proxies():
-    world, catalog = setup()
-    request(world, catalog, 0, 3, C1)
-    request(world, catalog, 1, 3, C1)
-    request(world, catalog, 2, 3, C2)
-    request(world, catalog, 3, 9, C3)
+    world = setup()
+    request(world, 0, 3, C1)
+    request(world, 1, 3, C1)
+    request(world, 2, 3, C2)
+    request(world, 3, 9, C3)
     agent_tour(world)
     assert sum(world.demand) == 4
     assert world.weights[cell_index(3, C1)] == 2
@@ -39,42 +37,43 @@ def test_tour_weights_sum_demand_over_proxies():
 
 
 def test_tour_pushes_weights_everywhere():
-    world, catalog = setup()
-    request(world, catalog, 1, 7, C1, times=5)
+    world = setup()
+    request(world, 1, 7, C1, times=5)
     agent_tour(world)
     assert world.weights[cell_index(7, C1)] == 5
     # the table the tour wrote is the one every proxy's admission reads
     for proxy_id in (0, 2, 3):
-        decision = handle_request(world, 11.0, proxy_id, 7, C1, catalog)
+        decision = handle_request(world, 11.0, proxy_id, 7, C1)
         assert decision.allocation.weight == 5
 
 
 def test_tour_leaves_catalog_untouched():
-    world, catalog = setup()
+    world = setup()
+    catalog = world.catalog
     videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     hot = 30  # in the least-popular id range
-    request(world, catalog, 0, hot, C2, times=50)
+    request(world, 0, hot, C2, times=50)
     agent_tour(world)
     assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
 
 
 def test_tour_does_not_reset_counters():
-    world, catalog = setup()
-    request(world, catalog, 0, 1, C1)
+    world = setup()
+    request(world, 0, 1, C1)
     agent_tour(world)
     assert world.proxies[0].local_counts[cell_index(1, C1)] == 1
     assert world.demand[cell_index(1, C1)] == 1
-    request(world, catalog, 0, 1, C1)
+    request(world, 0, 1, C1)
     agent_tour(world)
     assert sum(world.demand) == 2
     assert world.weights[cell_index(1, C1)] == 2
 
 
 def test_second_tour_without_new_demand_changes_nothing():
-    world, catalog = setup()
+    world = setup()
     rng = random.Random(6)
     for _ in range(400):
-        request(world, catalog, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
+        request(world, rng.randrange(4), rng.randrange(32), rng.choice(CLASSES))
     agent_tour(world)
     demand, weights = world.demand[:], world.weights[:]
     agent_tour(world)

@@ -129,15 +129,18 @@ def test_reclaim_all_or_nothing():
     assert link.used == 17
 
 
-def test_apply_reclaim_takes_only_positive_amounts_above_minimum():
+def test_apply_reclaim_takes_only_positive_amounts_above_minimum(monkeypatch):
     # the simulator reschedules a completion event when its allocation's
     # excess differs from the excess it was scheduled at, which is right
     # only because every applied take is positive: each cut changes it
     link = fresh_link(40)
     alloc = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
-    for take in (0, -1, 17):
-        with pytest.raises(InvariantViolation):
-            link._apply_reclaim(1.0, [(alloc, take)])
+    before = link_state(link)
+    for take in (0, -1, 17):  # the victim holds 16 MB/s of excess
+        monkeypatch.setattr(link, "plan_reclaim", lambda c, shortfall, take=take: [(alloc, take)])
+        with pytest.raises(InvariantViolation, match="below its minimum"):
+            link.admit(1.0, 2, C1, min_rate=20, max_rate=20, weight=0)
+        assert link_state(link) == before
     assert link.rate(alloc) == 24 and link.rows[-1].op == "allocate"
 
 

@@ -318,6 +318,12 @@ def test_replay_rejects_corrupt_ledger():
     # a release stamped before its allocate, inside the link's bounds
     with pytest.raises(ValueError, match="record of 1 on bad at 2.0 after 6.0"):
         Replay(bad((6.0, ALLOCATE, 1, 7, 1, 4, 4, 8), (2.0, RELEASE, 1, 7, 1, 4, 4, 8)), 10.0)
+    # an allocate of 8 MB/s stamped before time 0 or at NaN, released at 5.0:
+    # walked as stamped, they would replay to a utilization of 3.6 and of NaN
+    for start in (-40.0, math.nan):
+        with pytest.raises(ValueError, match=f"record of 1 on bad at {start} after 0.0"):
+            Replay(bad((start, ALLOCATE, 1, 7, 1, 8, 4, 8), (5.0, RELEASE, 1, 7, 1, 8, 4, 8)),
+                   10.0)
     # an allocate outside its rate window, below the link's capacity
     for amount in (3, 9, 50):
         with pytest.raises(ValueError, match="'allocate' of 1 on bad"):
@@ -425,6 +431,17 @@ def test_emit_reports_flags_a_record_out_of_time_order(tmp_path):
     # at every tick and leave a utilization of -0.032
     rows = [(6.0, ALLOCATE, 1, 7, 1, 4, 4, 8), (2.0, RELEASE, 1, 7, 1, 4, 4, 8)]
     reports = hand_reports(tmp_path, [ledger_link("late", rows, capacity=50)], horizon=10.0,
+                           ticks=[1.0, 3.0, 5.0, 7.0, 9.0])
+    summary = reports["summary.txt"]
+    assert "CHECK:ledger_bounds=FAIL" in summary
+    assert not any(line.startswith("util_avg_") for line in summary)
+
+
+def test_emit_reports_flags_a_record_before_time_zero(tmp_path):
+    # walked as stamped, the allocate at -40.0 would carry 8 MB/s for 45 s of
+    # a 10 s horizon on a 10 MB/s link: a utilization of 3.6
+    rows = [(-40.0, ALLOCATE, 1, 7, 1, 8, 4, 8), (5.0, RELEASE, 1, 7, 1, 8, 4, 8)]
+    reports = hand_reports(tmp_path, [ledger_link("early", rows)], horizon=10.0,
                            ticks=[1.0, 3.0, 5.0, 7.0, 9.0])
     summary = reports["summary.txt"]
     assert "CHECK:ledger_bounds=FAIL" in summary

@@ -95,7 +95,7 @@ def test_draw_spec_refuses_an_empty_range(width):
 def test_demand_profile_counts():
     # one flat cell per (video, class), all zero at the start; a cell's
     # class is its index mod 3, plus one
-    world = World(3, 8, 4, 100)
+    world = World(3, [VideoMeta(100, (4, 4, 4), (8, 8, 8))] * 8, 4, 100, True)
     assert world.demand == [0] * 24
     assert all(proxy.local_counts == [0] * 24 for proxy in world.proxies)
     cells = [cell_index(vid, user_class) for vid in range(8) for user_class in CLASSES]
@@ -107,7 +107,7 @@ def test_demand_profile_counts():
 
 def test_weights_are_request_counts():
     rng = random.Random(17)
-    world = World(3, 12, 4, 100)
+    world = World(3, [VideoMeta(100, (4, 4, 4), (8, 8, 8))] * 12, 4, 100, True)
     for _ in range(500):
         world.demand[cell_index(rng.randrange(12), rng.choice(CLASSES))] += 1
     world.dirty.update(range(len(world.demand)))

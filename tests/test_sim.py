@@ -495,6 +495,7 @@ def test_run_leaves_passed_catalog_untouched(tmp_path):
     videos = [(video.size_mb, video.min_bw, video.max_bw) for video in catalog]
     first = run(config, catalog)
     second = run(config, catalog)
+    assert first.catalog is first.world.catalog is catalog  # one list, held by the ring
     assert first.counters == second.counters
     assert [(video.size_mb, video.min_bw, video.max_bw) for video in catalog] == videos
     emit_reports(first, tmp_path / "a")

@@ -15,21 +15,18 @@ from vodsim.topology import RouteSource, World, handle_request, seed_initial_pla
 C1, C2, C3 = CLASSES
 
 
-def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60):
-    return World(num_proxies, num_videos, cache, capacity)
+# every video streams class 1 at 8..24, class 2 at 6..18 and class 3 at 4..12 MB/s
+WINDOW = VideoMeta(1000, (8, 6, 4), (24, 18, 12))
+
+
+def small_world(num_proxies=6, num_videos=48, cache=8, capacity=60, catalog=None,
+                psg_enabled=True):
+    """A ring over ``catalog``, by default ``num_videos`` videos of ``WINDOW``."""
+    return World(num_proxies, catalog or [WINDOW] * num_videos, cache, capacity, psg_enabled)
 
 
 def small_catalog(num_videos=48, seed=3):
     return build_catalog(num_videos, 700, 2100, random.Random(seed))
-
-
-# every video streams class 1 at 8..24, class 2 at 6..18 and class 3 at 4..12 MB/s
-WINDOWS = [VideoMeta(1000, (8, 6, 4), (24, 18, 12)) for _ in range(48)]
-
-
-def route(world, time, proxy_id, video_id, user_class, psg_enabled=True):
-    """One request through ``handle_request`` on the ``WINDOWS`` catalog."""
-    return handle_request(world, time, proxy_id, video_id, user_class, WINDOWS, psg_enabled)
 
 
 def caches(world):
@@ -59,7 +56,7 @@ def test_ring_neighbors_wrap():
         for holder, requester, source in cases:
             world = small_world(num_proxies=num_proxies)
             world.proxies[holder].cache[7] = False
-            decision = route(world, 0.0, requester, 7, C2)
+            decision = handle_request(world, 0.0, requester, 7, C2)
             assert decision.source is source, (num_proxies, holder, requester)
             assert decision.link is world.proxies[requester].links[SOURCE_LINK[source]]
 
@@ -95,7 +92,7 @@ def test_route_remote_table(holders, free):
         assert proxy.links[kind].admit(0.0, 9, C1, 8, 8, 0)
     expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
     before = {kind: len(link.ledger) for kind, link in proxy.links.items()}
-    decision = route(world, 1.0, 0, 7, C2)
+    decision = handle_request(world, 1.0, 0, 7, C2)
     assert decision.source is expected
     assert decision.link is proxy.links[SOURCE_LINK[expected]]
     assert decision.link.rate(decision.allocation) == 18
@@ -119,7 +116,7 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
         assert other.admit(0.0, 31, C2, 6, 40, 0)
     assert other.capacity - other.used + other.excess[C2] >= 6  # other could admit
     rows = {kind: len(proxy.links[kind].rows) for kind in LINK_KINDS}
-    decision = route(world, 1.0, 0, 7, C2)
+    decision = handle_request(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[PS_CMS]
     for kind in (PS_LPS, PS_RPS):
@@ -132,7 +129,7 @@ def test_route_prefers_freer_neighbor():
     world.proxies[1].cache[7] = False
     proxy = world.proxies[0]
     proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 30, 0)
-    decision = route(world, 1.0, 0, 7, C2)
+    decision = handle_request(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.LPS
     assert decision.link is proxy.links[PS_LPS]
     assert decision.link.rate(decision.allocation) == 18
@@ -142,7 +139,7 @@ def test_route_tie_goes_right():
     world = small_world()
     world.proxies[5].cache[7] = False
     world.proxies[1].cache[7] = False
-    decision = route(world, 0.0, 0, 7, C2)
+    decision = handle_request(world, 0.0, 0, 7, C2)
     assert decision.source is RouteSource.RPS
 
 
@@ -151,7 +148,7 @@ def test_route_single_holder_used_even_if_busier():
     world.proxies[1].cache[7] = False
     proxy = world.proxies[0]
     proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 29, 0)
-    decision = route(world, 1.0, 0, 7, C2)
+    decision = handle_request(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.RPS
 
 
@@ -166,7 +163,7 @@ def test_route_falls_back_to_central_not_other_neighbor():
         assert proxy.links[PS_RPS].admit(0.0, 20 + vid, C2, 8, 8, 0)
     proxy.links[PS_LPS].admit(0.0, 30, C3, 4, 12, 0)
     # right link freer? no: left has 28 free, right 0 -> left picked, admits
-    decision = route(world, 1.0, 0, 7, C2)
+    decision = handle_request(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.LPS
     # now fill left too and ask for a class with nothing to reclaim there;
     # video 7 is cached here now, so ask for video 8, held where 7 is
@@ -176,17 +173,17 @@ def test_route_falls_back_to_central_not_other_neighbor():
         if free < 4 or left.admit(1.0, 40 + free, C3, 4, 4, 0) is None:
             break
     assert left.capacity - left.used < 4
-    decision = route(world, 2.0, 0, 8, C1)
+    decision = handle_request(world, 2.0, 0, 8, C1)
     assert decision.source is RouteSource.CMS
     assert decision.link is proxy.links[PS_CMS]
 
 
 def test_route_without_sharing_goes_central():
-    world = small_world()
+    world = small_world(psg_enabled=False)
     for vid in (7, 8):
         world.proxies[5].cache[vid] = False
         world.proxies[1].cache[vid] = False
-    decision = route(world, 0.0, 0, 7, C1, psg_enabled=False)
+    decision = handle_request(world, 0.0, 0, 7, C1)
     assert decision.source is RouteSource.CMS
     # with the central link full a miss of video 8 (video 7 is cached here
     # now) is rejected, not served by a neighbor
@@ -196,7 +193,7 @@ def test_route_without_sharing_goes_central():
         if cms.admit(1.0, 9, C2, 6, 6, 0) is None:
             break
     assert cms.capacity - cms.used < 6
-    decision = route(world, 2.0, 0, 8, C2, psg_enabled=False)
+    decision = handle_request(world, 2.0, 0, 8, C2)
     assert decision.source is RouteSource.REJECTED
     assert proxy.links[PS_LPS].rows == proxy.links[PS_RPS].rows == ()
 
@@ -205,18 +202,17 @@ def test_route_rejects_when_central_full():
     world = small_world(capacity=8)
     proxy = world.proxies[0]
     assert proxy.links[PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
-    decision = route(world, 1.0, 0, 7, C2)
+    decision = handle_request(world, 1.0, 0, 7, C2)
     assert decision.source is RouteSource.REJECTED
     assert decision.allocation is None
 
 
 def test_handle_request_local_hit_touches_lru():
-    world = small_world()
-    catalog = small_catalog()
+    world = small_world(catalog=small_catalog())
     proxy = world.proxies[2]
     proxy.insert(5)
     proxy.insert(6)
-    decision = handle_request(world, 9.0, 2, 5, C1, catalog)
+    decision = handle_request(world, 9.0, 2, 5, C1)
     assert decision.source is RouteSource.LOCAL
     assert list(proxy.cache) == [6, 5]
     assert proxy.local_counts[cell_index(5, C1)] == 1
@@ -231,7 +227,7 @@ def test_handle_request_nine_requests_reach_every_source():
     world.proxies[5].insert(30)
     sources = set()
     for time, video_id in enumerate([8, 9, 10, 8, 30, 11, 12, 13, 14]):
-        decision = route(world, float(time), 0, video_id, C2)
+        decision = handle_request(world, float(time), 0, video_id, C2)
         sources.add(decision.source)
         if decision.allocation is not None:
             assert type(decision.allocation.user_class) is int
@@ -243,22 +239,20 @@ def test_handle_request_nine_requests_reach_every_source():
 
 
 def test_handle_request_caches_on_success():
-    world = small_world()
-    catalog = small_catalog()
+    world = small_world(catalog=small_catalog())
     proxy = world.proxies[0]
     assert 7 not in proxy.cache
-    decision = handle_request(world, 3.0, 0, 7, C2, catalog)
+    decision = handle_request(world, 3.0, 0, 7, C2)
     assert decision.source is RouteSource.CMS
     assert 7 in proxy.cache
     assert live_set(proxy) == {7}
 
 
 def test_handle_request_rejection_does_not_cache():
-    world = small_world(capacity=8)
-    catalog = small_catalog()
+    world = small_world(capacity=8, catalog=small_catalog())
     proxy = world.proxies[0]
     proxy.links[PS_CMS].admit(0.0, 9, C1, 8, 8, 0)
-    decision = handle_request(world, 1.0, 0, 7, C1, catalog)
+    decision = handle_request(world, 1.0, 0, 7, C1)
     assert decision.source is RouteSource.REJECTED
     assert 7 not in proxy.cache
     assert proxy.local_counts[cell_index(7, C1)] == 1
@@ -273,9 +267,8 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
     # the tables are flat, so an unchecked video -1 or class 0 would
     # silently bump a cell of another video, and proxy -1 would count at
     # the last proxy
-    world = small_world(num_videos=48)
-    catalog = small_catalog(num_videos=48)
-    handle_request(world, 1.0, 0, 47, C3, catalog)
+    world = small_world(catalog=small_catalog(num_videos=48))
+    handle_request(world, 1.0, 0, 47, C3)
 
     def state():
         return (
@@ -285,7 +278,7 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
 
     before = state()
     with pytest.raises(ValueError, match="unknown request"):
-        handle_request(world, 2.0, proxy_id, video_id, user_class, catalog)
+        handle_request(world, 2.0, proxy_id, video_id, user_class)
     assert state() == before
 
 
@@ -360,8 +353,8 @@ def test_local_hit_on_live_video_keeps_it_live():
     world = small_world(cache=2)
     proxy = world.proxies[0]
     for vid in (1, 2):
-        assert route(world, 1.0 * vid, 0, vid, C2).source is RouteSource.CMS
-    assert route(world, 3.0, 0, 1, C2).source is RouteSource.LOCAL
+        assert handle_request(world, 1.0 * vid, 0, vid, C2).source is RouteSource.CMS
+    assert handle_request(world, 3.0, 0, 1, C2).source is RouteSource.LOCAL
     assert list(proxy.cache) == [2, 1]
     proxy.insert(3)  # every entry is live: the cache grows past capacity
     assert list(proxy.cache) == [2, 1, 3]
@@ -451,11 +444,11 @@ def test_weight_prefers_fresher_view():
     world = small_world()
     cell = cell_index(7, C1)
     world.proxies[0].local_counts[cell] = 3  # the request makes it 4
-    decision = route(world, 1.0, 0, 7, C1)
+    decision = handle_request(world, 1.0, 0, 7, C1)
     assert decision.source is RouteSource.CMS
     assert decision.allocation.weight == 4
     world.weights[cell] = 30
-    decision = route(world, 2.0, 3, 7, C1)
+    decision = handle_request(world, 2.0, 3, 7, C1)
     assert decision.source is RouteSource.CMS
     assert decision.allocation.weight == 30
 
@@ -483,12 +476,11 @@ def test_initial_placement_deterministic():
 
 
 def test_request_counting_covers_all_classes():
-    world = small_world()
-    catalog = small_catalog()
+    world = small_world(catalog=small_catalog())
     rng = random.Random(8)
     for _ in range(300):
         handle_request(world, rng.random() * 100, rng.randrange(6),
-                       rng.randrange(48), rng.choice(CLASSES), catalog)
+                       rng.randrange(48), rng.choice(CLASSES))
     assert sum(sum(proxy.local_counts) for proxy in world.proxies) == 300
     assert sum(world.demand) == 300
 
@@ -498,7 +490,7 @@ def place_with_skip_loop(world, rng):
     reference: it skipped a pick its proxy already held and raised when a
     whole pool's worth of picks in a row were skipped."""
     quotas = tier_ranges(world.proxies[0].cache_capacity)
-    for (first, size), (_, per_proxy) in zip(tier_ranges(world.num_videos), quotas):
+    for (first, size), (_, per_proxy) in zip(tier_ranges(len(world.catalog)), quotas):
         pool = list(range(first, first + size))
         rng.shuffle(pool)
         if per_proxy > len(pool):
