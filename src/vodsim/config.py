@@ -7,7 +7,8 @@ from dataclasses import dataclass, fields
 
 from .allocation import FIELD_MAX
 
-MAX_TICKS = 10**7  # most sample ticks, agent tours or expected arrivals a run may schedule
+MAX_TICKS = 10**7  # most sample ticks, agent tours or expected arrivals a run may schedule,
+# and most proxy-video pairs, since each proxy holds three demand cells per video
 
 
 class ConfigError(ValueError):
@@ -62,9 +63,8 @@ class SimConfig:
             raise ConfigError("need at least 3 proxies to form a ring")
         if self.num_videos <= 0 or self.num_videos % 4:
             raise ConfigError("num_videos must be a positive multiple of 4")
-        if self.num_videos - 1 > FIELD_MAX:
-            raise ConfigError(f"num_videos must be at most {FIELD_MAX + 1}: a ledger record "
-                              f"holds video ids up to {FIELD_MAX}")
+        if self.num_proxies * self.num_videos > MAX_TICKS:
+            raise ConfigError(f"num_proxies * num_videos must be at most {MAX_TICKS}")
         if self.link_capacity > FIELD_MAX:
             raise ConfigError(f"link_capacity must be at most {FIELD_MAX} MB/s, the widest "
                               f"amount a ledger record holds")

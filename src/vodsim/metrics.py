@@ -93,15 +93,15 @@ class Replay:
     class, an allocate of an allocation that is already live or of an amount
     outside its rate window, a reclaim or release of one that is not live, a
     reclaim that leaves a stream below its minimum, a release of anything
-    but the replayed rate, or usage outside 0..capacity raises ValueError.
+    but the replayed rate, usage outside 0..capacity, a horizon outside
+    [0, inf) or ticks unsorted or outside [0, horizon] raises ValueError.
     Afterwards ``integral[kind]`` holds the used, count and rate entries of
     the summed state vector of that kind's links, integrated from 0 to the
     horizon: each record adds its change times the time left to the horizon,
     so the used entry summed over kinds is the MB carried.  ``live`` holds
     each ledger's per-allocation rates after its last record.  The state at
     tick T is every record stamped before T, and ``at_ticks[kind][i]`` is
-    the summed state vector of that kind's links at ``ticks[i]``; ticks
-    ascend to at most ``horizon``.
+    the summed state vector of that kind's links at ``ticks[i]``.
 
     The walk costs records plus ticks, not links times ticks: each record
     adds its change to its kind's step vector of the first tick after it,
@@ -115,6 +115,10 @@ class Replay:
     """
 
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
+        if not 0 <= horizon < math.inf:  # NaN fails too
+            raise ValueError(f"horizon {horizon} outside [0, inf)")
+        if not all(map(operator.le, [0.0, *ticks], [*ticks, horizon])):
+            raise ValueError(f"ticks must ascend from 0 to at most the horizon {horizon}")
         self.horizon = horizon
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}

@@ -8,11 +8,10 @@ Each heap event carries its handler: it is one flat tuple ``(time, seq,
 handler, *fields)``, and the loop runs ``handler(sim, event)``.  A handler
 is a plain ``Simulation`` function, never a bound method, so no event
 refers back to its simulation.
-A live stream is its link's ``Allocation``, whose rate lives only in the
-link's tables, and has one completion event carrying the excess (rate
-above minimum) it was scheduled at.  A reclaim schedules nothing; a popped
-event whose excess is stale was cut, so it is rescheduled from the bytes
-banked at the cut.  A cut only lowers a rate: it only delays completion.
+A live stream is its link's ``Allocation``, whose rate only ``Link.rate``
+reads; its one completion event carries the rate it was timed at.  A cut
+(a reclaim) only lowers a rate and schedules nothing: a popped event at a
+stale rate is rescheduled from the bytes banked at the cut.
 A metric sample records its tick and audits each link whose ledger grew
 past its ``Link.audited`` mark (every change appends a record); every
 link is audited once before the drain.  ``run`` replays no ledger: the
@@ -148,10 +147,9 @@ class Simulation:
 
     def _push_completion(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
         size_mb = self.catalog[alloc.video_id].size_mb
-        excess = link.class_excess[alloc.user_class][alloc]
-        rate = link.minimums[alloc] + excess
+        rate = link.rate(alloc)
         self._push(alloc.since + (size_mb - alloc.sent) / rate, Simulation._on_completion,
-                   alloc, link, proxy_id, excess)
+                   alloc, link, proxy_id, rate)
 
     def ledger_digest(self) -> str:
         """SHA-256 over every ledger's bytes, in link order, each preceded by
@@ -212,11 +210,11 @@ class Simulation:
         return self
 
     def _on_completion(self, event: tuple) -> None:
-        _, _, _, alloc, link, proxy_id, excess = event
-        # Every reclaim lowers the excess (a take is always positive) and
-        # nothing raises it, so an event scheduled before a cut never carries
-        # the current excess.  Only this event closes its stream: it is live.
-        if link.class_excess[alloc.user_class][alloc] != excess:
+        _, _, _, alloc, link, proxy_id, rate = event
+        # Every reclaim lowers the rate (a take is always positive) and
+        # nothing raises it, so an event timed before a cut never carries
+        # the current rate.  Only this event closes its stream: it is live.
+        if link.rate(alloc) != rate:
             self._push_completion(alloc, link, proxy_id)
             return
         self._close(alloc, link, proxy_id)

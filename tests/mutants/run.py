@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 
 SIM, METRICS, ALLOCATION = "vodsim/sim.py", "vodsim/metrics.py", "vodsim/allocation.py"
-TOPOLOGY = "vodsim/topology.py"
+TOPOLOGY, CONFIG = "vodsim/topology.py", "vodsim/config.py"
 CHANGING = "tests/test_sim.py::test_a_tamper_on_a_changing_link_is_caught_at_a_sample"
 QUIET = "tests/test_sim.py::test_a_tamper_on_a_quiet_link_is_caught_before_the_drain"
 NO_SAMPLE = "tests/test_sim.py::test_a_run_with_no_sample_tick_is_still_audited"
@@ -53,6 +53,8 @@ CORRUPT = "tests/test_metrics.py::test_replay_rejects_corrupt_ledger"
 HOPELESS = "tests/test_allocation.py::test_admit_refuses_a_hopeless_request_without_planning"
 SHORT = "tests/test_allocation.py::test_plan_reclaim_rejects_exactly_when_excess_is_short"
 EARLY = "tests/test_metrics.py::test_emit_reports_flags_a_record_before_time_zero"
+RESCHEDULE = "tests/test_sim.py::test_reclaim_banks_bytes_and_reschedules"
+HEAP_ORDER = "tests/test_sim.py::test_pending_arrival_keeps_all_heap_order"
 
 MUTANTS = (
     Mutant("sample audits the links whose ledger did not grow", SIM,
@@ -112,6 +114,54 @@ MUTANTS = (
            "    if world.psg_enabled:\n", "    if True:\n",
            ("tests/test_topology.py::test_route_without_sharing_goes_central",
             "tests/test_sim.py::test_no_psg_never_touches_neighbor_links")),
+    Mutant("a routing tie goes left", TOPOLOGY,
+           "lps_link.capacity - lps_link.used > rps_link.capacity - rps_link.used",
+           "lps_link.capacity - lps_link.used >= rps_link.capacity - rps_link.used",
+           ("tests/test_topology.py::test_route_tie_goes_right",)),
+    Mutant("the pending arrival wins every tie", SIM,
+           "if at < top[0] or at == top[0] and at_seq < top[1]:", "if at <= top[0]:",
+           (HEAP_ORDER,)),
+    Mutant("the heap event wins every tie", SIM,
+           "if at < top[0] or at == top[0] and at_seq < top[1]:", "if at < top[0]:",
+           (HEAP_ORDER,
+            "tests/test_sim.py::test_completions_pushed_by_an_arrival_run_before_the_next_arrival")),
+    Mutant("a stale completion closes its stream", SIM,
+           "        if link.rate(alloc) != rate:\n"
+           "            self._push_completion(alloc, link, proxy_id)\n"
+           "            return\n",
+           "",
+           (RESCHEDULE, "tests/test_sim.py::test_each_live_stream_has_one_completion_event")),
+    Mutant("a completion is timed from the clock, not the last rate change", SIM,
+           "self._push(alloc.since + (size_mb - alloc.sent) / rate,",
+           "self._push(self.now + (size_mb - alloc.sent) / rate,",
+           (RESCHEDULE,)),
+    Mutant("a local hit keeps its place in the LRU order", TOPOLOGY,
+           "cache[video_id] = cache.pop(video_id)", "cache[video_id] = cache[video_id]",
+           ("tests/test_topology.py::test_handle_request_local_hit_touches_lru",)),
+    Mutant("the weight ignores the proxy's own count", TOPOLOGY,
+           "    if local_counts[cell] > weight:\n"
+           "        weight = local_counts[cell]\n",
+           "",
+           ("tests/test_topology.py::test_weight_prefers_fresher_view",)),
+    Mutant("insert evicts a live entry", TOPOLOGY,
+           "if not live:", "if True:",
+           ("tests/test_topology.py::test_lru_skips_live_entries",)),
+    Mutant("a tour skips a dirty cell", TOPOLOGY,
+           "weights[cell] = counts[cell]", "pass",
+           ("tests/test_agent.py",)),
+    Mutant("the drain ignores admission order", SIM,
+           "key=lambda entry: entry[0].alloc_id,", "key=lambda entry: -entry[0].alloc_id,",
+           ("tests/test_sim.py::test_drain_closes_in_admission_order",)),
+    Mutant("replay walks ticks out of order or outside [0, horizon]", METRICS,
+           "        if not all(map(operator.le, [0.0, *ticks], [*ticks, horizon])):\n"
+           "            raise ValueError(f\"ticks must ascend from 0 to at most the horizon {horizon}\")\n",
+           "",
+           ("tests/test_metrics.py::test_replay_refuses_a_horizon_or_ticks_it_cannot_walk",)),
+    Mutant("validate passes tables too large to build", CONFIG,
+           "        if self.num_proxies * self.num_videos > MAX_TICKS:\n"
+           "            raise ConfigError(f\"num_proxies * num_videos must be at most {MAX_TICKS}\")\n",
+           "",
+           ("tests/test_config.py::test_validate_caps_the_proxy_video_pairs",)),
 )
 
 

@@ -79,13 +79,34 @@ def test_validate_rejects_bad_values(field, value):
 
 @pytest.mark.parametrize("field, widest, too_wide", [
     ("link_capacity", 2**32 - 1, 2**32),  # a ledger amount is 32 bits
-    ("num_videos", 2**32, 2**32 + 4),  # ids 0..num_videos-1 must fit 32 bits
+    # 4 proxies times 2,500,000 videos is MAX_TICKS proxy-video pairs
+    ("num_videos", 2_500_000, 2_500_004),
 ])
 def test_validate_bounds_ledger_fields(field, widest, too_wide):
-    # validate() only: a run with 2**32 videos would need gigabytes of tables
-    assert getattr(dataclasses.replace(SimConfig(), **{field: widest}).validate(), field) == widest
+    # validate() only, on a ring of 4 proxies: a run at either bound would
+    # need gigabytes of tables
+    ring = dataclasses.replace(SimConfig(), num_proxies=4)
+    assert getattr(dataclasses.replace(ring, **{field: widest}).validate(), field) == widest
     with pytest.raises(ConfigError, match=field):
-        dataclasses.replace(SimConfig(), **{field: too_wide}).validate()
+        dataclasses.replace(ring, **{field: too_wide}).validate()
+
+
+@pytest.mark.parametrize("changes", [
+    {"num_proxies": 10**9},
+    {"num_videos": 2**32, "cache_capacity": 4},
+    {"num_proxies": MAX_TICKS // 480 + 1},
+], ids=["billion-proxies", "2**32-videos", "just-over"])
+def test_validate_caps_the_proxy_video_pairs(changes):
+    # validate() only: each proxy holds three demand cells per video, so a
+    # refused config would build over 3 * 10**7 cells before its first event
+    with pytest.raises(ConfigError, match="num_proxies \\* num_videos"):
+        dataclasses.replace(SimConfig(), **changes).validate()
+
+
+def test_the_proxy_video_cap_keeps_video_ids_in_a_ledger_field():
+    # with at least 3 proxies the cap leaves fewer than MAX_TICKS // 3
+    # videos, so validate() needs no check of its own on the 32-bit ids
+    assert MAX_TICKS // 3 - 1 <= FIELD_MAX
 
 
 @pytest.mark.parametrize("name", ["sample_period", "agent_period"])

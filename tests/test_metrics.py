@@ -341,6 +341,29 @@ def test_replay_rejects_corrupt_ledger():
         Replay([truncated], 10.0)
 
 
+# Walked unchecked, each input below gives wrong numbers on the ledgers of
+# run(SimConfig(horizon=200.0)) instead of an error: NaN utilization for
+# every kind at a NaN or infinite horizon, -0.0 at -5.0, ps_cms used MB/s of
+# 163 at both ticks 100 and 50 (the state at 50 is 73), 0 at a NaN tick, and
+# 0 at a tick past the horizon.
+@pytest.mark.parametrize("walk, match", [
+    pytest.param(lambda ledgers: time_avg_utilization(ledgers, math.nan), "horizon", id="avg-nan"),
+    pytest.param(lambda ledgers: time_avg_utilization(ledgers, math.inf), "horizon", id="avg-inf"),
+    pytest.param(lambda ledgers: Replay(ledgers, math.nan), "horizon", id="nan"),
+    pytest.param(lambda ledgers: Replay(ledgers, math.inf), "horizon", id="inf"),
+    pytest.param(lambda ledgers: Replay(ledgers, -5.0), "horizon", id="negative"),
+    pytest.param(lambda ledgers: Replay(ledgers, 200.0, [100.0, 50.0]), "ticks", id="descending"),
+    pytest.param(lambda ledgers: Replay(ledgers, 200.0, [math.nan]), "ticks", id="nan-tick"),
+    pytest.param(lambda ledgers: Replay(ledgers, 200.0, [-1.0, 100.0]), "ticks", id="tick-below-0"),
+    pytest.param(lambda ledgers: Replay(ledgers, 200.0, [100.0, 250.0]), "ticks",
+                 id="tick-past-horizon"),
+])
+def test_replay_refuses_a_horizon_or_ticks_it_cannot_walk(walk, match):
+    ledgers = run(SimConfig(horizon=200.0)).ledgers
+    with pytest.raises(ValueError, match=match):
+        walk(ledgers)
+
+
 def test_utilization_replay_matches_sampled_series():
     config = SimConfig(horizon=400.0, seed=21)
     result = run(config)

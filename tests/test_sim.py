@@ -236,10 +236,10 @@ def make_stream(capacity=300):
 
 def completion(simulation, alloc, link):
     """The one event on the heap, checked to be the completion of ``alloc``
-    carrying its current excess."""
+    carrying its current rate."""
     [event] = simulation.heap
     assert event[2] is Simulation._on_completion
-    assert event[3:] == (alloc, link, 0, link.class_excess[alloc.user_class][alloc])
+    assert event[3:] == (alloc, link, 0, link.rate(alloc))
     return event
 
 
@@ -274,7 +274,7 @@ def test_reclaim_banks_bytes_and_reschedules():
     assert alloc in link.minimums and link.rows[-1].op == "allocate"
     rescheduled = completion(simulation, alloc, link)
     assert rescheduled[0] == 4.0 + 60.0 / 5 == 16.0
-    assert rescheduled[6] == 0 != stale[6]
+    assert rescheduled[6] == 5 != stale[6] == 10
     link.release(rescheduled[0], alloc)
     assert alloc.sent == 100.0
 
@@ -291,7 +291,7 @@ def test_each_live_stream_has_one_completion_event(monkeypatch):
         nonlocal reschedules
         handled.append(self.now)
         on_completion(self, event)
-        _, _, _, alloc, link, _proxy_id, _excess = event
+        _, _, _, alloc, link, _proxy_id, _rate = event
         reschedules += alloc in link.minimums
 
     def checked_sample(self, event):
