@@ -8,12 +8,12 @@ demand weight upward.  If even that cannot cover the minimum the request
 is rejected and the link is left untouched.
 
 A live stream's rate lives only in its link's integer tables: its minimum,
-and per class its excess.  Each class's total excess runs next to the used
-bandwidth, so ``admit`` refuses a request that free bandwidth plus that
-excess cannot cover without scanning or calling ``plan_reclaim``, and a
-reclaim scans only its class's table.  The audit recounts both counters
-with builtin sums; a run recounts a link at a sample only if its ledger
-grew past its ``audited`` mark, and every link once before the drain.
+and per class the excess of each stream above it.  Each class's total runs
+next to the used bandwidth, so ``admit`` refuses a request that free
+bandwidth plus that excess cannot cover without scanning or calling
+``plan_reclaim``, and a reclaim sorts only the streams that can give.  The
+audit recounts both counters; a run recounts a link at a sample only if its
+ledger grew past its ``audited`` mark, and every link once before the drain.
 
 Every mutation appends one packed ``LEDGER_RECORD`` to the link's
 ``ledger``, a ``bytearray``, so a link's utilization over time can be
@@ -107,15 +107,15 @@ class Link:
     def __init__(self, kind: str, capacity: int, label: str = "", id_source=None):
         if kind not in LINK_KINDS:
             raise ValueError(f"link kind must be one of {LINK_KINDS}, got {kind!r}")
-        if not 0 < capacity <= FIELD_MAX:
-            raise ValueError(f"capacity must be in 1..{FIELD_MAX}, got {capacity}")
+        if type(capacity) is not int or not 0 < capacity <= FIELD_MAX:
+            raise ValueError(f"capacity must be an int in 1..{FIELD_MAX}, got {capacity!r}")
         self.kind = kind
         self.capacity = capacity
         self.label = label or kind
         self.id_source = id_source if id_source is not None else itertools.count(1)
         # the live allocations: each one's minimum rate, and per class (a
-        # list indexed by the class, 1 to 3, so slot 0 is None) its rate
-        # above that minimum
+        # list indexed by the class, 1 to 3, so slot 0 is None) its positive
+        # rate above that minimum, for each one that has some
         self.minimums: dict[Allocation, int] = {}
         self.class_excess: list[dict[Allocation, int] | None] = [None, {}, {}, {}]
         self.used = 0
@@ -126,7 +126,7 @@ class Link:
 
     def rate(self, alloc: Allocation) -> int:
         """The current rate of a live allocation."""
-        return self.minimums[alloc] + self.class_excess[alloc.user_class][alloc]
+        return self.minimums[alloc] + self.class_excess[alloc.user_class].get(alloc, 0)
 
     @property
     def rows(self) -> tuple[LedgerRow, ...]:
@@ -144,13 +144,13 @@ class Link:
         id), and the (allocation, take) victims are returned.  A shortfall
         outside 1..``excess[user_class]`` raises ``ValueError``; ``admit``
         refuses such a request itself.  Only the class's own table is
-        scanned.
+        sorted, and it holds only streams with excess to give.
         """
         if not 0 < shortfall <= self.excess[user_class]:
             raise ValueError(f"shortfall {shortfall} outside 1..{self.excess[user_class]}")
         table = self.class_excess[user_class]
         victims = []
-        for alloc in sorted(filter(table.__getitem__, table), key=RECLAIM_ORDER):
+        for alloc in sorted(table, key=RECLAIM_ORDER):
             take = min(table[alloc], shortfall)
             victims.append((alloc, take))
             shortfall -= take
@@ -176,9 +176,9 @@ class Link:
         only picks the victims of a shortfall that excess covers.  The
         streams its reclaim cut are the ``RECLAIM`` records it appends, each
         amount a take, before its own ``ALLOCATE`` record.  That record is
-        packed first, so a field too wide for it raises with the link
-        untouched.  The class is the int 1, 2 or 3; another class, or bad
-        rate bounds, raises ``ValueError`` with the link untouched.
+        packed first, so a float rate or any field above ``FIELD_MAX``
+        raises ``struct.error``, and a class other than the int 1, 2 or 3,
+        or bad rate bounds, ``ValueError``, each with the link untouched.
         """
         if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
             raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")
@@ -203,16 +203,20 @@ class Link:
             minimum = self.minimums[victim]
             victim.sent += (minimum + excess) * (time - victim.since)
             victim.since = time
-            table[victim] = excess - take
+            if take < excess:
+                table[victim] = excess - take
+            else:
+                del table[victim]
             self.used -= take
             self.excess[user_class] -= take
             self.ledger += LEDGER_RECORD.pack(time, RECLAIM, victim.alloc_id, victim.video_id,
                                               user_class, take, minimum, victim.max_rate)
         alloc = Allocation(alloc_id, video_id, user_class, max_rate, weight, since=time)
         self.minimums[alloc] = min_rate
-        table[alloc] = rate - min_rate
+        if rate > min_rate:
+            table[alloc] = rate - min_rate
+            self.excess[user_class] += rate - min_rate
         self.used += rate
-        self.excess[user_class] += rate - min_rate
         if self.used > self.capacity:
             raise InvariantViolation(
                 f"link {self.label} over capacity: {self.used} > {self.capacity}"
@@ -226,7 +230,7 @@ class Link:
         minimum = self.minimums.pop(alloc, None)
         if minimum is None:
             raise InvariantViolation(f"release of unknown allocation {alloc.alloc_id}")
-        excess = self.class_excess[alloc.user_class].pop(alloc)
+        excess = self.class_excess[alloc.user_class].pop(alloc, 0)
         rate = minimum + excess
         alloc.sent += rate * (time - alloc.since)
         alloc.since = time
@@ -240,11 +244,11 @@ class Link:
 
     def check_conservation(self) -> None:
         """Assert the running counters equal a recount of the live tables:
-        each ``excess[c]`` the sum of class ``c``'s table, and ``used`` the
-        sum of the minimums plus all the excess.  A recount that passes
-        marks the ledger's length as ``audited``.  A run calls it at a sample
-        on each link whose ledger grew past that mark, and on every link once
-        before the drain, so the classes are unpacked for speed."""
+        each ``excess[c]`` the sum of class ``c``'s table, whose streams all
+        run above their minimum, and ``used`` the minimums plus all the
+        excess.  A passing recount marks the ledger's length as ``audited``.
+        A run calls it at a sample on each link whose ledger grew past that
+        mark, and on every link once before the drain, hence the unpacking."""
         _, table1, table2, table3 = self.class_excess
         _, excess1, excess2, excess3 = self.excess
         if (sum(table1.values()) != excess1 or sum(table2.values()) != excess2

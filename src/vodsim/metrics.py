@@ -83,6 +83,12 @@ _RATES = slice(_RATE + 1, _RATE + 1 + len(CLASSES))  # the class rate entries
 _CLASS_BYTES = frozenset(CLASSES)  # the class bytes a record may hold
 
 
+def _check_ticks(ticks: Sequence[float], horizon: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= t1 <= ... <= horizon``; NaN fails."""
+    if not all(map(operator.le, [0.0, *ticks], [*ticks, horizon])):
+        raise ValueError(f"ticks {ticks} must ascend from 0 to at most the horizon {horizon}")
+
+
 class Replay:
     """One walk over the records of each of a set of links, in order, with
     record times clipped at ``horizon``; the package reads ledgers nowhere
@@ -117,8 +123,7 @@ class Replay:
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
         if not 0 <= horizon < math.inf:  # NaN fails too
             raise ValueError(f"horizon {horizon} outside [0, inf)")
-        if not all(map(operator.le, [0.0, *ticks], [*ticks, horizon])):
-            raise ValueError(f"ticks must ascend from 0 to at most the horizon {horizon}")
+        _check_ticks(ticks, horizon)
         self.horizon = horizon
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
@@ -268,9 +273,9 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     ``result`` is a finished ``Simulation``, of which only ``config``,
     ``counters``, ``metrics.ticks`` and ``ledgers`` are read.  ``baseline``
     optionally supplies a sharing-disabled run of ``result.config`` for
-    side-by-side rejection numbers, such as
-    ``sim.baseline_no_psg(result.config)``; a baseline with sharing on, or
-    with any other config field changed, raises ``ValueError`` before a
+    side-by-side rejection numbers, such as ``sim.baseline_no_psg(...)``.
+    A baseline with sharing on or any other config field changed, or ticks
+    that do not ascend from 0 to the horizon, raise ``ValueError`` before a
     file is written.  Returns the paths written: nine allocation series,
     three utilization series, rejections.csv and summary.txt.
 
@@ -284,6 +289,7 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
             raise ValueError("baseline has neighbor sharing enabled")
         if replace(baseline.config, psg_enabled=result.config.psg_enabled) != result.config:
             raise ValueError("baseline config differs from the run's in more than psg_enabled")
+    _check_ticks(result.metrics.ticks, result.config.horizon)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

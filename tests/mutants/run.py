@@ -55,6 +55,10 @@ SHORT = "tests/test_allocation.py::test_plan_reclaim_rejects_exactly_when_excess
 EARLY = "tests/test_metrics.py::test_emit_reports_flags_a_record_before_time_zero"
 RESCHEDULE = "tests/test_sim.py::test_reclaim_banks_bytes_and_reschedules"
 HEAP_ORDER = "tests/test_sim.py::test_pending_arrival_keeps_all_heap_order"
+MACHINE = "tests/test_allocation.py::TestLinkMachine"
+ORDER = "tests/test_allocation.py::test_reclaim_order_is_weight_then_video_then_allocation_id"
+EXHAUSTED = ("tests/test_allocation.py::"
+             "test_a_reclaim_that_takes_all_of_a_victims_excess_removes_its_entry")
 
 MUTANTS = (
     Mutant("sample audits the links whose ledger did not grow", SIM,
@@ -81,7 +85,7 @@ MUTANTS = (
            ("tests/test_metrics.py::test_used_entry_is_the_sum_of_the_class_rates",)),
     Mutant("admit gives the maximum only with bandwidth to spare", ALLOCATION,
            "if free >= max_rate:", "if free > max_rate:",
-           ("tests/test_allocation.py::TestLinkMachine",)),
+           (MACHINE,)),
     Mutant("admit refuses a shortfall that excess exactly covers", ALLOCATION,
            "elif shortfall > self.excess[user_class]:",
            "elif shortfall >= self.excess[user_class]:",
@@ -110,6 +114,30 @@ MUTANTS = (
            "                raise InvariantViolation(\"reclaim would push a stream below its minimum\")\n",
            "",
            ("tests/test_allocation.py::test_apply_reclaim_takes_only_positive_amounts_above_minimum",)),
+    Mutant("admit writes a zero excess entry", ALLOCATION,
+           "if rate > min_rate:", "if rate >= min_rate:",
+           (MACHINE, "tests/test_allocation.py::test_an_admit_at_the_minimum_writes_no_excess_entry")),
+    Mutant("an exhausted victim keeps a zero excess entry", ALLOCATION,
+           "            if take < excess:\n"
+           "                table[victim] = excess - take\n"
+           "            else:\n"
+           "                del table[victim]\n",
+           "            table[victim] = excess - take\n",
+           (MACHINE, EXHAUSTED)),
+    Mutant("Link.rate reads a missing excess entry as 1", ALLOCATION,
+           ".get(alloc, 0)", ".get(alloc, 1)",
+           (MACHINE,)),
+    Mutant("a reclaim leaves its class's excess uncut", ALLOCATION,
+           "            self.excess[user_class] -= take\n", "",
+           (MACHINE,)),
+    Mutant("the reclaim order puts the video id first", ALLOCATION,
+           'attrgetter("weight", "video_id", "alloc_id")',
+           'attrgetter("video_id", "weight", "alloc_id")',
+           (MACHINE, ORDER)),
+    Mutant("the reclaim order breaks weight ties by allocation id first", ALLOCATION,
+           'attrgetter("weight", "video_id", "alloc_id")',
+           'attrgetter("weight", "alloc_id", "video_id")',
+           (MACHINE, ORDER)),
     Mutant("a miss goes to a neighbor with sharing off", TOPOLOGY,
            "    if world.psg_enabled:\n", "    if True:\n",
            ("tests/test_topology.py::test_route_without_sharing_goes_central",
@@ -153,10 +181,11 @@ MUTANTS = (
            "key=lambda entry: entry[0].alloc_id,", "key=lambda entry: -entry[0].alloc_id,",
            ("tests/test_sim.py::test_drain_closes_in_admission_order",)),
     Mutant("replay walks ticks out of order or outside [0, horizon]", METRICS,
-           "        if not all(map(operator.le, [0.0, *ticks], [*ticks, horizon])):\n"
-           "            raise ValueError(f\"ticks must ascend from 0 to at most the horizon {horizon}\")\n",
-           "",
+           "        _check_ticks(ticks, horizon)\n", "",
            ("tests/test_metrics.py::test_replay_refuses_a_horizon_or_ticks_it_cannot_walk",)),
+    Mutant("emit_reports reports bad ticks as a corrupt ledger", METRICS,
+           "    _check_ticks(result.metrics.ticks, result.config.horizon)\n", "",
+           ("tests/test_metrics.py::test_emit_reports_refuses_bad_ticks_before_writing_a_file",)),
     Mutant("validate passes tables too large to build", CONFIG,
            "        if self.num_proxies * self.num_videos > MAX_TICKS:\n"
            "            raise ConfigError(f\"num_proxies * num_videos must be at most {MAX_TICKS}\")\n",

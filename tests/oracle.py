@@ -67,9 +67,10 @@ def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
     for s in existing:
         alloc = Allocation(s.alloc_id, s.video_id, s.user_class, s.max_rate, s.weight)
         link.minimums[alloc] = s.min_rate
-        link.class_excess[s.user_class][alloc] = s.rate - s.min_rate
+        if s.rate > s.min_rate:  # a stream at its minimum has no excess entry
+            link.class_excess[s.user_class][alloc] = s.rate - s.min_rate
+            link.excess[s.user_class] += s.rate - s.min_rate
         link.used += s.rate
-        link.excess[s.user_class] += s.rate - s.min_rate
     if link.used > capacity:
         raise ValueError("forced state exceeds capacity")
     link.check_conservation()

@@ -27,6 +27,7 @@ from vodsim.allocation import (
     LEDGER_RECORD,
     PS_CMS,
     RECLAIM,
+    RELEASE,
     InvariantViolation,
     LedgerRow,
     Link,
@@ -101,6 +102,16 @@ def test_reclaim_takes_from_lowest_weight_first():
         assert link.used == 40
 
 
+def test_reclaim_order_is_weight_then_video_then_allocation_id():
+    # four streams of 8 MB/s excess each, in an admission order that each
+    # key of the order overrides: weight, then video id, then allocation id
+    link = fresh_link(48)
+    a, b, c, d = (link.admit(0.0, video_id, C3, min_rate=4, max_rate=12, weight=weight)
+                  for video_id, weight in ((5, 1), (9, 0), (2, 1), (2, 1)))
+    assert link.plan_reclaim(C3, 32) == [(b, 8), (c, 8), (d, 8), (a, 8)]
+    assert link.plan_reclaim(C3, 20) == [(b, 8), (c, 8), (d, 4)]
+
+
 def test_reclaim_never_cuts_below_minimum():
     link = fresh_link(24)
     a = link.admit(0.0, 1, C3, min_rate=4, max_rate=12, weight=1)
@@ -154,6 +165,47 @@ def test_release_returns_bandwidth():
         link.release(3.0, alloc)
 
 
+def test_an_admit_at_the_minimum_writes_no_excess_entry():
+    # a degraded stream, and one whose window is a single rate
+    link = fresh_link(20)
+    degraded = link.admit(0.0, 1, C1, min_rate=8, max_rate=24, weight=0)
+    fixed = link.admit(0.0, 2, C2, min_rate=7, max_rate=7, weight=0)
+    assert (link.rate(degraded), link.rate(fixed)) == (8, 7)
+    assert link.minimums == {degraded: 8, fixed: 7}
+    assert link.class_excess == [None, {}, {}, {}] and link.excess == [0, 0, 0, 0]
+    link.check_conservation()
+
+
+def test_a_reclaim_that_takes_all_of_a_victims_excess_removes_its_entry():
+    link = fresh_link(30)
+    first = link.admit(0.0, 1, C1, min_rate=6, max_rate=20, weight=0)
+    assert link.class_excess[C1] == {first: 14}
+    # a take of part of the excess leaves the rest, positive
+    second = link.admit(1.0, 2, C1, min_rate=12, max_rate=12, weight=1)
+    assert admit_cuts(link, LEDGER_RECORD.size) == [(first.alloc_id, 2)]
+    assert link.class_excess[C1] == {first: 12} and link.excess[C1] == 12
+    # a take of all of it leaves no entry, and the victim at its minimum
+    start = len(link.ledger)
+    third = link.admit(2.0, 3, C1, min_rate=12, max_rate=18, weight=2)
+    assert admit_cuts(link, start) == [(first.alloc_id, 12)]
+    assert link.class_excess[C1] == {} and link.excess[C1] == 0
+    assert [link.rate(alloc) for alloc in (first, second, third)] == [6, 12, 12]
+    assert link.used == link.capacity
+    link.check_conservation()
+
+
+def test_a_stream_at_its_minimum_releases_cleanly():
+    link = fresh_link(20)
+    first = link.admit(0.0, 1, C3, min_rate=4, max_rate=17, weight=0)
+    alloc = link.admit(1.0, 2, C3, min_rate=5, max_rate=12, weight=0)  # cuts first by 2
+    assert alloc not in link.class_excess[C3]
+    assert link.release(3.0, alloc) is alloc and alloc.sent == 5 * 2.0
+    assert link.minimums == {first: 4} and link.class_excess[C3] == {first: 11}
+    assert (link.used, link.excess[C3]) == (15, 11)
+    assert LEDGER_RECORD.unpack_from(link.ledger, 3 * LEDGER_RECORD.size)[1::4] == (RELEASE, 5)
+    link.check_conservation()
+
+
 def link_state(link):
     """A copy of every table and counter ``admit`` may change, and the ledger."""
     return (dict(link.minimums), [table and dict(table) for table in link.class_excess],
@@ -186,6 +238,14 @@ def test_conservation_check_catches_tampering():
             table[alloc] -= delta
             link.check_conservation()
     fresh_link().check_conservation()
+    # an entry of +1 for a stream at its minimum, which has none
+    at_minimum = link.admit(1.0, 9, C3, min_rate=4, max_rate=30, weight=0)
+    assert link.rate(at_minimum) == 4 and at_minimum not in link.class_excess[C3]
+    link.class_excess[C3][at_minimum] = 1
+    with pytest.raises(InvariantViolation, match="class tables give"):
+        link.check_conservation()
+    del link.class_excess[C3][at_minimum]
+    link.check_conservation()
 
 
 def test_ledger_replay_matches_live_state():
@@ -220,6 +280,17 @@ def test_admit_validates_bounds():
         Link(PS_CMS, 0)
 
 
+@pytest.mark.parametrize("min_rate, max_rate", [(8.5, 24), (8, 24.0), (8, FIELD_MAX + 1)],
+                         ids=["float_min", "float_max", "wide_max"])
+def test_admit_refuses_an_unpackable_rate_with_a_struct_error(min_rate, max_rate):
+    # no check of its own on the hot path: packing the record refuses it
+    link = loaded_link()
+    before = link_state(link)
+    with pytest.raises(struct.error):
+        link.admit(1.0, 9, C1, min_rate=min_rate, max_rate=max_rate, weight=0)
+    assert link_state(link) == before
+
+
 @pytest.mark.parametrize("user_class", [0, 4])
 @pytest.mark.parametrize("min_rate, max_rate", [(4, 8), (25, 30)], ids=["free", "reclaim"])
 def test_admit_refuses_a_class_outside_one_to_three(user_class, min_rate, max_rate):
@@ -235,6 +306,12 @@ def test_link_capacity_fits_the_amount_field():
     assert Link(PS_CMS, FIELD_MAX).capacity == 2**32 - 1
     with pytest.raises(ValueError, match="capacity"):
         Link(PS_CMS, FIELD_MAX + 1)
+
+
+@pytest.mark.parametrize("capacity", [10.5, 10.0, True, "10"])
+def test_link_capacity_is_an_int(capacity):
+    with pytest.raises(ValueError, match="capacity must be an int"):
+        Link(PS_CMS, capacity)
 
 
 def test_ledger_rows_decode_what_was_logged():
@@ -451,20 +528,23 @@ REQUESTS = st.tuples(VIDEO_IDS, st.sampled_from(CLASSES), st.integers(1, 8), SPR
 class LinkMachine(RuleBasedStateMachine):
     """One link driven by admits, releases of live streams and forced
     reclaims.  Every admit must give the rate and cut the victims that
-    ``oracle_admit`` gives on the link's live streams, and the running
-    counters must equal a recount of the tables after every step."""
+    ``oracle_admit`` gives on the oracle's own record of the live streams,
+    and after every step the running counters must equal a recount of the
+    tables, which must hold the oracle's streams: each one's minimum, and
+    the excess of each one above it."""
 
     def __init__(self):
         super().__init__()
         self.link = Link(PS_CMS, 40, "machine")
         self.time = 0.0
+        self.streams = {}  # each live allocation's (rate, minimum), as the oracle gives them
 
     def judged_admit(self, video_id, user_class, min_rate, max_rate, weight):
         """Admit on the link, check it against the oracle, return its cuts."""
-        link = self.link
+        link, streams = self.link, self.streams
         existing = [ExistingStream(alloc.alloc_id, alloc.video_id, alloc.user_class,
-                                   link.rate(alloc), minimum, alloc.max_rate, alloc.weight)
-                    for alloc, minimum in link.minimums.items()]
+                                   rate, minimum, alloc.max_rate, alloc.weight)
+                    for alloc, (rate, minimum) in streams.items()]
         expected = oracle_admit(link.capacity, existing,
                                 AdmitRequest(user_class, min_rate, max_rate))
         start = len(link.ledger)
@@ -477,6 +557,11 @@ class LinkMachine(RuleBasedStateMachine):
         assert alloc is not None and link.rate(alloc) == rate
         cuts = admit_cuts(link, start)
         assert cuts == victims
+        by_id = {alloc.alloc_id: alloc for alloc in streams}
+        for alloc_id, take in victims:
+            victim_rate, minimum = streams[by_id[alloc_id]]
+            streams[by_id[alloc_id]] = (victim_rate - take, minimum)
+        streams[alloc] = (rate, min_rate)
         return cuts
 
     @initialize(requests=st.lists(REQUESTS, max_size=8))
@@ -503,12 +588,14 @@ class LinkMachine(RuleBasedStateMachine):
             min_rate, max_rate = free, free + spread
         assert self.judged_admit(video_id, user_class, min_rate, max_rate, weight) == []
 
-    @precondition(lambda self: self.link.minimums)
+    @precondition(lambda self: self.streams)
     @rule(data=st.data())
     def release(self, data):
-        live = sorted(self.link.minimums, key=lambda alloc: alloc.alloc_id)
+        live = sorted(self.streams, key=lambda alloc: alloc.alloc_id)
+        alloc = data.draw(st.sampled_from(live))
         self.time += 1.0
-        self.link.release(self.time, data.draw(st.sampled_from(live)))
+        self.link.release(self.time, alloc)
+        del self.streams[alloc]
 
     @precondition(lambda self: any(self.link.excess[1:]))
     @rule(data=st.data(), video_id=VIDEO_IDS, spread=SPREADS, weight=WEIGHTS)
@@ -523,6 +610,16 @@ class LinkMachine(RuleBasedStateMachine):
     @invariant()
     def conserved(self):
         self.link.check_conservation()
+
+    @invariant()
+    def only_streams_above_their_minimum_hold_excess(self):
+        link, streams = self.link, self.streams
+        assert link.minimums == {alloc: minimum for alloc, (_, minimum) in streams.items()}
+        for c in CLASSES:
+            assert link.class_excess[c] == {
+                alloc: rate - minimum for alloc, (rate, minimum) in streams.items()
+                if alloc.user_class == c and rate > minimum}
+            assert all(excess > 0 for excess in link.class_excess[c].values())
 
 
 LinkMachine.TestCase.settings = settings(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -243,10 +244,9 @@ def test_replay_integrals_match_segment_integration(steps, past):
         elif (admitted := link.admit(now, weight, c, low, high, weight)) is not None:
             live.append(admitted)
         state = [link.used] + [0] * (_INTEGRATED - 1)
-        for user_class in CLASSES:
-            table = link.class_excess[user_class]
-            state[_COUNT + user_class] = len(table)
-            state[_RATE + user_class] = sum(map(link.rate, table))
+        for alloc in link.minimums:  # every live stream, with or without excess
+            state[_COUNT + alloc.user_class] += 1
+            state[_RATE + alloc.user_class] += link.rate(alloc)
         states.append((now, state))
     horizon = max(now + past, 1.0)
     expected = [0.0] * _INTEGRATED
@@ -362,6 +362,20 @@ def test_replay_refuses_a_horizon_or_ticks_it_cannot_walk(walk, match):
     ledgers = run(SimConfig(horizon=200.0)).ledgers
     with pytest.raises(ValueError, match=match):
         walk(ledgers)
+
+
+def test_emit_reports_refuses_bad_ticks_before_writing_a_file(tmp_path):
+    # the ledgers are sound, so ticks out of order are no corrupt ledger:
+    # they name themselves, and nothing is written
+    result = run(SimConfig(horizon=200.0))
+    for ticks in ([100.0, 50.0], [100.0, 250.0], [-1.0], [math.nan]):
+        bad = SimpleNamespace(config=result.config, counters=result.counters,
+                              metrics=SimpleNamespace(ticks=ticks), ledgers=result.ledgers)
+        with pytest.raises(ValueError, match=re.escape(f"ticks {ticks} must ascend")):
+            emit_reports(bad, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+    emit_reports(result, tmp_path / "out")
+    assert "CHECK:ledger_bounds=PASS" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_utilization_replay_matches_sampled_series():

@@ -835,7 +835,8 @@ def test_a_tamper_on_a_changing_link_is_caught_at_a_sample(delta, monkeypatch):
 
     def shift_excess(links):
         link = links[index]
-        alloc = next(iter(link.minimums))
+        # a stream above its minimum, the only kind with an excess entry
+        alloc = next(a for a in link.minimums if a in link.class_excess[a.user_class])
         link.class_excess[alloc.user_class][alloc] += delta
 
     tamper_after_first_tour(monkeypatch, shift_excess)
