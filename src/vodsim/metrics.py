@@ -83,8 +83,10 @@ _RATES = slice(_RATE + 1, _RATE + 1 + len(CLASSES))  # the class rate entries
 _CLASS_BYTES = frozenset(CLASSES)  # the class bytes a record may hold
 
 
-def _check_ticks(ticks: Sequence[float], horizon: float) -> None:
-    """Raise ``ValueError`` unless ``0 <= t1 <= ... <= horizon``; NaN fails."""
+def _check_walk(ticks: Sequence[float], horizon: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= t1 <= ... <= horizon < inf``; NaN fails."""
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon {horizon} outside [0, inf)")
     if not all(map(operator.le, [0.0, *ticks], [*ticks, horizon])):
         raise ValueError(f"ticks {ticks} must ascend from 0 to at most the horizon {horizon}")
 
@@ -121,9 +123,7 @@ class Replay:
     """
 
     def __init__(self, ledgers: list[Link], horizon: float, ticks: Sequence[float] = ()):
-        if not 0 <= horizon < math.inf:  # NaN fails too
-            raise ValueError(f"horizon {horizon} outside [0, inf)")
-        _check_ticks(ticks, horizon)
+        _check_walk(ticks, horizon)
         self.horizon = horizon
         self.capacity = {kind: 0 for kind in LINK_KINDS}
         self.integral = {kind: [0.0] * _INTEGRATED for kind in LINK_KINDS}
@@ -204,7 +204,10 @@ class Replay:
         self.at_ticks = steps
 
     def utilization(self) -> dict[str, float]:
-        """Time-averaged utilization of each kind that has links."""
+        """Time-averaged utilization of each kind that has links; a horizon
+        of 0 averages over no time and raises ``ValueError``."""
+        if not self.horizon:
+            raise ValueError("utilization needs a positive horizon")
         return {kind: self.integral[kind][0] / (capacity * self.horizon)
                 for kind, capacity in self.capacity.items() if capacity}
 
@@ -245,8 +248,6 @@ class MetricsBundle:
 
 def time_avg_utilization(ledgers: list[Link], horizon: float) -> dict[str, float]:
     """Exact time-averaged utilization per link kind, replayed from ledgers."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     return Replay(ledgers, horizon).utilization()
 
 
@@ -272,24 +273,31 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
 
     ``result`` is a finished ``Simulation``, of which only ``config``,
     ``counters``, ``metrics.ticks`` and ``ledgers`` are read.  ``baseline``
-    optionally supplies a sharing-disabled run of ``result.config`` for
-    side-by-side rejection numbers, such as ``sim.baseline_no_psg(...)``.
-    A baseline with sharing on or any other config field changed, or ticks
-    that do not ascend from 0 to the horizon, raise ``ValueError`` before a
-    file is written.  Returns the paths written: nine allocation series,
-    three utilization series, rejections.csv and summary.txt.
+    optionally supplies a sharing-disabled run of ``result.config``, which
+    must have sharing on, for side-by-side rejection numbers, such as
+    ``sim.baseline_no_psg(...)``.  Any other baseline, a horizon outside
+    (0, inf) or ticks that do not ascend from 0 to it raise ``ValueError``
+    before a file is written.  Returns the paths written: nine allocation
+    series, three utilization series, rejections.csv and summary.txt.
 
     One ``Replay`` of the ledgers at the sample ticks gives every series
     and ``util_avg_*``.  If the walk finds a corrupt ledger, the twelve
     series files hold only their header, the summary has no ``util_avg_*``
     lines and it reports ``CHECK:ledger_bounds=FAIL``.
     """
-    if baseline is not None:
-        if baseline.config.psg_enabled:
-            raise ValueError("baseline has neighbor sharing enabled")
-        if replace(baseline.config, psg_enabled=result.config.psg_enabled) != result.config:
-            raise ValueError("baseline config differs from the run's in more than psg_enabled")
-    _check_ticks(result.metrics.ticks, result.config.horizon)
+    if baseline is not None and (not result.config.psg_enabled
+                                 or baseline.config != replace(result.config, psg_enabled=False)):
+        raise ValueError("a baseline needs a run with sharing on and its config with sharing off")
+    _check_walk(result.metrics.ticks, result.config.horizon)
+    config, counters, ticks = result.config, result.counters, result.metrics.ticks
+    try:
+        walked = Replay(result.ledgers, config.horizon, ticks)
+    except ValueError:
+        at_ticks, capacity, util = dict.fromkeys(LINK_KINDS, ()), {}, {}
+        bounds = "FAIL"
+    else:  # a horizon of 0 raises here, not as a corrupt ledger
+        at_ticks, capacity, util = walked.at_ticks, walked.capacity, walked.utilization()
+        bounds = "PASS"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -297,14 +305,6 @@ def emit_reports(result, out_dir, baseline=None) -> list[Path]:
     def write(name: str, lines: list[str]) -> None:
         paths.append(_write_lines(out / name, lines))
 
-    config, counters, ticks = result.config, result.counters, result.metrics.ticks
-    try:
-        walked = Replay(result.ledgers, config.horizon, ticks)
-        at_ticks, capacity, util = walked.at_ticks, walked.capacity, walked.utilization()
-        bounds = "PASS"
-    except ValueError:
-        at_ticks, capacity, util = dict.fromkeys(LINK_KINDS, ()), {}, {}
-        bounds = "FAIL"
     # each tick's time is formatted once for all twelve series; a
     # %-format prints what the f-string format spec does, in less time
     stamps = [f"{t:.6f}" for t in ticks]

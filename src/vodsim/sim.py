@@ -48,7 +48,7 @@ import heapq
 import itertools
 import random
 from collections.abc import Iterator, Sequence
-from math import inf, log
+from math import log
 
 from .allocation import FIELD_MAX, PS_LPS, PS_RPS, Allocation, Link
 from .config import ConfigError, SimConfig
@@ -63,8 +63,8 @@ def draw_arrivals(
 ) -> Iterator[tuple[float, int, int, int]]:
     """Yield requests one at a time, each (interarrival, proxy, video, class).
 
-    A generator: each ``next()`` draws one request, and the config check
-    below runs at the first.  The class is the int 1, 2 or 3.
+    A generator: each ``next()`` draws one request, and the first runs
+    ``config.validate()``.  The class is the int 1, 2 or 3.
 
     Videos are drawn tier-first against the configured popularity mix,
     then uniformly inside the tier.  The tiers are the static id ranges of
@@ -77,16 +77,8 @@ def draw_arrivals(
     written out as CPython writes them: ``-log(1.0 - random()) / rate``,
     and each ``randrange`` under ``model.draw_spec``'s contract.
     """
-    # Simulation validates the whole config once; an empty proxy or tier
-    # range would make a redraw loop below spin forever, and a rate outside
-    # (0, inf) divides by zero or gives NaN, zero or negative gaps
-    if config.num_proxies < 3 or config.num_videos < 4:
-        raise ConfigError(f"cannot draw requests for {config.num_proxies} proxies and "
-                          f"{config.num_videos} videos: need at least 3 proxies and 4 videos")
+    config.validate()  # else an empty range would make a redraw loop below spin forever
     rate = config.total_arrival_rate
-    if not 0 < rate < inf:
-        raise ConfigError(f"cannot pace requests at total_arrival_rate {rate}: "
-                          "need 0 < total_arrival_rate < inf")
     random_, getrandbits = rng.random, rng.getrandbits
     # (first id, size, bits per draw) of the proxy ids and of each tier
     [(_, num_proxies, proxy_bits)] = draw_spec([(0, config.num_proxies)])

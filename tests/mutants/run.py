@@ -9,7 +9,9 @@ profile of ``tests/conftest.py``: a property test that fails stops at its
 first counterexample instead of shrinking it.  The mutant is killed when
 pytest reports failed tests (exit status 1); it survives when they pass.
 Before any mutant, the union of the selections must pass on an unchanged
-copy, so that a kill means the mutation was seen.
+copy, so that a kill means the mutation was seen.  The mutants then run
+in a fixed pool of ``WORKERS`` threads, each with its own copy, and the
+verdicts print in ``MUTANTS`` order.
 
 Stdlib only, and not collected by pytest.  From the repository root:
 
@@ -22,16 +24,19 @@ a selection does not pass unchanged, or a run errs or times out.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[2]
 TIMEOUT_S = 30.0
+WORKERS = 2  # pytest processes at a time
 
 
 class Mutant(NamedTuple):
@@ -181,16 +186,33 @@ MUTANTS = (
            "key=lambda entry: entry[0].alloc_id,", "key=lambda entry: -entry[0].alloc_id,",
            ("tests/test_sim.py::test_drain_closes_in_admission_order",)),
     Mutant("replay walks ticks out of order or outside [0, horizon]", METRICS,
-           "        _check_ticks(ticks, horizon)\n", "",
+           "        _check_walk(ticks, horizon)\n", "",
            ("tests/test_metrics.py::test_replay_refuses_a_horizon_or_ticks_it_cannot_walk",)),
     Mutant("emit_reports reports bad ticks as a corrupt ledger", METRICS,
-           "    _check_ticks(result.metrics.ticks, result.config.horizon)\n", "",
+           "    _check_walk(result.metrics.ticks, result.config.horizon)\n", "",
            ("tests/test_metrics.py::test_emit_reports_refuses_bad_ticks_before_writing_a_file",)),
     Mutant("validate passes tables too large to build", CONFIG,
            "        if self.num_proxies * self.num_videos > MAX_TICKS:\n"
            "            raise ConfigError(f\"num_proxies * num_videos must be at most {MAX_TICKS}\")\n",
            "",
            ("tests/test_config.py::test_validate_caps_the_proxy_video_pairs",)),
+    Mutant("draw_arrivals draws from a config it does not validate", SIM,
+           "    config.validate()  # else", "    # else",
+           ("tests/test_sim.py::test_draw_arrivals_refuses_what_validate_refuses",
+            "tests/test_sim.py::test_run_validates_its_config_a_fixed_number_of_times")),
+    Mutant("a run with sharing off takes a baseline", METRICS,
+           "(not result.config.psg_enabled\n                                 or ", "(",
+           ("tests/test_metrics.py::"
+            "test_emit_reports_refuses_a_baseline_for_a_run_with_sharing_off",)),
+    Mutant("utilization averages over a horizon of 0", METRICS,
+           "        if not self.horizon:\n"
+           "            raise ValueError(\"utilization needs a positive horizon\")\n",
+           "",
+           ("tests/test_metrics.py::"
+            "test_replay_at_horizon_zero_walks_but_averages_no_utilization",)),
+    Mutant("proxy 0's left neighbor is proxy 1", TOPOLOGY,
+           "proxies[proxy_id - 1].cache", "proxies[proxy_id - 1 if proxy_id else 1].cache",
+           ("tests/test_scaling.py::test_rotating_the_ring_rotates_only_the_links",)),
 )
 
 
@@ -219,31 +241,45 @@ def mutated_copy(scratch: Path, mutant: Mutant | None) -> Path:
     return src
 
 
+def verdict(scratch: Path, mutant: Mutant) -> str:
+    """The line that reports ``mutant``, run in a copy under ``scratch``."""
+    start = time.perf_counter()
+    try:
+        status = run_tests(mutated_copy(scratch, mutant), mutant.tests)
+    except ValueError as exc:
+        return f"ERROR     {mutant.name}: {exc}"
+    except subprocess.TimeoutExpired:
+        return f"ERROR     {mutant.name}: timed out after {TIMEOUT_S:.0f} s"
+    outcome = {0: "SURVIVED", 1: "killed  "}.get(status, f"ERROR {status}")
+    return f"{outcome}  {mutant.name} ({time.perf_counter() - start:.1f} s)"
+
+
 def main() -> int:
     failures = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        scratch = Path(tmp)
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
         selection = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
         try:
-            status = run_tests(mutated_copy(scratch, None), selection)
+            status = run_tests(mutated_copy(Path(tmp), None), selection)
         except subprocess.TimeoutExpired:
             status = "timed out"
         if status != 0:
             print(f"ERROR     the selections on unchanged src/: pytest status {status}")
             return 1
-        for mutant in MUTANTS:
-            start = time.perf_counter()
+        # a worker takes a free copy for each mutant and hands it back after
+        scratches = queue.SimpleQueue()
+        for worker in range(WORKERS):
+            scratches.put(Path(tmp) / str(worker))
+
+        def judge(mutant: Mutant) -> str:
+            scratch = scratches.get()
             try:
-                status = run_tests(mutated_copy(scratch, mutant), mutant.tests)
-            except ValueError as exc:
-                verdict = f"ERROR     {mutant.name}: {exc}"
-            except subprocess.TimeoutExpired:
-                verdict = f"ERROR     {mutant.name}: timed out after {TIMEOUT_S:.0f} s"
-            else:
-                verdict = {0: "SURVIVED", 1: "killed  "}.get(status, f"ERROR {status}")
-                verdict += f"  {mutant.name} ({time.perf_counter() - start:.1f} s)"
-            failures += not verdict.startswith("killed")
-            print(verdict)
+                return verdict(scratch, mutant)
+            finally:
+                scratches.put(scratch)
+
+        for line in pool.map(judge, MUTANTS):
+            failures += not line.startswith("killed")
+            print(line, flush=True)
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 

@@ -607,6 +607,20 @@ class LinkMachine(RuleBasedStateMachine):
         min_rate = data.draw(st.integers(free + 1, free + link.excess[user_class]))
         assert self.judged_admit(video_id, user_class, min_rate, min_rate + spread, weight)
 
+    @precondition(lambda self: self.link.capacity - self.link.used >= 4)
+    @rule(user_class=st.sampled_from(CLASSES), tie=st.booleans())
+    def crossed_reclaim(self, user_class, tie):
+        # two streams of 1 MB/s excess, weighed below every live one: the
+        # first on the higher video with the lower or an equal weight.  Their
+        # weight order, or on a tie their admission order, crosses their
+        # video order, so the forced reclaim's first victim shows which key
+        # the reclaim order reads first.
+        low = min((alloc.weight for alloc in self.streams), default=0) - 2
+        for video_id, weight in ((2, low), (0, low if tie else low + 1)):
+            assert self.judged_admit(video_id, user_class, 1, 2, weight) == []
+        free = self.link.capacity - self.link.used
+        assert self.judged_admit(1, user_class, free + 1, free + 1, 0)
+
     @invariant()
     def conserved(self):
         self.link.check_conservation()

@@ -349,6 +349,8 @@ def test_replay_rejects_corrupt_ledger():
 @pytest.mark.parametrize("walk, match", [
     pytest.param(lambda ledgers: time_avg_utilization(ledgers, math.nan), "horizon", id="avg-nan"),
     pytest.param(lambda ledgers: time_avg_utilization(ledgers, math.inf), "horizon", id="avg-inf"),
+    pytest.param(lambda ledgers: time_avg_utilization(ledgers, 0.0), "positive horizon",
+                 id="avg-zero"),
     pytest.param(lambda ledgers: Replay(ledgers, math.nan), "horizon", id="nan"),
     pytest.param(lambda ledgers: Replay(ledgers, math.inf), "horizon", id="inf"),
     pytest.param(lambda ledgers: Replay(ledgers, -5.0), "horizon", id="negative"),
@@ -362,6 +364,30 @@ def test_replay_refuses_a_horizon_or_ticks_it_cannot_walk(walk, match):
     ledgers = run(SimConfig(horizon=200.0)).ledgers
     with pytest.raises(ValueError, match=match):
         walk(ledgers)
+
+
+def test_replay_at_horizon_zero_walks_but_averages_no_utilization():
+    # a horizon of 0 is a legal walk with nothing to average utilization over
+    ledgers = [hand_ledger(), ledger_link("open", [(5.0, ALLOCATE, 2, 7, 1, 4, 2, 4)])]
+    walked = Replay(ledgers, 0.0)
+    with pytest.raises(ValueError, match="positive horizon"):
+        walked.utilization()
+    assert walked.live == [{}, {2: 4}]
+    assert walked.mean_alloc() == 0.0
+
+
+@pytest.mark.parametrize("horizon, match", [
+    (0.0, "positive horizon"), (math.inf, "horizon inf outside"), (-5.0, "horizon -5.0 outside"),
+])
+def test_emit_reports_refuses_a_horizon_it_cannot_average_before_writing_a_file(
+        horizon, match, tmp_path):
+    # a caller-built result whose ledger is sound: unchecked, a horizon of
+    # inf would print CHECK:ledger_bounds=FAIL and one of 0 divide by zero
+    result = SimpleNamespace(config=SimConfig(horizon=horizon), counters=Counters(),
+                             metrics=SimpleNamespace(ticks=[]), ledgers=[hand_ledger()])
+    with pytest.raises(ValueError, match=match):
+        emit_reports(result, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_reports_refuses_bad_ticks_before_writing_a_file(tmp_path):
@@ -525,22 +551,34 @@ def test_emit_reports_paired_columns(tmp_path):
         assert len(line.split(",")) == 3
 
 
-@pytest.mark.parametrize("baseline_config, match", [
-    (SimConfig(horizon=200.0, seed=3, psg_enabled=False), "config differs"),
-    (SimConfig(horizon=200.0, seed=2), "sharing enabled"),
+BASELINE_RULE = "a baseline needs a run with sharing on and its config with sharing off"
+
+
+@pytest.mark.parametrize("baseline_config", [
+    SimConfig(horizon=200.0, seed=3, psg_enabled=False),
+    SimConfig(horizon=200.0, seed=2),
     # same arrivals, other system: the columns would not compare sharing alone
-    (SimConfig(horizon=200.0, seed=2, psg_enabled=False, link_capacity=200), "config differs"),
-    (SimConfig(horizon=200.0, seed=2, psg_enabled=False, cache_capacity=80), "config differs"),
-    (SimConfig(horizon=200.0, seed=2, psg_enabled=False, agent_period=50.0), "config differs"),
+    SimConfig(horizon=200.0, seed=2, psg_enabled=False, link_capacity=200),
+    SimConfig(horizon=200.0, seed=2, psg_enabled=False, cache_capacity=80),
+    SimConfig(horizon=200.0, seed=2, psg_enabled=False, agent_period=50.0),
 ], ids=["other_seed", "sharing_on", "link_capacity", "cache_capacity", "agent_period"])
-def test_emit_reports_refuses_a_mismatched_baseline(baseline_config, match, tmp_path):
+def test_emit_reports_refuses_a_mismatched_baseline(baseline_config, tmp_path):
     # a without_psg column from another workload or system, or from a run
     # with sharing on, would be a wrong comparison written as a right one
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)
     out = tmp_path / "reports"
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=BASELINE_RULE):
         emit_reports(result, out, baseline=run(baseline_config))
+    assert not out.exists()
+
+
+def test_emit_reports_refuses_a_baseline_for_a_run_with_sharing_off(tmp_path):
+    # its with_psg column would hold a second sharing-off run
+    config = SimConfig(horizon=300.0, seed=2, psg_enabled=False)
+    out = tmp_path / "reports"
+    with pytest.raises(ValueError, match=BASELINE_RULE):
+        emit_reports(run(config), out, baseline=baseline_no_psg(config))
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Exact scaling relations: a run scaled by a power of two scales to the bit.
+"""Exact relations between runs: a run scaled by a power of two scales to
+the bit, and a run on a rotated ring rotates only its links.
 
 Rates, capacities and sizes are ints, and times are floats built from them
 by +, -, *, / and log, so scaling by a power of two is exact in binary
@@ -19,7 +20,7 @@ from vodsim.allocation import LEDGER_RECORD
 from vodsim.config import SimConfig
 from vodsim.metrics import Replay
 from vodsim.model import VideoMeta, build_catalog
-from vodsim.sim import run
+from vodsim.sim import Simulation, run
 
 K = 2
 BASE = SimConfig(seed=3, horizon=1000.0)
@@ -132,3 +133,33 @@ def test_scaling_relations_hold_on_tiny_runs(tiny):
     base = run(config, catalog)
     check_rate_relation(base, catalog, k)
     check_time_relation(base, catalog, k)
+
+
+def rotated_run(config, r):
+    """``run(config)`` on the ring turned by ``r``: each proxy k's initial
+    cache moves to proxy (k + r) mod n, and every request lands r proxies on."""
+    sim = Simulation(config)
+    proxies, n = sim.world.proxies, config.num_proxies
+    for k, cache in enumerate([proxy.cache for proxy in proxies]):
+        proxies[(k + r) % n].cache = cache
+    sim.requests = ((dt, (proxy_id + r) % n, video_id, user_class)
+                    for dt, proxy_id, video_id, user_class in sim.requests)
+    return sim.run()
+
+
+@pytest.mark.parametrize("scale", (1, 4, 16))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_rotating_the_ring_rotates_only_the_links(seed, scale):
+    # the ring's index arithmetic is the same at every proxy, so proxy
+    # (k + r) mod n of the rotated run must do exactly what proxy k did
+    config = SimConfig(seed=seed, horizon=500.0, total_arrival_rate=float(scale))
+    plain = run(config)
+    n = config.num_proxies
+    assert plain.counters.served_lps and plain.counters.served_rps
+    ledgers = [bytes(link.ledger) for link in plain.ledgers]
+    for r in (1, 2, 5):
+        rotated = rotated_run(config, r)
+        assert dataclasses.asdict(rotated.counters) == dataclasses.asdict(plain.counters)
+        proxies = rotated.world.proxies
+        assert [bytes(link.ledger) for k in range(n)
+                for link in proxies[(k + r) % n].links.values()] == ledgers

@@ -71,20 +71,40 @@ def test_draw_arrivals_refuses_an_empty_range(changes):
     # negative rates give gaps that never carry a clock past a horizon
     # or run it backwards
     if "total_arrival_rate" in changes:
-        match = "need 0 < total_arrival_rate < inf"
+        match = "total_arrival_rate must be"
     else:
-        match = "need at least 3 proxies and 4 videos"
+        match = "3 proxies" if "num_proxies" in changes else "num_videos must be"
     with pytest.raises(ConfigError, match=match):
         next(draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes)))
 
 
-def test_run_validates_its_config_once(monkeypatch):
+@pytest.mark.parametrize("changes", [
+    # unvalidated, each drew: every request from the top tier, every
+    # request of class 3, from a tier range that is not a quarter, and
+    # raised AttributeError from a float proxy count
+    {"tier_mix": (1.5, -0.25, -0.25)}, {"class_mix": (0, 0, 0)}, {"num_videos": 5},
+    {"num_proxies": 4.5},
+], ids=["tier_mix", "class_mix", "num_videos", "num_proxies"])
+def test_draw_arrivals_refuses_what_validate_refuses(changes):
+    arrivals = draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes))
+    with pytest.raises(ConfigError) as drawn:
+        next(arrivals)
+    with pytest.raises(ConfigError) as validated:
+        dataclasses.replace(SimConfig(), **changes).validate()
+    assert str(drawn.value) == str(validated.value)
+
+
+def test_run_validates_its_config_a_fixed_number_of_times(monkeypatch):
+    # once in Simulation and once at the first draw, however many draws follow
     calls = []
     validate = SimConfig.validate
     monkeypatch.setattr(SimConfig, "validate", lambda self: calls.append(self) or validate(self))
-    result = run(SMALL)
-    assert result.counters.requested > 500  # many draws from one generator
-    assert calls == [SMALL]
+    for scale in (1, 4):
+        config = dataclasses.replace(SMALL, horizon=scale * SMALL.horizon)
+        calls.clear()
+        result = run(config)
+        assert result.counters.requested > scale * 500  # many draws from one generator
+        assert calls == [config, config]
 
 
 def generate_arrival(rng, config):
