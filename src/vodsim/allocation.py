@@ -175,10 +175,13 @@ class Link:
         class's excess cannot cover is refused here, and ``plan_reclaim``
         only picks the victims of a shortfall that excess covers.  The
         streams its reclaim cut are the ``RECLAIM`` records it appends, each
-        amount a take, before its own ``ALLOCATE`` record.  That record is
-        packed first, so a float rate or any field above ``FIELD_MAX``
-        raises ``struct.error``, and a class other than the int 1, 2 or 3,
-        or bad rate bounds, ``ValueError``, each with the link untouched.
+        amount a take, before its own ``ALLOCATE`` record.  An int class
+        outside 1..3, or bad rate bounds, raise ``ValueError`` first.  The
+        record is packed before any table changes but after the allocation
+        id is drawn, so a float rate or class, or a field above
+        ``FIELD_MAX``, raises ``struct.error`` with the link untouched and
+        that id spent.  ``True`` passes as class 1, and a float class that
+        must reclaim or is refused raises ``TypeError``.
         """
         if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
             raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")

@@ -16,6 +16,7 @@ class 1 the highest.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -63,9 +64,10 @@ def draw_spec(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
     ``rng.getrandbits(bits)`` below ``width`` and ``bits`` is
     ``width.bit_length()``.  This is what CPython's
     ``rng.randrange(low, low + width)`` does, call for call, so the value
-    and the generator's state afterwards are the same.  Callers write the
-    ``while`` loop inline, because a call per draw doubles its cost.  A
-    width below 1 would never end that loop and raises ValueError.
+    and the generator's state afterwards are the same.  Callers write each
+    draw inline, ``while (r := getrandbits(bits)) >= width: pass``, as a
+    call per draw doubles its cost; ``topology.shuffle`` draws this way
+    too.  A width below 1 would never end that loop and raises ValueError.
     """
     spec = []
     for low, width in ranges:
@@ -83,24 +85,36 @@ def build_catalog(num_videos: int, size_min: int, size_max: int,
     the size from ``size_min..size_max``, then the minimum and the maximum
     rate of class 1, 2 and 3 from their ``BW_RANGES``.  Each makes the
     calls ``rng.randint`` over the same bounds would, so a seed gives the
-    catalog it gave when this drew through ``randint``.
+    catalog it gave when this drew through ``randint``.  Entries share
+    their rate windows: each window ``BW_RANGES`` allows is one tuple, so
+    a catalog holds at most 36 minimum and 216 maximum window objects.
     """
     bounds = [(size_min, size_max)]
     for user_class in CLASSES:
         min_lo, min_hi, max_lo, max_hi = BW_RANGES[user_class]
         bounds += [(min_lo, min_hi), (max_lo, max_hi)]
-    spec = draw_spec((lo, hi - lo + 1) for lo, hi in bounds)
+    (size_low, size_width, size_bits), *rates = draw_spec((lo, hi - lo + 1) for lo, hi in bounds)
+    # each kind's windows in itertools.product order: the window drawn at
+    # offsets (r1, r2, r3) from the class lows is at (r1 * w2 + r2) * w3 + r3
+    min_windows, max_windows = (
+        list(itertools.product(*(range(low, low + width) for low, width, _ in rates[kind::2])))
+        for kind in (0, 1))
+    # the width and bits of each class's minimum (wmin, bmin) and maximum (wmax, bmax)
+    ((_, wmin1, bmin1), (_, wmax1, bmax1), (_, wmin2, bmin2), (_, wmax2, bmax2),
+     (_, wmin3, bmin3), (_, wmax3, bmax3)) = rates
     getrandbits = rng.getrandbits
     videos = []
     for _ in range(num_videos):
-        drawn = []
-        for low, width, bits in spec:
-            r = getrandbits(bits)
-            while r >= width:
-                r = getrandbits(bits)
-            drawn.append(low + r)
-        size, min1, max1, min2, max2, min3, max3 = drawn
-        videos.append(VideoMeta(size, (min1, min2, min3), (max1, max2, max3)))
+        while (size := getrandbits(size_bits)) >= size_width: pass
+        while (min1 := getrandbits(bmin1)) >= wmin1: pass
+        while (max1 := getrandbits(bmax1)) >= wmax1: pass
+        while (min2 := getrandbits(bmin2)) >= wmin2: pass
+        while (max2 := getrandbits(bmax2)) >= wmax2: pass
+        while (min3 := getrandbits(bmin3)) >= wmin3: pass
+        while (max3 := getrandbits(bmax3)) >= wmax3: pass
+        videos.append(VideoMeta(size_low + size,
+                                min_windows[(min1 * wmin2 + min2) * wmin3 + min3],
+                                max_windows[(max1 * wmax2 + max2) * wmax3 + max3]))
     return videos
 
 

@@ -204,14 +204,27 @@ def handle_request(
     return RouteDecision(CMS, alloc, cms_link)
 
 
+def shuffle(pool: list, rng: random.Random) -> None:
+    """``rng.shuffle(pool)``, call for call: from the last position down to
+    1, swap position ``i`` with one drawn below ``i + 1`` under
+    ``model.draw_spec``'s contract.  Written out, it makes no call per
+    element, and placement does not rest on CPython's ``shuffle``."""
+    getrandbits = rng.getrandbits
+    for i in range(len(pool) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        while (j := getrandbits(bits)) > i: pass
+        pool[i], pool[j] = pool[j], pool[i]
+
+
 def seed_initial_placement(world: World, rng: random.Random) -> None:
     """Deal videos across proxy caches before the run starts.
 
     Each proxy gets a quarter of its cache from each of the two popular
     tiers and the remainder from the least popular tier: the sizes
     ``tier_ranges`` gives for the cache capacity.  Each tier's ids are
-    shuffled once and dealt round-robin so replicas spread as evenly as
-    the counts allow; each cache is then stored in ascending id order.
+    put through ``shuffle`` once and dealt round-robin so replicas spread
+    as evenly as the counts allow; a proxy marks its deal in a mask over
+    the ids, so its cache is stored in ascending id order with no sort.
 
     Proxy ``k`` takes the ``quota`` entries of the cyclic pool that start
     at ``k * quota``.  They are always distinct and new to its cache:
@@ -220,17 +233,18 @@ def seed_initial_placement(world: World, rng: random.Random) -> None:
     wraps onto its own start.  ``SimConfig.validate()`` ensures that for
     every run; a direct caller with a larger quota gets ``ValueError``.
     """
-    capacity = world.proxies[0].cache_capacity
-    dealt: list[list[int]] = [[] for _ in world.proxies]
-    for (first, size), (_, per_proxy) in zip(tier_ranges(len(world.catalog)),
-                                              tier_ranges(capacity)):
+    capacity, num_videos = world.proxies[0].cache_capacity, len(world.catalog)
+    masks = [bytearray(num_videos) for _ in world.proxies]
+    for (first, size), (_, per_proxy) in zip(tier_ranges(num_videos), tier_ranges(capacity)):
         pool = list(range(first, first + size))
-        rng.shuffle(pool)
+        shuffle(pool, rng)
         if per_proxy > size:
             raise ValueError(f"cache quota {per_proxy} exceeds tier size {size}")
         ring = pool + pool
-        for k, videos in enumerate(dealt):
+        for k, mask in enumerate(masks):
             start = k * per_proxy % size
-            videos.extend(ring[start:start + per_proxy])
-    for proxy, videos in zip(world.proxies, dealt):
-        proxy.cache = dict.fromkeys(sorted(videos), False)
+            for video_id in ring[start:start + per_proxy]:
+                mask[video_id] = 1
+    video_ids = list(range(num_videos))  # a range would make each int anew per proxy
+    for proxy, mask in zip(world.proxies, masks):
+        proxy.cache = dict.fromkeys(itertools.compress(video_ids, mask), False)

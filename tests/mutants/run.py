@@ -48,7 +48,7 @@ class Mutant(NamedTuple):
 
 
 SIM, METRICS, ALLOCATION = "vodsim/sim.py", "vodsim/metrics.py", "vodsim/allocation.py"
-TOPOLOGY, CONFIG = "vodsim/topology.py", "vodsim/config.py"
+TOPOLOGY, CONFIG, MODEL = "vodsim/topology.py", "vodsim/config.py", "vodsim/model.py"
 CHANGING = "tests/test_sim.py::test_a_tamper_on_a_changing_link_is_caught_at_a_sample"
 QUIET = "tests/test_sim.py::test_a_tamper_on_a_quiet_link_is_caught_before_the_drain"
 NO_SAMPLE = "tests/test_sim.py::test_a_run_with_no_sample_tick_is_still_audited"
@@ -64,6 +64,8 @@ MACHINE = "tests/test_allocation.py::TestLinkMachine"
 ORDER = "tests/test_allocation.py::test_reclaim_order_is_weight_then_video_then_allocation_id"
 EXHAUSTED = ("tests/test_allocation.py::"
              "test_a_reclaim_that_takes_all_of_a_victims_excess_removes_its_entry")
+SHUFFLE = "tests/test_topology.py::test_shuffle_is_random_shuffle"
+RANDINT = "tests/test_model.py::test_build_catalog_draws_as_randint"
 
 MUTANTS = (
     Mutant("sample audits the links whose ledger did not grow", SIM,
@@ -213,6 +215,30 @@ MUTANTS = (
     Mutant("proxy 0's left neighbor is proxy 1", TOPOLOGY,
            "proxies[proxy_id - 1].cache", "proxies[proxy_id - 1 if proxy_id else 1].cache",
            ("tests/test_scaling.py::test_rotating_the_ring_rotates_only_the_links",)),
+    Mutant("the tier shuffle stops at index 2", TOPOLOGY,
+           "for i in range(len(pool) - 1, 0, -1):", "for i in range(len(pool) - 1, 1, -1):",
+           (f"{SHUFFLE}[0]",)),
+    Mutant("a shuffle draw takes one bit too few", TOPOLOGY,
+           "bits = (i + 1).bit_length()", "bits = i.bit_length()",
+           (f"{SHUFFLE}[0]",)),
+    Mutant("placement marks the id below the one dealt", TOPOLOGY,
+           "mask[video_id] = 1", "mask[video_id - 1] = 1",
+           ("tests/test_topology.py::test_placement_slices_equal_skip_loop",)),
+    Mutant("a maximum window is stored under the wrong key", MODEL,
+           "(max1 * wmax2 + max2) * wmax3 + max3", "(max1 * wmax2 + max3) * wmax3 + max2",
+           (f"{RANDINT}[large_catalog-0]",)),
+    Mutant("a written-out draw keeps a value equal to its width", MODEL,
+           "while (max3 := getrandbits(bmax3)) >= wmax3: pass",
+           "while (max3 := getrandbits(bmax3)) > wmax3: pass",
+           (f"{RANDINT}[2400-4800-0]",)),
+    Mutant("each video gets a minimum window of its own", MODEL,
+           "min_windows[(min1 * wmin2 + min2) * wmin3 + min3]",
+           "(*min_windows[(min1 * wmin2 + min2) * wmin3 + min3],)",
+           ("tests/test_model.py::test_a_drawn_catalog_shares_each_rate_window[0]",)),
+    Mutant("a passed catalog's entries are copied", SIM,
+           "self.catalog = catalog or build_catalog(",
+           "self.catalog = catalog and [dataclasses.replace(v) for v in catalog] or build_catalog(",
+           ("tests/test_sim.py::test_a_passed_catalog_is_kept_object_for_object",)),
 )
 
 

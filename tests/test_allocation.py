@@ -302,6 +302,29 @@ def test_admit_refuses_a_class_outside_one_to_three(user_class, min_rate, max_ra
     link.check_conservation()
 
 
+@pytest.mark.parametrize("min_rate, max_rate", [(25, 30), (60, 70)], ids=["reclaim", "refused"])
+def test_admit_raises_type_error_for_a_float_class_short_of_bandwidth(min_rate, max_rate):
+    # admit checks a class by value only, so 2.0 passes; with too little
+    # free bandwidth it indexes the class's excess total, which a float
+    # cannot, before it draws an allocation id
+    link = loaded_link()  # 21 MB/s free, allocation ids 1 to 3 drawn
+    before = link_state(link)
+    with pytest.raises(TypeError):
+        link.admit(1.0, 9, 2.0, min_rate=min_rate, max_rate=max_rate, weight=0)
+    assert link_state(link) == before and next(link.id_source) == 4
+
+
+def test_admit_takes_true_as_class_1():
+    # a bool is an int, so True passes the class check and is packed as 1
+    link = fresh_link(100)
+    alloc = link.admit(0.0, 1, True, min_rate=8, max_rate=24, weight=0)
+    [(_time, op, alloc_id, _video, user_class, amount, _min, _max)] = (
+        LEDGER_RECORD.iter_unpack(link.ledger))
+    assert (op, alloc_id, user_class, amount) == (ALLOCATE, 1, C1, 24)
+    assert link.class_excess[C1] == {alloc: 16} and link.excess[C1] == 16
+    link.check_conservation()
+
+
 def test_link_capacity_fits_the_amount_field():
     assert Link(PS_CMS, FIELD_MAX).capacity == 2**32 - 1
     with pytest.raises(ValueError, match="capacity"):

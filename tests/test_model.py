@@ -73,14 +73,29 @@ def randint_catalog(num_videos, size_min, size_max, rng):
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("size_min, size_max", [(2400, 4800), (7, 8), (1, 1), (1, 2**40)])
-def test_build_catalog_draws_as_randint(seed, size_min, size_max):
+@pytest.mark.parametrize("num_videos, size_min, size_max", [
+    (200, 2400, 4800), (200, 7, 8), (200, 1, 1), (200, 1, 2**40), (4800, 2400, 4800),
+], ids=["2400-4800", "7-8", "1-1", "1-1099511627776", "large_catalog"])
+def test_build_catalog_draws_as_randint(seed, num_videos, size_min, size_max):
     # (1, 1) has width 1 and still spends one getrandbits(1) per draw;
-    # (1, 2**40) takes the multi-word getrandbits path
+    # (1, 2**40) takes the multi-word getrandbits path; large_catalog is
+    # the benchmark's shape, where every rate window comes up
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    catalog = build_catalog(200, size_min, size_max, rng)
-    assert catalog == randint_catalog(200, size_min, size_max, reference_rng)
+    catalog = build_catalog(num_videos, size_min, size_max, rng)
+    assert catalog == randint_catalog(num_videos, size_min, size_max, reference_rng)
     assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_drawn_catalog_shares_each_rate_window(seed):
+    # BW_RANGES allows 4 * 3 * 3 minimum and 6 * 6 * 6 maximum windows;
+    # equal windows are one tuple object, however many videos hold them
+    catalog = build_catalog(4800, 2400, 4800, random.Random(seed))
+    for windows, most in (([video.min_bw for video in catalog], 36),
+                          ([video.max_bw for video in catalog], 216)):
+        objects = {id(window): window for window in windows}.values()
+        assert len(objects) == len(set(objects)) <= most
+        assert all(type(window) is tuple for window in objects)
 
 
 @pytest.mark.parametrize("width", [0, -3])

@@ -524,6 +524,17 @@ def test_run_leaves_passed_catalog_untouched(tmp_path):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
+def test_a_passed_catalog_is_kept_object_for_object():
+    config = SimConfig(horizon=500.0)
+    catalog = build_catalog(config.num_videos, 2400, 4800, random.Random(2))
+    held = [(video, video.min_bw, video.max_bw) for video in catalog]
+    result = run(config, catalog)
+    assert result.catalog is result.world.catalog is catalog
+    assert len(catalog) == len(held)
+    for video, (before, min_bw, max_bw) in zip(catalog, held):
+        assert video is before and video.min_bw is min_bw and video.max_bw is max_bw
+
+
 def test_catalog_draw_shifts_no_other_stream(tmp_path):
     # the catalog has its own generator: drawing it or passing the same
     # catalog in gives the same placement, arrivals and reports

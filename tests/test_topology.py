@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from oracle import admit_cuts
 from vodsim.allocation import LEDGER_RECORD, LINK_KINDS, PS_CMS, PS_LPS, PS_RPS, RECLAIM
 from vodsim.model import CLASSES, VideoMeta, build_catalog, cell_index, tier_ranges
-from vodsim.topology import RouteSource, World, handle_request, seed_initial_placement
+from vodsim.topology import RouteSource, World, handle_request, seed_initial_placement, shuffle
 
 C1, C2, C3 = CLASSES
 
@@ -282,6 +283,45 @@ def test_unknown_request_raises_before_any_counter_moves(proxy_id, video_id, use
     assert state() == before
 
 
+@pytest.mark.parametrize("user_class, min_rate", [(2.0, 6), (C2, 6.5)],
+                         ids=["float_class", "float_rate"])
+def test_an_unpackable_admit_spends_the_ring_s_next_allocation_id(user_class, min_rate):
+    # a float class or rate passes admit's value checks and fails when its
+    # record is packed, after its id was drawn from the ring's one counter:
+    # the link is untouched, but the next admission anywhere gets id 2
+    world = small_world()
+    link = world.proxies[0].links[PS_CMS]
+    with pytest.raises(struct.error):
+        link.admit(0.0, 5, user_class, min_rate=min_rate, max_rate=18, weight=0)
+    assert (link.used, link.minimums, link.ledger) == (0, {}, bytearray())
+    decision = handle_request(world, 1.0, 3, 9, C2)
+    assert decision.source is RouteSource.CMS and decision.allocation.alloc_id == 2
+    [(_time, _op, alloc_id, *_fields)] = LEDGER_RECORD.iter_unpack(decision.link.ledger)
+    assert alloc_id == 2
+
+
+def test_handle_request_raises_type_error_for_a_float_class_before_any_counter_moves():
+    # the class check is by value, so 2.0 passes it; its float cell index
+    # then fails on the first counter, before anything changed
+    world = small_world()
+    with pytest.raises(TypeError):
+        handle_request(world, 1.0, 0, 5, 2.0)
+    assert world.demand == [0] * len(world.demand) and not world.dirty
+    assert all(not any(proxy.local_counts) and not proxy.cache for proxy in world.proxies)
+    assert handle_request(world, 2.0, 0, 5, C2).allocation.alloc_id == 1
+
+
+def test_handle_request_takes_true_as_class_1():
+    world = small_world()
+    decision = handle_request(world, 1.0, 0, 5, True)
+    assert decision.source is RouteSource.CMS
+    assert world.demand[cell_index(5, C1)] == world.proxies[0].local_counts[cell_index(5, C1)] == 1
+    assert sum(world.demand) == 1 and world.dirty == {cell_index(5, C1)}
+    [(_time, _op, _id, video_id, user_class, amount, _min, _max)] = (
+        LEDGER_RECORD.iter_unpack(decision.link.ledger))
+    assert (video_id, user_class, amount) == (5, C1, WINDOW.max_bw[0])
+
+
 def test_lru_evicts_idle_least_recent():
     world = small_world(cache=4)
     proxy = world.proxies[0]
@@ -512,6 +552,20 @@ def place_with_skip_loop(world, rng):
                 skipped = 0
     for proxy in world.proxies:
         proxy.cache = dict.fromkeys(sorted(proxy.cache), False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffle_is_random_shuffle(seed):
+    # placement's own shuffle: the result and the generator's state after
+    # it equal CPython's shuffle, on short pools (every bit length up to
+    # 7) and on large_catalog's tier sizes
+    for size in [*range(1, 65), 1200, 2400]:
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        pool, reference = list(range(size)), list(range(size))
+        shuffle(pool, rng)
+        reference_rng.shuffle(reference)
+        assert pool == reference, size
+        assert rng.getstate() == reference_rng.getstate(), size
 
 
 def test_placement_slices_equal_skip_loop():
