@@ -8,12 +8,14 @@ demand weight upward.  If even that cannot cover the minimum the request
 is rejected and the link is left untouched.
 
 A live stream's rate lives only in its link's integer tables: its minimum,
-and per class the excess of each stream above it.  Each class's total runs
-next to the used bandwidth, so ``admit`` refuses a request that free
-bandwidth plus that excess cannot cover without scanning or calling
-``plan_reclaim``, and a reclaim sorts only the streams that can give.  The
-audit recounts both counters; a run recounts a link at a sample only if its
-ledger grew past its ``audited`` mark, and every link once before the drain.
+and per class the excess of each stream above it.  A class's table holds
+only the streams that can give, so it is the one record of the class's
+reclaimable bandwidth: ``admit`` sums it to refuse a request that free
+bandwidth plus that excess cannot cover, and a reclaim sorts only it.  At
+saturation the table is small, about one entry when ``admit`` must look.
+The audit recounts ``used`` from the tables; a run recounts a link at a
+sample only if its ledger grew past its ``audited`` mark, and every link
+once before the drain.
 
 Every mutation appends one packed ``LEDGER_RECORD`` to the link's
 ``ledger``, a ``bytearray``, so a link's utilization over time can be
@@ -35,8 +37,6 @@ import itertools
 import struct
 from dataclasses import dataclass
 from operator import attrgetter
-
-from .model import CLASSES
 
 # The kind of a link: which inbound leg of a proxy it models, from its left
 # neighbor, its right neighbor or the central server.  Reports name each
@@ -119,8 +119,6 @@ class Link:
         self.minimums: dict[Allocation, int] = {}
         self.class_excess: list[dict[Allocation, int] | None] = [None, {}, {}, {}]
         self.used = 0
-        # excess[c]: the sum of class_excess[c]
-        self.excess = [0] * (len(CLASSES) + 1)
         self.ledger = bytearray()  # one LEDGER_RECORD per mutation
         self.audited = 0  # the ledger's length at the last audit that passed
 
@@ -142,22 +140,22 @@ class Link:
         uncovered.  Same-class allocations give their excess (rate above
         minimum) in ascending weight order (ties: video id, then allocation
         id), and the (allocation, take) victims are returned.  A shortfall
-        outside 1..``excess[user_class]`` raises ``ValueError``; ``admit``
-        refuses such a request itself.  Only the class's own table is
-        sorted, and it holds only streams with excess to give.
+        outside 1..the sum of the class's table raises ``ValueError``;
+        ``admit`` refuses such a request itself.  Only the class's own table
+        is sorted, and it holds only streams with excess to give.
         """
-        if not 0 < shortfall <= self.excess[user_class]:
-            raise ValueError(f"shortfall {shortfall} outside 1..{self.excess[user_class]}")
         table = self.class_excess[user_class]
+        pool = sum(table.values())
+        if not 0 < shortfall <= pool:
+            raise ValueError(f"shortfall {shortfall} outside 1..{pool}")
         victims = []
         for alloc in sorted(table, key=RECLAIM_ORDER):
             take = min(table[alloc], shortfall)
             victims.append((alloc, take))
             shortfall -= take
             if shortfall == 0:
-                return victims
-        raise InvariantViolation(f"link {self.label}: class {user_class} excess "
-                                 f"{self.excess[user_class]} exceeds its allocations")
+                break
+        return victims
 
     def admit(
         self,
@@ -171,17 +169,18 @@ class Link:
         """Admit a stream or reject it, leaving the link untouched on reject.
 
         Returns the new allocation, or None on rejection.  This is the one
-        admission decision: a request whose minimum free bandwidth plus its
-        class's excess cannot cover is refused here, and ``plan_reclaim``
-        only picks the victims of a shortfall that excess covers.  The
-        streams its reclaim cut are the ``RECLAIM`` records it appends, each
-        amount a take, before its own ``ALLOCATE`` record.  An int class
-        outside 1..3, or bad rate bounds, raise ``ValueError`` first.  The
-        record is packed before any table changes but after the allocation
-        id is drawn, so a float rate or class, or a field above
-        ``FIELD_MAX``, raises ``struct.error`` with the link untouched and
-        that id spent.  ``True`` passes as class 1, and a float class that
-        must reclaim or is refused raises ``TypeError``.
+        admission decision: a request whose minimum free bandwidth plus the
+        sum of its class's table cannot cover is refused here, at once when
+        that table is empty, and ``plan_reclaim`` only picks the victims of
+        a shortfall that excess covers.  The streams its reclaim cut are the
+        ``RECLAIM`` records it appends, each amount a take, before its own
+        ``ALLOCATE`` record.  An int class outside 1..3, or bad rate bounds,
+        raise ``ValueError`` first.  The record is packed before any table
+        changes but after the allocation id is drawn, so a float rate or
+        class, or a field above ``FIELD_MAX``, raises ``struct.error`` with
+        the link untouched and that id spent.  ``True`` passes as class 1,
+        and a float class that must reclaim or is refused raises
+        ``TypeError``.
         """
         if not (0 < min_rate <= max_rate and 1 <= user_class <= 3):
             raise ValueError(f"bad class {user_class} or rate bounds ({min_rate}, {max_rate})")
@@ -191,7 +190,7 @@ class Link:
             rate, victims = max_rate, ()
         elif shortfall <= 0:
             rate, victims = min_rate, ()
-        elif shortfall > self.excess[user_class]:
+        elif not (pool := self.class_excess[user_class]) or shortfall > sum(pool.values()):
             return None
         else:
             rate, victims = min_rate, self.plan_reclaim(user_class, shortfall)
@@ -211,14 +210,12 @@ class Link:
             else:
                 del table[victim]
             self.used -= take
-            self.excess[user_class] -= take
             self.ledger += LEDGER_RECORD.pack(time, RECLAIM, victim.alloc_id, victim.video_id,
                                               user_class, take, minimum, victim.max_rate)
         alloc = Allocation(alloc_id, video_id, user_class, max_rate, weight, since=time)
         self.minimums[alloc] = min_rate
         if rate > min_rate:
             table[alloc] = rate - min_rate
-            self.excess[user_class] += rate - min_rate
         self.used += rate
         if self.used > self.capacity:
             raise InvariantViolation(
@@ -238,7 +235,6 @@ class Link:
         alloc.sent += rate * (time - alloc.since)
         alloc.since = time
         self.used -= rate
-        self.excess[alloc.user_class] -= excess
         if self.used < 0:
             raise InvariantViolation(f"link {self.label} used went negative")
         self.ledger += LEDGER_RECORD.pack(time, RELEASE, alloc.alloc_id, alloc.video_id,
@@ -246,21 +242,14 @@ class Link:
         return alloc
 
     def check_conservation(self) -> None:
-        """Assert the running counters equal a recount of the live tables:
-        each ``excess[c]`` the sum of class ``c``'s table, whose streams all
-        run above their minimum, and ``used`` the minimums plus all the
-        excess.  A passing recount marks the ledger's length as ``audited``.
-        A run calls it at a sample on each link whose ledger grew past that
-        mark, and on every link once before the drain, hence the unpacking."""
+        """Assert the running ``used`` equals a recount of the live tables:
+        the minimums plus the three class tables' excess.  A passing recount
+        marks the ledger's length as ``audited``.  A run calls it at a
+        sample on each link whose ledger grew past that mark, and on every
+        link once before the drain, hence the unpacking."""
         _, table1, table2, table3 = self.class_excess
-        _, excess1, excess2, excess3 = self.excess
-        if (sum(table1.values()) != excess1 or sum(table2.values()) != excess2
-                or sum(table3.values()) != excess3):
-            recount = [sum(table.values()) for table in self.class_excess[1:]]
-            raise InvariantViolation(
-                f"link {self.label}: excess={self.excess[1:]} but the class tables give {recount}"
-            )
-        total = sum(self.minimums.values()) + excess1 + excess2 + excess3
+        total = (sum(self.minimums.values()) + sum(table1.values()) + sum(table2.values())
+                 + sum(table3.values()))
         if total != self.used:
             raise InvariantViolation(
                 f"link {self.label}: used={self.used} but allocations sum to {total}"

@@ -118,11 +118,11 @@ class Simulation:
         catalog_rng = random.Random(root.getrandbits(64))
         placement_rng = random.Random(root.getrandbits(64))
         self.workload_rng = random.Random(root.getrandbits(64))
-        self.catalog = catalog or build_catalog(
+        catalog = catalog or build_catalog(
             config.num_videos, config.video_size_min, config.video_size_max, catalog_rng,
         )
         self.world = World(
-            config.num_proxies, self.catalog, config.cache_capacity, config.link_capacity,
+            config.num_proxies, catalog, config.cache_capacity, config.link_capacity,
             config.psg_enabled,
         )
         seed_initial_placement(self.world, placement_rng)
@@ -138,7 +138,7 @@ class Simulation:
         heapq.heappush(self.heap, (time, next(self.seq), handler, *fields))
 
     def _push_completion(self, alloc: Allocation, link: Link, proxy_id: int) -> None:
-        size_mb = self.catalog[alloc.video_id].size_mb
+        size_mb = self.world.catalog[alloc.video_id].size_mb
         rate = link.rate(alloc)
         self._push(alloc.since + (size_mb - alloc.sent) / rate, Simulation._on_completion,
                    alloc, link, proxy_id, rate)
@@ -219,7 +219,7 @@ class Simulation:
         else:
             counters.served_cms += 1
         counters.bytes_completed += alloc.sent
-        size_mb = self.catalog[alloc.video_id].size_mb
+        size_mb = self.world.catalog[alloc.video_id].size_mb
         rel_error = abs(alloc.sent - size_mb) / size_mb
         if rel_error > counters.max_byte_rel_error:
             counters.max_byte_rel_error = rel_error

@@ -94,14 +94,19 @@ MUTANTS = (
            "if free >= max_rate:", "if free > max_rate:",
            (MACHINE,)),
     Mutant("admit refuses a shortfall that excess exactly covers", ALLOCATION,
-           "elif shortfall > self.excess[user_class]:",
-           "elif shortfall >= self.excess[user_class]:",
+           "or shortfall > sum(pool.values()):",
+           "or shortfall >= sum(pool.values()):",
            (HOPELESS, SHORT)),
     Mutant("plan_reclaim takes a shortfall outside 1..excess", ALLOCATION,
-           "        if not 0 < shortfall <= self.excess[user_class]:\n"
-           "            raise ValueError(f\"shortfall {shortfall} outside 1..{self.excess[user_class]}\")\n",
+           "        if not 0 < shortfall <= pool:\n"
+           "            raise ValueError(f\"shortfall {shortfall} outside 1..{pool}\")\n",
            "",
            (SHORT,)),
+    Mutant("plan_reclaim keeps taking after the shortfall is covered", ALLOCATION,
+           "            if shortfall == 0:\n"
+           "                break\n",
+           "",
+           (MACHINE, SHORT)),
     Mutant("replay accepts a record stamped before its predecessor", METRICS,
            "                if not last <= time:  # last starts at 0.0; NaN fails too\n"
            "                    raise ValueError(f\"record of {alloc_id} on {label} at {time} after {last}\")\n",
@@ -133,9 +138,6 @@ MUTANTS = (
            (MACHINE, EXHAUSTED)),
     Mutant("Link.rate reads a missing excess entry as 1", ALLOCATION,
            ".get(alloc, 0)", ".get(alloc, 1)",
-           (MACHINE,)),
-    Mutant("a reclaim leaves its class's excess uncut", ALLOCATION,
-           "            self.excess[user_class] -= take\n", "",
            (MACHINE,)),
     Mutant("the reclaim order puts the video id first", ALLOCATION,
            'attrgetter("weight", "video_id", "alloc_id")',
@@ -236,8 +238,8 @@ MUTANTS = (
            "(*min_windows[(min1 * wmin2 + min2) * wmin3 + min3],)",
            ("tests/test_model.py::test_a_drawn_catalog_shares_each_rate_window[0]",)),
     Mutant("a passed catalog's entries are copied", SIM,
-           "self.catalog = catalog or build_catalog(",
-           "self.catalog = catalog and [dataclasses.replace(v) for v in catalog] or build_catalog(",
+           "catalog = catalog or build_catalog(",
+           "catalog = catalog and [dataclasses.replace(v) for v in catalog] or build_catalog(",
            ("tests/test_sim.py::test_a_passed_catalog_is_kept_object_for_object",)),
 )
 

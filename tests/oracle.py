@@ -60,8 +60,8 @@ def oracle_admit(
 def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
     """Build a link already carrying the given allocations, no history.
 
-    The running counters are set here and then audited by the link's own
-    conservation check, so a forced state they disagree with fails at once.
+    The running used bandwidth is set here and then audited by the link's
+    own conservation check, so a forced state it disagrees with fails at once.
     """
     link = Link(PS_CMS, capacity, "forced")
     for s in existing:
@@ -69,7 +69,6 @@ def force_link(capacity: int, existing: list[ExistingStream]) -> Link:
         link.minimums[alloc] = s.min_rate
         if s.rate > s.min_rate:  # a stream at its minimum has no excess entry
             link.class_excess[s.user_class][alloc] = s.rate - s.min_rate
-            link.excess[s.user_class] += s.rate - s.min_rate
         link.used += s.rate
     if link.used > capacity:
         raise ValueError("forced state exceeds capacity")

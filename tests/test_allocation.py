@@ -42,6 +42,11 @@ def fresh_link(capacity=100):
     return Link(PS_CMS, capacity, "test")
 
 
+def excess_sum(link, user_class):
+    """The class's reclaimable bandwidth: the sum of its excess table."""
+    return sum(link.class_excess[user_class].values())
+
+
 def live_rates(link):
     """Each live allocation's id mapped to its current rate."""
     return {alloc.alloc_id: link.rate(alloc) for alloc in link.minimums}
@@ -172,7 +177,7 @@ def test_an_admit_at_the_minimum_writes_no_excess_entry():
     fixed = link.admit(0.0, 2, C2, min_rate=7, max_rate=7, weight=0)
     assert (link.rate(degraded), link.rate(fixed)) == (8, 7)
     assert link.minimums == {degraded: 8, fixed: 7}
-    assert link.class_excess == [None, {}, {}, {}] and link.excess == [0, 0, 0, 0]
+    assert link.class_excess == [None, {}, {}, {}]
     link.check_conservation()
 
 
@@ -183,12 +188,12 @@ def test_a_reclaim_that_takes_all_of_a_victims_excess_removes_its_entry():
     # a take of part of the excess leaves the rest, positive
     second = link.admit(1.0, 2, C1, min_rate=12, max_rate=12, weight=1)
     assert admit_cuts(link, LEDGER_RECORD.size) == [(first.alloc_id, 2)]
-    assert link.class_excess[C1] == {first: 12} and link.excess[C1] == 12
+    assert link.class_excess[C1] == {first: 12}
     # a take of all of it leaves no entry, and the victim at its minimum
     start = len(link.ledger)
     third = link.admit(2.0, 3, C1, min_rate=12, max_rate=18, weight=2)
     assert admit_cuts(link, start) == [(first.alloc_id, 12)]
-    assert link.class_excess[C1] == {} and link.excess[C1] == 0
+    assert link.class_excess[C1] == {}
     assert [link.rate(alloc) for alloc in (first, second, third)] == [6, 12, 12]
     assert link.used == link.capacity
     link.check_conservation()
@@ -201,7 +206,7 @@ def test_a_stream_at_its_minimum_releases_cleanly():
     assert alloc not in link.class_excess[C3]
     assert link.release(3.0, alloc) is alloc and alloc.sent == 5 * 2.0
     assert link.minimums == {first: 4} and link.class_excess[C3] == {first: 11}
-    assert (link.used, link.excess[C3]) == (15, 11)
+    assert (link.used, excess_sum(link, C3)) == (15, 11)
     assert LEDGER_RECORD.unpack_from(link.ledger, 3 * LEDGER_RECORD.size)[1::4] == (RELEASE, 5)
     link.check_conservation()
 
@@ -209,7 +214,7 @@ def test_a_stream_at_its_minimum_releases_cleanly():
 def link_state(link):
     """A copy of every table and counter ``admit`` may change, and the ledger."""
     return (dict(link.minimums), [table and dict(table) for table in link.class_excess],
-            link.used, list(link.excess), bytes(link.ledger))
+            link.used, bytes(link.ledger))
 
 
 def loaded_link():
@@ -220,13 +225,13 @@ def loaded_link():
         min_lo, _min_hi, _max_lo, max_hi = BW_RANGES[user_class]
         link.admit(0.0, video_id, user_class, min_rate=min_lo, max_rate=max_hi, weight=0)
     link.check_conservation()
-    assert all(link.excess[c] > 0 for c in CLASSES)
+    assert all(link.class_excess[c] for c in CLASSES)
     return link
 
 
 def test_conservation_check_catches_tampering():
-    # an entry of the live tables off by one, with the counters left as
-    # they were: one entry of each class's excess table, then one minimum
+    # an entry of the live tables off by one, with used left as it was:
+    # one entry of each class's excess table, then one minimum
     link = loaded_link()
     entries = [(link.class_excess[c], next(iter(link.class_excess[c]))) for c in CLASSES]
     entries.append((link.minimums, next(iter(link.minimums))))
@@ -242,7 +247,7 @@ def test_conservation_check_catches_tampering():
     at_minimum = link.admit(1.0, 9, C3, min_rate=4, max_rate=30, weight=0)
     assert link.rate(at_minimum) == 4 and at_minimum not in link.class_excess[C3]
     link.class_excess[C3][at_minimum] = 1
-    with pytest.raises(InvariantViolation, match="class tables give"):
+    with pytest.raises(InvariantViolation, match="allocations sum to"):
         link.check_conservation()
     del link.class_excess[C3][at_minimum]
     link.check_conservation()
@@ -305,7 +310,7 @@ def test_admit_refuses_a_class_outside_one_to_three(user_class, min_rate, max_ra
 @pytest.mark.parametrize("min_rate, max_rate", [(25, 30), (60, 70)], ids=["reclaim", "refused"])
 def test_admit_raises_type_error_for_a_float_class_short_of_bandwidth(min_rate, max_rate):
     # admit checks a class by value only, so 2.0 passes; with too little
-    # free bandwidth it indexes the class's excess total, which a float
+    # free bandwidth it indexes the class's excess table, which a float
     # cannot, before it draws an allocation id
     link = loaded_link()  # 21 MB/s free, allocation ids 1 to 3 drawn
     before = link_state(link)
@@ -321,7 +326,7 @@ def test_admit_takes_true_as_class_1():
     [(_time, op, alloc_id, _video, user_class, amount, _min, _max)] = (
         LEDGER_RECORD.iter_unpack(link.ledger))
     assert (op, alloc_id, user_class, amount) == (ALLOCATE, 1, C1, 24)
-    assert link.class_excess[C1] == {alloc: 16} and link.excess[C1] == 16
+    assert link.class_excess[C1] == {alloc: 16}
     link.check_conservation()
 
 
@@ -358,11 +363,10 @@ def test_ledger_rows_decode_what_was_logged():
     assert len(link.ledger) == 4 * LEDGER_RECORD.size
     # an id past the field raises instead of wrapping, with the link as it
     # was; 2**64 allocations are out of any run's reach
-    state = (link.used, list(link.excess), dict(link.minimums),
-             [dict(table) for table in link.class_excess[1:]])
+    state = (link.used, dict(link.minimums), [dict(table) for table in link.class_excess[1:]])
     with pytest.raises(struct.error):
         link.admit(21.0, 6, C3, 4, 4, 0)
-    assert (link.used, link.excess, link.minimums, link.class_excess[1:]) == state
+    assert (link.used, link.minimums, link.class_excess[1:]) == state
     assert len(link.ledger) == 4 * LEDGER_RECORD.size
 
 
@@ -375,7 +379,7 @@ def test_unpackable_admit_leaves_its_victims_uncut():
     with pytest.raises(struct.error):
         link.admit(5.0, FIELD_MAX + 1, C1, 12, 18, 1)
     assert link.rate(first) == 20 and link.class_excess[C1] == {first: 14}
-    assert (link.used, link.excess[C1], first.sent, first.since) == (20, 14, 0.0, 0.0)
+    assert (link.used, first.sent, first.since) == (20, 0.0, 0.0)
     assert len(link.ledger) == LEDGER_RECORD.size
     link.check_conservation()
 
@@ -414,7 +418,7 @@ def test_plan_reclaim_rejects_exactly_when_excess_is_short():
         link = force_link(capacity, existing)
         c = request.user_class
         pool = sum(s.rate - s.min_rate for s in existing if s.user_class == c)
-        assert link.excess[c] == pool
+        assert excess_sum(link, c) == pool
         free = link.capacity - link.used
         for shortfall in (request.min_rate - free, request.max_rate - free):
             short = shortfall > pool
@@ -455,7 +459,7 @@ def test_admit_refuses_a_hopeless_request_without_planning(monkeypatch):
                 link.admit(0.0, 1, c, min_rate=1, max_rate=1 + excess // 2, weight=2)
                 link.admit(0.0, 2, c, min_rate=1, max_rate=1 + excess - excess // 2, weight=1)
                 link.admit(0.0, 3, c % 3 + 1, min_rate=1, max_rate=98 - excess - free, weight=0)
-                assert (link.capacity - link.used, link.excess[c]) == (free, excess)
+                assert (link.capacity - link.used, excess_sum(link, c)) == (free, excess)
                 short = excess < shortfall
                 planned = [] if short or not shortfall else plan_reclaim(link, c, shortfall)
                 before = link_state(link)
@@ -510,20 +514,13 @@ def test_excess_tracks_admit_reclaim_and_release():
         seen = len(link.ledger)
         recount = {c: sum(excess for user_class, excess in streams.values() if user_class == c)
                    for c in CLASSES}
-        assert {c: link.excess[c] for c in CLASSES} == recount, f"step {step}"
+        assert {c: excess_sum(link, c) for c in CLASSES} == recount, f"step {step}"
     assert reclaims > 100
 
 
 def test_conservation_check_catches_stale_excess():
-    # a running counter off by one, with the tables left as they were:
-    # each class's excess, then the used bandwidth
+    # the running used bandwidth off by one, with the tables left as they were
     link = loaded_link()
-    for c in CLASSES:
-        for delta in (1, -1):
-            link.excess[c] += delta
-            with pytest.raises(InvariantViolation):
-                link.check_conservation()
-            link.excess[c] -= delta
     for delta in (1, -1):
         link.used += delta
         with pytest.raises(InvariantViolation):
@@ -535,11 +532,6 @@ def test_conservation_check_catches_stale_excess():
     empty.used += 1
     with pytest.raises(InvariantViolation):
         empty.check_conservation()
-    # an excess larger than the streams can give is caught by the planner too
-    pool = link.excess[C3]
-    link.excess[C3] += 30
-    with pytest.raises(InvariantViolation):
-        link.plan_reclaim(C3, pool + 1)
 
 
 # few video ids and weights, so reclaim order ties often
@@ -552,8 +544,8 @@ class LinkMachine(RuleBasedStateMachine):
     """One link driven by admits, releases of live streams and forced
     reclaims.  Every admit must give the rate and cut the victims that
     ``oracle_admit`` gives on the oracle's own record of the live streams,
-    and after every step the running counters must equal a recount of the
-    tables, which must hold the oracle's streams: each one's minimum, and
+    and after every step the running used bandwidth must equal a recount of
+    the tables, which must hold the oracle's streams: each one's minimum, and
     the excess of each one above it."""
 
     def __init__(self):
@@ -620,14 +612,14 @@ class LinkMachine(RuleBasedStateMachine):
         self.link.release(self.time, alloc)
         del self.streams[alloc]
 
-    @precondition(lambda self: any(self.link.excess[1:]))
+    @precondition(lambda self: any(self.link.class_excess[1:]))
     @rule(data=st.data(), video_id=VIDEO_IDS, spread=SPREADS, weight=WEIGHTS)
     def forced_reclaim(self, data, video_id, spread, weight):
         # a minimum above free bandwidth but within free plus the class's excess
         link = self.link
-        user_class = data.draw(st.sampled_from([c for c in CLASSES if link.excess[c]]))
+        user_class = data.draw(st.sampled_from([c for c in CLASSES if link.class_excess[c]]))
         free = link.capacity - link.used
-        min_rate = data.draw(st.integers(free + 1, free + link.excess[user_class]))
+        min_rate = data.draw(st.integers(free + 1, free + excess_sum(link, user_class)))
         assert self.judged_admit(video_id, user_class, min_rate, min_rate + spread, weight)
 
     @precondition(lambda self: self.link.capacity - self.link.used >= 4)
