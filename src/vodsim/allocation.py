@@ -13,9 +13,8 @@ only the streams that can give, so it is the one record of the class's
 reclaimable bandwidth: ``admit`` sums it to refuse a request that free
 bandwidth plus that excess cannot cover, and a reclaim sorts only it.  At
 saturation the table is small, about one entry when ``admit`` must look.
-The audit recounts ``used`` from the tables; a run recounts a link at a
-sample only if its ledger grew past its ``audited`` mark, and every link
-once before the drain.
+The audit (``Link.check_conservation``) and ``metrics.Replay`` are the two
+judges of ``used <= capacity``; ``admit`` and ``release`` check no bound.
 
 Every mutation appends one packed ``LEDGER_RECORD`` to the link's
 ``ledger``, a ``bytearray``, so a link's utilization over time can be
@@ -217,10 +216,6 @@ class Link:
         if rate > min_rate:
             table[alloc] = rate - min_rate
         self.used += rate
-        if self.used > self.capacity:
-            raise InvariantViolation(
-                f"link {self.label} over capacity: {self.used} > {self.capacity}"
-            )
         self.ledger += record
         return alloc
 
@@ -235,18 +230,17 @@ class Link:
         alloc.sent += rate * (time - alloc.since)
         alloc.since = time
         self.used -= rate
-        if self.used < 0:
-            raise InvariantViolation(f"link {self.label} used went negative")
         self.ledger += LEDGER_RECORD.pack(time, RELEASE, alloc.alloc_id, alloc.video_id,
                                           alloc.user_class, rate, minimum, alloc.max_rate)
         return alloc
 
     def check_conservation(self) -> None:
-        """Assert the running ``used`` equals a recount of the live tables:
-        the minimums plus the three class tables' excess.  A passing recount
-        marks the ledger's length as ``audited``.  A run calls it at a
-        sample on each link whose ledger grew past that mark, and on every
-        link once before the drain, hence the unpacking."""
+        """Assert the running ``used`` equals a recount of the live tables
+        (the minimums plus the three class tables' positive excess) and is
+        at most the capacity, the bound ``Replay`` judges at report time.  A
+        pass marks the ledger's length as ``audited``.  A run audits at a
+        sample each link whose ledger grew past that mark, and every link
+        once before the drain, hence the unpacking."""
         _, table1, table2, table3 = self.class_excess
         total = (sum(self.minimums.values()) + sum(table1.values()) + sum(table2.values())
                  + sum(table3.values()))
@@ -254,6 +248,6 @@ class Link:
             raise InvariantViolation(
                 f"link {self.label}: used={self.used} but allocations sum to {total}"
             )
-        if not 0 <= self.used <= self.capacity:
+        if self.used > self.capacity:
             raise InvariantViolation(f"link {self.label}: used={self.used} out of bounds")
         self.audited = len(self.ledger)

@@ -7,6 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from .allocation import LINK_KINDS
 from .config import ConfigError, SimConfig, load_config
 from .metrics import Replay, _fmt, _write_lines, emit_reports
 from .sim import baseline_no_psg, run
@@ -88,13 +89,13 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["rate_scale,total_arrival_rate,requested,rejected,rejection_ratio,"
-             "mean_alloc_per_stream,util_ps_lps,util_ps_rps,util_ps_cms"]
+             "mean_alloc_per_stream," + ",".join(f"util_{kind}" for kind in LINK_KINDS)]
     for scale, scaled in zip(scales, scaled_configs):
         result = run(scaled)
         walked = Replay(result.ledgers, scaled.horizon)
         util, mean_alloc = walked.utilization(), walked.mean_alloc()
         counters = result.counters
-        utils = ",".join(_fmt(value) for value in util.values())
+        utils = ",".join(_fmt(util[kind]) for kind in LINK_KINDS)
         lines.append(
             f"{_fmt(scale)},{_fmt(scaled.total_arrival_rate)},{counters.requested},"
             f"{counters.rejected},{_fmt(counters.rejection_ratio)},{_fmt(mean_alloc)},{utils}"

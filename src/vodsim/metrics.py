@@ -101,8 +101,9 @@ class Replay:
     class, an allocate of an allocation that is already live or of an amount
     outside its rate window, a reclaim or release of one that is not live, a
     reclaim that leaves a stream below its minimum, a release of anything
-    but the replayed rate, usage outside 0..capacity, a horizon outside
-    [0, inf) or ticks unsorted or outside [0, horizon] raises ValueError.
+    but the replayed rate, usage above capacity, a horizon outside [0, inf)
+    or ticks unsorted or outside [0, horizon] raises ValueError.  Usage, the
+    sum of the live rates, cannot go below 0, since none is below its minimum.
     Afterwards ``integral[kind]`` holds the used, count and rate entries of
     the summed state vector of that kind's links, integrated from 0 to the
     horizon: each record adds its change times the time left to the horizon,
@@ -162,8 +163,6 @@ class Replay:
                 left = horizon - time
                 moved = amount * left
                 rate = rate_at + c
-                # amounts are unsigned: an allocate can only overfill the
-                # link, a reclaim or release only drive it below zero
                 if op == allocate and alloc_id not in live and min_rate <= amount <= max_rate:
                     live[alloc_id] = amount
                     count = count_at + c
@@ -193,8 +192,6 @@ class Replay:
                 integral[rate] -= moved
                 integral[0] -= moved
                 used -= amount
-                if used < 0:
-                    raise ValueError(f"ledger replay out of bounds on {label}: {used}")
         for kind_steps in steps.values():
             kind_steps.pop()  # the records after the last tick
             for before, cur in itertools.pairwise(kind_steps):

@@ -80,6 +80,17 @@ MUTANTS = (
     Mutant("audited length not stored", ALLOCATION,
            "        self.audited = len(self.ledger)\n", "",
            (QUIET, RECOUNT)),
+    Mutant("the audit lets a link run over capacity", ALLOCATION,
+           "        if self.used > self.capacity:\n"
+           "            raise InvariantViolation(f\"link {self.label}: used={self.used} out of bounds\")\n",
+           "",
+           ("tests/test_sim.py::test_a_link_run_over_capacity_is_caught_at_a_sample",
+            "tests/test_allocation.py::test_conservation_check_catches_a_link_over_capacity")),
+    Mutant("replay lets a link run over capacity", METRICS,
+           "                    if used > capacity:\n"
+           "                        raise ValueError(f\"ledger replay out of bounds on {label}: {used}\")\n",
+           "",
+           (CORRUPT, "tests/test_metrics.py::test_emit_reports_flags_out_of_bounds_ledger")),
     Mutant("replay accepts an allocate of a live id", METRICS,
            "op == allocate and alloc_id not in live and", "op == allocate and",
            ("tests/test_metrics.py::test_emit_reports_flags_an_allocate_of_a_live_id",)),

@@ -253,6 +253,17 @@ def test_conservation_check_catches_tampering():
     link.check_conservation()
 
 
+def test_conservation_check_catches_a_link_over_capacity():
+    # used and the tables agree, and the link holds exactly its capacity,
+    # then 1 MB/s more than it
+    link = loaded_link()
+    link.capacity = link.used
+    link.check_conservation()
+    link.capacity -= 1
+    with pytest.raises(InvariantViolation, match="out of bounds"):
+        link.check_conservation()
+
+
 def test_ledger_replay_matches_live_state():
     rng = random.Random(99)
     link = fresh_link(120)

@@ -437,7 +437,8 @@ def test_emit_reports_flags_out_of_bounds_ledger(tmp_path):
     config = SimConfig(horizon=200.0, seed=2)
     result = run(config)
     ledger = result.ledgers[0]
-    ledger.ledger[:0] = pack_rows([(0.0, ALLOCATE, 0, 0, 1, ledger.capacity + 1, 8, 24)])
+    over = ledger.capacity + 1  # inside its own rate window, so only the bound refuses it
+    ledger.ledger[:0] = pack_rows([(0.0, ALLOCATE, 0, 0, 1, over, over, over)])
     paths = emit_reports(result, tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
     assert "CHECK:ledger_bounds=FAIL" in summary

@@ -894,6 +894,47 @@ def test_a_tamper_on_a_quiet_link_is_caught_before_the_drain(delta, monkeypatch)
     assert not raised_at_a_sample(raised)
 
 
+def test_a_link_run_over_capacity_is_caught_at_a_sample(monkeypatch):
+    # a planner that leaves 1 MB/s of each shortfall uncovered: the admit
+    # that follows fills its link to capacity + 1, which admit itself does
+    # not check, and the next sample's audit finds it
+    plan = Link.plan_reclaim
+
+    def short_plan(self, user_class, shortfall):
+        *victims, (last, take) = plan(self, user_class, shortfall)
+        return [*victims, (last, take - 1)]
+
+    monkeypatch.setattr(Link, "plan_reclaim", short_plan)
+    config = dataclasses.replace(SimConfig(), total_arrival_rate=4.0, horizon=2000.0, seed=1)
+    with pytest.raises(InvariantViolation, match="out of bounds") as raised:
+        run(config)
+    assert raised_at_a_sample(raised)
+
+
+def test_a_misfiled_excess_entry_passes_the_audit_and_fails_the_replay(monkeypatch, tmp_path):
+    # a class-1 stream's excess entry moved into class 2's table: used still
+    # equals the sum of the tables, so every audit passes, but the stream now
+    # reads at its minimum and releases at it, not at the rate its ledger
+    # replays.  The ledger replay is this fault's judge, not the audit.
+    misfiled = []
+
+    def misfile(links):
+        link = next(link for link in links if link.class_excess[1])
+        alloc = next(iter(link.class_excess[1]))
+        link.class_excess[2][alloc] = link.class_excess[1].pop(alloc)
+        misfiled.append((alloc.alloc_id, link.label))
+
+    tamper_after_first_tour(monkeypatch, misfile)
+    result = run(SHORT)
+    [(alloc_id, label)] = misfiled
+    with pytest.raises(ValueError, match=f"bad 'release' of {alloc_id} on {label}"):
+        Replay(result.ledgers, SHORT.horizon)
+    emit_reports(result, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "CHECK:conservation=PASS" in summary
+    assert "CHECK:ledger_bounds=FAIL" in summary
+
+
 def test_a_sample_recounts_exactly_the_links_whose_ledger_grew(monkeypatch):
     log = []  # each check_conservation call's link, between the markers below
     check, on_sample, drain = Link.check_conservation, Simulation._on_sample, Simulation._drain
