@@ -23,18 +23,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args, psg_enabled: bool | None = None) -> SimConfig:
     config = load_config(args.config) if args.config else SimConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.rate is not None:
-        overrides["total_arrival_rate"] = args.rate
-    if psg_enabled is not None:
-        overrides["psg_enabled"] = psg_enabled
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config.validate()
+    overrides = {"seed": args.seed, "horizon": args.horizon, "total_arrival_rate": args.rate,
+                 "psg_enabled": psg_enabled}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    # replace builds, and so checks, a new config: only when something changed
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _check_out(out: str) -> None:
@@ -83,7 +76,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("no rate scales given")
     config = _build_config(args)
     scaled_configs = [
-        dataclasses.replace(config, total_arrival_rate=config.total_arrival_rate * scale).validate()
+        dataclasses.replace(config, total_arrival_rate=config.total_arrival_rate * scale)
         for scale in scales
     ]
     out = Path(args.out)

@@ -31,8 +31,12 @@ def _checked(name: str, value, default):
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """One run's settings, checked when built, where a bad value raises
+    ``ConfigError``.  Frozen: ``dataclasses.replace`` builds, and so checks,
+    a changed copy."""
+
     num_proxies: int = 6
     num_videos: int = 480
     link_capacity: int = 300
@@ -48,17 +52,20 @@ class SimConfig:
     seed: int = 1
     psg_enabled: bool = True
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "SimConfig":
-        """Check every field and return self.  An int given for a float
-        (tuple items too) is stored as that float, so equal configs run
-        and report alike."""
+        """Check every field and return self; building a config runs it.  An
+        int given for a float (tuple items too) is stored as that float, so
+        equal configs run and report alike."""
         for f in fields(self):
             value = _checked(f.name, getattr(self, f.name), f.default)
             if isinstance(value, tuple):
                 # items past the default's length stay for the length checks below
                 value = (*(_checked(f.name, item, default)
                            for item, default in zip(value, f.default)), *value[len(f.default):])
-            setattr(self, f.name, value)
+            object.__setattr__(self, f.name, value)
         if self.num_proxies < 3:
             raise ConfigError("need at least 3 proxies to form a ring")
         if self.num_videos <= 0 or self.num_videos % 4:
@@ -136,4 +143,4 @@ def load_config(path) -> SimConfig:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = _parse_value(key, defaults[key], raw)
-    return SimConfig(**values).validate()
+    return SimConfig(**values)

@@ -63,8 +63,8 @@ def draw_arrivals(
 ) -> Iterator[tuple[float, int, int, int]]:
     """Yield requests one at a time, each (interarrival, proxy, video, class).
 
-    A generator: each ``next()`` draws one request, and the first runs
-    ``config.validate()``.  The class is the int 1, 2 or 3.
+    A generator: each ``next()`` draws one request, from ranges that a
+    built ``SimConfig`` keeps non-empty.  The class is the int 1, 2 or 3.
 
     Videos are drawn tier-first against the configured popularity mix,
     then uniformly inside the tier.  The tiers are the static id ranges of
@@ -77,7 +77,6 @@ def draw_arrivals(
     written out as CPython writes them: ``-log(1.0 - random()) / rate``,
     and each ``randrange`` under ``model.draw_spec``'s contract.
     """
-    config.validate()  # else an empty range would make a redraw loop below spin forever
     rate = config.total_arrival_rate
     random_, getrandbits = rng.random, rng.getrandbits
     # (first id, size, bits per draw) of the proxy ids and of each tier
@@ -110,7 +109,6 @@ class Simulation:
     ``world`` are the result."""
 
     def __init__(self, config: SimConfig, catalog: list[VideoMeta] | None = None):
-        config.validate()
         if catalog is not None:
             _check_catalog(catalog, config.num_videos)
         self.config = config

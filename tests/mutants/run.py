@@ -211,10 +211,14 @@ MUTANTS = (
            "            raise ConfigError(f\"num_proxies * num_videos must be at most {MAX_TICKS}\")\n",
            "",
            ("tests/test_config.py::test_validate_caps_the_proxy_video_pairs",)),
-    Mutant("draw_arrivals draws from a config it does not validate", SIM,
-           "    config.validate()  # else", "    # else",
-           ("tests/test_sim.py::test_draw_arrivals_refuses_what_validate_refuses",
-            "tests/test_sim.py::test_run_validates_its_config_a_fixed_number_of_times")),
+    Mutant("a SimConfig is built without validation", CONFIG,
+           "    def __post_init__(self):\n        self.validate()\n",
+           "    def __post_init__(self):\n        pass\n",
+           ("tests/test_config.py::test_validate_rejects_bad_values",)),
+    Mutant("a SimConfig can be changed after it is built", CONFIG,
+           "@dataclass(frozen=True)", "@dataclass(frozen=False)",
+           ("tests/test_config.py::"
+            "test_a_built_config_is_frozen_and_a_changed_copy_is_checked",)),
     Mutant("a run with sharing off takes a baseline", METRICS,
            "(not result.config.psg_enabled\n                                 or ", "(",
            ("tests/test_metrics.py::"

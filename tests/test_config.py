@@ -72,9 +72,20 @@ def test_defaults_validate():
     pytest.param("horizon", 10 ** 400, id="horizon-huge-int"),
 ])
 def test_validate_rejects_bad_values(field, value):
-    config = dataclasses.replace(SimConfig(), **{field: value})
+    # building the config runs validate()
     with pytest.raises(ConfigError):
-        config.validate()
+        SimConfig(**{field: value})
+
+
+def test_a_built_config_is_frozen_and_a_changed_copy_is_checked():
+    config = SimConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.horizon = -1.0
+    with pytest.raises(ConfigError, match="horizon must be positive"):
+        dataclasses.replace(config, horizon=-1.0)
+    assert config.horizon == 10000.0
+    # a second check finds nothing to change
+    assert config.validate() is config and config == SimConfig()
 
 
 @pytest.mark.parametrize("field, widest, too_wide", [
@@ -144,10 +155,12 @@ def test_tick_cap_refuses_long_horizons_and_keeps_tours_off():
 
 
 def test_validate_takes_int_for_float():
-    config = SimConfig(total_arrival_rate=4, horizon=2000, tier_mix=(0.5, 0.25, 0.25)).validate()
+    # no validate() call: building the config stores the float
+    config = SimConfig(total_arrival_rate=4, horizon=2000, tier_mix=(0.5, 0.25, 0.25))
     assert config.total_arrival_rate == 4.0
     # stored as the float it stands for, so equal configs format alike
     assert type(config.total_arrival_rate) is float and type(config.horizon) is float
+    assert SimConfig(horizon=200) == SimConfig(horizon=200.0)
 
 
 def write(tmp_path, text):

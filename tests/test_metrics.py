@@ -23,7 +23,7 @@ from vodsim.allocation import (
     RELEASE,
     Link,
 )
-from vodsim.config import SimConfig
+from vodsim.config import ConfigError, SimConfig
 from vodsim.metrics import (
     _COUNT,
     _INTEGRATED,
@@ -77,7 +77,7 @@ def hand_reports(tmp_path, links, horizon, ticks):
     bundle = MetricsBundle()
     for tick in ticks:
         bundle.take_snapshot(tick)
-    result = SimpleNamespace(config=SimConfig(horizon=horizon).validate(), counters=Counters(),
+    result = SimpleNamespace(config=SimConfig(horizon=horizon), counters=Counters(),
                              metrics=bundle, ledgers=links)
     return {path.name: path.read_text().splitlines() for path in emit_reports(result, tmp_path)}
 
@@ -382,8 +382,12 @@ def test_replay_at_horizon_zero_walks_but_averages_no_utilization():
 def test_emit_reports_refuses_a_horizon_it_cannot_average_before_writing_a_file(
         horizon, match, tmp_path):
     # a caller-built result whose ledger is sound: unchecked, a horizon of
-    # inf would print CHECK:ledger_bounds=FAIL and one of 0 divide by zero
-    result = SimpleNamespace(config=SimConfig(horizon=horizon), counters=Counters(),
+    # inf would print CHECK:ledger_bounds=FAIL and one of 0 divide by zero.
+    # No SimConfig holds such a horizon, so a stand-in carries it
+    with pytest.raises(ConfigError, match="horizon"):
+        SimConfig(horizon=horizon)
+    config = SimpleNamespace(**{**vars(SimConfig()), "horizon": horizon})
+    result = SimpleNamespace(config=config, counters=Counters(),
                              metrics=SimpleNamespace(ticks=[]), ledgers=[hand_ledger()])
     with pytest.raises(ValueError, match=match):
         emit_reports(result, tmp_path / "out")

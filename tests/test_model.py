@@ -33,9 +33,10 @@ def test_tier_ranges_are_quarter_quarter_half(n):
 
 @pytest.mark.parametrize("bad", [0, -4, 30, 481])
 def test_tier_census_rejects_bad_sizes(bad):
-    # tier_ranges needs a positive multiple of 4; validate() turns other sizes away
+    # tier_ranges needs a positive multiple of 4; a config with another size
+    # cannot be built
     with pytest.raises(ConfigError):
-        SimConfig(num_videos=bad).validate()
+        SimConfig(num_videos=bad)
 
 
 def test_build_catalog_respects_ranges():

@@ -119,7 +119,7 @@ def tiny_runs(draw):
         sample_period=draw(floats(0.5, 150.0)),
         seed=draw(st.integers(0, 2**64)),
         psg_enabled=draw(st.booleans()),
-    ).validate()
+    )
     catalog = build_catalog(num_videos, config.video_size_min, config.video_size_max,
                             random.Random(config.seed))
     return config, catalog, draw(st.sampled_from((2, 4, 8)))

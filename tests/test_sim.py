@@ -55,7 +55,8 @@ def test_draw_arrivals_mean_interarrival():
 
 
 def test_draw_arrivals_rejects_unvalidated_config():
-    # an empty proxy or tier range would never end its redraw loop
+    # an empty proxy or tier range would never end its redraw loop, and no
+    # config with one can be built
     with pytest.raises(ConfigError, match="3 proxies"):
         next(draw_arrivals(random.Random(1), SimConfig(num_proxies=2)))
 
@@ -66,10 +67,10 @@ def test_draw_arrivals_rejects_unvalidated_config():
       for rate in (0.0, math.nan, math.inf, -1.0)),
 ])
 def test_draw_arrivals_refuses_an_empty_range(changes):
-    # unvalidated: with no proxies, or a tier of 0 videos, a redraw loop
-    # would never end; a rate of 0 divides by zero, and NaN, infinite or
-    # negative rates give gaps that never carry a clock past a horizon
-    # or run it backwards
+    # no such config can be built: with no proxies, or a tier of 0 videos,
+    # a redraw loop would never end; a rate of 0 divides by zero, and NaN,
+    # infinite or negative rates give gaps that never carry a clock past a
+    # horizon or run it backwards
     if "total_arrival_rate" in changes:
         match = "total_arrival_rate must be"
     else:
@@ -79,23 +80,21 @@ def test_draw_arrivals_refuses_an_empty_range(changes):
 
 
 @pytest.mark.parametrize("changes", [
-    # unvalidated, each drew: every request from the top tier, every
+    # unchecked, these would draw every request from the top tier, every
     # request of class 3, from a tier range that is not a quarter, and
-    # raised AttributeError from a float proxy count
+    # raise AttributeError from a float proxy count
     {"tier_mix": (1.5, -0.25, -0.25)}, {"class_mix": (0, 0, 0)}, {"num_videos": 5},
     {"num_proxies": 4.5},
 ], ids=["tier_mix", "class_mix", "num_videos", "num_proxies"])
 def test_draw_arrivals_refuses_what_validate_refuses(changes):
-    arrivals = draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes))
-    with pytest.raises(ConfigError) as drawn:
-        next(arrivals)
-    with pytest.raises(ConfigError) as validated:
-        dataclasses.replace(SimConfig(), **changes).validate()
-    assert str(drawn.value) == str(validated.value)
+    # such a config is refused when it is built, so no generator starts on it
+    with pytest.raises(ConfigError):
+        draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes))
 
 
-def test_run_validates_its_config_a_fixed_number_of_times(monkeypatch):
-    # once in Simulation and once at the first draw, however many draws follow
+def test_a_run_validates_nothing(monkeypatch):
+    # a config is checked once, when built; neither Simulation nor the draws
+    # check it again, however many draws follow
     calls = []
     validate = SimConfig.validate
     monkeypatch.setattr(SimConfig, "validate", lambda self: calls.append(self) or validate(self))
@@ -104,7 +103,7 @@ def test_run_validates_its_config_a_fixed_number_of_times(monkeypatch):
         calls.clear()
         result = run(config)
         assert result.counters.requested > scale * 500  # many draws from one generator
-        assert calls == [config, config]
+        assert calls == []
 
 
 def generate_arrival(rng, config):
@@ -155,7 +154,7 @@ EXACT_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(EXACT_CONFIGS))
 def test_draw_arrivals_makes_the_reference_draws(name):
     # fails if the interpreter's expovariate or randrange draw differently
-    config = EXACT_CONFIGS[name].validate()
+    config = EXACT_CONFIGS[name]
     for seed in (0, 1, 7, 31):
         rng, reference = random.Random(seed), random.Random(seed)
         assert list(itertools.islice(draw_arrivals(rng, config), 1500)) == [
@@ -225,7 +224,7 @@ def test_stopped_simulation_is_freed_without_the_cycle_collector(monkeypatch):
 def test_link_capacity_below_every_class_minimum(tmp_path):
     # a legal degenerate config: 3 MB/s is below every class minimum (4 MB/s
     # or more), so every link rejects every stream
-    config = dataclasses.replace(SMALL, link_capacity=3, horizon=300.0).validate()
+    config = dataclasses.replace(SMALL, link_capacity=3, horizon=300.0)
     result = run(config)
     counters = result.counters
     assert counters.remote_requests > 0
@@ -410,7 +409,7 @@ TINY = {
 @pytest.mark.parametrize("name", TINY)
 def test_tiny_config_keeps_identity_checks_and_bytes(name, tmp_path):
     changes, make_catalog = TINY[name]
-    config = dataclasses.replace(SMALL, **{"horizon": 300.0, **changes}).validate()
+    config = dataclasses.replace(SMALL, **{"horizon": 300.0, **changes})
     catalog = make_catalog(config.num_videos) if make_catalog else None
     result, arrivals = with_arrivals(run, config, catalog)
     counters = result.counters

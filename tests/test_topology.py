@@ -39,27 +39,25 @@ def live_set(proxy):
     return {vid for vid, flag in proxy.cache.items() if flag}
 
 
-SOURCE_LINK = {
-    RouteSource.LPS: PS_LPS,
-    RouteSource.RPS: PS_RPS,
-    RouteSource.CMS: PS_CMS,
-}
+def served_over(decision):
+    """The kind of link a decision streams over; it must be remote."""
+    assert decision.source is RouteSource.REMOTE
+    return decision.link.kind
 
 
 def test_ring_neighbors_wrap():
     for num_proxies in (3, 4):
         last = num_proxies - 1
-        # (proxy holding video 7, requesting proxy, expected source)
-        cases = [(last, 0, RouteSource.LPS), (0, last, RouteSource.RPS),
-                 (1, 0, RouteSource.RPS), (0, 1, RouteSource.LPS)]
+        # (proxy holding video 7, requesting proxy, expected link)
+        cases = [(last, 0, PS_LPS), (0, last, PS_RPS), (1, 0, PS_RPS), (0, 1, PS_LPS)]
         if num_proxies == 4:
-            cases += [(2, 0, RouteSource.CMS), (0, 2, RouteSource.CMS)]
-        for holder, requester, source in cases:
+            cases += [(2, 0, PS_CMS), (0, 2, PS_CMS)]
+        for holder, requester, kind in cases:
             world = small_world(num_proxies=num_proxies)
             world.proxies[holder].cache[7] = False
             decision = handle_request(world, 0.0, requester, 7, C2)
-            assert decision.source is source, (num_proxies, holder, requester)
-            assert decision.link is world.proxies[requester].links[SOURCE_LINK[source]]
+            assert served_over(decision) == kind, (num_proxies, holder, requester)
+            assert decision.link is world.proxies[requester].links[kind]
 
 
 def hold_at_neighbors(world, holders):
@@ -70,14 +68,14 @@ def hold_at_neighbors(world, holders):
         world.proxies[1].cache[7] = False
 
 
-# Source by which neighbors of proxy 0 hold the video, for the left link's
-# free bandwidth greater than, equal to and less than the right link's.
+# Link kind by which neighbors of proxy 0 hold the video, for the left
+# link's free bandwidth greater than, equal to and less than the right link's.
 FREE_CASES = ("lps_freer", "equal", "rps_freer")
 ROUTE_TABLE = {
-    "both": (RouteSource.LPS, RouteSource.RPS, RouteSource.RPS),
-    "lps_only": (RouteSource.LPS,) * 3,
-    "rps_only": (RouteSource.RPS,) * 3,
-    "neither": (RouteSource.CMS,) * 3,
+    "both": (PS_LPS, PS_RPS, PS_RPS),
+    "lps_only": (PS_LPS,) * 3,
+    "rps_only": (PS_RPS,) * 3,
+    "neither": (PS_CMS,) * 3,
 }
 
 
@@ -94,8 +92,8 @@ def test_route_remote_table(holders, free):
     expected = ROUTE_TABLE[holders][FREE_CASES.index(free)]
     before = {kind: len(link.ledger) for kind, link in proxy.links.items()}
     decision = handle_request(world, 1.0, 0, 7, C2)
-    assert decision.source is expected
-    assert decision.link is proxy.links[SOURCE_LINK[expected]]
+    assert served_over(decision) == expected
+    assert decision.link is proxy.links[expected]
     assert decision.link.rate(decision.allocation) == 18
     assert admit_cuts(decision.link, before[decision.link.kind]) == []
 
@@ -118,7 +116,7 @@ def test_full_chosen_neighbor_falls_back_to_central(holders):
     assert other.capacity - other.used + sum(other.class_excess[C2].values()) >= 6  # could admit
     rows = {kind: len(proxy.links[kind].rows) for kind in LINK_KINDS}
     decision = handle_request(world, 1.0, 0, 7, C2)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     assert decision.link is proxy.links[PS_CMS]
     for kind in (PS_LPS, PS_RPS):
         assert len(proxy.links[kind].rows) == rows[kind]
@@ -131,7 +129,7 @@ def test_route_prefers_freer_neighbor():
     proxy = world.proxies[0]
     proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 30, 0)
     decision = handle_request(world, 1.0, 0, 7, C2)
-    assert decision.source is RouteSource.LPS
+    assert served_over(decision) == PS_LPS
     assert decision.link is proxy.links[PS_LPS]
     assert decision.link.rate(decision.allocation) == 18
 
@@ -141,7 +139,7 @@ def test_route_tie_goes_right():
     world.proxies[5].cache[7] = False
     world.proxies[1].cache[7] = False
     decision = handle_request(world, 0.0, 0, 7, C2)
-    assert decision.source is RouteSource.RPS
+    assert served_over(decision) == PS_RPS
 
 
 def test_route_single_holder_used_even_if_busier():
@@ -150,7 +148,7 @@ def test_route_single_holder_used_even_if_busier():
     proxy = world.proxies[0]
     proxy.links[PS_RPS].admit(0.0, 9, C1, 8, 29, 0)
     decision = handle_request(world, 1.0, 0, 7, C2)
-    assert decision.source is RouteSource.RPS
+    assert served_over(decision) == PS_RPS
 
 
 def test_route_falls_back_to_central_not_other_neighbor():
@@ -165,7 +163,7 @@ def test_route_falls_back_to_central_not_other_neighbor():
     proxy.links[PS_LPS].admit(0.0, 30, C3, 4, 12, 0)
     # right link freer? no: left has 28 free, right 0 -> left picked, admits
     decision = handle_request(world, 1.0, 0, 7, C2)
-    assert decision.source is RouteSource.LPS
+    assert served_over(decision) == PS_LPS
     # now fill left too and ask for a class with nothing to reclaim there;
     # video 7 is cached here now, so ask for video 8, held where 7 is
     left = proxy.links[PS_LPS]
@@ -175,7 +173,7 @@ def test_route_falls_back_to_central_not_other_neighbor():
             break
     assert left.capacity - left.used < 4
     decision = handle_request(world, 2.0, 0, 8, C1)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     assert decision.link is proxy.links[PS_CMS]
 
 
@@ -185,7 +183,7 @@ def test_route_without_sharing_goes_central():
         world.proxies[5].cache[vid] = False
         world.proxies[1].cache[vid] = False
     decision = handle_request(world, 0.0, 0, 7, C1)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     # with the central link full a miss of video 8 (video 7 is cached here
     # now) is rejected, not served by a neighbor
     proxy = world.proxies[0]
@@ -229,11 +227,11 @@ def test_handle_request_nine_requests_reach_every_source():
     sources = set()
     for time, video_id in enumerate([8, 9, 10, 8, 30, 11, 12, 13, 14]):
         decision = handle_request(world, float(time), 0, video_id, C2)
-        sources.add(decision.source)
+        sources.add((decision.source, decision.link and decision.link.kind))
         if decision.allocation is not None:
             assert type(decision.allocation.user_class) is int
-    assert sources == {RouteSource.CMS, RouteSource.LOCAL, RouteSource.RPS,
-                       RouteSource.REJECTED}
+    assert sources == {(RouteSource.REMOTE, PS_CMS), (RouteSource.LOCAL, None),
+                       (RouteSource.REMOTE, PS_RPS), (RouteSource.REJECTED, None)}
     ops = [op for link in world.all_links()
            for _, op, *_ in LEDGER_RECORD.iter_unpack(link.ledger)]
     assert RECLAIM in ops
@@ -244,7 +242,7 @@ def test_handle_request_caches_on_success():
     proxy = world.proxies[0]
     assert 7 not in proxy.cache
     decision = handle_request(world, 3.0, 0, 7, C2)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     assert 7 in proxy.cache
     assert live_set(proxy) == {7}
 
@@ -295,7 +293,7 @@ def test_an_unpackable_admit_spends_the_ring_s_next_allocation_id(user_class, mi
         link.admit(0.0, 5, user_class, min_rate=min_rate, max_rate=18, weight=0)
     assert (link.used, link.minimums, link.ledger) == (0, {}, bytearray())
     decision = handle_request(world, 1.0, 3, 9, C2)
-    assert decision.source is RouteSource.CMS and decision.allocation.alloc_id == 2
+    assert served_over(decision) == PS_CMS and decision.allocation.alloc_id == 2
     [(_time, _op, alloc_id, *_fields)] = LEDGER_RECORD.iter_unpack(decision.link.ledger)
     assert alloc_id == 2
 
@@ -314,7 +312,7 @@ def test_handle_request_raises_type_error_for_a_float_class_before_any_counter_m
 def test_handle_request_takes_true_as_class_1():
     world = small_world()
     decision = handle_request(world, 1.0, 0, 5, True)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     assert world.demand[cell_index(5, C1)] == world.proxies[0].local_counts[cell_index(5, C1)] == 1
     assert sum(world.demand) == 1 and world.dirty == {cell_index(5, C1)}
     [(_time, _op, _id, video_id, user_class, amount, _min, _max)] = (
@@ -393,7 +391,7 @@ def test_local_hit_on_live_video_keeps_it_live():
     world = small_world(cache=2)
     proxy = world.proxies[0]
     for vid in (1, 2):
-        assert handle_request(world, 1.0 * vid, 0, vid, C2).source is RouteSource.CMS
+        assert served_over(handle_request(world, 1.0 * vid, 0, vid, C2)) == PS_CMS
     assert handle_request(world, 3.0, 0, 1, C2).source is RouteSource.LOCAL
     assert list(proxy.cache) == [2, 1]
     proxy.insert(3)  # every entry is live: the cache grows past capacity
@@ -485,11 +483,11 @@ def test_weight_prefers_fresher_view():
     cell = cell_index(7, C1)
     world.proxies[0].local_counts[cell] = 3  # the request makes it 4
     decision = handle_request(world, 1.0, 0, 7, C1)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     assert decision.allocation.weight == 4
     world.weights[cell] = 30
     decision = handle_request(world, 2.0, 3, 7, C1)
-    assert decision.source is RouteSource.CMS
+    assert served_over(decision) == PS_CMS
     assert decision.allocation.weight == 30
 
 
