@@ -56,18 +56,18 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> "SimConfig":
-        """Check every field and return self; building a config runs it.  An
-        int given for a float (tuple items too) is stored as that float, so
-        equal configs run and report alike."""
+        """Check every field and return self; building a config runs it.  Each refusal
+        names its field; a tuple needs its default's length.  An int given for a float
+        (tuple items too) is stored as that float, so equal configs report alike."""
         for f in fields(self):
             value = _checked(f.name, getattr(self, f.name), f.default)
             if isinstance(value, tuple):
-                # items past the default's length stay for the length checks below
-                value = (*(_checked(f.name, item, default)
-                           for item, default in zip(value, f.default)), *value[len(f.default):])
+                if len(value) != len(f.default):
+                    raise ConfigError(f"{f.name} must have exactly {len(f.default)} values")
+                value = tuple(_checked(f.name, item, d) for item, d in zip(value, f.default))
             object.__setattr__(self, f.name, value)
         if self.num_proxies < 3:
-            raise ConfigError("need at least 3 proxies to form a ring")
+            raise ConfigError("num_proxies must be at least 3 to form a ring")
         if self.num_videos <= 0 or self.num_videos % 4:
             raise ConfigError("num_videos must be a positive multiple of 4")
         if self.num_proxies * self.num_videos > MAX_TICKS:
@@ -89,9 +89,9 @@ class SimConfig:
         if self.cache_capacity % 4:
             raise ConfigError("cache_capacity must be a multiple of 4")
         if not 0 < self.video_size_min <= self.video_size_max:
-            raise ConfigError("video size range must satisfy 0 < min <= max")
+            raise ConfigError("video_size_min and video_size_max must satisfy 0 < min <= max")
         for name, mix in (("tier_mix", self.tier_mix), ("class_mix", self.class_mix)):
-            if len(mix) != 3 or min(mix) <= 0 or abs(sum(mix) - 1.0) > 1e-9:
+            if min(mix) <= 0 or abs(sum(mix) - 1.0) > 1e-9:
                 raise ConfigError(f"{name} must be three positive shares summing to 1")
         return self
 
@@ -102,45 +102,45 @@ def _parse_bool(raw: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-#: Scalar parser for each type a SimConfig default can have; a tuple field
-#: parses each comma-separated item by the type of its default's items.
+#: Scalar parser for each type a SimConfig default can have.
 _PARSERS = {bool: _parse_bool, int: int, float: float}
 
 
 def _parse_value(name: str, default, raw: str):
-    """Parse ``raw`` into the type of the field's ``default``."""
-    if isinstance(default, tuple):
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != len(default):
-            raise ConfigError(f"{name} must have exactly {len(default)} comma-separated values")
-        return tuple(_parse_value(name, item, part) for item, part in zip(default, parts))
+    """Turn ``raw`` into the type of the field's ``default``; a tuple's text into
+    its comma-separated items, however many: ``validate()`` judges every rule."""
     try:
+        if isinstance(default, tuple):
+            return tuple(map(_PARSERS[type(default[0])], raw.split(",")))
         return _PARSERS[type(default)](raw)
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
 def load_config(path) -> SimConfig:
-    """Read key=value lines; '#' starts a comment, blank lines are skipped."""
+    """Read key=value lines; '#' starts a comment, blank lines are skipped.  A file
+    that cannot be read as UTF-8, a bad line or a refused value raises ``ConfigError``."""
     values = {}
     defaults = {f.name: f.default for f in fields(SimConfig)}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in defaults:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = _parse_value(key, defaults[key], raw)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in defaults:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = _parse_value(key, defaults[key], raw)
     return SimConfig(**values)

@@ -215,6 +215,15 @@ MUTANTS = (
            "    def __post_init__(self):\n        self.validate()\n",
            "    def __post_init__(self):\n        pass\n",
            ("tests/test_config.py::test_validate_rejects_bad_values",)),
+    Mutant("a tuple field of the wrong length is accepted", CONFIG,
+           "                if len(value) != len(f.default):\n"
+           "                    raise ConfigError(f\"{f.name} must have exactly {len(f.default)} values\")\n",
+           "",
+           ("tests/test_config.py::test_validate_rejects_bad_values",
+            "tests/test_config.py::test_load_config_bad_tuple")),
+    Mutant("an unreadable config escapes as OSError", CONFIG,
+           "except (OSError, UnicodeDecodeError) as exc:", "except UnicodeDecodeError as exc:",
+           ("tests/test_config.py::test_load_config_unreadable_file",)),
     Mutant("a SimConfig can be changed after it is built", CONFIG,
            "@dataclass(frozen=True)", "@dataclass(frozen=False)",
            ("tests/test_config.py::"

@@ -106,6 +106,20 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe seed = 3\n"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_config_reports_error(make, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    make(conf)
+    code = main(["run", "--config", str(conf), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"error: {conf}: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_sweep_scales(tmp_path, capsys):
     code = main(["sweep", "--scales", " , ", "--out", str(tmp_path / "x")])
     assert code == 2

@@ -70,10 +70,25 @@ def test_defaults_validate():
     ("class_mix", (0.2, 0.3, "0.5")),
     # an int stands for a float only inside the float range
     pytest.param("horizon", 10 ** 400, id="horizon-huge-int"),
+    # with no proxies, or a tier of no videos, an arrival's redraw loop
+    # would never end; a float proxy count would raise AttributeError there
+    ("num_proxies", 0),
+    ("num_proxies", 4.5),
+    ("num_videos", -4),
+    ("num_videos", 2),
+    # tier ranges that are not quarters
+    ("num_videos", 5),
+    ("num_videos", 30),
+    ("num_videos", 481),
+    # a negative rate gives gaps that run the clock backwards
+    ("total_arrival_rate", -1.0),
+    # these would draw every request from the top tier, or of class 3
+    ("tier_mix", (1.5, -0.25, -0.25)),
+    ("class_mix", (0, 0, 0)),
 ])
 def test_validate_rejects_bad_values(field, value):
-    # building the config runs validate()
-    with pytest.raises(ConfigError):
+    # building the config runs validate(), whose refusal names the field
+    with pytest.raises(ConfigError, match=field):
         SimConfig(**{field: value})
 
 
@@ -307,6 +322,18 @@ def test_load_config_bad_bool(tmp_path):
 def test_load_config_bad_tuple(tmp_path):
     path = write(tmp_path, "tier_mix = 0.5, 0.5\n")
     with pytest.raises(ConfigError, match="exactly 3"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"seed = 3 # \xe9\n"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_load_config_unreadable_file(make, tmp_path):
+    path = tmp_path / "run.conf"
+    make(path)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot read")):
         load_config(path)
 
 
