@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from vodsim.config import ConfigError, SimConfig
 from vodsim.model import (
     BW_RANGES,
     CLASSES,
@@ -28,6 +29,14 @@ def test_tier_ranges_are_quarter_quarter_half(n):
     ids = [vid for first, size in ranges for vid in range(first, first + size)]
     assert ids == list(range(n))  # contiguous, in order, covering every id
     assert [size for _first, size in ranges] == [n // 4, n // 4, n // 2]
+
+
+@pytest.mark.parametrize("bad", [0, -4, 30, 481])
+def test_tier_census_rejects_bad_sizes(bad):
+    # tier_ranges needs a positive multiple of 4; a config with another size
+    # cannot be built
+    with pytest.raises(ConfigError, match="num_videos must be"):
+        SimConfig(num_videos=bad)
 
 
 def test_build_catalog_respects_ranges():

@@ -54,6 +54,33 @@ def test_draw_arrivals_mean_interarrival():
     assert sum(draws) / len(draws) == pytest.approx(0.25, rel=0.05)
 
 
+def test_draw_arrivals_rejects_unvalidated_config():
+    # an empty proxy or tier range would never end its redraw loop, and no
+    # config with one can be built
+    with pytest.raises(ConfigError, match="num_proxies must be at least 3"):
+        next(draw_arrivals(random.Random(1), SimConfig(num_proxies=2)))
+
+
+@pytest.mark.parametrize("changes", [
+    {"num_proxies": 0}, {"num_videos": 0}, {"num_videos": 2},
+    *(pytest.param({"total_arrival_rate": rate}, id=f"rate-{rate}")
+      for rate in (0.0, math.nan, math.inf, -1.0)),
+])
+def test_draw_arrivals_refuses_an_empty_range(changes):
+    # no such config can be built: with no proxies, or a tier of 0 videos,
+    # a redraw loop would never end; a rate of 0 divides by zero, and NaN,
+    # infinite or negative rates give gaps that never carry a clock past a
+    # horizon or run it backwards
+    if "total_arrival_rate" in changes:
+        match = "total_arrival_rate must be"
+    elif "num_proxies" in changes:
+        match = "num_proxies must be at least 3"
+    else:
+        match = "num_videos must be"
+    with pytest.raises(ConfigError, match=match):
+        next(draw_arrivals(random.Random(1), dataclasses.replace(SimConfig(), **changes)))
+
+
 def test_a_run_validates_nothing(monkeypatch):
     # a config is checked once, when built; neither Simulation nor the draws
     # check it again, however many draws follow
